@@ -37,9 +37,12 @@ def sqrt_fraction(d: int, digits: int = SURD_DIGITS) -> Fraction:
 
 
 def _to_fraction(x) -> Fraction:
+    """A Rational as its exact Fraction (with Python int terms, so numpy
+    integers cannot overflow later); anything else as the exact binary
+    value of float(x)."""
     if isinstance(x, Rational):
-        return Fraction(x)
-    return Fraction(float(x))  # exact binary value of the float
+        return Fraction(int(x.numerator), int(x.denominator))
+    return Fraction(float(x))
 
 
 @dataclass(frozen=True)

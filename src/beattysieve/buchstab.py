@@ -360,6 +360,11 @@ def _kink_side_integral(c: Decimal, lo: Decimal, hi: Decimal, nodes, weights) ->
 
 # Gauss-Legendre rules at the working precision, by order
 _legendre_rules: dict = {}
+# Node pairs the iterated rules of one region_integrals call may visit,
+# order^2 + (order + 8)^2.  The cost is about 27 us per pair (Python 3.11 on
+# a 2-core x86-64 VM: 1.4 s at order 160), so the cap, near order 310, is
+# a few seconds of work.
+REGION_NODE_PAIR_BUDGET = 200_000
 _NEWTON_TOL = Decimal(10) ** (6 - _DIGITS)
 
 
@@ -518,12 +523,19 @@ def region_integrals(order: int = 24, tol: float = 1e-7, eps: float = 0.0) -> di
     float is bounded by the decimal difference between the orders plus its
     own rounding error |float(v) - v|; if that bound exceeds tol the
     function refuses rather than report junk.  A tol below a value's
-    rounding error (some 1e-18 here) is therefore always refused.
+    rounding error (some 1e-18 here) is therefore always refused.  The cost
+    grows as order^2; an order past REGION_NODE_PAIR_BUDGET is refused
+    with its node-pair count as the estimate, before any rule is built.
     """
     if order < 8:
         raise PreconditionError("order must be >= 8", order=order)
     if not 0 <= eps < 0.5:
         raise PreconditionError("eps must lie in [0, 1/2)", eps=eps)
+    node_pairs = order**2 + (order + 8) ** 2
+    if node_pairs > REGION_NODE_PAIR_BUDGET:
+        raise BudgetError(f"order {order} needs {node_pairs} node pairs, over "
+                          f"the budget of {REGION_NODE_PAIR_BUDGET}",
+                          estimate=node_pairs)
     coarse_rule, fine_rule = _GaussRule(order), _GaussRule(order + 8)
     vals, exact = {}, {}
     spread = 0.0

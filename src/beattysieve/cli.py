@@ -29,7 +29,6 @@ import platform
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -406,17 +405,9 @@ def cmd_find(ns):
     return constellation_find(ns)
 
 
-def _mk_row(args):
-    k, degree = args
+def _mk_row(k, degree):
     bound, cert = variational.mk_lower_bound(k, degree)
     return {"k": k, "bound": bound, "quotient": str(cert.quotient)}
-
-
-def _pmap(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def cmd_report_buchstab(ns):
@@ -429,8 +420,7 @@ def cmd_report_mk(ns):
     if kmax < 1:
         raise PreconditionError("kmax must be >= 1", kmax=kmax)
     degree = _int(ns.degree)
-    rows = _pmap(_mk_row, [(k, degree) for k in range(1, kmax + 1)],
-                 _int(ns.parallelism))
+    rows = [_mk_row(k, degree) for k in range(1, kmax + 1)]
     return {"rows": rows}, 0
 
 
@@ -596,8 +586,6 @@ def _common_parent(fmt_default: str) -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="flat key = value file")
     common.add_argument("--output", "-o", default=None, help="write payload here")
     common.add_argument("--format", default=fmt_default, choices=("json", "csv"))
-    common.add_argument("--parallelism", default="1")
-    common.add_argument("--seed", default="0", help="echoed into the manifest")
     return common
 
 
@@ -761,8 +749,6 @@ def main(argv=None) -> int:
     try:
         if getattr(ns, "config", None):
             _apply_config(ns, load_config_file(ns.config), argv)
-        if _int(ns.parallelism) < 1:
-            raise PreconditionError("parallelism must be >= 1")
         payload, code = ns.handler(ns)
         _emit(ns, payload)
     except BudgetError as exc:

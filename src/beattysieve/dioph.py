@@ -10,17 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
+from .beatty import _to_fraction
 from .errors import ImpossibleInputError, PreconditionError
 
 NEAR_RATIONAL_TOL = Fraction(1, 10**14)
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Rational):
-        return Fraction(x)
-    return Fraction(float(x))
 
 
 @dataclass(frozen=True)

@@ -33,17 +33,10 @@ import numpy as np
 import scipy.integrate
 
 from . import arith, beatty, dioph
+from .beatty import _to_fraction
 from .errors import PreconditionError
 
 HARNESS_POINT_BUDGET = 5 * 10**7
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(float(x))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,12 @@ On that support, y_r samples the simplex profile F at (log r_i / log R) and
     lambda_d = prod mu(d_i) d_i * sum_{d_i | r_i} y_r / prod phi(r_i),
 
 with the exact inverse  y_r = prod mu(r_i) phi(r_i) * sum_{r_i | d_i}
-lambda_d / prod d_i.  The per-integer weight is the gated square
+lambda_d / prod d_i.  Both maps, and the second-layer weights y_m, are one
+transform: a sum over component-wise multiples in the support.  The support
+is closed under component-wise divisors (squarefreeness, coprimality to W1,
+pairwise coprimality and the product bound all pass to divisors), so each
+value is pushed onto the divisor tuples of its index, sum_r prod tau(r_i)
+steps instead of |support|^2.  The per-integer weight is the gated square
 
     w(n) = (sum_{d : d_i | n + h_i for all i} lambda_d)^2   if n = nu0 mod W2.
 
@@ -20,6 +25,7 @@ identity) is checked in exact arithmetic, never within a tolerance.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -189,6 +195,44 @@ def _mu_prod(r) -> int:
     return out
 
 
+def _divisors(n: int) -> list[int]:
+    out = [1]
+    for p, e in arith.factorize(n):
+        out = [d * p**j for d in out for j in range(e + 1)]
+    return out
+
+
+def _sum_over_multiples(values: dict, keys) -> dict:
+    """{d: sum of values[r] over r with d_i | r_i in every slot} for d in
+    keys, in their order, added exactly.
+
+    Each nonzero values[r] goes to every divisor tuple of r, so the cost is
+    sum_r prod tau(r_i) visits.  The result is the double-loop sum for any
+    keys; no visit is wasted when keys are closed under component-wise
+    divisors, as the support is (squarefree, coprime to W1, pairwise
+    coprime, product <= R).
+    """
+    divisors: dict = {}
+    acc: dict = {}
+    for r, value in values.items():
+        if not value:
+            continue
+        for n in r:
+            if n not in divisors:
+                divisors[n] = _divisors(n)
+        for d in itertools.product(*(divisors[n] for n in r)):
+            acc[d] = acc.get(d, 0) + value
+    return {d: acc.get(d, Fraction(0)) for d in keys}
+
+
+def _lambda_from_y(support, y: dict) -> dict:
+    """lambda_d = prod mu(d_i) d_i * sum over support multiples r of d of
+    y_r / prod phi(r_i)."""
+    sums = _sum_over_multiples({r: y[r] / _phi_prod(r) for r in support},
+                               support)
+    return {d: _mu_prod(d) * math.prod(d) * total for d, total in sums.items()}
+
+
 def weights(ctx: SieveContext, offsets) -> WeightFamily:
     """Sampled y values (frozen to exact rationals) and the derived lambda."""
     offsets = tuple(sorted(offsets))
@@ -215,18 +259,7 @@ def weights(ctx: SieveContext, offsets) -> WeightFamily:
         point = [math.log(x) / log_r for x in r]
         y[r] = Fraction(float(ctx.f.evaluate(point)))
 
-    phi = {r: _phi_prod(r) for r in support}
-    lam = {}
-    for d in support:
-        total = Fraction(0)
-        for r in support:
-            if all(ri % di == 0 for di, ri in zip(d, r)):
-                total += y[r] / phi[r]
-        scale = _mu_prod(d)
-        for di in d:
-            scale *= di
-        lam[d] = scale * total
-    return WeightFamily(offsets, nu0, ctx.w2, y, lam)
+    return WeightFamily(offsets, nu0, ctx.w2, y, _lambda_from_y(support, y))
 
 
 @dataclass(frozen=True)
@@ -249,29 +282,12 @@ def invert_lambda(ctx: SieveContext, lam: dict) -> InversionResult:
                                 example=next(iter(missing)))
     lam_full = {r: Fraction(lam.get(r, 0)) for r in support}
 
-    y = {}
-    for r in support:
-        total = Fraction(0)
-        for d in support:
-            if all(di % ri == 0 for ri, di in zip(r, d)):
-                prod = 1
-                for di in d:
-                    prod *= di
-                total += lam_full[d] / prod
-        y[r] = _mu_prod(r) * _phi_prod(r) * total
+    sums = _sum_over_multiples(
+        {d: value / math.prod(d) for d, value in lam_full.items()}, support)
+    y = {r: _mu_prod(r) * _phi_prod(r) * total for r, total in sums.items()}
 
-    phi = {r: _phi_prod(r) for r in support}
-    worst = Fraction(0)
-    for d in support:
-        total = Fraction(0)
-        for r in support:
-            if all(ri % di == 0 for di, ri in zip(d, r)):
-                total += y[r] / phi[r]
-        scale = _mu_prod(d)
-        for di in d:
-            scale *= di
-        residual = abs(scale * total - lam_full[d])
-        worst = max(worst, residual)
+    rebuilt = _lambda_from_y(support, y)
+    worst = max(abs(rebuilt[d] - lam_full[d]) for d in support)
     return InversionResult(y, worst, worst == 0)
 
 
@@ -561,22 +577,12 @@ def y_m_weights(ctx: SieveContext, family: WeightFamily, m: int) -> dict:
     lambda_d / prod phi(d_i), exactly."""
     if not 0 <= m < ctx.k:
         raise PreconditionError("m out of range", m=m, k=ctx.k)
-    support = enumerate_support(ctx)
-    out = {}
-    for r in support:
-        if r[m] != 1:
-            continue
-        total = Fraction(0)
-        for d, ld in family.lam.items():
-            if d[m] != 1 or not ld:
-                continue
-            if all(di % ri == 0 for ri, di in zip(r, d)):
-                total += ld / _phi_prod(d)
-        scale = _mu_prod(r)
-        for ri in r:
-            scale *= _shifted_phi(ri)
-        out[r] = scale * total
-    return out
+    keys = [r for r in enumerate_support(ctx) if r[m] == 1]
+    sums = _sum_over_multiples({d: ld / _phi_prod(d)
+                                for d, ld in family.lam.items() if d[m] == 1},
+                               keys)
+    return {r: _mu_prod(r) * math.prod(map(_shifted_phi, r)) * total
+            for r, total in sums.items()}
 
 
 def y_m_report(ctx: SieveContext, family: WeightFamily, m: int) -> list[dict]:
@@ -587,14 +593,14 @@ def y_m_report(ctx: SieveContext, family: WeightFamily, m: int) -> list[dict]:
     attached for context, not asserted (it is asymptotic)."""
     defined = y_m_weights(ctx, family, m)
     envelope = (arith.euler_phi(ctx.w1) / ctx.w1) * math.log(ctx.n) / ctx.d0
+    mains: dict = {}
+    for r, y_val in family.y.items():
+        if y_val:
+            key = r[:m] + (1,) + r[m + 1:]
+            mains[key] = mains.get(key, Fraction(0)) + y_val / arith.euler_phi(r[m])
     rows = []
     for r, val in defined.items():
-        main = Fraction(0)
-        for rr, y_val in family.y.items():
-            if rr[:m] + (1,) + rr[m + 1:] == r[:m] + (1,) + r[m + 1:] \
-                    and rr[m] >= 1 and y_val:
-                if all(rr[i] == r[i] for i in range(ctx.k) if i != m):
-                    main += y_val / arith.euler_phi(rr[m])
+        main = mains.get(r, Fraction(0))
         rows.append({"r": r, "defined": val, "main": main,
                      "difference": float(val - main), "envelope": envelope})
     return rows

@@ -17,19 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 from . import arith
-from .beatty import pigeonhole_shift
+from .beatty import _to_fraction, pigeonhole_shift
 from .errors import BudgetError, ImpossibleInputError, PreconditionError
 
 SHIFT_SCAN_BUDGET = 10**6
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Rational):
-        return Fraction(x)
-    return Fraction(float(x))
 
 
 @dataclass(frozen=True)
@@ -137,7 +130,9 @@ def translate_tuple(l: int, k: int, gamma, eps) -> TranslateResult:
     offsets = sorted(p + shift for p in chosen)
     for h in offsets:
         d = (-g * h) % 1
-        assert 0 < d < 2 * window, "window arithmetic broke; shift or eta inconsistent"
+        if not 0 < d < 2 * window:
+            raise RuntimeError("window arithmetic broke; shift or eta "
+                               f"inconsistent at offset {h}")
     return TranslateResult(AdmissibleTuple.from_offsets(offsets), shift, eta,
                            k, len(chosen), 2 * window, note)
 

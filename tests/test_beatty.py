@@ -3,12 +3,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from beattysieve.beatty import (BeattyParams, TorusInterval, beatty_enumerate,
-                                membership_interval, pigeonhole_shift,
-                                recovered_index, shift_intersection,
-                                sqrt_fraction, torus_member)
+from beattysieve.beatty import (BeattyParams, TorusInterval, _to_fraction,
+                                beatty_enumerate, membership_interval,
+                                pigeonhole_shift, recovered_index,
+                                shift_intersection, sqrt_fraction,
+                                torus_member)
 from beattysieve.errors import PreconditionError
 
 
@@ -125,3 +127,14 @@ def test_pigeonhole_never_below_the_proportional_floor():
         length = Fraction(rng.randrange(1, 96), 100)
         _, hits = pigeonhole_shift(pts, length)
         assert len(hits) >= math.ceil(count * length)
+
+
+def test_to_fraction_is_exact_for_every_input_kind():
+    big = 2**62 + 1   # not a float64 value
+    for x in (big, np.int64(big), Fraction(big, 3)):
+        got = _to_fraction(x)
+        assert got == Fraction(x)
+        assert type(got.numerator) is int and type(got.denominator) is int
+    assert _to_fraction(np.int64(big)) * 2 == 2 * big   # no int64 wraparound
+    assert _to_fraction(0.1) == Fraction(3602879701896397, 2**55)
+    assert _to_fraction(np.float32(0.5)) == Fraction(1, 2)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from beattysieve import buchstab
 from beattysieve.buchstab import (_CONTEXT, _kink_side_integral,
                                   _legendre_rule, _ln, classify,
                                   decomposition_check, decomposition_terms,
@@ -150,6 +151,17 @@ def test_region_integrals_order_sensitivity():
         region_integrals(order=6)
     with pytest.raises(BudgetError):
         region_integrals(order=8, tol=1e-18)
+
+
+def test_region_integrals_refuse_a_huge_order_before_building_rules(monkeypatch):
+    def no_rule(n):
+        raise AssertionError(f"order-{n} rule built before the budget check")
+
+    monkeypatch.setattr(buchstab, "_legendre_rule", no_rule)
+    with pytest.raises(BudgetError) as refused:
+        region_integrals(order=5000)
+    assert refused.value.estimate == 5000**2 + 5008**2
+    assert refused.value.estimate > buchstab.REGION_NODE_PAIR_BUDGET
 
 
 # I1, I2 and the integral over D to 34 digits, from mpmath quad at 40 digits

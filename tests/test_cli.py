@@ -118,6 +118,12 @@ def test_buchstab_cli(capsys):
     assert rc == 1   # refused with a work estimate
 
 
+def test_buchstab_cli_refuses_a_huge_order(capsys):
+    rc, out, err = run(["buchstab", "integrals", "--order", "5000"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("budget: order 5000 needs")
+
+
 def test_chars_table_payload(capsys):
     rc, payload, _ = jrun(["chars", "table", "--q", "15"], capsys)
     assert rc == 0
@@ -203,6 +209,25 @@ def test_report_mk_csv(capsys):
     assert lines[1] == "1,1.0,1"
     assert lines[2].startswith("2,1.38309518948453,")
     assert len(lines) == 5 and lines[4] == ""
+
+
+def test_report_mk_default_rows(capsys):
+    rc, out, _ = run(["report", "mk", "--kmax", "3"], capsys)
+    assert rc == 0
+    assert out.split("\r\n") == [
+        "k,bound,quotient",
+        "1,1.0,1",
+        "2,1.3859093264936135,619861413630328135811109588784254167/"
+        "447259717342831929225561706137564933",
+        "3,1.64591195861273,2756220608898327342332700106936576021997/"
+        "1674585687573125061835038528422511051830",
+        ""]
+
+
+def test_removed_common_options_are_usage_errors(capsys):
+    for flag in ("--parallelism", "--seed"):
+        rc, _, _ = run(["report", "mk", "--kmax", "1", flag, "2"], capsys)
+        assert rc == 2
 
 
 def test_report_buchstab_integrals(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from beattysieve.arith import mobius
+from beattysieve.arith import euler_phi, factorize, mobius
 from beattysieve.beatty import beatty_enumerate
 from beattysieve.errors import CapacityError, PreconditionError
 from beattysieve.maynard import (aux_sums, build_context, enumerate_support,
@@ -14,7 +14,7 @@ from beattysieve.maynard import (aux_sums, build_context, enumerate_support,
                                  lambda_lambda_s1, lcm_identity_check,
                                  main_terms, positivity_combination,
                                  s1_s2_direct, s1_window_float, weights,
-                                 window_inner_sums, y_m_report)
+                                 window_inner_sums, y_m_report, y_m_weights)
 from beattysieve.variational import SimplexPolynomial
 
 
@@ -255,3 +255,97 @@ def test_y_m_report_rows():
         assert row["difference"] == pytest.approx(float(row["defined"] -
                                                         row["main"]))
         assert abs(row["difference"]) <= row["envelope"]
+
+
+# Quadratic definitions of the weight transforms, kept as the oracle for the
+# divisor-lattice transform in maynard: every (d, r) pair of the support is
+# scanned and the component-wise divisibility tested directly.
+
+def _divides(d, r):
+    return all(ri % di == 0 for di, ri in zip(d, r))
+
+
+def _mu_prod(r):
+    return math.prod(mobius(x) for x in r)
+
+
+def _phi_prod(r):
+    return math.prod(euler_phi(x) for x in r)
+
+
+def _oracle_lambda(support, y):
+    lam = {}
+    for d in support:
+        total = sum((y[r] / _phi_prod(r) for r in support if _divides(d, r)),
+                    Fraction(0))
+        lam[d] = _mu_prod(d) * math.prod(d) * total
+    return lam
+
+
+def _oracle_y(support, lam):
+    y = {}
+    for r in support:
+        total = sum((lam[d] / math.prod(d) for d in support
+                     if _divides(r, d)), Fraction(0))
+        y[r] = _mu_prod(r) * _phi_prod(r) * total
+    return y
+
+
+def _oracle_y_m(support, lam, m):
+    out = {}
+    for r in support:
+        if r[m] != 1:
+            continue
+        total = sum((ld / _phi_prod(d) for d, ld in lam.items()
+                     if d[m] == 1 and _divides(r, d)), Fraction(0))
+        shifted = math.prod(p - 2 for x in r for p, _ in factorize(x))
+        out[r] = _mu_prod(r) * shifted * total
+    return out
+
+
+def _oracle_main(y, r, m):
+    return sum((y_val / euler_phi(rr[m]) for rr, y_val in y.items()
+                if all(rr[i] == r[i] for i in range(len(r)) if i != m)),
+               Fraction(0))
+
+
+def _slack_plus_t0_squared(k):
+    slack = (1,) + (0,) * k
+    t0_sq = (0, 2) + (0,) * (k - 1)
+    return SimplexPolynomial.from_terms(k, {slack: 1, t0_sq: 3})
+
+
+@pytest.mark.parametrize("k, offsets, d0, r_value, q0, q1, slack", [
+    (1, (0,), 2, 300, 1, 1, False),
+    (2, (0, 2), 2, 300, 1, 1, True),
+    (2, (0, 10), 3, 120, 5, 7, False),
+    (3, (0, 2, 6), 3, 150, 1, 1, True),
+    (3, (0, 4, 6), 3, 60, 5, 7, True),
+])
+def test_transforms_match_quadratic_definitions(k, offsets, d0, r_value,
+                                                 q0, q1, slack):
+    f = _slack_plus_t0_squared(k) if slack else None
+    ctx = build_context(k, 10**4, 0.5, 0.05, d0=d0, r_value=r_value,
+                        offsets=offsets, q0=q0, q1=q1, f=f)
+    support = enumerate_support(ctx)
+    assert len(support) > 10
+    fam = weights(ctx, offsets)
+    assert list(fam.lam) == support
+    assert fam.lam == _oracle_lambda(support, fam.y)
+
+    res = invert_lambda(ctx, fam.lam)
+    assert res.y == _oracle_y(support, fam.lam) == fam.y
+    # a lambda off the image of y -> lambda: the recovered y is still the
+    # quadratic one
+    bent = dict(fam.lam)
+    bent[support[-1]] += Fraction(1, 7)
+    assert invert_lambda(ctx, bent).y == _oracle_y(support, bent)
+
+    for m in range(k):
+        got = y_m_weights(ctx, fam, m)
+        expected = _oracle_y_m(support, fam.lam, m)
+        assert list(got) == list(expected) and got == expected
+        rows = y_m_report(ctx, fam, m)
+        assert [row["r"] for row in rows] == list(expected)
+        for row in rows:
+            assert row["main"] == _oracle_main(fam.y, row["r"], m)
