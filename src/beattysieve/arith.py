@@ -146,24 +146,6 @@ def rough_psi(n: int, z, table: FactorTable | None = None) -> int:
     return 1
 
 
-_DISPATCH = {
-    "mobius": lambda n, k, t: mobius(n, t),
-    "phi": lambda n, k, t: euler_phi(n, t),
-    "omega": lambda n, k, t: omega(n, t),
-    "tau": lambda n, k, t: tau_k(n, k, t),
-    "mangoldt": lambda n, k, t: mangoldt(n, t),
-}
-
-
-def arith_fn(kind: str, n: int, k: int | None = None, table: FactorTable | None = None):
-    """Dispatch by name; kind 'tau' requires the order k."""
-    if kind not in _DISPATCH:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {sorted(_DISPATCH)}")
-    if kind == "tau" and k is None:
-        raise ValueError("kind 'tau' requires k")
-    return _DISPATCH[kind](n, k, table)
-
-
 def squarefree_multiplicative_values(limit: int, g_of_prime) -> np.ndarray:
     """Array v with v[n] = prod_{p | n} g(p) for squarefree n, 0 for non-squarefree.
 

@@ -508,12 +508,12 @@ def _d_integral(rule: _GaussRule) -> Decimal:
     return sum(rule.integrate(outer, a, b) for a, b in zip(cuts, cuts[1:]))
 
 
-def region_integrals(order: int = 24, tol: float = 1e-7, eps: float = 0.0) -> dict:
+def region_integrals(order: int = 24, tol: float = 1e-7) -> dict:
     """Integrals of the bad-region density and the resulting constant b.
 
     I1 is the integral over the steep triangle (alpha1 >= 3/7), I2 over the
     shallow one; integral_over_D re-derives the domain from the raw
-    inequalities as an independent route.  b = (1 - 2*eps)*(1 - over_D).
+    inequalities as an independent route.  b = 1 - integral_over_D.
 
     Each route is an iterated Gauss-Legendre rule run in decimal at 36
     significant digits, at `order` and at `order + 8`; only the final
@@ -529,8 +529,6 @@ def region_integrals(order: int = 24, tol: float = 1e-7, eps: float = 0.0) -> di
     """
     if order < 8:
         raise PreconditionError("order must be >= 8", order=order)
-    if not 0 <= eps < 0.5:
-        raise PreconditionError("eps must lie in [0, 1/2)", eps=eps)
     node_pairs = order**2 + (order + 8) ** 2
     if node_pairs > REGION_NODE_PAIR_BUDGET:
         raise BudgetError(f"order {order} needs {node_pairs} node pairs, over "
@@ -557,7 +555,7 @@ def region_integrals(order: int = 24, tol: float = 1e-7, eps: float = 0.0) -> di
                 f"difference {order_gap:.2e}, float rounding {rounding:.2e}); "
                 "raise the order, or the tolerance if rounding dominates",
                 estimate=float(bound))
-        vals["b"] = float((1 - 2 * Decimal(eps)) * (1 - exact["integral_over_D"]))
+        vals["b"] = float(1 - exact["integral_over_D"])
     vals["quadrature_error"] = spread
     return vals
 

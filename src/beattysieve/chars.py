@@ -393,39 +393,6 @@ def bilinear_S(q_lo: int, gamma, a_coeffs: dict, b_coeffs: dict,
     return float(total)
 
 
-def bilinear_type1(q_lo: int, gamma, a_coeffs: dict, k_lo: int, k_hi: int,
-                   n_lo: int, n_hi: int) -> float:
-    """Same sum with b identically 1 on [k_lo, k_hi), evaluated the direct
-    way (inner k loop per m, no residue aggregation).  Cross-check route."""
-    if q_lo < 1:
-        raise PreconditionError("Q must be >= 1", q=q_lo)
-    g = float(gamma)
-    cost = 0
-    n_pairs = len(a_coeffs) * max(0, k_hi - k_lo)
-    for q in range(q_lo, 2 * q_lo):
-        cost += arith.euler_phi(q) * n_pairs
-    if cost > BILINEAR_OP_BUDGET:
-        raise BudgetError("type-I bilinear sum too large",
-                          estimate=cost)
-    total = 0.0
-    for q in range(q_lo, 2 * q_lo):
-        table = char_table(q)
-        for chi in table.characters:
-            inner = 0j
-            for m, am in a_coeffs.items():
-                if am == 0:
-                    continue
-                for k in range(k_lo, k_hi):
-                    n = m * k
-                    if not n_lo <= n < n_hi:
-                        continue
-                    val = chi(n)
-                    if val:
-                        inner += am * val * cmath.exp(2j * cmath.pi * g * n)
-            total += abs(inner)
-    return float(total)
-
-
 def divisor_concentration(q_lo: int, n_hi: int) -> int:
     """max over n < n_hi of #{q in [Q, 2Q) : q | n} (the D of the bound)."""
     if n_hi <= 1:

@@ -14,7 +14,8 @@ with the resolved config and library versions.  Timings go to stderr
 only, so identical configs produce byte-identical files.  --format csv
 is accepted for row-shaped payloads (RFC-4180-style quoting).
 
-Exit codes: 0 success; 1 not found or a checked bound failed; 2 usage;
+Exit codes: 0 success; 1 not found, a checked bound failed, or work
+refused (over a budget or cap, or no output exists for the input); 2 usage;
 3 I/O failure.
 """
 from __future__ import annotations
@@ -36,7 +37,8 @@ import scipy
 
 from . import arith, beatty, buchstab, chars, dioph, equidist, maynard, tuples, variational
 from . import __version__ as PACKAGE_VERSION
-from .errors import BudgetError, PreconditionError
+from .errors import (BudgetError, CapacityError, ImpossibleInputError,
+                     PreconditionError)
 FIND_WINDOW_CAP = 2 * 10**7
 FIND_TUPLE_K_CAP = 16
 FIND_SCAN_BUDGET = 500_000
@@ -273,9 +275,9 @@ def cmd_sieve_s1s2(ns):
                                 _float(ns.eps), **overrides)
     family = maynard.weights(ctx, offsets)
     a_set = [m for m in beatty.beatty_enumerate(params, n, 2 * n)]
-    s1 = maynard.s1_window_float(ctx, family, set(a_set), n, 2 * n)
+    s1 = maynard.s1_window_float(family, set(a_set), n, 2 * n)
     y_scalar = float(params.gamma_exact * n)
-    pred = maynard.main_terms(ctx, offsets, y_scalar, observed_s1=s1)
+    pred = maynard.main_terms(ctx, y_scalar, observed_s1=s1)
     payload = {"alpha": params.alpha, "beta": params.beta, "k": ctx.k, "n": n,
                "theta": ctx.theta, "offsets": list(offsets),
                "a_size": len(a_set), "s1_observed": s1,
@@ -559,7 +561,8 @@ def constellation_find(ns):
     certificate = []
     valid = True
     for p in result:
-        ok_prime = table.is_prime(p)
+        # trial division, independent of the table that picked the primes
+        ok_prime = arith.factorize(p) == [(p, 1)]
         ok_member = beatty.torus_member(params, p)
         ok_range = lo <= p < hi
         valid = valid and ok_prime and ok_member and ok_range
@@ -753,6 +756,9 @@ def main(argv=None) -> int:
         _emit(ns, payload)
     except BudgetError as exc:
         print(f"budget: {exc}", file=sys.stderr)
+        return 1
+    except (CapacityError, ImpossibleInputError) as exc:
+        print(f"refused: {exc}", file=sys.stderr)
         return 1
     except (PreconditionError, ValueError) as exc:
         print(f"usage: {exc}", file=sys.stderr)

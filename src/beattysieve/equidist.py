@@ -62,7 +62,10 @@ class HarnessConfig:
     """Knobs shared by the distribution harnesses.
 
     q_cap / r_cap override the theorem-shaped modulus policies when set.
-    n2_factor fixes N' = n2_factor * N and must lie in (1, 2].
+    n2_factor fixes N' = n2_factor * N and must lie in (1, 2].  k, theta
+    and params are read by regcond_report only: the tau_{3k} weights, the
+    modulus range q <= N^theta, and the Beatty pair whose membership and
+    shift arcs it needs.
     """
     gamma: object
     n_grid: tuple
@@ -73,12 +76,7 @@ class HarnessConfig:
     r_cap: int | None = None
     k: int = 2
     theta: float = 0.25
-    s: int = 1
-    a_count: int = 1
     params: object = None
-    y_value: object = None
-    y_gm: dict | None = None
-    b_gm: dict | None = None
 
     def __post_init__(self):
         if not self.n_grid:
@@ -86,9 +84,6 @@ class HarnessConfig:
         if not 1 < self.n2_factor <= 2:
             raise PreconditionError("window factor must lie in (1, 2]",
                                     n2_factor=self.n2_factor)
-        if self.a_count > self.s:
-            raise PreconditionError("positive part cannot exceed s",
-                                    a_count=self.a_count, s=self.s)
 
     def window(self, n: int) -> tuple:
         return n, min(2 * n, int(n * self.n2_factor))
@@ -335,21 +330,31 @@ def _class_counts(values, q: int) -> list[int]:
 
 
 def regcond_report(a_sets: dict, offsets, config: HarnessConfig,
-                   rho=None, table=None) -> list[dict]:
+                   table=None) -> list[dict]:
     """Empirical left-hand sides of the two regularity sums, per N.
 
     The first sum weighs, per squarefree q up to N^theta, the worst class
-    deviation |#{n in A : n = a mod q} - Y/q| by tau_{3k}(q); the second
-    does the same for rho-weighted members of A whose h_m-shift also lies
-    in A, against Y_{g,m}/phi(q) over classes coprime to q.  Both are
-    normalized by their target envelopes Y / L^(k+eps); columns are
-    recorded, never asserted.
+    deviation |#{n in A : n = a mod q} - Y/q| by tau_{3k}(q), with
+    Y = gamma N; the second does the same for the primes of A whose
+    h_m-shift also lies in A, against Y_{1,m}/phi(q) over classes coprime
+    to q, where Y_{1,m} is the length of the shift arc times the integral
+    of 1/log t over the window.  Both are normalized by their target
+    envelopes Y / L^(k+eps); columns are recorded, never asserted.
 
-    a_sets maps each grid N to the window set A.  When config.params is
-    set, the shifted memberships are recomputed through the torus arc and
-    cross-checked against the set route; mismatches are reported.
+    a_sets maps each grid N to the window set A.  config.params is
+    required: the shifted memberships are recomputed through the torus
+    arc and cross-checked against the set route; mismatches are reported.
     """
+    params = config.params
+    if params is None:
+        raise PreconditionError("regcond_report needs config.params for "
+                                "the membership and shift arcs")
     offsets = tuple(sorted(offsets))
+    gamma = params.gamma_exact
+    base = beatty.membership_interval(params)
+    arcs = [base if h == 0 else
+            beatty.shift_intersection(base, params, h, gamma * Fraction(config.eps))
+            for h in offsets]
     rows = []
     for n in config.n_grid:
         if n not in a_sets:
@@ -359,10 +364,8 @@ def regcond_report(a_sets: dict, offsets, config: HarnessConfig,
         member_set = set(members)
         big_l = math.log(n)
         q_top = max(1, int(n**config.theta))
-        y_val = config.y_value
-        if y_val is None:
-            y_val = float(_to_fraction(config.gamma) * n)
-        envelope = float(y_val) / big_l ** (config.k + config.eps)
+        y_val = float(_to_fraction(config.gamma) * n)
+        envelope = y_val / big_l ** (config.k + config.eps)
 
         lhs12 = 0.0
         for q in range(1, q_top + 1):
@@ -372,43 +375,23 @@ def regcond_report(a_sets: dict, offsets, config: HarnessConfig,
             dev = max(abs(cnt - y_val / q) for cnt in counts)
             lhs12 += _tau_3k(q, config.k, table) * dev
 
-        if rho is None:
-            if table is not None and table.limit >= n_hi - 1:
-                rho_fn = table.is_prime
-            else:
-                local = set(arith.primes_upto(n_hi - 1))
-                rho_fn = lambda m: m in local
+        if table is not None and table.limit >= n_hi - 1:
+            is_prime = table.is_prime
         else:
-            rho_fn = rho
+            local = set(arith.primes_upto(n_hi - 1))
+            is_prime = lambda m: m in local
 
         lhs15 = {}
         norm15 = {}
         arc_match = {}
         quad = scipy.integrate.quad(lambda t: 1.0 / math.log(t), n_lo, n_hi)[0]
-        for m_idx, h in enumerate(offsets):
+        for m_idx, (h, arc) in enumerate(zip(offsets, arcs)):
             kept = [p for p in members
-                    if p >= n_lo + h and p - h in member_set and rho_fn(p)]
-            if config.params is not None:
-                base = beatty.membership_interval(config.params)
-                if h == 0:
-                    arc = base
-                else:
-                    arc = beatty.shift_intersection(
-                        base, config.params, h,
-                        config.params.gamma_exact * Fraction(config.eps))
-                via_arc = [p for p in range(n_lo + h, n_hi)
-                           if rho_fn(p)
-                           and arc.contains((config.params.gamma_exact * p) % 1)]
-                arc_match[m_idx] = via_arc == kept
-                length = arc.length
-            else:
-                length = None
-            if config.y_gm and (1, m_idx) in config.y_gm:
-                y_gm = float(config.y_gm[(1, m_idx)])
-            elif length is not None:
-                y_gm = float(length) * quad
-            else:
-                y_gm = float(y_val) / big_l
+                    if p >= n_lo + h and p - h in member_set and is_prime(p)]
+            via_arc = [p for p in range(n_lo + h, n_hi)
+                       if is_prime(p) and arc.contains((gamma * p) % 1)]
+            arc_match[m_idx] = via_arc == kept
+            y_gm = float(arc.length) * quad
             total = 0.0
             for q in range(1, q_top + 1):
                 if arith.mobius(q) == 0:
@@ -421,7 +404,7 @@ def regcond_report(a_sets: dict, offsets, config: HarnessConfig,
             lhs15[m_idx] = total
             norm15[m_idx] = total / envelope if envelope else math.inf
 
-        rows.append({"n": n, "q_top": q_top, "y": float(y_val),
+        rows.append({"n": n, "q_top": q_top, "y": y_val,
                      "lhs12": lhs12,
                      "norm12": lhs12 / envelope if envelope else math.inf,
                      "lhs15": lhs15, "norm15": norm15,

@@ -58,20 +58,16 @@ class SieveContext:
     f: SimplexPolynomial
 
 
-def _default_d0(n: int) -> int:
-    big_l = math.log(n)
-    if big_l <= math.e:
-        return 2
-    inner = math.log(big_l)
-    if inner <= 1.0:
-        return 2
-    return max(2, int(math.log(big_l) / math.log(inner)) if inner > 1 else 2)
-
-
 def build_context(k: int, n: int, theta: float, eps: float,
                   **overrides) -> SieveContext:
     """Assemble wheel moduli and support radius; overrides may pin
-    d0, q0, q1, r_value, nu0, f, or offsets (to derive nu0)."""
+    d0, q0, q1, r_value, nu0, f, or offsets (to derive nu0 and D0).
+
+    Without a d0 override, D0 is the least value >= 2 for which the
+    offsets pass tuples.divcond_check (every prime > D0 dividing an offset
+    difference divides q0), so weights() accepts them: the largest
+    violating prime at D0 = 2, or 2 when there is none or no offsets.
+    """
     allowed = {"d0", "q0", "q1", "r_value", "nu0", "f", "offsets"}
     unknown = set(overrides) - allowed
     if unknown:
@@ -85,11 +81,14 @@ def build_context(k: int, n: int, theta: float, eps: float,
     if not 0 <= eps < theta / 2:
         raise PreconditionError("need 0 <= eps < theta/2 so that R > 1",
                                 theta=theta, eps=eps)
-    d0 = overrides.get("d0") or _default_d0(n)
     q0 = overrides.get("q0", 1)
     q1 = overrides.get("q1", 1)
     if q0 < 1 or q1 < 1:
         raise PreconditionError("q0, q1 must be >= 1", q0=q0, q1=q1)
+    d0 = overrides.get("d0")
+    if not d0:
+        _, bad = tuples.divcond_check(overrides.get("offsets", ()), q0, 2)
+        d0 = max([2] + [p for p, _, _ in bad])
     small = arith.primes_upto(d0)
     if math.gcd(q1, q0) != 1 or any(q1 % p == 0 for p in small):
         raise PreconditionError("q1 must be coprime to q0 and to all p <= D0",
@@ -370,8 +369,7 @@ def lambda_lambda_s1(ctx: SieveContext, offsets, a_set, n_lo: int, n_hi: int,
     return total
 
 
-def window_inner_sums(ctx: SieveContext, family: WeightFamily,
-                      n_lo: int, n_hi: int) -> np.ndarray:
+def window_inner_sums(family: WeightFamily, n_lo: int, n_hi: int) -> np.ndarray:
     """Float array of the ungated divisor sums sum_{d_i | n + h_i} lambda_d
     over n in [n_lo, n_hi), accumulated progression by progression.
 
@@ -396,10 +394,9 @@ def window_inner_sums(ctx: SieveContext, family: WeightFamily,
     return arr
 
 
-def s1_window_float(ctx: SieveContext, family: WeightFamily, a_set,
-                    n_lo: int, n_hi: int) -> float:
+def s1_window_float(family: WeightFamily, a_set, n_lo: int, n_hi: int) -> float:
     """S1 over the window in float arithmetic, for N-scale ratio reports."""
-    inner = window_inner_sums(ctx, family, n_lo, n_hi)
+    inner = window_inner_sums(family, n_lo, n_hi)
     mask = np.zeros(n_hi - n_lo, dtype=bool)
     for n in a_set:
         if n_lo <= n < n_hi:
@@ -409,7 +406,7 @@ def s1_window_float(ctx: SieveContext, family: WeightFamily, a_set,
     return float(np.sum(inner[keep] ** 2))
 
 
-def main_terms(ctx: SieveContext, offsets, y_scalar, y_gm: dict | None = None,
+def main_terms(ctx: SieveContext, y_scalar, y_gm: dict | None = None,
                observed_s1=None, observed_s2: dict | None = None) -> dict:
     """Predicted window sums from the profile's simplex integrals.
 
@@ -517,7 +514,7 @@ def lcm_identity_check(d: int, e: int) -> bool:
     return lhs == rhs
 
 
-def aux_sums(ctx: SieveContext, offsets=None, h_cut: int = 10,
+def aux_sums(ctx: SieveContext, h_cut: int = 10,
              gamma_fn=None, euler_cap: int = 10**4,
              lcm_limit: int = 200) -> dict:
     """Singular product, the two tail sums, and the exhaustive lcm check.

@@ -29,6 +29,9 @@ import scipy.linalg
 
 from .errors import PreconditionError
 
+# C in the non-certified tuple-size estimate ceil(exp(threshold + C)).
+K_FLOOR_CONSTANT = 3.0
+
 
 def simplex_monomial_integral(exponents, k: int) -> Fraction:
     """Exact integral of prod t_i^(a_i) over the k-simplex."""
@@ -355,24 +358,6 @@ def rayleigh_quotient(pair: QuadraticFormPair, coefficients) -> Fraction:
     return num / den
 
 
-def _max_generalized_eig(a: np.ndarray, b: np.ndarray):
-    try:
-        vals, vecs = scipy.linalg.eigh(a, b)
-        return vecs[:, -1]
-    except (np.linalg.LinAlgError, ValueError):
-        pass
-    # fallback: power iteration on B^{-1} A; the pencil spectrum is real
-    # and non-negative here, so the dominant eigenvalue is the largest
-    v = np.ones(a.shape[0])
-    for _ in range(500):
-        w = np.linalg.solve(b, a @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            break
-        v = w / norm
-    return v
-
-
 @dataclass(frozen=True)
 class MkCertificate:
     """Rational coefficient vector plus its exact Rayleigh quotient."""
@@ -387,6 +372,8 @@ def mk_lower_bound(k: int, degree_budget: int = 3):
     Returns (bound, certificate).  The bound is the exact rational Rayleigh
     quotient of the returned coefficients, evaluated on the exact form
     matrices, so it is a true lower bound regardless of eigensolver error.
+    The top eigenvector of the pencil (A, B) comes from scipy.linalg.eigh;
+    if it fails, its LinAlgError (a ValueError) propagates.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1", k=k)
@@ -397,7 +384,7 @@ def mk_lower_bound(k: int, degree_budget: int = 3):
         labels = [lab for i, lab in enumerate(labels) if i not in drop]
     a = np.array([[float(x) for x in row] for row in pair.A])
     b = np.array([[float(x) for x in row] for row in pair.B])
-    vec = _max_generalized_eig(a, b)
+    vec = scipy.linalg.eigh(a, b)[1][:, -1]
     peak = np.max(np.abs(vec))
     if peak > 0:
         vec = vec / peak
@@ -416,13 +403,13 @@ class KSearchResult:
 
 
 def k_satisfying(t: int, b: float, theta: float, degree_budget: int = 3,
-                 search_cap: int = 12, floor_constant: float = 3.0) -> KSearchResult:
+                 search_cap: int = 12) -> KSearchResult:
     """Least k whose certified bound clears (2t-2)/(b*theta).
 
     The scan uses certified lower bounds only, so the answer is an upper
     bound for the true minimal k.  If no k up to search_cap clears the
-    threshold, returns the asymptotic-floor estimate ceil(exp(threshold + C))
-    flagged as non-certified.
+    threshold, returns the asymptotic-floor estimate
+    ceil(exp(threshold + K_FLOOR_CONSTANT)) flagged as non-certified.
     """
     if t < 1:
         raise PreconditionError("t must be >= 1", t=t)
@@ -437,5 +424,5 @@ def k_satisfying(t: int, b: float, theta: float, degree_budget: int = 3,
         trail.append((k, bound))
         if bound > threshold:
             return KSearchResult(k, True, threshold, bound, tuple(trail))
-    estimate = math.ceil(math.exp(threshold + floor_constant))
+    estimate = math.ceil(math.exp(threshold + K_FLOOR_CONSTANT))
     return KSearchResult(estimate, False, threshold, None, tuple(trail))

@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from beattysieve.arith import (FactorTable, arith_fn, euler_phi, factorize,
-                               mangoldt, mobius, omega, primes_upto, rough_psi,
+from beattysieve.arith import (FactorTable, euler_phi, factorize, mangoldt,
+                               mobius, omega, primes_upto, rough_psi,
                                squarefree_multiplicative_values, tau_k)
 from beattysieve.errors import CapacityError
 
@@ -113,17 +113,6 @@ def test_rough_psi_indicator(table):
     assert sum(rough_psi(n, 3, table) for n in range(1, 1001)) == 500
     with pytest.raises(ValueError):
         rough_psi(0, 3, table)
-
-
-def test_arith_fn_dispatch(table):
-    assert arith_fn("phi", 12, table=table) == 4
-    assert arith_fn("tau", 12, 2, table) == 6
-    assert arith_fn("mobius", 6, table=table) == 1
-    assert arith_fn("mangoldt", 9, table=table) == pytest.approx(math.log(3))
-    with pytest.raises(ValueError):
-        arith_fn("tau", 12, table=table)
-    with pytest.raises(ValueError):
-        arith_fn("sigma", 12, table=table)
 
 
 def test_squarefree_multiplicative_array():

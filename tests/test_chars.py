@@ -1,11 +1,12 @@
 """Character tables, Gauss sums, bilinear sum cross-checks."""
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from beattysieve.chars import (bilinear_S, bilinear_report, bilinear_type1,
-                               char_table, divisor_concentration, gauss_sum,
+from beattysieve.chars import (bilinear_S, bilinear_report, char_table,
+                               divisor_concentration, gauss_sum,
                                primitive_count_formula, split_partition_check)
 from beattysieve.errors import BudgetError, PreconditionError
 
@@ -61,6 +62,23 @@ def test_gauss_sum_values():
     assert gauss_sum(chi0, 0) == pytest.approx(4 + 0j, abs=1e-9)
     one = char_table(1).characters[0]
     assert gauss_sum(one, 3) == pytest.approx(1 + 0j)
+
+
+def bilinear_type1(q_lo, gamma, a_coeffs, k_lo, k_hi, n_lo, n_hi):
+    """Oracle for bilinear_S with b identically 1 on [k_lo, k_hi), evaluated
+    the direct way: an inner k loop per m and per character, no residue
+    aggregation."""
+    total = 0.0
+    for q in range(q_lo, 2 * q_lo):
+        for chi in char_table(q).characters:
+            inner = 0j
+            for m, am in a_coeffs.items():
+                for k in range(k_lo, k_hi):
+                    n = m * k
+                    if n_lo <= n < n_hi:
+                        inner += am * chi(n) * cmath.exp(2j * cmath.pi * gamma * n)
+            total += abs(inner)
+    return total
 
 
 def test_bilinear_routes_agree():

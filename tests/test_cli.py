@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from beattysieve import cli
+from beattysieve import arith, cli
 
 SQRT2 = repr(math.sqrt(2))
 INV_SQRT2 = repr(1 / math.sqrt(2))
@@ -248,6 +248,34 @@ def test_sieve_weights_payload(capsys):
     assert payload["max_abs_lambda"] == pytest.approx(float(Fraction(17, 6)))
 
 
+def test_sieve_weights_derives_d0_from_the_offsets(capsys):
+    # 6 - 0 carries the prime 3, so the least workable D0 is 3
+    argv = ["sieve", "weights", "--k", "3", "--h", "0,2,6", "--theta", "0.5",
+            "--n", "100000"]
+    rc, payload, _ = jrun(argv, capsys)
+    assert rc == 0
+    assert (payload["w1"], payload["w2"]) == (6, 6)
+    rc, pinned, _ = jrun(argv + ["--d0", "3"], capsys)
+    assert rc == 0 and pinned == payload
+
+
+def test_refused_work_exits_1(capsys):
+    # CapacityError: W1, the product of the primes up to 50, is over its cap
+    rc, out, err = run(["sieve", "weights", "--k", "2", "--h", "0,2",
+                        "--theta", "0.5", "--n", "100000", "--d0", "50"],
+                       capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("refused: W1 = ")
+
+
+def test_impossible_input_exits_1(capsys):
+    # ImpossibleInputError: n and n + 1 cannot both be odd, so no nu0 class
+    rc, out, err = run(["sieve", "weights", "--k", "2", "--h", "0,1",
+                        "--theta", "0.5", "--n", "100000"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("refused: no residue class mod 2")
+
+
 def test_sieve_s1s2_payload(capsys):
     rc, payload, _ = jrun(["sieve", "s1s2", "--alpha", SQRT2,
                            "--n", "100000"], capsys)
@@ -284,6 +312,18 @@ def test_find_small_windows(capsys):
                           capsys)
     assert rc == 1 and not payload["found"]
     assert payload["scan"]["beatty_primes"] == 3
+
+
+@pytest.mark.filterwarnings("ignore:denominator form is singular")
+def test_find_certificate_does_not_trust_the_factor_table(monkeypatch, capsys):
+    real_is_prime = arith.FactorTable.is_prime
+    monkeypatch.setattr(arith.FactorTable, "is_prime",
+                        lambda self, n: n == 4 or real_is_prime(self, n))
+    rc, payload, _ = jrun(["find", "--t", "2", "--lo", "2", "--hi", "30"],
+                          capsys)
+    assert rc == 1
+    assert payload["primes"] == [4, 5]
+    assert [entry["prime"] for entry in payload["certificate"]] == [False, True]
 
 
 def test_find_square_window(capsys):

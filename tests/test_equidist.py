@@ -86,8 +86,6 @@ def test_harness_and_config_guards(table):
         HarnessConfig(gamma=GAMMA, n_grid=())
     with pytest.raises(PreconditionError):
         HarnessConfig(gamma=GAMMA, n_grid=(100,), n2_factor=2.5)
-    with pytest.raises(PreconditionError):
-        HarnessConfig(gamma=GAMMA, n_grid=(100,), a_count=2)
     cfg = HarnessConfig(gamma=GAMMA, n_grid=(500,), n2_factor=1.5)
     assert cfg.window(500) == (500, 750)
     assert cfg.window(10) == (10, 15)
@@ -114,7 +112,7 @@ def test_liouville_demo_avoidance_bound(table):
 
 def test_regcond_report(sqrt2, table):
     cfg = HarnessConfig(gamma=sqrt2.gamma_exact, n_grid=(2000,), k=2,
-                        theta=0.25, s=1, params=sqrt2)
+                        theta=0.25, params=sqrt2)
     a_sets = {2000: set(beatty_enumerate(sqrt2, 2000, 4000))}
     row, = regcond_report(a_sets, (0, 7), cfg, table=table)
     assert set(row) == {"arc_route_matches", "lhs12", "lhs15", "n", "norm12",
@@ -134,3 +132,7 @@ def test_regcond_requires_grid_sets(sqrt2):
     cfg = HarnessConfig(gamma=sqrt2.gamma_exact, n_grid=(2000,), params=sqrt2)
     with pytest.raises(PreconditionError):
         regcond_report({}, (0, 7), cfg)
+    # the shift arcs need the Beatty pair, not just its slope
+    no_params = HarnessConfig(gamma=sqrt2.gamma_exact, n_grid=(2000,))
+    with pytest.raises(PreconditionError):
+        regcond_report({2000: set()}, (0, 7), no_params)

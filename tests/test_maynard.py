@@ -138,18 +138,18 @@ def test_direct_s2_with_unit_density_reproduces_s1():
 def test_window_inner_sums_match_pointwise_sums():
     ctx = build_context(2, 10**4, 0.5, 0.05, d0=3, r_value=20, offsets=(0, 6))
     fam = weights(ctx, (0, 6))
-    arr = window_inner_sums(ctx, fam, 10**4, 10**4 + 500)
+    arr = window_inner_sums(fam, 10**4, 10**4 + 500)
     for n in range(10**4, 10**4 + 500, 37):
         assert arr[n - 10**4] == pytest.approx(float(fam.inner_sum(n)))
     with pytest.raises(PreconditionError):
-        window_inner_sums(ctx, fam, 200, 100)
+        window_inner_sums(fam, 200, 100)
 
 
 def test_float_window_sum_tracks_exact_weights(sqrt2):
     ctx = build_context(2, 10**4, 0.5, 0.05, d0=3, r_value=20, offsets=(0, 6))
     fam = weights(ctx, (0, 6))
     a_set = set(beatty_enumerate(sqrt2, 10**4, 10**4 + 2000))
-    got = s1_window_float(ctx, fam, a_set, 10**4, 10**4 + 2000)
+    got = s1_window_float(fam, a_set, 10**4, 10**4 + 2000)
     exact = float(sum((fam.w(n) for n in a_set), Fraction(0)))
     assert got == pytest.approx(exact, rel=1e-9)
 
@@ -159,15 +159,15 @@ def test_main_terms_track_the_observed_window_sum(sqrt2):
     ctx = build_context(2, n, 0.99, 0.005, d0=2, offsets=(0, 2))
     fam = weights(ctx, (0, 2))
     a_set = set(beatty_enumerate(sqrt2, n, 2 * n))
-    s1 = s1_window_float(ctx, fam, a_set, n, 2 * n)
+    s1 = s1_window_float(fam, a_set, n, 2 * n)
     y_scalar = float(sqrt2.gamma_exact * n)
-    report = main_terms(ctx, (0, 2), y_scalar, observed_s1=s1)
+    report = main_terms(ctx, y_scalar, observed_s1=s1)
     assert set(report) == {"i_value", "j_values", "ratio_s1", "ratio_s2",
                            "s1_pred", "s2_pred"}
     assert report["i_value"] == pytest.approx(0.5)
     assert report["j_values"] == pytest.approx((1 / 3, 1 / 3))
     assert report["ratio_s1"] == pytest.approx(1.752250307405533, rel=1e-9)
-    empty = main_terms(ctx, (0, 2), 0.0)
+    empty = main_terms(ctx, 0.0)
     assert empty["s1_pred"] == 0.0
     assert empty["ratio_s1"] is None
     assert empty["s2_pred"] == {}
@@ -218,12 +218,12 @@ def test_lcm_identity_on_random_squarefree_pairs():
 
 def test_auxiliary_sums():
     ctx = build_context(2, 10**4, 0.5, 0.05, d0=5, r_value=100, offsets=(0, 2))
-    out = aux_sums(ctx, (0, 2), h_cut=10, lcm_limit=30)
+    out = aux_sums(ctx, h_cut=10, lcm_limit=30)
     assert out["lcm_identity_ok"]
     assert out["phi_w1_ratio"] == pytest.approx(4 / 15)
     assert out["singular"] == pytest.approx(out["phi_w1_ratio"], rel=1e-9)
     assert isinstance(out["t1"], Fraction)
-    shallow = aux_sums(ctx, (0, 2), h_cut=5, lcm_limit=30)
+    shallow = aux_sums(ctx, h_cut=5, lcm_limit=30)
     assert out["t2"] <= shallow["t2"]   # deeper tail cut leaves less mass
 
 
