@@ -7,7 +7,7 @@ Submodules:
     tuples      admissible tuples and their Beatty-window translates
     maynard     multidimensional sieve weights and window sums
     variational simplex Rayleigh quotients and certified M_k bounds
-    buchstab    decomposition identity, omega function, region integrals
+    buchstab    chain-count identity, exponent regions, region integrals
     chars       Dirichlet character groups, Gauss sums, bilinear sums
     equidist    progression error suprema and scaling harnesses
     cli         command line frontend (`beattysieve ...`)

@@ -1,7 +1,8 @@
 """Prime tables and multiplicative-function kernels.
 
 Bulk work runs off a smallest-prime-factor table (numpy); the standalone
-functions fall back to trial division so they work without a table.
+multiplicative functions factor by trial division, which suits the small
+arguments (moduli, support indices) they are called on.
 """
 from __future__ import annotations
 
@@ -76,12 +77,10 @@ def primes_upto(limit: int) -> list[int]:
     return np.flatnonzero(sieve).tolist()
 
 
-def factorize(n: int, table: FactorTable | None = None) -> list[tuple[int, int]]:
-    """Factor n by table lookup when possible, else trial division."""
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Factor n by trial division; FactorTable.factor is the bulk route."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if table is not None and n <= table.limit:
-        return table.factor(n)
     out = []
     d = 2
     while d * d <= n:
@@ -97,50 +96,50 @@ def factorize(n: int, table: FactorTable | None = None) -> list[tuple[int, int]]
     return out
 
 
-def mobius(n: int, table: FactorTable | None = None) -> int:
-    fac = factorize(n, table)
+def mobius(n: int) -> int:
+    fac = factorize(n)
     if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
 
 
-def euler_phi(n: int, table: FactorTable | None = None) -> int:
+def euler_phi(n: int) -> int:
     out = n
-    for p, _ in factorize(n, table):
+    for p, _ in factorize(n):
         out -= out // p
     return out
 
 
-def omega(n: int, table: FactorTable | None = None) -> int:
+def omega(n: int) -> int:
     """Number of distinct prime factors."""
-    return len(factorize(n, table))
+    return len(factorize(n))
 
 
-def tau_k(n: int, k: int, table: FactorTable | None = None) -> int:
+def tau_k(n: int, k: int) -> int:
     """k-fold divisor function: number of ordered factorizations into k parts."""
     if k < 1:
         raise ValueError("k must be >= 1")
     out = 1
-    for _, e in factorize(n, table):
+    for _, e in factorize(n):
         out *= math.comb(e + k - 1, k - 1)
     return out
 
 
-def mangoldt(n: int, table: FactorTable | None = None) -> float:
+def mangoldt(n: int) -> float:
     """log p if n is a prime power p^j, else 0."""
     if n < 2:
         return 0.0
-    fac = factorize(n, table)
+    fac = factorize(n)
     if len(fac) == 1:
         return math.log(fac[0][0])
     return 0.0
 
 
-def rough_psi(n: int, z, table: FactorTable | None = None) -> int:
+def rough_psi(n: int, z) -> int:
     """1 if n has no prime factor < z, else 0.  rough_psi(1, z) = 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    for p, _ in factorize(n, table):
+    for p, _ in factorize(n):
         if p < z:
             return 0
     return 1

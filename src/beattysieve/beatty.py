@@ -28,11 +28,12 @@ from .errors import PreconditionError
 SURD_DIGITS = 40
 
 
-def sqrt_fraction(d: int, digits: int = SURD_DIGITS) -> Fraction:
-    """Rational approximation of sqrt(d) good to `digits` decimal digits."""
+def sqrt_fraction(d: int) -> Fraction:
+    """floor(sqrt(d) * 10^SURD_DIGITS) / 10^SURD_DIGITS: sqrt(d) good to
+    SURD_DIGITS decimal digits, rounded down."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    scale = 10**digits
+    scale = 10**SURD_DIGITS
     return Fraction(math.isqrt(d * scale * scale), scale)
 
 
@@ -63,10 +64,10 @@ class BeattyParams:
         return cls(_to_fraction(alpha), _to_fraction(beta))
 
     @classmethod
-    def quadratic(cls, a: int, b: int, d: int, c: int = 1, beta=0) -> "BeattyParams":
-        """alpha = (a + b*sqrt(d)) / c."""
-        alpha = (Fraction(a) + b * sqrt_fraction(d)) / c
-        return cls(alpha, _to_fraction(beta))
+    def quadratic(cls, a: int, b: int, d: int, c: int = 1) -> "BeattyParams":
+        """alpha = (a + b*sqrt(d)) / c with sqrt(d) from sqrt_fraction, and
+        beta = 0."""
+        return cls((Fraction(a) + b * sqrt_fraction(d)) / c)
 
     @property
     def alpha(self) -> float:
@@ -99,10 +100,6 @@ class TorusInterval:
     def contains(self, x) -> bool:
         d = (x - self.left) % 1
         return 0 < d <= self.length
-
-    def contains_open(self, x) -> bool:
-        d = (x - self.left) % 1
-        return 0 < d < self.length
 
     @property
     def right(self):

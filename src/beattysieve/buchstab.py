@@ -8,21 +8,28 @@ some nonempty subsum falls in [2/7, 3/7] or [4/7, 5/7].  The bad pairs form
 the region D: in E_2, no good subsum, and alpha_1 + 2 alpha_2 > 5/7.
 
 Everything on the integer side is decided by exact power comparisons
-(p^7 vs 2N, products vs powers of 2N), never by floating logs.  The
+(p^7 vs 2N, products vs powers of 2N), never by floating logs, and every
+factorization is a lookup in a FactorTable that reaches the window.  The
 five chain counts rho_1..rho_5 and the D-indexed sum obey an exact
 counting identity on every n, which decomposition_check verifies.
+
+Region membership is exact too: classify decides the cone, the good
+windows and D on Fractions (a float input stands for its binary value),
+and triangle_contains tests the two covering triangles TRIANGLE_SHALLOW
+and TRIANGLE_STEEP by barycentric signs.
 
 The continuous side integrates omega((1 - a1 - a2)/a2) / (a1 * a2^2) over D,
 where omega is Buchstab's function.  D decomposes (up to measure zero) into
 two triangles; both routes are computed and cross-checked.  On D,
 u = (1 - a1 - a2)/a2 stays in [1, 7/3], where omega has the closed forms 1/u
-and (1 + ln(u - 1))/u, so the iterated Gauss-Legendre rules run in decimal
-at 36 significant digits (nodes refined by Newton's method, pieces split at
-the kink u = 2) and only the final values are rounded to float: I1, I2 and
-the D integral come out correctly rounded.  The reported quadrature_error
-is the difference between the floats of two Gauss orders; a requested
-tolerance is checked against that gap in decimal plus each value's float
-rounding error, so a tolerance finer than float resolution is refused.
+and (1 + ln(u - 1))/u; omega is evaluated nowhere else.  The iterated
+Gauss-Legendre rules run in decimal at 36 significant digits (nodes refined
+by Newton's method, pieces split at the kink u = 2) and only the final
+values are rounded to float: I1, I2 and the D integral come out correctly
+rounded.  The reported quadrature_error is the difference between the
+floats of two Gauss orders; a requested tolerance is checked against that
+gap in decimal plus each value's float rounding error, so a tolerance
+finer than float resolution is refused.
 """
 from __future__ import annotations
 
@@ -30,7 +37,6 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
@@ -63,41 +69,32 @@ class ClassifyResult:
 def classify(alphas) -> ClassifyResult:
     """Cone membership, good-subsum search, and bad-region test.
 
-    Input must be sorted non-increasing (at most 4 entries).  Rational
-    inputs are decided exactly; floats go through float comparisons.
+    Input must be sorted non-increasing (at most 4 entries).  Every entry
+    is converted with Fraction and decided exactly, so a float stands for
+    its binary value: the float nearest 2/7 lies below 2/7.
     """
-    vals = list(alphas)
+    vals = [Fraction(x) for x in alphas]
     if not 1 <= len(vals) <= 4:
         raise PreconditionError("need 1 to 4 exponents", count=len(vals))
-    exact = all(isinstance(x, Rational) for x in vals)
-    if exact:
-        vals = [Fraction(x) for x in vals]
-        windows = GOOD_WINDOWS
-        half, seventh = Fraction(1, 2), Fraction(1, 7)
-        one = Fraction(1)
-    else:
-        vals = [float(x) for x in vals]
-        windows = tuple((float(a), float(b)) for a, b in GOOD_WINDOWS)
-        half, seventh, one = 0.5, 1 / 7, 1.0
     if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
         raise PreconditionError("exponents must be sorted non-increasing",
                                 alphas=tuple(float(x) for x in vals))
 
     j = len(vals)
-    in_ej = (seventh <= vals[-1] and vals[0] <= half
+    in_ej = (Fraction(1, 7) <= vals[-1] and vals[0] <= Fraction(1, 2)
              and all(vals[i] > vals[i + 1] for i in range(j - 1))
-             and sum(vals[:-1], vals[-1] * 0) + 2 * vals[-1] <= one)
+             and sum(vals[:-1]) + 2 * vals[-1] <= 1)
 
     witness = None
     for mask in range(1, 1 << j):
         subsum = sum(vals[i] for i in range(j) if mask >> i & 1)
-        if any(lo <= subsum <= hi for lo, hi in windows):
+        if any(lo <= subsum <= hi for lo, hi in GOOD_WINDOWS):
             witness = tuple(i for i in range(j) if mask >> i & 1)
             break
     good = witness is not None
 
     in_d = (j == 2 and in_ej and not good
-            and vals[0] + 2 * vals[1] > 5 * one / 7)
+            and vals[0] + 2 * vals[1] > Fraction(5, 7))
     return ClassifyResult(in_ej, good, witness, in_d)
 
 
@@ -169,29 +166,31 @@ class DecompositionTerms:
                 == self.rho1 + self.rho2 + self.rho3 - self.rho4 - self.rho5)
 
     def rho(self, g: int) -> int:
+        """Chain count rho_g, g in 1..5."""
+        if g not in (1, 2, 3, 4, 5):
+            raise PreconditionError("g must be in 1..5", g=g)
         return (self.rho1, self.rho2, self.rho3, self.rho4, self.rho5)[g - 1]
 
 
 def decomposition_terms(n: int, n_base: int,
-                        table: arith.FactorTable | None = None) -> DecompositionTerms:
+                        table: arith.FactorTable) -> DecompositionTerms:
     """All five chain counts plus the D-indexed sum for one n in [N, 2N).
 
     Chains are strictly decreasing prime divisors p1 > p2 > ..., each at
     least (2N)^(1/7), with p1 below (2N)^(1/2); chain counts weigh the
     cofactor by roughness (psi = no prime factor below the stated cutoff).
     A chain whose leading pair falls in D stops there and feeds d_sum.
+    Every factorization is a lookup in table, which must reach n.
     """
     two_n = 2 * n_base
     if not n_base <= n < two_n:
         raise PreconditionError("n must lie in [N, 2N)", n=n, n_base=n_base)
+    if n > table.limit:
+        raise PreconditionError("factor table does not reach n", n=n,
+                                limit=table.limit)
     z1, z2max = _chain_cutoffs(two_n)
-
-    if table is not None and n <= table.limit:
-        fac = table.factor
-        spf = table.smallest_prime_factor
-    else:
-        fac = arith.factorize
-        spf = lambda m: arith.factorize(m)[0][0]
+    fac = table.factor
+    spf = table.smallest_prime_factor
 
     def rough(m: int, cutoff: int) -> int:
         return 1 if m == 1 or spf(m) >= cutoff else 0
@@ -224,14 +223,6 @@ def decomposition_terms(n: int, n_base: int,
     return DecompositionTerms(n, x, d_sum, rho1, rho2, rho3, rho4, rho5)
 
 
-def rho(g: int, n: int, n_base: int,
-        table: arith.FactorTable | None = None) -> int:
-    """Chain count rho_g(n), g in 1..5, for the window [n_base, 2*n_base)."""
-    if g not in (1, 2, 3, 4, 5):
-        raise PreconditionError("g must be in 1..5", g=g)
-    return decomposition_terms(n, n_base, table).rho(g)
-
-
 def decomposition_check(n_base: int, n_end: int,
                         table: arith.FactorTable | None = None) -> int:
     """Count of n in [n_base, n_end) violating the exact chain identity.
@@ -239,7 +230,9 @@ def decomposition_check(n_base: int, n_end: int,
     The identity states x(n) - d_sum(n) = rho1 + rho2 + rho3 - rho4 - rho5
     with x the prime indicator.  Returns the number of violations (0 on
     every window tested, whatever the D membership rule, since removing a
-    chain subtree and counting it separately is exact bookkeeping).
+    chain subtree and counting it separately is exact bookkeeping).  A
+    given table must reach n_end - 1; a shorter one is refused before any
+    n is checked.
     """
     if n_base < 100:
         raise PreconditionError("window base must be >= 100", n_base=n_base)
@@ -248,59 +241,14 @@ def decomposition_check(n_base: int, n_end: int,
                                 n_base=n_base, n_end=n_end)
     if table is None:
         table = arith.FactorTable(n_end)
+    if table.limit < n_end - 1:
+        raise PreconditionError("factor table does not reach the window",
+                                n_end=n_end, limit=table.limit)
     bad = 0
     for n in range(n_base, n_end):
         if not decomposition_terms(n, n_base, table).identity_holds:
             bad += 1
     return bad
-
-
-# ---------------------------------------------------------------------------
-# Buchstab's function
-
-_OMEGA_MAX = 8.0
-_OMEGA_DEGREE = 60
-_omega_pieces: dict = {}
-
-
-def _omega_closed(u):
-    if u <= 2.0:
-        return 1.0 / u
-    return (1.0 + math.log(u - 1.0)) / u
-
-
-def _omega_piece(m: int):
-    """Chebyshev model of omega on [m, m+1] for m >= 2, built by stepping
-    u*omega(u) = m*omega(m) + integral_{m-1}^{u-1} omega."""
-    if m in _omega_pieces:
-        return _omega_pieces[m]
-    cheb = np.polynomial.chebyshev.Chebyshev
-    if m == 2:
-        piece = cheb.interpolate(lambda u: (1.0 + np.log(u - 1.0)) / u,
-                                 _OMEGA_DEGREE, domain=[2, 3])
-    else:
-        prev = _omega_piece(m - 1)
-        accum = prev.integ(lbnd=m - 1)
-        at_m = float(prev(m))
-        piece = cheb.interpolate(lambda u: (m * at_m + accum(u - 1.0)) / u,
-                                 _OMEGA_DEGREE, domain=[m, m + 1])
-    _omega_pieces[m] = piece
-    return piece
-
-
-def omega(u) -> float:
-    """Buchstab's function: 1/u on [1,2], then (u*omega(u))' = omega(u-1)."""
-    u = float(u)
-    if u < 1.0:
-        raise PreconditionError("omega is defined for u >= 1", u=u)
-    if u <= 3.0:
-        return _omega_closed(u)
-    if u > _OMEGA_MAX:
-        raise CapacityError(f"omega continuation tabulated up to {_OMEGA_MAX}")
-    m = min(int(math.floor(u)), int(_OMEGA_MAX) - 1)
-    if m == u:
-        m -= 1
-    return float(_omega_piece(m)(u))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +509,7 @@ def region_integrals(order: int = 24, tol: float = 1e-7) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# triangle containment (closed) for region membership checks
+# triangle containment (closed), for the covering triangles
 
 def triangle_contains(vertices, point) -> bool:
     """Closed-triangle membership by exact barycentric signs.
@@ -574,33 +522,3 @@ def triangle_contains(vertices, point) -> bool:
     d2 = (x3 - x2) * (py - y2) - (y3 - y2) * (px - x2)
     d3 = (x1 - x3) * (py - y3) - (y1 - y3) * (px - x3)
     return (d1 >= 0 and d2 >= 0 and d3 >= 0) or (d1 <= 0 and d2 <= 0 and d3 <= 0)
-
-
-@dataclass(frozen=True)
-class RegionSpec:
-    """A named planar region: one of the covering triangles, the bad set D,
-    or the cone E_j."""
-    kind: str
-    vertices: tuple | None = None
-    j: int | None = None
-
-    def contains(self, point) -> bool:
-        if self.kind in ("A1", "A2"):
-            return triangle_contains(self.vertices, point)
-        if self.kind == "D":
-            return classify(point).in_d
-        if self.kind == "Ej":
-            return classify(point).in_ej
-        raise PreconditionError("unknown region kind", kind=self.kind)
-
-
-def region(kind: str, j: int | None = None) -> RegionSpec:
-    if kind == "A1":
-        return RegionSpec("A1", TRIANGLE_SHALLOW)
-    if kind == "A2":
-        return RegionSpec("A2", TRIANGLE_STEEP)
-    if kind == "D":
-        return RegionSpec("D")
-    if kind == "Ej":
-        return RegionSpec("Ej", j=j)
-    raise PreconditionError("unknown region kind", kind=kind)

@@ -403,10 +403,6 @@ def cmd_equidist_regcond(ns):
     return payload, 0 if trend in (None, True) else 1
 
 
-def cmd_find(ns):
-    return constellation_find(ns)
-
-
 def _mk_row(k, degree):
     bound, cert = variational.mk_lower_bound(k, degree)
     return {"k": k, "bound": bound, "quotient": str(cert.quotient)}
@@ -452,7 +448,7 @@ def _min_diameter_group(values: list[int], t: int):
     return best
 
 
-def constellation_find(ns):
+def cmd_find(ns):
     """Find t primes of the form floor(alpha m + beta) close together.
 
     Plan: size a tuple via the certified variational threshold (or --k),

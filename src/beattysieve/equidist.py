@@ -61,8 +61,8 @@ class ErrorRow:
 class HarnessConfig:
     """Knobs shared by the distribution harnesses.
 
-    q_cap / r_cap override the theorem-shaped modulus policies when set.
-    n2_factor fixes N' = n2_factor * N and must lie in (1, 2].  k, theta
+    Every grid point N is read on the dyadic window [N, 2N).  q_cap /
+    r_cap override the theorem-shaped modulus policies when set.  k, theta
     and params are read by regcond_report only: the tau_{3k} weights, the
     modulus range q <= N^theta, and the Beatty pair whose membership and
     shift arcs it needs.
@@ -71,7 +71,6 @@ class HarnessConfig:
     n_grid: tuple
     eps: float = 0.05
     a_power: float = 2.0
-    n2_factor: float = 2.0
     q_cap: int | None = None
     r_cap: int | None = None
     k: int = 2
@@ -81,27 +80,19 @@ class HarnessConfig:
     def __post_init__(self):
         if not self.n_grid:
             raise PreconditionError("empty N grid")
-        if not 1 < self.n2_factor <= 2:
-            raise PreconditionError("window factor must lie in (1, 2]",
-                                    n2_factor=self.n2_factor)
-
-    def window(self, n: int) -> tuple:
-        return n, min(2 * n, int(n * self.n2_factor))
 
 
 def lambda_points(n_lo: int, n_hi: int, table=None):
     """(n, Lambda(n)) for prime powers in [n_lo, n_hi); masses are exact
     rational snapshots of log p."""
-    root = math.isqrt(n_hi - 1)
     if table is not None and table.limit >= n_hi - 1:
-        arr = table.primes()
-        lo, hi = np.searchsorted(arr, (n_lo, n_hi))
-        window = [int(p) for p in arr[lo:hi]]
-        small = [int(p) for p in arr[:np.searchsorted(arr, root, side="right")]]
+        primes = table.primes()
     else:
-        sieved = arith.primes_upto(n_hi - 1)
-        window = [p for p in sieved if p >= n_lo]
-        small = [p for p in sieved if p <= root]
+        primes = np.array(arith.primes_upto(n_hi - 1), dtype=np.int64)
+    lo, hi = np.searchsorted(primes, (n_lo, n_hi))
+    window = primes[lo:hi].tolist()
+    small = primes[:np.searchsorted(primes, math.isqrt(n_hi - 1),
+                                    side="right")].tolist()
     out = [(p, Fraction(math.log(p))) for p in window]
     for p in small:
         mass = Fraction(math.log(p))
@@ -215,7 +206,7 @@ def bv_harness(config: HarnessConfig, table=None) -> list[dict]:
     LHS (log N)^A / N.  Nothing is asserted about decay."""
     rows = []
     for n in config.n_grid:
-        n_lo, n_hi = config.window(n)
+        n_lo, n_hi = n, 2 * n
         big_l = math.log(n)
         if config.q_cap is not None:
             q_cap = config.q_cap
@@ -247,7 +238,7 @@ def bdh_harness(config: HarnessConfig, table=None) -> list[dict]:
     (log log N)^2)."""
     rows = []
     for n in config.n_grid:
-        n_lo, n_hi = config.window(n)
+        n_lo, n_hi = n, 2 * n
         big_l = math.log(n)
         r_cap = config.r_cap
         if r_cap is None:
@@ -318,10 +309,6 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5,
             "all_progressions_hold": all_hold and in_arc == 0}
 
 
-def _tau_3k(q: int, k: int, table=None) -> int:
-    return arith.tau_k(q, 3 * k, table)
-
-
 def _class_counts(values, q: int) -> list[int]:
     counts = [0] * q
     for v in values:
@@ -329,8 +316,7 @@ def _class_counts(values, q: int) -> list[int]:
     return counts
 
 
-def regcond_report(a_sets: dict, offsets, config: HarnessConfig,
-                   table=None) -> list[dict]:
+def regcond_report(a_sets: dict, offsets, config: HarnessConfig) -> list[dict]:
     """Empirical left-hand sides of the two regularity sums, per N.
 
     The first sum weighs, per squarefree q up to N^theta, the worst class
@@ -359,7 +345,7 @@ def regcond_report(a_sets: dict, offsets, config: HarnessConfig,
     for n in config.n_grid:
         if n not in a_sets:
             raise PreconditionError("a_sets lacks a grid point", n=n)
-        n_lo, n_hi = config.window(n)
+        n_lo, n_hi = n, 2 * n
         members = sorted(set(a_sets[n]))
         member_set = set(members)
         big_l = math.log(n)
@@ -373,13 +359,9 @@ def regcond_report(a_sets: dict, offsets, config: HarnessConfig,
                 continue
             counts = _class_counts(members, q)
             dev = max(abs(cnt - y_val / q) for cnt in counts)
-            lhs12 += _tau_3k(q, config.k, table) * dev
+            lhs12 += arith.tau_k(q, 3 * config.k) * dev
 
-        if table is not None and table.limit >= n_hi - 1:
-            is_prime = table.is_prime
-        else:
-            local = set(arith.primes_upto(n_hi - 1))
-            is_prime = lambda m: m in local
+        primes = set(arith.primes_upto(n_hi - 1))
 
         lhs15 = {}
         norm15 = {}
@@ -387,9 +369,9 @@ def regcond_report(a_sets: dict, offsets, config: HarnessConfig,
         quad = scipy.integrate.quad(lambda t: 1.0 / math.log(t), n_lo, n_hi)[0]
         for m_idx, (h, arc) in enumerate(zip(offsets, arcs)):
             kept = [p for p in members
-                    if p >= n_lo + h and p - h in member_set and is_prime(p)]
+                    if p >= n_lo + h and p - h in member_set and p in primes]
             via_arc = [p for p in range(n_lo + h, n_hi)
-                       if is_prime(p) and arc.contains((gamma * p) % 1)]
+                       if p in primes and arc.contains((gamma * p) % 1)]
             arc_match[m_idx] = via_arc == kept
             y_gm = float(arc.length) * quad
             total = 0.0
@@ -400,7 +382,7 @@ def regcond_report(a_sets: dict, offsets, config: HarnessConfig,
                 phi = arith.euler_phi(q)
                 dev = max(abs(counts[a] - y_gm / phi)
                           for a in range(q) if math.gcd(a, q) == 1)
-                total += _tau_3k(q, config.k, table) * dev
+                total += arith.tau_k(q, 3 * config.k) * dev
             lhs15[m_idx] = total
             norm15[m_idx] = total / envelope if envelope else math.inf
 

@@ -40,6 +40,8 @@ from .variational import SimplexPolynomial
 
 W_PRODUCT_CAP = 10**12
 SUPPORT_CAP = 200_000
+# primes p <= GGPY_EULER_CAP in the Euler product of ggpy_compare
+GGPY_EULER_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,8 @@ def build_context(k: int, n: int, theta: float, eps: float,
     offsets pass tuples.divcond_check (every prime > D0 dividing an offset
     difference divides q0), so weights() accepts them: the largest
     violating prime at D0 = 2, or 2 when there is none or no offsets.
+    If W1 then exceeds W_PRODUCT_CAP, the CapacityError names the prime
+    and the offset difference that forced D0.
     """
     allowed = {"d0", "q0", "q1", "r_value", "nu0", "f", "offsets"}
     unknown = set(overrides) - allowed
@@ -86,9 +90,17 @@ def build_context(k: int, n: int, theta: float, eps: float,
     if q0 < 1 or q1 < 1:
         raise PreconditionError("q0, q1 must be >= 1", q0=q0, q1=q1)
     d0 = overrides.get("d0")
+    advice = "choose a smaller D0"
     if not d0:
         _, bad = tuples.divcond_check(overrides.get("offsets", ()), q0, 2)
-        d0 = max([2] + [p for p, _, _ in bad])
+        if bad:
+            d0, h_i, h_j = max(bad)
+            advice = (f"D0 = {d0} is forced: the prime {d0} divides the offset "
+                      f"difference {h_j} - {h_i} and not q0, and the divisor "
+                      "condition needs every such prime <= D0")
+        else:
+            d0 = 2
+            advice = "D0 = 2 is the least; the prime factors of q0*q1 carry W1"
     small = arith.primes_upto(d0)
     if math.gcd(q1, q0) != 1 or any(q1 % p == 0 for p in small):
         raise PreconditionError("q1 must be coprime to q0 and to all p <= D0",
@@ -98,8 +110,7 @@ def build_context(k: int, n: int, theta: float, eps: float,
     for p in small + extra:
         w1 *= p
     if w1 > W_PRODUCT_CAP:
-        raise CapacityError(f"W1 = {w1} exceeds {W_PRODUCT_CAP}; "
-                            "choose a smaller D0")
+        raise CapacityError(f"W1 = {w1} exceeds {W_PRODUCT_CAP}; {advice}")
     w2 = 1
     for p in small:
         if q0 % p != 0:
@@ -453,12 +464,12 @@ def positivity_combination(s1, s2_table: dict, a: int, s: int, t: int,
     return total - (t - 1) * float(s1)
 
 
-def ggpy_compare(gamma_fn, g_weight, z: int, kappa: float,
-                 euler_cap: int = 10**5):
+def ggpy_compare(gamma_fn, g_weight, z: int, kappa: float):
     """Truncated-divisor-sum comparison: the left side sums mu^2(d) g(d)
     G(log d / log z) for d < z with g(p) = gamma(p)/(p - gamma(p)); the
     main term is S * (log z)^kappa / Gamma(kappa) * int t^(kappa-1) G(t) dt
-    with S the truncated Euler product.  Returns (lhs, main, rel_error)."""
+    with S the Euler product truncated at GGPY_EULER_CAP.  Returns (lhs,
+    main, rel_error)."""
     if z < 2:
         raise PreconditionError("z must be >= 2", z=z)
     if kappa <= 0:
@@ -480,7 +491,7 @@ def ggpy_compare(gamma_fn, g_weight, z: int, kappa: float,
                 lhs += vals[d] * g_weight(math.log(d) / log_z)
 
     prod = 1.0
-    for p in arith.primes_upto(euler_cap):
+    for p in arith.primes_upto(GGPY_EULER_CAP):
         gp = gamma_fn(p)
         prod *= (1.0 - gp / p) ** (-1) * (1.0 - 1.0 / p) ** kappa
     integral, _ = scipy.integrate.quad(
@@ -515,25 +526,14 @@ def lcm_identity_check(d: int, e: int) -> bool:
 
 
 def aux_sums(ctx: SieveContext, h_cut: int = 10,
-             gamma_fn=None, euler_cap: int = 10**4,
              lcm_limit: int = 200) -> dict:
     """Singular product, the two tail sums, and the exhaustive lcm check.
 
     T1 = sum_{d <= R, (d, W1) = 1} mu^2(d)/d * prod_{p | d} (1 + 4/p) exactly;
     T2 = sum_{H < d <= R} mu^2(d)/d^2 * prod_{p | d} (1 + p^(-1/2)) in floats.
-    The singular product runs over p <= euler_cap with the convention
-    gamma(p) = 0 on p | W1, so the default gamma = 1 collapses it to
-    phi(W1)/W1 exactly."""
-    if gamma_fn is None:
-        gamma_fn = lambda p: 1.0
-    singular = 1.0
-    for p in arith.primes_upto(euler_cap):
-        if ctx.w1 % p == 0:
-            singular *= 1.0 - 1.0 / p
-        else:
-            gp = gamma_fn(p)
-            singular *= (1.0 - gp / p) ** (-1) * (1.0 - 1.0 / p)
-
+    The singular product prod_p (1 - gamma(p)/p)^(-1) (1 - 1/p), with
+    gamma(p) = 1 off W1 and 0 on p | W1, has every factor off W1 equal to
+    1, so it is exactly phi(W1)/W1, returned as phi_w1_ratio."""
     r_int = int(float(ctx.r_value))
     t1 = Fraction(0)
     t2 = 0.0
@@ -564,7 +564,7 @@ def aux_sums(ctx: SieveContext, h_cut: int = 10,
         if not ok:
             break
     phi_ratio = arith.euler_phi(ctx.w1) / ctx.w1
-    return {"singular": singular, "phi_w1_ratio": phi_ratio,
+    return {"phi_w1_ratio": phi_ratio,
             "t1": t1, "t2": t2, "lcm_identity_ok": ok}
 
 

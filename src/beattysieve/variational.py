@@ -262,32 +262,7 @@ def _independent_subset(gram) -> list[int]:
     return kept
 
 
-def leading_minors(matrix) -> list[Fraction]:
-    """Exact determinants of the leading principal blocks."""
-    n = len(matrix)
-    out = []
-    for size in range(1, n + 1):
-        rows = [[Fraction(matrix[i][j]) for j in range(size)] for i in range(size)]
-        det = Fraction(1)
-        for col in range(size):
-            piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
-            if piv is None:
-                det = Fraction(0)
-                break
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = -det
-            det *= rows[col][col]
-            for r in range(col + 1, size):
-                f = rows[r][col] / rows[col][col]
-                if f:
-                    for c in range(col, size):
-                        rows[r][c] -= f * rows[col][c]
-        out.append(det)
-    return out
-
-
-def forms(basis, k: int | None = None) -> QuadraticFormPair:
+def forms(basis) -> QuadraticFormPair:
     """Assemble the exact form matrices over the given basis.
 
     B[i][j] is the simplex integral of basis_i * basis_j; A[i][j] sums, over
@@ -301,8 +276,6 @@ def forms(basis, k: int | None = None) -> QuadraticFormPair:
     dim = basis[0].k
     if any(p.k != dim for p in basis):
         raise PreconditionError("mixed dimensions in basis")
-    if k is not None and k != dim:
-        raise PreconditionError("k does not match the basis", k=k, basis_k=dim)
     n = len(basis)
 
     b_mat = [[Fraction(0)] * n for _ in range(n)]

@@ -40,52 +40,52 @@ def test_prime_array(table):
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-def test_factorize_falls_back_past_table_limit(table):
-    assert factorize(600851475143, table) == [(71, 1), (839, 1), (1471, 1),
-                                              (6857, 1)]
+def test_factorize_falls_back_past_table_limit():
+    assert factorize(600851475143) == [(71, 1), (839, 1), (1471, 1),
+                                       (6857, 1)]
     assert factorize(2**18) == [(2, 18)]
     with pytest.raises(ValueError):
-        factorize(0, table)
+        factorize(0)
 
 
-def test_mobius_small_values(table):
+def test_mobius_small_values():
     expected = {1: 1, 2: -1, 4: 0, 6: 1, 12: 0, 30: -1, 210: 1}
     for n, mu in expected.items():
-        assert mobius(n, table) == mu
+        assert mobius(n) == mu
 
 
-def test_mobius_divisor_sums_detect_one(table):
+def test_mobius_divisor_sums_detect_one():
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randrange(1, 5000)
-        total = sum(mobius(d, table) for d in range(1, n + 1) if n % d == 0)
+        total = sum(mobius(d) for d in range(1, n + 1) if n % d == 0)
         assert total == (1 if n == 1 else 0)
 
 
-def test_phi_divisor_sums_recover_n(table):
+def test_phi_divisor_sums_recover_n():
     rng = random.Random(11)
     for _ in range(150):
         n = rng.randrange(1, 3000)
-        assert sum(euler_phi(d, table) for d in range(1, n + 1) if n % d == 0) == n
+        assert sum(euler_phi(d) for d in range(1, n + 1) if n % d == 0) == n
 
 
-def test_omega_counts_distinct_prime_factors(table):
-    assert omega(360, table) == 3
-    assert omega(1, table) == 0
-    assert omega(97, table) == 1
+def test_omega_counts_distinct_prime_factors():
+    assert omega(360) == 3
+    assert omega(1) == 0
+    assert omega(97) == 1
 
 
-def test_tau_k_on_prime_powers_and_divisors(table):
-    assert tau_k(12, 2, table) == 6
-    assert tau_k(8, 3, table) == 10      # C(3 + 2, 2) for 2^3
-    assert tau_k(1, 5, table) == 1
-    assert tau_k(97, 4, table) == 4
-    assert tau_k(10, 1, table) == 1
+def test_tau_k_on_prime_powers_and_divisors():
+    assert tau_k(12, 2) == 6
+    assert tau_k(8, 3) == 10      # C(3 + 2, 2) for 2^3
+    assert tau_k(1, 5) == 1
+    assert tau_k(97, 4) == 4
+    assert tau_k(10, 1) == 1
     with pytest.raises(ValueError):
-        tau_k(10, 0, table)
+        tau_k(10, 0)
 
 
-def test_tau_k_is_multiplicative(table):
+def test_tau_k_is_multiplicative():
     rng = random.Random(3)
     checked = 0
     while checked < 100:
@@ -94,25 +94,25 @@ def test_tau_k_is_multiplicative(table):
         if math.gcd(m, n) != 1:
             continue
         k = rng.randrange(1, 6)
-        assert tau_k(m * n, k, table) == tau_k(m, k, table) * tau_k(n, k, table)
+        assert tau_k(m * n, k) == tau_k(m, k) * tau_k(n, k)
         checked += 1
 
 
-def test_mangoldt_supported_on_prime_powers(table):
-    assert mangoldt(8, table) == pytest.approx(math.log(2))
-    assert mangoldt(7, table) == pytest.approx(math.log(7))
-    assert mangoldt(6, table) == 0.0
-    assert mangoldt(1, table) == 0.0
+def test_mangoldt_supported_on_prime_powers():
+    assert mangoldt(8) == pytest.approx(math.log(2))
+    assert mangoldt(7) == pytest.approx(math.log(7))
+    assert mangoldt(6) == 0.0
+    assert mangoldt(1) == 0.0
 
 
-def test_rough_psi_indicator(table):
-    assert rough_psi(1, 10, table) == 1
-    assert rough_psi(77, 7, table) == 1
-    assert rough_psi(77, 8, table) == 0
+def test_rough_psi_indicator():
+    assert rough_psi(1, 10) == 1
+    assert rough_psi(77, 7) == 1
+    assert rough_psi(77, 8) == 0
     # below z = 3 only 1 and the odd numbers survive
-    assert sum(rough_psi(n, 3, table) for n in range(1, 1001)) == 500
+    assert sum(rough_psi(n, 3) for n in range(1, 1001)) == 500
     with pytest.raises(ValueError):
-        rough_psi(0, 3, table)
+        rough_psi(0, 3)
 
 
 def test_squarefree_multiplicative_array():

@@ -18,8 +18,6 @@ def test_sqrt_fraction_is_tight():
     s = sqrt_fraction(2)
     # default surd precision is 40 digits, so the square misses by < 10^-39
     assert abs(s * s - 2) < Fraction(1, 10**39)
-    wide = sqrt_fraction(2, digits=80)
-    assert abs(wide * wide - 2) < Fraction(1, 10**79)
     with pytest.raises(ValueError):
         sqrt_fraction(-1)
 
@@ -69,7 +67,6 @@ def test_torus_interval_boundary_conventions():
     ival = TorusInterval(Fraction(1, 4), Fraction(1, 2))
     assert not ival.contains(Fraction(1, 4))      # left end excluded
     assert ival.contains(Fraction(3, 4))          # right end included
-    assert not ival.contains_open(Fraction(3, 4))
     assert ival.contains(Fraction(1, 2))
     assert ival.right == Fraction(3, 4)
     wrap = TorusInterval(Fraction(9, 10), Fraction(1, 5))

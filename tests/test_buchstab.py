@@ -7,25 +7,13 @@ from fractions import Fraction
 import pytest
 
 from beattysieve import buchstab
-from beattysieve.buchstab import (_CONTEXT, _kink_side_integral,
-                                  _legendre_rule, _ln, classify,
-                                  decomposition_check, decomposition_terms,
-                                  good_prime_pair, omega, pair_in_d, region,
-                                  region_integrals, rho, triangle_contains)
+from beattysieve.buchstab import (TRIANGLE_SHALLOW, TRIANGLE_STEEP, _CONTEXT,
+                                  _kink_side_integral, _legendre_rule, _ln,
+                                  classify, decomposition_check,
+                                  decomposition_terms, good_prime_pair,
+                                  pair_in_d, region_integrals,
+                                  triangle_contains)
 from beattysieve.errors import (BudgetError, CapacityError, PreconditionError)
-
-
-def test_omega_values_and_guards():
-    assert omega(1.5) == pytest.approx(2 / 3)
-    assert omega(3.0) == pytest.approx((1 + math.log(2)) / 3)
-    # continuation beyond the closed form
-    assert omega(3.000001) == pytest.approx(0.5643823720591222, rel=1e-12)
-    assert omega(7.5) == pytest.approx(0.5614594844039004, rel=1e-12)
-    assert omega(8.0) == pytest.approx(0.5614594835341232, rel=1e-12)
-    with pytest.raises(PreconditionError):
-        omega(0.99)
-    with pytest.raises(CapacityError):
-        omega(8.0001)
 
 
 def test_classify_pinned_points():
@@ -41,11 +29,18 @@ def test_classify_pinned_points():
     # the pair entry 1/7 + 1/7 = 2/7 lands in a window even though
     # neither entry does on its own
     assert classify((Fraction(1, 7), Fraction(1, 7))).witness == (0, 1)
-    assert classify((0.3, 0.3)).good   # float route
+    assert classify((0.3, 0.3)).good   # float input, read exactly
     with pytest.raises(PreconditionError):
         classify((Fraction(1, 4), Fraction(1, 3)))
     with pytest.raises(PreconditionError):
         classify((Fraction(1, 2),) * 5)
+
+
+def test_classify_decides_floats_by_their_binary_value():
+    # the float nearest 2/7 lies below 2/7, so it misses the window [2/7, 3/7]
+    assert Fraction(2 / 7) < Fraction(2, 7)
+    assert classify((2 / 7,)).good is False
+    assert classify((Fraction(2, 7),)).good
 
 
 def test_prime_pair_predicates():
@@ -67,18 +62,26 @@ def test_integer_predicates_agree_with_float_classification():
         assert pair_in_d(p1, p2, two_n) == res.in_d
 
 
+def in_d(pt):
+    return classify(pt).in_d
+
+
+def in_a1(pt):
+    return triangle_contains(TRIANGLE_SHALLOW, pt)
+
+
+def in_a2(pt):
+    return triangle_contains(TRIANGLE_STEEP, pt)
+
+
 def test_region_membership():
-    d, a1, a2 = region("D"), region("A1"), region("A2")
     dot = (Fraction(13, 50), Fraction(49, 200))
-    assert d.contains(dot) and a1.contains(dot) and not a2.contains(dot)
+    assert in_d(dot) and in_a1(dot) and not in_a2(dot)
     for pt in ((Fraction(3, 10), Fraction(3, 10)),
                (Fraction(1, 7), Fraction(1, 7))):
-        assert not d.contains(pt) and not a1.contains(pt) \
-            and not a2.contains(pt)
+        assert not in_d(pt) and not in_a1(pt) and not in_a2(pt)
     diag = (Fraction(5, 21), Fraction(5, 21))
-    assert not d.contains(diag) and a1.contains(diag) and not a2.contains(diag)
-    with pytest.raises(PreconditionError):
-        region("bogus")
+    assert not in_d(diag) and in_a1(diag) and not in_a2(diag)
 
 
 def test_triangle_contains_closed_unit_triangle():
@@ -91,15 +94,14 @@ def test_triangle_contains_closed_unit_triangle():
 
 def test_triangles_cover_the_bad_region():
     rng = random.Random(61)
-    d, a1, a2 = region("D"), region("A1"), region("A2")
     hits = uncovered = 0
     for _ in range(400):
         a = Fraction(rng.randrange(1, 200), 400)
         b = Fraction(rng.randrange(1, 200), 400)
         pt = (max(a, b), min(a, b))
-        if d.contains(pt):
+        if in_d(pt):
             hits += 1
-            if not (a1.contains(pt) or a2.contains(pt)):
+            if not (in_a1(pt) or in_a2(pt)):
                 uncovered += 1
     assert hits == 8
     assert uncovered == 0
@@ -122,9 +124,18 @@ def test_decomposition_identity_on_random_sample(table):
         terms = decomposition_terms(n, 100000, table)
         assert terms.identity_holds
         assert terms.rho(1) == terms.rho1 and terms.rho(5) == terms.rho5
-        assert rho(3, n, 100000, table) == terms.rho3
+
+
+def test_decomposition_terms_refusals(table):
+    terms = decomposition_terms(100037, 100000, table)
+    for g in (0, 6):
+        with pytest.raises(PreconditionError):
+            terms.rho(g)
+    # n lies in [N, 2N) but past the table, which is the only factor route
     with pytest.raises(PreconditionError):
-        rho(6, 100037, 100000, table)
+        decomposition_terms(table.limit + 1, 150_000, table)
+    with pytest.raises(PreconditionError):
+        decomposition_check(150_000, 250_000, table)
 
 
 def test_decomposition_check_window(table):

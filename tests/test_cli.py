@@ -268,6 +268,17 @@ def test_refused_work_exits_1(capsys):
     assert err.startswith("refused: W1 = ")
 
 
+def test_refused_derived_d0_names_the_forcing_prime(capsys):
+    # 194 = 2 * 97 forces D0 = 97; no smaller D0 passes the divisor
+    # condition, so the refusal must not suggest one
+    rc, out, err = run(["sieve", "weights", "--k", "2", "--h", "0,194",
+                        "--theta", "0.5", "--n", "100000"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("refused: W1 = ")
+    assert "97" in err.split("exceeds")[1]
+    assert "smaller D0" not in err
+
+
 def test_impossible_input_exits_1(capsys):
     # ImpossibleInputError: n and n + 1 cannot both be odd, so no nu0 class
     rc, out, err = run(["sieve", "weights", "--k", "2", "--h", "0,1",

@@ -84,11 +84,6 @@ def test_harness_and_config_guards(table):
                     table)
     with pytest.raises(PreconditionError):
         HarnessConfig(gamma=GAMMA, n_grid=())
-    with pytest.raises(PreconditionError):
-        HarnessConfig(gamma=GAMMA, n_grid=(100,), n2_factor=2.5)
-    cfg = HarnessConfig(gamma=GAMMA, n_grid=(500,), n2_factor=1.5)
-    assert cfg.window(500) == (500, 750)
-    assert cfg.window(10) == (10, 15)
 
 
 def test_liouville_demo_avoidance_bound(table):
@@ -110,11 +105,11 @@ def test_liouville_demo_avoidance_bound(table):
         liouville_demo(delta=Fraction(1, 2))
 
 
-def test_regcond_report(sqrt2, table):
+def test_regcond_report(sqrt2):
     cfg = HarnessConfig(gamma=sqrt2.gamma_exact, n_grid=(2000,), k=2,
                         theta=0.25, params=sqrt2)
     a_sets = {2000: set(beatty_enumerate(sqrt2, 2000, 4000))}
-    row, = regcond_report(a_sets, (0, 7), cfg, table=table)
+    row, = regcond_report(a_sets, (0, 7), cfg)
     assert set(row) == {"arc_route_matches", "lhs12", "lhs15", "n", "norm12",
                         "norm15", "q_top", "y"}
     assert row["q_top"] == 6

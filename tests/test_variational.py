@@ -7,8 +7,8 @@ import pytest
 
 from beattysieve.errors import PreconditionError
 from beattysieve.variational import (MkCertificate, SimplexPolynomial, forms,
-                                     k_satisfying, leading_minors,
-                                     mk_lower_bound, rayleigh_quotient,
+                                     k_satisfying, mk_lower_bound,
+                                     rayleigh_quotient,
                                      simplex_monomial_integral,
                                      symmetric_basis)
 
@@ -45,11 +45,6 @@ def test_symmetric_basis_and_forms_for_pairs():
                       (Fraction(1, 4), Fraction(1, 10)))
     assert rayleigh_quotient(pair, (Fraction(0), Fraction(1))) == Fraction(6, 5)
     assert rayleigh_quotient(pair, (1, -1)) == Fraction(16, 15)
-
-
-def test_leading_minors():
-    m = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(2)))
-    assert leading_minors(m) == [Fraction(2), Fraction(3)]
 
 
 def test_forms_drops_dependent_elements_with_a_warning():
