@@ -423,19 +423,18 @@ def main_terms(ctx: SieveContext, y_scalar, y_gm: dict | None = None,
 
     S1 ~ phi(W1)^k Y (log R)^k I / (q0 W1^k W2) and, per (g, m),
     S2 ~ phi(W1)^(k+1) Y_gm (log R)^(k+1) J_m / (phi(q0) phi(W2) W1^(k+1)).
+    The profile is symmetric, so J_m is one marginal integral for every m.
     Ratios against observed values are attached when those are supplied."""
     k = ctx.k
     f = ctx.f
     i_val = float((f * f).integral())
-    j_vals = []
-    for m in range(k):
-        marg = f.marginal(m)
-        j_vals.append(float((marg * marg).integral()))
+    marg = f.marginal()
+    j_vals = (float((marg * marg).integral()),) * k
     log_r = math.log(float(ctx.r_value))
     phi_w1 = arith.euler_phi(ctx.w1)
     s1_pred = (phi_w1**k * float(y_scalar) * log_r**k * i_val
                / (ctx.q0 * ctx.w1**k * ctx.w2))
-    out = {"s1_pred": s1_pred, "i_value": i_val, "j_values": tuple(j_vals),
+    out = {"s1_pred": s1_pred, "i_value": i_val, "j_values": j_vals,
            "s2_pred": {}, "ratio_s1": None, "ratio_s2": {}}
     if y_gm:
         denom = (arith.euler_phi(ctx.q0) * arith.euler_phi(ctx.w2)

@@ -11,65 +11,92 @@ coefficient vector certifies a lower bound: its Rayleigh quotient is
 re-evaluated in rational arithmetic, so float error in the eigensolver can
 only cost sharpness, never soundness.
 
-Polynomials carry an explicit slack exponent: the key (s, e_1, ..., e_k)
-stands for (1 - t_1 - ... - t_k)^s * prod t_i^(e_i).  This family is closed
-under multiplication and under integrating out one variable, and the full
-simplex integral is the Dirichlet value s! prod e_i! / (k + s + sum e)!.
+Maynard's profile is symmetric, so polynomials here are combinations of
+(1 - P1)^a * P2^b with P1 = t_1 + ... + t_k and P2 = t_1^2 + ... + t_k^2,
+keyed by (a, b).  The family is closed under multiplication (add the keys)
+and under integrating out one variable.  With u = 1 - P1' the slack of the
+other k - 1 variables,
+
+    int_0^u (u - t)^a (P2' + t^2)^b dt
+        = sum_j C(b, j) a! (2j)! / (a + 2j + 1)! * u^(a+2j+1) * P2'^(b-j),
+
+whichever variable is integrated out, so the numerator above is k times the
+integral of one marginal squared.  The simplex integral expands P2^b over
+the partitions lambda of b into at most k parts: a lambda with l parts and
+part multiplicities m_j stands for k! / ((k - l)! prod m_j!) monomials, each
+with multinomial coefficient b! / prod lambda_i! and Dirichlet integral
+a! prod (2 lambda_i)! / (k + a + 2b)!.
 """
 from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
-from .errors import PreconditionError
+from .errors import BudgetError, PreconditionError
 
 # C in the non-certified tuple-size estimate ceil(exp(threshold + C)).
 K_FLOOR_CONSTANT = 3.0
+# Dirichlet lookups mk_lower_bound may spend on its forms: the product of
+# marginals i and j has (b_i + 1)(b_j + 1) terms, summed over pairs i <= j.
+# The cost is about 36 us per lookup at k = 5 and at k = 105 (Python 3.11 on
+# a 2-core x86-64 VM: 1.1 s at degree 15, 29 340 lookups), so the cap, just
+# under degree 17, is about two seconds of work.
+FORM_LOOKUP_BUDGET = 50_000
 
 
-def simplex_monomial_integral(exponents, k: int) -> Fraction:
-    """Exact integral of prod t_i^(a_i) over the k-simplex."""
-    exps = tuple(int(a) for a in exponents)
-    if len(exps) != k:
-        raise PreconditionError("need one exponent per variable", k=k, exponents=exps)
-    if any(a < 0 for a in exps):
-        raise PreconditionError("exponents must be non-negative", exponents=exps)
-    num = 1
-    for a in exps:
-        num *= math.factorial(a)
-    return Fraction(num, math.factorial(k + sum(exps)))
+def _partitions(total: int, max_parts: int, largest: int):
+    """Partitions of total into at most max_parts parts, each <= largest,
+    as non-increasing tuples."""
+    if total == 0:
+        yield ()
+        return
+    if max_parts == 0:
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - first, max_parts - 1, first):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def _dirichlet(k: int, a: int, b: int) -> Fraction:
+    """Exact integral of (1 - P1)^a * P2^b over the k-simplex."""
+    total = 0
+    for lam in _partitions(b, k, b):
+        count = math.factorial(k) // math.factorial(k - len(lam))
+        for m in Counter(lam).values():
+            count //= math.factorial(m)
+        value = math.factorial(b) * math.factorial(a)
+        for part in lam:
+            value = value * math.factorial(2 * part) // math.factorial(part)
+        total += count * value
+    return Fraction(total, math.factorial(k + a + 2 * b))
 
 
 @dataclass(frozen=True)
 class SimplexPolynomial:
-    """Polynomial on the k-simplex; zero outside it by convention.
+    """Symmetric polynomial on the k-simplex; zero outside it by convention.
 
-    terms maps (slack_exp, e_1, ..., e_k) to a rational coefficient.
+    terms maps (a, b) to the rational coefficient of (1 - P1)^a * P2^b.
     """
     k: int
     terms: dict
 
     @classmethod
     def from_terms(cls, k: int, mapping) -> "SimplexPolynomial":
-        """Build from a coefficient map.  Keys of length k are read as plain
-        t-monomials (slack exponent 0); keys of length k+1 carry the slack
-        exponent in slot 0."""
+        """Build from a map (a, b) -> coefficient."""
         clean: dict = {}
         for key, coeff in mapping.items():
             key = tuple(int(e) for e in key)
-            if len(key) == k:
-                key = (0,) + key
-            elif len(key) != k + 1:
-                raise PreconditionError("exponent vector must have length k or k+1",
-                                        key=key, k=k)
-            if any(e < 0 for e in key):
-                raise PreconditionError("exponents must be non-negative", key=key)
+            if len(key) != 2 or min(key) < 0:
+                raise PreconditionError("keys must be pairs (a, b) of "
+                                        "non-negative exponents", key=key)
             c = Fraction(coeff)
             if c:
                 clean[key] = clean.get(key, Fraction(0)) + c
@@ -77,155 +104,67 @@ class SimplexPolynomial:
 
     @classmethod
     def constant(cls, k: int, value=1) -> "SimplexPolynomial":
-        return cls.from_terms(k, {(0,) * (k + 1): value})
+        return cls.from_terms(k, {(0, 0): value})
 
-    def _same_space(self, other: "SimplexPolynomial") -> None:
+    def __mul__(self, other: "SimplexPolynomial") -> "SimplexPolynomial":
         if self.k != other.k:
-            raise PreconditionError("dimension mismatch", left=self.k, right=other.k)
-
-    def __add__(self, other):
-        if not isinstance(other, SimplexPolynomial):
-            return NotImplemented
-        self._same_space(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
+            raise PreconditionError("dimension mismatch", left=self.k,
+                                    right=other.k)
+        out: dict = {}
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                key = (a1 + a2, b1 + b2)
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
         return SimplexPolynomial(self.k, {key: c for key, c in out.items() if c})
 
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, SimplexPolynomial):
-            self._same_space(other)
-            out: dict = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(k1, k2))
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return SimplexPolynomial(self.k, {key: c for key, c in out.items() if c})
-        c = Fraction(other)
-        return SimplexPolynomial(self.k,
-                                 {key: v * c for key, v in self.terms.items() if v * c})
-
-    __rmul__ = __mul__
-
-    @property
-    def degree(self) -> int:
-        return max((sum(key) for key in self.terms), default=0)
-
     def integral(self) -> Fraction:
-        total = Fraction(0)
-        for key, c in self.terms.items():
-            num = 1
-            for e in key:
-                num *= math.factorial(e)
-            total += c * Fraction(num, math.factorial(self.k + sum(key)))
-        return total
+        return sum((c * _dirichlet(self.k, a, b) for (a, b), c in self.terms.items()),
+                   Fraction(0))
 
-    def marginal(self, m: int) -> "SimplexPolynomial":
-        """Integrate out t_m (0-based); result lives on the (k-1)-simplex.
+    def marginal(self) -> "SimplexPolynomial":
+        """Integrate out one variable; the result lives on the (k-1)-simplex.
 
-        With u the slack of the remaining variables, 1 - sum t = u - t_m, so
-        each term integrates in closed form:
-        int_0^u (u - t)^s t^e dt = u^(s+e+1) * s! e! / (s+e+1)!.
+        Every variable gives the same result: term (a, b) becomes
+        sum_j C(b, j) a! (2j)! / (a + 2j + 1)! * (a + 2j + 1, b - j).
         """
-        if not 0 <= m < self.k:
-            raise PreconditionError("variable index out of range", m=m, k=self.k)
+        if self.k < 1:
+            raise PreconditionError("no variable left to integrate out", k=self.k)
         out: dict = {}
-        for key, c in self.terms.items():
-            s, es = key[0], key[1:]
-            e = es[m]
-            new_key = (s + e + 1,) + es[:m] + es[m + 1:]
-            w = c * Fraction(math.factorial(s) * math.factorial(e),
-                             math.factorial(s + e + 1))
-            out[new_key] = out.get(new_key, Fraction(0)) + w
+        for (a, b), c in self.terms.items():
+            for j in range(b + 1):
+                key = (a + 2 * j + 1, b - j)
+                w = c * math.comb(b, j) * Fraction(
+                    math.factorial(a) * math.factorial(2 * j),
+                    math.factorial(a + 2 * j + 1))
+                out[key] = out.get(key, Fraction(0)) + w
         return SimplexPolynomial(self.k - 1, {key: v for key, v in out.items() if v})
 
-    def evaluate(self, point):
-        """Value at t = point; returns 0 outside the simplex.
-
-        Rational inputs give an exact Fraction, anything else goes float.
-        """
-        pt = list(point)
+    def evaluate(self, point) -> float:
+        """Float value at t = point; 0.0 outside the simplex."""
+        pt = [float(x) for x in point]
         if len(pt) != self.k:
             raise PreconditionError("point must have k coordinates",
                                     k=self.k, got=len(pt))
-        exact = all(isinstance(x, Rational) for x in pt)
-        if exact:
-            pt = [Fraction(x) for x in pt]
-            slack = Fraction(1) - sum(pt)
-            total = Fraction(0)
-        else:
-            pt = [float(x) for x in pt]
-            slack = 1.0 - math.fsum(pt)
-            total = 0.0
+        slack = 1.0 - math.fsum(pt)
         if slack < 0 or any(x < 0 for x in pt):
-            return total
-        for key, c in self.terms.items():
-            term = c if exact else float(c)
-            if key[0]:
-                term = term * slack ** key[0]
-            for x, e in zip(pt, key[1:]):
-                if e:
-                    term = term * x ** e
-            total += term
-        return total
-
-
-def is_symmetric(poly: SimplexPolynomial) -> bool:
-    """True when poly is invariant under permuting the t variables.
-
-    Checking one transposition and one full cycle suffices: together they
-    generate the whole symmetric group.
-    """
-    k = poly.k
-    if k <= 1:
-        return True
-    swap = list(range(k))
-    swap[0], swap[1] = swap[1], swap[0]
-    cycle = list(range(1, k)) + [0]
-    for perm in (swap, cycle):
-        mapped = {(key[0],) + tuple(key[1 + p] for p in perm): c
-                  for key, c in poly.terms.items()}
-        if mapped != poly.terms:
-            return False
-    return True
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def symmetric_element(k: int, a: int, b: int) -> SimplexPolynomial:
-    """(1 - t_1 - ... - t_k)^a * (t_1^2 + ... + t_k^2)^b, expanded."""
-    if k < 1 or a < 0 or b < 0:
-        raise PreconditionError("need k >= 1 and non-negative exponents",
-                                k=k, a=a, b=b)
-    terms: dict = {}
-    for comp in _compositions(b, k):
-        denom = 1
-        for c in comp:
-            denom *= math.factorial(c)
-        key = (a,) + tuple(2 * c for c in comp)
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(math.factorial(b), denom)
-    return SimplexPolynomial.from_terms(k, terms)
+            return 0.0
+        p2 = math.fsum(x * x for x in pt)
+        return math.fsum(float(c) * slack ** a * p2 ** b
+                         for (a, b), c in self.terms.items())
 
 
 def symmetric_basis(k: int, degree_budget: int):
-    """Labels (a, b) with a + 2b <= budget and the matching polynomials."""
+    """Labels (a, b) with a + 2b <= budget and the matching one-term
+    polynomials (1 - P1)^a * P2^b."""
+    if k < 1:
+        raise PreconditionError("k must be >= 1", k=k)
     if degree_budget < 0:
         raise PreconditionError("degree budget must be >= 0", budget=degree_budget)
     labels = sorted(((a, b)
                      for a in range(degree_budget + 1)
                      for b in range((degree_budget - a) // 2 + 1)),
                     key=lambda ab: (ab[0] + 2 * ab[1], ab[1], ab[0]))
-    return labels, [symmetric_element(k, a, b) for a, b in labels]
+    return labels, [SimplexPolynomial(k, {lab: Fraction(1)}) for lab in labels]
 
 
 @dataclass(frozen=True)
@@ -265,10 +204,10 @@ def _independent_subset(gram) -> list[int]:
 def forms(basis) -> QuadraticFormPair:
     """Assemble the exact form matrices over the given basis.
 
-    B[i][j] is the simplex integral of basis_i * basis_j; A[i][j] sums, over
-    each variable m, the integral of the product of the two t_m-marginals.
-    A fully symmetric basis needs only one marginal, scaled by k.  If B is
-    singular the dependent elements are dropped with a warning.
+    B[i][j] is the simplex integral of basis_i * basis_j.  Every polynomial
+    here is symmetric, so all k marginals of an element agree and A[i][j] is
+    k times the integral of marginal_i * marginal_j over the (k-1)-simplex.
+    If B is singular the dependent elements are dropped with a warning.
     """
     basis = tuple(basis)
     if not basis:
@@ -278,22 +217,13 @@ def forms(basis) -> QuadraticFormPair:
         raise PreconditionError("mixed dimensions in basis")
     n = len(basis)
 
+    margs = [p.marginal() for p in basis]
+    a_mat = [[Fraction(0)] * n for _ in range(n)]
     b_mat = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = (basis[i] * basis[j]).integral()
-            b_mat[i][j] = b_mat[j][i] = v
-
-    all_sym = all(is_symmetric(p) for p in basis)
-    m_range = (0,) if all_sym else tuple(range(dim))
-    scale = dim if all_sym else 1
-    margs = {m: [p.marginal(m) for p in basis] for m in m_range}
-    a_mat = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = scale * sum(((margs[m][i] * margs[m][j]).integral()
-                             for m in m_range), Fraction(0))
-            a_mat[i][j] = a_mat[j][i] = v
+            b_mat[i][j] = b_mat[j][i] = (basis[i] * basis[j]).integral()
+            a_mat[i][j] = a_mat[j][i] = dim * (margs[i] * margs[j]).integral()
 
     kept = _independent_subset(b_mat)
     dropped = tuple(i for i in range(n) if i not in set(kept))
@@ -346,11 +276,19 @@ def mk_lower_bound(k: int, degree_budget: int = 3):
     quotient of the returned coefficients, evaluated on the exact form
     matrices, so it is a true lower bound regardless of eigensolver error.
     The top eigenvector of the pencil (A, B) comes from scipy.linalg.eigh;
-    if it fails, its LinAlgError (a ValueError) propagates.
+    if it fails, its LinAlgError (a ValueError) propagates.  A degree budget
+    whose forms need more than FORM_LOOKUP_BUDGET Dirichlet lookups is
+    refused with that count as the estimate, before any matrix is built.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1", k=k)
     labels, elements = symmetric_basis(k, degree_budget)
+    sizes = [b + 1 for _, b in labels]
+    lookups = (sum(sizes) ** 2 + sum(x * x for x in sizes)) // 2
+    if lookups > FORM_LOOKUP_BUDGET:
+        raise BudgetError(f"degree budget {degree_budget} needs {lookups} "
+                          f"Dirichlet lookups, over the budget of "
+                          f"{FORM_LOOKUP_BUDGET}", estimate=lookups)
     pair = forms(elements)
     if pair.dropped:
         drop = set(pair.dropped)

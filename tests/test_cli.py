@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from beattysieve import arith, cli
+from beattysieve import arith, cli, variational
 
 SQRT2 = repr(math.sqrt(2))
 INV_SQRT2 = repr(1 / math.sqrt(2))
@@ -122,6 +122,16 @@ def test_buchstab_cli_refuses_a_huge_order(capsys):
     rc, out, err = run(["buchstab", "integrals", "--order", "5000"], capsys)
     assert rc == 1 and out == ""
     assert err.startswith("budget: order 5000 needs")
+
+
+def test_mk_bound_refuses_a_huge_degree_budget(capsys, monkeypatch):
+    def no_forms(basis):
+        raise AssertionError("forms built before the budget check")
+
+    monkeypatch.setattr(variational, "forms", no_forms)
+    rc, out, err = run(["mk", "bound", "--k", "5", "--degree", "40"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("budget: degree budget 40 needs")
 
 
 def test_chars_table_payload(capsys):

@@ -308,10 +308,9 @@ def _oracle_main(y, r, m):
                Fraction(0))
 
 
-def _slack_plus_t0_squared(k):
-    slack = (1,) + (0,) * k
-    t0_sq = (0, 2) + (0,) * (k - 1)
-    return SimplexPolynomial.from_terms(k, {slack: 1, t0_sq: 3})
+def _slack_plus_3_p2(k):
+    """(1 - P1) + 3 P2, so y varies with the tuple beyond its product."""
+    return SimplexPolynomial.from_terms(k, {(1, 0): 1, (0, 1): 3})
 
 
 @pytest.mark.parametrize("k, offsets, d0, r_value, q0, q1, slack", [
@@ -323,7 +322,7 @@ def _slack_plus_t0_squared(k):
 ])
 def test_transforms_match_quadratic_definitions(k, offsets, d0, r_value,
                                                  q0, q1, slack):
-    f = _slack_plus_t0_squared(k) if slack else None
+    f = _slack_plus_3_p2(k) if slack else None
     ctx = build_context(k, 10**4, 0.5, 0.05, d0=d0, r_value=r_value,
                         offsets=offsets, q0=q0, q1=q1, f=f)
     support = enumerate_support(ctx)
