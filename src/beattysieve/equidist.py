@@ -7,10 +7,13 @@ The central object is
 with n running over [N, N'), n = a mod q, frac(gamma n) in I, and I over
 torus arcs of length < 1.  The objective is piecewise linear in the arc
 endpoints, so the supremum is determined by endpoint pairs at the data
-points frac(gamma n); the sweep below evaluates every candidate exactly
-in rational arithmetic (von Mangoldt masses are frozen to the rationals
-of their float values, so both this sweep and any independent oracle see
-identical numbers).
+points frac(gamma n).  The sweep below evaluates every candidate exactly
+on Python integers over one common denominator d per window: von Mangoldt
+masses are frozen to the rationals of their float values (dyadic, so
+both this sweep and any independent oracle see identical numbers), every
+position frac(gamma n) has a denominator dividing that of gamma, and d is
+the lcm of all of them.  Only the winning candidate of each progression
+is turned back into a Fraction.
 
 With the half-open arc convention (z, z + l] and a positive main term the
 extremes are approached, not attained: shrinking l toward the minimal
@@ -26,6 +29,7 @@ normalized columns so that trends across N can be recorded.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,9 +38,14 @@ import scipy.integrate
 
 from . import arith, beatty, dioph
 from .beatty import _to_fraction
-from .errors import PreconditionError
+from .errors import BudgetError, PreconditionError
 
-HARNESS_POINT_BUDGET = 5 * 10**7
+# Point-visits a harness run may spend on its arc sweep (see
+# _check_sweep_budget).  Measured at 3-8 us per visit with Python 3.11 on a
+# 2-core x86-64 VM: bv at N = 10^6, q <= 15 is 1.09e6 visits in 4.9 s; bdh
+# at N = 10^4, R = 3000 is 7.8e6 visits in 64 s, where rows of one or two
+# points dominate.  So the budget is about a minute of work.
+HARNESS_POINT_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -106,8 +115,8 @@ def lambda_points(n_lo: int, n_hi: int, table=None):
 
 
 def _sliding_max(values, window: int):
-    """For each start i, (best j, max) of values[j] over j in [i, i+window)."""
-    from collections import deque
+    """For each start i, the j in [i, i+window) with the largest values[j]
+    (the last such j on ties)."""
     n = len(values)
     best = [None] * (n - window + 1) if window <= n else []
     dq = deque()
@@ -123,67 +132,84 @@ def _sliding_max(values, window: int):
     return best
 
 
-def _window_points(n_lo: int, n_hi: int, gamma, table=None) -> list[tuple]:
+def _window_points(n_lo: int, n_hi: int, gamma, table=None):
+    """(d, points): the prime powers n of [n_lo, n_hi) as triples (n, X, W),
+    sorted by X, with frac(gamma n) = X/d and Lambda(n) = W/d over one
+    common denominator d = lcm(den gamma, every mass denominator)."""
     g = _to_fraction(gamma)
-    return [(m, (g * m) % 1, lam) for m, lam in lambda_points(n_lo, n_hi, table)]
+    pts = lambda_points(n_lo, n_hi, table)
+    d = math.lcm(g.denominator, *{lam.denominator for _, lam in pts})
+    step = g.numerator * (d // g.denominator)
+    points = [(n, step * n % d, lam.numerator * (d // lam.denominator))
+              for n, lam in pts]
+    points.sort(key=lambda t: t[1])
+    return d, points
 
 
-def _row_from_pairs(pairs, c: Fraction, q: int, a: int) -> ErrorRow:
-    """Run the endpoint sweep on (position, mass) pairs for one progression.
+def _row_from_pairs(pairs, d: int, span: int, phi: int, q: int, a: int) -> ErrorRow:
+    """Run the endpoint sweep on one progression's (X, W) pairs, sorted by X.
 
+    Positions X/d and masses W/d are integers over d, and the slope is
+    c = span/phi, so every candidate times d*phi is an integer: the mass
+    term is prefix*phi (mass) and the length term span*X (span_x).
     Candidates: point runs with infimal covering length (mass-heavy arcs)
     and point gaps with supremal empty length (length-heavy arcs),
     including the wrap-around and the |I| -> 1 limits.
     """
-    masses = {}
-    for pos, lam in pairs:
-        masses[pos] = masses.get(pos, Fraction(0)) + lam
-    if not masses:
-        return ErrorRow(q, a, c, 0, None, False)
-
-    xs = sorted(masses)
-    ws = [masses[x] for x in xs]
+    xs, ws = [], []
+    for x, w in pairs:
+        if xs and xs[-1] == x:
+            ws[-1] += w
+        else:
+            xs.append(x)
+            ws.append(w)
     m_count = len(xs)
-    x2 = xs + [x + 1 for x in xs]
-    prefix = [Fraction(0)]
+    if not m_count:
+        return ErrorRow(q, a, Fraction(span, phi), 0, None, False)
+
+    x2 = xs + [x + d for x in xs]
+    mass = [0]
     for w in ws + ws:
-        prefix.append(prefix[-1] + w)
+        mass.append(mass[-1] + w * phi)
+    span_x = [span * x for x in x2]
 
     # mass-heavy: runs i..j, value mass(i..j) - c (x_j - x_i)
-    g_vals = [prefix[j + 1] - c * x2[j] for j in range(2 * m_count)]
+    g_vals = [mass[j + 1] - span_x[j] for j in range(2 * m_count)]
     best_g = _sliding_max(g_vals, m_count)
     best = None
     for i in range(m_count):
         j = best_g[i]
-        val = g_vals[j] - (prefix[i] - c * x2[i])
+        val = g_vals[j] - (mass[i] - span_x[i])
         if best is None or val > best[0]:
             best = (val, "run", i, j)
 
     # length-heavy: spans i..j excluding both ends, value
     # c (x_j - x_i) - mass strictly inside; j = i + m is the |I| -> 1 limit
-    u_vals = [c * x2[j] - prefix[j] for j in range(2 * m_count)]
+    u_vals = [span_x[j] - mass[j] for j in range(2 * m_count)]
     best_u = _sliding_max(u_vals[1:] + [u_vals[0]], m_count)
     for i in range(m_count):
         # window j in [i+1, i+m]: shifted array index i covers it
         j = best_u[i] + 1
-        val = u_vals[j] - (c * x2[i] - prefix[i + 1])
+        val = u_vals[j] - (span_x[i] - mass[i + 1])
         if val > best[0]:
             best = (val, "gap", i, j)
 
     val, kind, i, j = best
     length = x2[j] - x2[i]
     count = j - i + 1 if kind == "run" else j - i - 1
-    arc = beatty.TorusInterval(xs[i] % 1, length) if 0 < length < 1 else None
-    return ErrorRow(q, a, val, count, arc, False)
+    arc = (beatty.TorusInterval(Fraction(xs[i], d), Fraction(length, d))
+           if 0 < length < d else None)
+    return ErrorRow(q, a, Fraction(val, d * phi), count, arc, False)
 
 
-def _rows_for_modulus(points, window_len: int, q: int) -> dict[int, ErrorRow]:
-    """ErrorRow per reduced class a mod q, bucketing the window points once."""
-    c = Fraction(window_len, arith.euler_phi(q))
+def _rows_for_modulus(d: int, points, span: int, q: int) -> dict[int, ErrorRow]:
+    """ErrorRow per reduced class a mod q; the points arrive sorted by X,
+    so each class's bucket does too."""
+    phi = arith.euler_phi(q)
     buckets = {}
-    for m, pos, lam in points:
-        buckets.setdefault(m % q, []).append((pos, lam))
-    return {a: _row_from_pairs(buckets.get(a, []), c, q, a)
+    for n, x, w in points:
+        buckets.setdefault(n % q, []).append((x, w))
+    return {a: _row_from_pairs(buckets.get(a, ()), d, span, phi, q, a)
             for a in range(q) if math.gcd(a, q) == 1}
 
 
@@ -195,32 +221,46 @@ def e_sup(n: int, n2: int, gamma, q: int, a: int, table=None) -> ErrorRow:
         raise PreconditionError("q must be >= 1", q=q)
     if math.gcd(a, q) != 1:
         raise PreconditionError("a must be coprime to q", a=a, q=q)
-    pairs = [(pos, lam) for m, pos, lam in _window_points(n, n2, gamma, table)
-             if m % q == a % q]
-    return _row_from_pairs(pairs, Fraction(n2 - n, arith.euler_phi(q)), q, a)
+    d, points = _window_points(n, n2, gamma, table)
+    pairs = [(x, w) for m, x, w in points if m % q == a % q]
+    return _row_from_pairs(pairs, d, n2 - n, arith.euler_phi(q), q, a)
+
+
+def _check_sweep_budget(windows) -> None:
+    """Refuse a harness run whose arc sweep would exceed HARNESS_POINT_BUDGET
+    point-visits, before any window is swept.  windows holds (N, cap) per
+    grid point: each modulus q <= cap buckets the window's points (about
+    N / log N prime powers in [N, 2N)) and sweeps at most q classes."""
+    estimate = sum(cap * (int(n / max(math.log(n), 1.0)) + (cap + 1) // 2)
+                   for n, cap in windows)
+    if estimate > HARNESS_POINT_BUDGET:
+        raise BudgetError(f"the arc sweep needs about {estimate} point-visits, "
+                          f"over the budget of {HARNESS_POINT_BUDGET}",
+                          estimate=estimate)
 
 
 def bv_harness(config: HarnessConfig, table=None) -> list[dict]:
     """Large-sieve-flavored left side: per N, sum over q up to the policy
     cap of the worst progression error, with the normalized column
     LHS (log N)^A / N.  Nothing is asserted about decay."""
-    rows = []
+    plan = []
     for n in config.n_grid:
+        if config.q_cap is not None:
+            plan.append((n, None, config.q_cap))
+        else:
+            r = dioph.approx_for_modulus(config.gamma, n).denominator
+            plan.append((n, r, int(min(r, n**0.25) * n**-config.eps)))
+    _check_sweep_budget((n, q_cap) for n, _, q_cap in plan)
+    rows = []
+    for n, r, q_cap in plan:
         n_lo, n_hi = n, 2 * n
         big_l = math.log(n)
-        if config.q_cap is not None:
-            q_cap = config.q_cap
-            r = None
-        else:
-            approx = dioph.approx_for_modulus(config.gamma, n)
-            r = approx.denominator
-            q_cap = int(min(r, n**0.25) * n**-config.eps)
-        points = _window_points(n_lo, n_hi, config.gamma, table)
+        d, points = _window_points(n_lo, n_hi, config.gamma, table)
         terms = []
         lhs = Fraction(0)
         for q in range(1, q_cap + 1):
             best = None
-            for a, row in sorted(_rows_for_modulus(points, n_hi - n_lo, q).items()):
+            for a, row in sorted(_rows_for_modulus(d, points, n_hi - n_lo, q).items()):
                 if best is None or row.e > best.e:
                     best = row
             if best is not None:
@@ -236,25 +276,25 @@ def bdh_harness(config: HarnessConfig, table=None) -> list[dict]:
     """Variance-flavored left side: per N, sum of E^2 over all progressions
     with q up to R, with the normalized column LHS / (N R log N
     (log log N)^2)."""
-    rows = []
+    plan = []
     for n in config.n_grid:
-        n_lo, n_hi = n, 2 * n
-        big_l = math.log(n)
         r_cap = config.r_cap
         if r_cap is None:
-            r_cap = max(1, int(n / big_l**config.a_power))
+            r_cap = max(1, int(n / math.log(n)**config.a_power))
         if r_cap > n:
             raise PreconditionError("R must not exceed N", r_cap=r_cap, n=n)
-        cost = sum(arith.euler_phi(q) for q in range(1, r_cap + 1))
-        if cost * 40 > HARNESS_POINT_BUDGET:
-            raise PreconditionError("R too large for the desk harness",
-                                    progressions=cost)
-        points = _window_points(n_lo, n_hi, config.gamma, table)
+        plan.append((n, r_cap))
+    _check_sweep_budget(plan)
+    rows = []
+    for n, r_cap in plan:
+        n_lo, n_hi = n, 2 * n
+        big_l = math.log(n)
+        d, points = _window_points(n_lo, n_hi, config.gamma, table)
         lhs = Fraction(0)
         per_q = []
         for q in range(1, r_cap + 1):
             sub = Fraction(0)
-            for a, row in sorted(_rows_for_modulus(points, n_hi - n_lo, q).items()):
+            for a, row in sorted(_rows_for_modulus(d, points, n_hi - n_lo, q).items()):
                 sub += row.e * row.e
             per_q.append((q, float(sub)))
             lhs += sub
@@ -286,7 +326,7 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5,
     lo, hi = Fraction(1, 4 * r), Fraction(3, 4 * r)
     in_arc = sum(1 for m in range(1, 2 * n + 1) if lo < (gamma * m) % 1 < hi)
 
-    points = _window_points(n, 2 * n, gamma, table)
+    d, points = _window_points(n, 2 * n, gamma, table)
     rows = []
     total = Fraction(0)
     bound_total = Fraction(0)
@@ -294,7 +334,7 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5,
     for q in range(1, q_cap + 1):
         phi = arith.euler_phi(q)
         bound = Fraction(n * n, 4 * r * r * phi)
-        for a, row in sorted(_rows_for_modulus(points, n, q).items()):
+        for a, row in sorted(_rows_for_modulus(d, points, n, q).items()):
             holds = row.e * row.e >= bound
             all_hold = all_hold and holds
             total += row.e * row.e

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, CapacityError, PreconditionError
 
 # C in the non-certified tuple-size estimate ceil(exp(threshold + C)).
 K_FLOOR_CONSTANT = 3.0
@@ -275,8 +275,11 @@ def mk_lower_bound(k: int, degree_budget: int = 3):
     Returns (bound, certificate).  The bound is the exact rational Rayleigh
     quotient of the returned coefficients, evaluated on the exact form
     matrices, so it is a true lower bound regardless of eigensolver error.
-    The top eigenvector of the pencil (A, B) comes from scipy.linalg.eigh;
-    if it fails, its LinAlgError (a ValueError) propagates.  A degree budget
+    The top eigenvector of the pencil (A, B) comes from scipy.linalg.eigh
+    on float copies; when float B is not numerically positive definite
+    (entries underflowing past 1/170! at large k, or an ill-conditioned
+    basis at high degree) eigh fails and the input is refused with a
+    CapacityError naming k, the degree and scipy's message.  A degree budget
     whose forms need more than FORM_LOOKUP_BUDGET Dirichlet lookups is
     refused with that count as the estimate, before any matrix is built.
     """
@@ -295,7 +298,11 @@ def mk_lower_bound(k: int, degree_budget: int = 3):
         labels = [lab for i, lab in enumerate(labels) if i not in drop]
     a = np.array([[float(x) for x in row] for row in pair.A])
     b = np.array([[float(x) for x in row] for row in pair.B])
-    vec = scipy.linalg.eigh(a, b)[1][:, -1]
+    try:
+        vec = scipy.linalg.eigh(a, b)[1][:, -1]
+    except np.linalg.LinAlgError as exc:
+        raise CapacityError(f"the float pencil at k = {k}, degree "
+                            f"{degree_budget} is singular: {exc}") from exc
     peak = np.max(np.abs(vec))
     if peak > 0:
         vec = vec / peak

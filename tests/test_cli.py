@@ -3,9 +3,11 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.linalg
 
-from beattysieve import arith, cli, variational
+from beattysieve import arith, cli, equidist, variational
 
 SQRT2 = repr(math.sqrt(2))
 INV_SQRT2 = repr(1 / math.sqrt(2))
@@ -132,6 +134,33 @@ def test_mk_bound_refuses_a_huge_degree_budget(capsys, monkeypatch):
     rc, out, err = run(["mk", "bound", "--k", "5", "--degree", "40"], capsys)
     assert rc == 1 and out == ""
     assert err.startswith("budget: degree budget 40 needs")
+
+
+def test_mk_bound_refuses_a_singular_float_pencil(capsys, monkeypatch):
+    # mk bound --k 5 --degree 15 fails this way for real, in about 2 s
+    def singular(a, b):
+        raise np.linalg.LinAlgError("The leading minor of order 51 of B is "
+                                    "not positive definite.")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", singular)
+    rc, out, err = run(["mk", "bound", "--k", "5", "--degree", "3"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("refused: the float pencil at k = 5, degree 3 is "
+                          "singular: The leading minor of order 51")
+
+
+@pytest.mark.parametrize("argv", [
+    ["equidist", "bdh", "--ngrid", "1000000"],
+    ["equidist", "bv", "--gamma", INV_SQRT2, "--ngrid", "10000",
+     "--qcap", "100000"]])
+def test_equidist_harness_budgets_exit_1(argv, capsys, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("window swept before the budget check")
+
+    monkeypatch.setattr(equidist, "_window_points", no_sweep)
+    rc, out, err = run(argv, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("budget: the arc sweep needs about")
 
 
 def test_chars_table_payload(capsys):

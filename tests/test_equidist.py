@@ -3,13 +3,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from beattysieve import beatty, equidist
 from beattysieve.arith import euler_phi
-from beattysieve.beatty import beatty_enumerate
-from beattysieve.equidist import (HarnessConfig, bdh_harness, bv_harness,
-                                  e_sup, lambda_points, liouville_demo,
-                                  regcond_report)
-from beattysieve.errors import PreconditionError
+from beattysieve.beatty import _to_fraction, beatty_enumerate
+from beattysieve.equidist import (ErrorRow, HarnessConfig, _rows_for_modulus,
+                                  _sliding_max, _window_points, bdh_harness,
+                                  bv_harness, e_sup, lambda_points,
+                                  liouville_demo, regcond_report)
+from beattysieve.errors import BudgetError, PreconditionError
 
 GAMMA = 0.7071067811865476
 
@@ -86,6 +89,22 @@ def test_harness_and_config_guards(table):
         HarnessConfig(gamma=GAMMA, n_grid=())
 
 
+def test_harness_budgets_refuse_before_any_sweep(table, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("window swept before the budget check")
+
+    monkeypatch.setattr(equidist, "_window_points", no_sweep)
+    # the default R at N = 10^6 is 5238: about 4e8 point-visits; the
+    # affordable first grid point is not swept either
+    with pytest.raises(BudgetError) as refused:
+        bdh_harness(HarnessConfig(gamma=GAMMA, n_grid=(10**4, 10**6)), table)
+    assert refused.value.estimate > equidist.HARNESS_POINT_BUDGET
+    with pytest.raises(BudgetError) as refused:
+        bv_harness(HarnessConfig(gamma=GAMMA, n_grid=(10**4,), q_cap=10**5),
+                   table)
+    assert refused.value.estimate > equidist.HARNESS_POINT_BUDGET
+
+
 def test_liouville_demo_avoidance_bound(table):
     out = liouville_demo(table=table)
     assert out["points_in_arc"] == 0
@@ -131,3 +150,72 @@ def test_regcond_requires_grid_sets(sqrt2):
     no_params = HarnessConfig(gamma=sqrt2.gamma_exact, n_grid=(2000,))
     with pytest.raises(PreconditionError):
         regcond_report({2000: set()}, (0, 7), no_params)
+
+
+def _fraction_points(n_lo, n_hi, gamma, table):
+    """The window points as (n, frac(gamma n), Lambda(n)) in Fraction."""
+    g = _to_fraction(gamma)
+    return [(m, (g * m) % 1, lam) for m, lam in lambda_points(n_lo, n_hi, table)]
+
+
+def _fraction_row(pairs, c, q, a):
+    """The endpoint sweep evaluated in Fraction arithmetic throughout: the
+    reference for the integer kernel, which must return the same row."""
+    masses = {}
+    for pos, lam in pairs:
+        masses[pos] = masses.get(pos, Fraction(0)) + lam
+    if not masses:
+        return ErrorRow(q, a, c, 0, None, False)
+    xs = sorted(masses)
+    ws = [masses[x] for x in xs]
+    m_count = len(xs)
+    x2 = xs + [x + 1 for x in xs]
+    prefix = [Fraction(0)]
+    for w in ws + ws:
+        prefix.append(prefix[-1] + w)
+    g_vals = [prefix[j + 1] - c * x2[j] for j in range(2 * m_count)]
+    best_g = _sliding_max(g_vals, m_count)
+    best = None
+    for i in range(m_count):
+        j = best_g[i]
+        val = g_vals[j] - (prefix[i] - c * x2[i])
+        if best is None or val > best[0]:
+            best = (val, "run", i, j)
+    u_vals = [c * x2[j] - prefix[j] for j in range(2 * m_count)]
+    best_u = _sliding_max(u_vals[1:] + [u_vals[0]], m_count)
+    for i in range(m_count):
+        j = best_u[i] + 1
+        val = u_vals[j] - (c * x2[i] - prefix[i + 1])
+        if val > best[0]:
+            best = (val, "gap", i, j)
+    val, kind, i, j = best
+    length = x2[j] - x2[i]
+    count = j - i + 1 if kind == "run" else j - i - 1
+    arc = beatty.TorusInterval(xs[i] % 1, length) if 0 < length < 1 else None
+    return ErrorRow(q, a, val, count, arc, False)
+
+
+# slopes whose positions coincide (small denominators, so masses merge),
+# binary floats, and 40-digit surds with large denominators
+SLOPES = st.one_of(
+    st.builds(Fraction, st.integers(0, 40), st.integers(1, 12)),
+    st.floats(0.001, 20.0),
+    st.builds(lambda k, u, v: beatty.sqrt_fraction(k) * Fraction(u, v),
+              st.integers(2, 99).filter(lambda k: math.isqrt(k) ** 2 != k),
+              st.integers(1, 9), st.integers(1, 9)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gamma=SLOPES, n=st.integers(2, 700), frac=st.floats(0.0, 1.0),
+       q=st.integers(1, 24))
+def test_integer_kernel_matches_the_fraction_route(table, gamma, n, frac, q):
+    n2 = n + 1 + int(frac * (n - 1))
+    d, points = _window_points(n, n2, gamma, table)
+    rows = _rows_for_modulus(d, points, n2 - n, q)
+    old = _fraction_points(n, n2, gamma, table)
+    c = Fraction(n2 - n, euler_phi(q))
+    assert sorted(rows) == [a for a in range(q) if math.gcd(a, q) == 1]
+    for a, row in rows.items():
+        pairs = [(pos, lam) for m, pos, lam in old if m % q == a]
+        assert row == _fraction_row(pairs, c, q, a)
+        assert e_sup(n, n2, gamma, q, a, table) == row

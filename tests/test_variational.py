@@ -3,9 +3,11 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.linalg
 
-from beattysieve.errors import PreconditionError
+from beattysieve.errors import CapacityError, PreconditionError
 from beattysieve.variational import (MkCertificate, SimplexPolynomial, forms,
                                      k_satisfying, mk_lower_bound,
                                      rayleigh_quotient, symmetric_basis)
@@ -212,6 +214,16 @@ def test_maynard_m105():
     labels, elements = symmetric_basis(105, 11)
     keep = [elements[labels.index(lab)] for lab in cert.labels]
     assert rayleigh_quotient(forms(keep), cert.coefficients) == cert.quotient
+
+
+def test_singular_float_pencil_is_refused(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", singular)
+    with pytest.raises(CapacityError, match="k = 5, degree 3 is singular: "
+                                            "not positive definite"):
+        mk_lower_bound(5, 3)
 
 
 def test_k_search_certified_and_fallback_paths():
