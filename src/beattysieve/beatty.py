@@ -1,25 +1,42 @@
 """Beatty sequences as circle rotations.
 
 The sequence B(alpha, beta) = { floor(alpha*m + beta) : m = 1, 2, ... } with
-alpha > 1 hits an integer n exactly when, writing gamma = 1/alpha,
+alpha > 1 and 0 <= beta < alpha.  alpha and beta are stored as Fractions
+and, once per BeattyParams, as integers over one common denominator:
+alpha = A/D and beta = B/D with D = lcm(den alpha, den beta).  Membership
+and enumeration are then two integer identities, exact for the stored
+rationals at every n:
+
+    the members of [lo, hi) are (A*m + B) // D for the m >= 1 with
+        ceil((D*lo - B)/A) <= m < ceil((D*hi - B)/A);
+    n >= 1 is a member iff 0 < r <= D and x - r >= A, where
+        x = D*(n + 1) - B and r = x mod A, and its index is (x - r)/A.
+
+The second holds because A > D: at most one multiple A*m lies in
+[x - D, x), and it is x - r when 0 < r <= D.
+
+Geometrically, writing gamma = 1/alpha, n is a member exactly when
 
     gamma*n  mod 1  in  (gamma*beta - gamma, gamma*beta]      (half open arc)
 
-and the recovered index m = ceil(gamma*(n - beta)) is at least 1.  All
-membership arithmetic here is exact: alpha and beta are stored as high
-precision Fractions (quadratic surds are converted with ~40 correct decimal
-digits), so enumeration by m and the torus criterion agree on every integer
-up to ~1e9.  For a quadratic irrational alpha the distance from alpha*m to
-the nearest integer is >> 1/m, far above the 1e-40 representation error.
+and the recovered index m = ceil(gamma*(n - beta)) is at least 1.  Arcs on
+R/Z are half open (left, left + length]; this makes the criterion exact on
+the right endpoint, where floor(alpha*m + beta) lands when gamma*(n - beta)
+is an integer.  membership_interval and shift_intersection keep this arc
+geometry for the regularity report.
 
-Arcs on R/Z are half open (left, left + length]; this makes the criterion
-exact on the right endpoint, where floor(alpha*m + beta) lands when
-gamma*(n - beta) is an integer.
+A quadratic surd is a separate matter: quadratic() stores sqrt(d) rounded
+down to SURD_DIGITS = 40 decimal digits, and everything above is exact for
+that rational.  For a quadratic irrational alpha the distance from alpha*m
+to the nearest integer is >> 1/m, far above the 1e-40 representation
+error, so floor(alpha*m) is the same for the stored rational and the true
+surd while m stays well below 10^19.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from numbers import Rational
 
@@ -69,6 +86,15 @@ class BeattyParams:
         beta = 0."""
         return cls((Fraction(a) + b * sqrt_fraction(d)) / c)
 
+    @cached_property
+    def _integers(self) -> tuple[int, int, int]:
+        """(A, B, D): alpha = A/D and beta = B/D over the common denominator
+        D = lcm(den alpha, den beta)."""
+        a, b = self.alpha_exact, self.beta_exact
+        d = math.lcm(a.denominator, b.denominator)
+        return (a.numerator * (d // a.denominator),
+                b.numerator * (d // b.denominator), d)
+
     @property
     def alpha(self) -> float:
         return float(self.alpha_exact)
@@ -114,35 +140,30 @@ def membership_interval(params: BeattyParams) -> TorusInterval:
 
 
 def recovered_index(params: BeattyParams, n: int) -> int:
-    """The unique m with floor(alpha*m + beta) = n, if n is a member."""
-    x = params.gamma_exact * (n - params.beta_exact)
-    return int(math.ceil(x))
+    """ceil(gamma*(n - beta)) = ceil((D*n - B)/A): the unique m with
+    floor(alpha*m + beta) = n, if n is a member."""
+    a, b, d = params._integers
+    return -((b - d * int(n)) // a)
 
 
 def torus_member(params: BeattyParams, n: int) -> bool:
-    """Exact membership test for n >= 1 via the rotation criterion."""
+    """Exact membership test for n >= 1: 0 < x mod A <= D and the index
+    (x - x mod A)/A is >= 1, where x = D*(n + 1) - B."""
     if n < 1:
         raise PreconditionError("n must be >= 1", n=n)
-    if not membership_interval(params).contains(params.gamma_exact * n):
-        return False
-    return recovered_index(params, n) >= 1
+    a, b, d = params._integers
+    x = d * (int(n) + 1) - b
+    r = x % a
+    return 0 < r <= d and x - r >= a
 
 
 def beatty_enumerate(params: BeattyParams, lo: int, hi: int) -> list[int]:
-    """All members of B(alpha, beta) in [lo, hi), ascending, by stepping the index m."""
-    if hi <= lo:
-        return []
-    a, b = params.alpha_exact, params.beta_exact
-    m = max(1, int(math.floor((lo - b) / a)))
-    out = []
-    while True:
-        val = int(math.floor(a * m + b))
-        if val >= hi:
-            break
-        if val >= lo:
-            out.append(val)
-        m += 1
-    return out
+    """All members of B(alpha, beta) in [lo, hi), ascending: (A*m + B)//D
+    for the indices m >= 1 with D*lo <= A*m + B < D*hi."""
+    a, b, d = params._integers
+    m_lo = max(1, -((b - d * int(lo)) // a))
+    m_hi = -((b - d * int(hi)) // a)
+    return [(a * m + b) // d for m in range(m_lo, m_hi)]
 
 
 def shift_intersection(interval: TorusInterval, params: BeattyParams, h: int,

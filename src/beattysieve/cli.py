@@ -274,7 +274,7 @@ def cmd_sieve_s1s2(ns):
     ctx = maynard.build_context(_int(ns.k), n, _float(ns.theta),
                                 _float(ns.eps), **overrides)
     family = maynard.weights(ctx, offsets)
-    a_set = [m for m in beatty.beatty_enumerate(params, n, 2 * n)]
+    a_set = beatty.beatty_enumerate(params, n, 2 * n)
     s1 = maynard.s1_window_float(family, set(a_set), n, 2 * n)
     y_scalar = float(params.gamma_exact * n)
     pred = maynard.main_terms(ctx, y_scalar, observed_s1=s1)

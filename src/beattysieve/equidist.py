@@ -47,6 +47,12 @@ from .errors import BudgetError, PreconditionError
 # points dominate.  So the budget is about a minute of work.
 HARNESS_POINT_BUDGET = 10**7
 
+# Rows liouville_demo may return, estimated as q_cap (q_cap + 1) / 2 (one
+# per reduced class of every q <= q_cap; the true count is about 0.3 q_cap^2).
+# Measured at about 20 us per row with its printing: q_cap = 400 at N = 100
+# is 48 678 rows in 1.0 s.  So the budget is about ten seconds of rows.
+DEMO_ROW_BUDGET = 10**6
+
 
 @dataclass(frozen=True)
 class ErrorRow:
@@ -312,7 +318,12 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5,
     m) for m <= 2N stays within 1/(4r) of a multiple of 1/r, so the open
     arc (1/(4r), 3/(4r)) holds no points at all.  The arc has length
     1/(2r), hence E(N, 2N, gamma, q, a) >= N / (2 r phi(q)) for every
-    progression, i.e. E^2 >= N^2 / (4 r^2 phi(q)).
+    progression, i.e. E^2 >= N^2 / (4 r^2 phi(q)^2) (bound_e2), and summed
+    over the phi(q) classes of each q <= q_cap, sum E^2 >= sum_q N^2 /
+    (4 r^2 phi(q)) (sum_bound).
+
+    A run whose sweep exceeds HARNESS_POINT_BUDGET point-visits, or whose
+    rows exceed DEMO_ROW_BUDGET, is refused with BudgetError first.
     """
     if math.gcd(u, r) != 1:
         raise PreconditionError("u and r must be coprime", u=u, r=r)
@@ -322,6 +333,12 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5,
     if not 0 < delta <= Fraction(1, 8 * r * n):
         raise PreconditionError("delta must lie in (0, 1/(8rN)]",
                                 delta=float(delta))
+    _check_sweep_budget([(n, q_cap)])
+    row_estimate = q_cap * (q_cap + 1) // 2
+    if row_estimate > DEMO_ROW_BUDGET:
+        raise BudgetError(f"q_cap = {q_cap} gives about {row_estimate} rows, "
+                          f"over the budget of {DEMO_ROW_BUDGET}",
+                          estimate=row_estimate)
     gamma = Fraction(u, r) + delta
     lo, hi = Fraction(1, 4 * r), Fraction(3, 4 * r)
     in_arc = sum(1 for m in range(1, 2 * n + 1) if lo < (gamma * m) % 1 < hi)
@@ -333,15 +350,14 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5,
     all_hold = True
     for q in range(1, q_cap + 1):
         phi = arith.euler_phi(q)
-        bound = Fraction(n * n, 4 * r * r * phi)
+        bound = Fraction(n * n, 4 * r * r * phi * phi)
         for a, row in sorted(_rows_for_modulus(d, points, n, q).items()):
             holds = row.e * row.e >= bound
             all_hold = all_hold and holds
             total += row.e * row.e
             rows.append({"q": q, "a": a, "e": float(row.e),
                          "bound_e2": float(bound), "holds": holds})
-    for q in range(1, q_cap + 1):
-        bound_total += Fraction(n * n, 4 * r * r * arith.euler_phi(q))
+            bound_total += bound
     return {"gamma": gamma, "delta": delta, "arc": (lo, hi),
             "points_in_arc": in_arc, "rows": rows,
             "sum_e2": float(total), "sum_bound": float(bound_total),
@@ -354,6 +370,16 @@ def _class_counts(values, q: int) -> list[int]:
     for v in values:
         counts[v % q] += 1
     return counts
+
+
+def _arc_hits(arc: beatty.TorusInterval, gamma: Fraction, ns) -> list[int]:
+    """The n of ns with frac(gamma n) in the arc (left, left + length], one
+    integer test per n over den = lcm of the arc's and gamma's denominators."""
+    den = math.lcm(arc.left.denominator, arc.length.denominator, gamma.denominator)
+    g = gamma.numerator * (den // gamma.denominator)
+    left = arc.left.numerator * (den // arc.left.denominator)
+    length = arc.length.numerator * (den // arc.length.denominator)
+    return [n for n in ns if 0 < (g * n - left) % den <= length]
 
 
 def regcond_report(a_sets: dict, offsets, config: HarnessConfig) -> list[dict]:
@@ -410,8 +436,8 @@ def regcond_report(a_sets: dict, offsets, config: HarnessConfig) -> list[dict]:
         for m_idx, (h, arc) in enumerate(zip(offsets, arcs)):
             kept = [p for p in members
                     if p >= n_lo + h and p - h in member_set and p in primes]
-            via_arc = [p for p in range(n_lo + h, n_hi)
-                       if p in primes and arc.contains((gamma * p) % 1)]
+            via_arc = _arc_hits(arc, gamma,
+                                [p for p in range(n_lo + h, n_hi) if p in primes])
             arc_match[m_idx] = via_arc == kept
             y_gm = float(arc.length) * quad
             total = 0.0

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beattysieve.beatty import (BeattyParams, TorusInterval, _to_fraction,
                                 beatty_enumerate, membership_interval,
                                 pigeonhole_shift, recovered_index,
                                 shift_intersection, sqrt_fraction,
                                 torus_member)
+from beattysieve.equidist import _arc_hits
 from beattysieve.errors import PreconditionError
 
 
@@ -54,6 +56,11 @@ def test_member_and_recovered_index(sqrt2):
     assert recovered_index(sqrt2, 4) == 3
     with pytest.raises(PreconditionError):
         torus_member(sqrt2, 0)
+    # numpy integers (as a factor table returns them) meet the 40-digit
+    # denominator as Python ints, not as int64
+    assert torus_member(sqrt2, np.int64(1000003))
+    assert recovered_index(sqrt2, np.int64(1000003)) == 707109
+    assert beatty_enumerate(sqrt2, np.int64(99), np.int64(102)) == [100, 101]
 
 
 def test_recovered_index_inverts_the_floor(sqrt2, golden):
@@ -135,3 +142,86 @@ def test_to_fraction_is_exact_for_every_input_kind():
     assert _to_fraction(np.int64(big)) * 2 == 2 * big   # no int64 wraparound
     assert _to_fraction(0.1) == Fraction(3602879701896397, 2**55)
     assert _to_fraction(np.float32(0.5)) == Fraction(1, 2)
+
+
+def _fraction_enumerate(params, lo, hi):
+    """Members of [lo, hi) by stepping m and flooring alpha*m + beta in
+    Fraction arithmetic: the reference for the integer comprehension."""
+    if hi <= lo:
+        return []
+    a, b = params.alpha_exact, params.beta_exact
+    m = max(1, int(math.floor((lo - b) / a)))
+    out = []
+    while True:
+        val = int(math.floor(a * m + b))
+        if val >= hi:
+            break
+        if val >= lo:
+            out.append(val)
+        m += 1
+    return out
+
+
+def _fraction_index(params, n):
+    return int(math.ceil(params.gamma_exact * (n - params.beta_exact)))
+
+
+def _fraction_member(params, n):
+    """The rotation criterion in Fraction arithmetic: gamma*n mod 1 in the
+    arc (gamma*beta - gamma, gamma*beta] and a recovered index >= 1."""
+    g = params.gamma_exact
+    left = (g * params.beta_exact - g) % 1
+    return 0 < (g * n - left) % 1 <= g and _fraction_index(params, n) >= 1
+
+
+def _alpha_beta(alpha, beta_num, beta_den):
+    """(alpha, beta) with beta = beta_num/beta_den reduced into [0, floor(alpha)),
+    so beta keeps its own denominator."""
+    return BeattyParams(alpha, Fraction(beta_num % (beta_den * math.floor(alpha)),
+                                        beta_den))
+
+
+# rational alpha > 1 with a denominator unrelated to beta's, near-integer
+# alpha (k + 10^-j, k - 10^-j) and 40-digit surds
+ALPHAS = st.one_of(
+    st.builds(lambda den, num: Fraction(den + 1 + num, den),
+              st.integers(1, 10**9), st.integers(0, 4 * 10**9)),
+    st.builds(lambda k, j, sign: k + sign * Fraction(1, 10**j),
+              st.integers(2, 6), st.integers(1, 15), st.sampled_from((1, -1))),
+    st.builds(lambda k, c: (k + sqrt_fraction(k * k + 1)) / c,
+              st.integers(1, 30), st.integers(1, 2)))
+BETA_DENS = st.one_of(st.just(1), st.integers(2, 10**9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=ALPHAS, beta_num=st.integers(0, 10**12), beta_den=BETA_DENS,
+       lo=st.one_of(st.integers(-3, 3), st.integers(4, 10**12)),
+       width=st.one_of(st.integers(-3, 1), st.integers(2, 200)))
+def test_integer_kernels_match_the_fraction_definitions(alpha, beta_num,
+                                                        beta_den, lo, width):
+    params = _alpha_beta(alpha, beta_num, beta_den)
+    hi = lo + width
+    assert beatty_enumerate(params, lo, hi) == _fraction_enumerate(params, lo, hi)
+    for n in range(max(1, lo), max(1, lo) + max(width, 1) + 2):
+        assert torus_member(params, n) == _fraction_member(params, n)
+        assert recovered_index(params, n) == _fraction_index(params, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=ALPHAS, beta_num=st.integers(0, 10**12), beta_den=BETA_DENS,
+       shift=st.integers(0, 3), left=st.fractions(0, 1, max_denominator=10**6),
+       length=st.fractions(0, 1, max_denominator=10**6),
+       ns=st.lists(st.integers(1, 10**9), max_size=60))
+def test_integer_arc_route_matches_torus_interval(alpha, beta_num, beta_den,
+                                                  shift, left, length, ns):
+    # the membership arc of a Beatty pair, and arbitrary rational arcs
+    params = _alpha_beta(alpha, beta_num, beta_den)
+    gamma = params.gamma_exact
+    arcs = [membership_interval(params)]
+    if 0 < length < 1:
+        arcs.append(TorusInterval(left % 1, length))
+    if shift:
+        arcs.append(TorusInterval(arcs[0].left, arcs[0].length * Fraction(shift, 4)))
+    for arc in arcs:
+        assert _arc_hits(arc, gamma, ns) == [n for n in ns
+                                             if arc.contains((gamma * n) % 1)]

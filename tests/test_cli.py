@@ -1,4 +1,5 @@
 """End-to-end command checks: payloads, exit codes, config and output files."""
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -10,6 +11,8 @@ import scipy.linalg
 from beattysieve import arith, cli, equidist, variational
 
 SQRT2 = repr(math.sqrt(2))
+SQRT3 = repr(math.sqrt(3))
+SQRT5 = repr(math.sqrt(5))
 INV_SQRT2 = repr(1 / math.sqrt(2))
 
 
@@ -206,6 +209,17 @@ def test_bdh_demo_config_file(tmp_path, capsys):
     assert payload["sum_bound"] == pytest.approx(81.25)
 
 
+def test_bdh_demo_refuses_a_huge_qcap(capsys, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("window swept before the budget check")
+
+    monkeypatch.setattr(equidist, "_window_points", no_sweep)
+    rc, out, err = run(["equidist", "bdh", "--demo", "true",
+                        "--qcap-demo", "1000000"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("budget: the arc sweep needs about")
+
+
 def test_output_file_and_manifest(tmp_path, capsys):
     out = tmp_path / "mk.json"
     rc, stdout, _ = run(["mk", "bound", "--k", "2", "--degree", "1",
@@ -384,3 +398,96 @@ def test_find_square_window(capsys):
     assert payload["primes"] == [1697, 1699]
     assert payload["bound_ok"] and payload["path"] == "window"
     assert "r = 41" in payload["note"]
+
+
+# Reference commands and the payloads they printed (exit 0) under the
+# Fraction Beatty kernel; the integer kernel must reproduce them exactly.
+REFERENCE_PAYLOADS = {
+    "enumerate-sqrt2": (
+        ["beatty", "enumerate", "--alpha", SQRT2, "--lo", "1000000",
+         "--hi", "1000030"],
+        {"alpha": 1.4142135623730951, "beta": 0.0, "count": 21, "hi": 1000030,
+         "lo": 1000000,
+         "members": [1000000, 1000001, 1000003, 1000004, 1000005, 1000007,
+                     1000008, 1000010, 1000011, 1000013, 1000014, 1000015,
+                     1000017, 1000018, 1000020, 1000021, 1000022, 1000024,
+                     1000025, 1000027, 1000028]}),
+    "enumerate-sqrt5": (
+        ["beatty", "enumerate", "--alpha", SQRT5, "--lo", "1000000",
+         "--hi", "1000030"],
+        {"alpha": 2.23606797749979, "beta": 0.0, "count": 14, "hi": 1000030,
+         "lo": 1000000,
+         "members": [1000000, 1000003, 1000005, 1000007, 1000009, 1000012,
+                     1000014, 1000016, 1000018, 1000021, 1000023, 1000025,
+                     1000027, 1000029]}),
+    "enumerate-sqrt3-beta": (
+        ["beatty", "enumerate", "--alpha", SQRT3, "--beta", "1/3", "--lo", "0",
+         "--hi", "30"],
+        {"alpha": 1.7320508075688772, "beta": 0.3333333333333333, "count": 17,
+         "hi": 30, "lo": 0,
+         "members": [2, 3, 5, 7, 8, 10, 12, 14, 15, 17, 19, 21, 22, 24, 26, 28,
+                     29]}),
+    "member-sqrt2-out": (
+        ["beatty", "member", "--alpha", SQRT2, "--n", "1000002"],
+        {"alpha": 1.4142135623730951, "member": False, "n": 1000002}),
+    "member-sqrt2-in": (
+        ["beatty", "member", "--alpha", SQRT2, "--n", "1000003"],
+        {"alpha": 1.4142135623730951, "index": 707109, "member": True,
+         "n": 1000003}),
+    "member-sqrt5-out": (
+        ["beatty", "member", "--alpha", SQRT5, "--n", "1000002"],
+        {"alpha": 2.23606797749979, "member": False, "n": 1000002}),
+    "member-sqrt5-in": (
+        ["beatty", "member", "--alpha", SQRT5, "--n", "1000003"],
+        {"alpha": 2.23606797749979, "index": 447215, "member": True,
+         "n": 1000003}),
+    "member-sqrt3-beta-1": (
+        ["beatty", "member", "--alpha", SQRT3, "--beta", "1/3", "--n", "1"],
+        {"alpha": 1.7320508075688772, "member": False, "n": 1}),
+    "member-sqrt3-beta-29": (
+        ["beatty", "member", "--alpha", SQRT3, "--beta", "1/3", "--n", "29"],
+        {"alpha": 1.7320508075688772, "index": 17, "member": True, "n": 29}),
+    "member-sqrt3-beta-30": (
+        ["beatty", "member", "--alpha", SQRT3, "--beta", "1/3", "--n", "30"],
+        {"alpha": 1.7320508075688772, "member": False, "n": 30}),
+    "sieve-s1s2": (
+        ["sieve", "s1s2", "--alpha", SQRT2],
+        {"a_size": 707107, "alpha": 1.4142135623730951, "beta": 0.0,
+         "i_value": 0.5, "k": 2, "n": 1000000, "offsets": [0, 2],
+         "ratio_s1": 1.2654656388001642, "s1_observed": 2562957.5613211114,
+         "s1_predicted": 2025307.904646979, "theta": 0.99}),
+    "report-regcond-trend": (
+        ["report", "regcond-trend"],
+        {"eps": 0.05, "flags": {"regcond_trend_down": True}, "k": 2,
+         "offsets": [0, 7], "theta": 0.25,
+         "rows": [{"arc_route_matches": {"0": True, "1": True},
+                   "lhs12": 491.12864706127584,
+                   "lhs15": {"0": 4384.943398930697, "1": 5123.958716063583},
+                   "n": 100000, "norm12": 1.0402576910761925,
+                   "norm15": {"0": 9.28773168286053, "1": 10.853037172716592},
+                   "q_top": 17, "y": 70710.67811865476},
+                  {"arc_route_matches": {"0": True, "1": True},
+                   "lhs12": 1134.6361874076574,
+                   "lhs15": {"0": 12270.80901472897, "1": 11733.919865084083},
+                   "n": 400000, "norm12": 0.7585194076959908,
+                   "norm15": {"0": 8.203199306615053, "1": 7.8442817572660575},
+                   "q_top": 25, "y": 282842.71247461904}]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_PAYLOADS))
+def test_reference_commands_keep_their_payloads(name, capsys):
+    argv, expected = REFERENCE_PAYLOADS[name]
+    rc, payload, _ = jrun(argv, capsys)
+    assert rc == 0
+    assert payload == expected
+
+
+def test_reference_enumeration_is_byte_identical(capsys):
+    # the 707 107 members of [10^6, 2*10^6) for alpha = sqrt(2), as printed
+    # by the Fraction kernel
+    rc, out, _ = run(["beatty", "enumerate", "--alpha", SQRT2, "--lo", "1000000",
+                      "--hi", "2000000"], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "39cec7a2009cd7f6c98cf6232abfc5343cc638cc2ef4407f6bdee26e358d2c70")

@@ -111,17 +111,43 @@ def test_liouville_demo_avoidance_bound(table):
     assert out["all_progressions_hold"]
     assert out["aggregate_holds"]
     assert len(out["rows"]) == 10   # sum of phi(q) for q <= 5
+    # summed over the phi(q) classes of each q <= 5: sum_q 25 / phi(q)
     assert out["sum_bound"] == pytest.approx(81.25)
     assert out["sum_e2"] == pytest.approx(10129.07, rel=1e-3)
     for row in out["rows"]:
         assert row["holds"]
         assert row["e"] ** 2 + 1e-12 >= row["bound_e2"]
-        # bound is N^2 / (4 r^2 phi(q)) = 25 / phi(q) at the defaults
-        assert row["bound_e2"] == pytest.approx(25.0 / euler_phi(row["q"]))
+        # bound is N^2 / (4 r^2 phi(q)^2) = 25 / phi(q)^2 at the defaults
+        assert row["bound_e2"] == pytest.approx(25.0 / euler_phi(row["q"]) ** 2)
     with pytest.raises(PreconditionError):
         liouville_demo(u=2)
     with pytest.raises(PreconditionError):
         liouville_demo(delta=Fraction(1, 2))
+
+
+def test_liouville_demo_bound_holds_when_phi_exceeds_4r2(table):
+    # r = 1: at q = 5 the class a = 1 has e^2 = 602.4, below N^2 / (4 phi(q))
+    # = 625 but above the bound the argument proves, N^2 / (4 phi(q)^2)
+    out = liouville_demo(r=1, u=1, n=100, q_cap=5, table=table)
+    row = next(row for row in out["rows"] if (row["q"], row["a"]) == (5, 1))
+    assert row["e"] ** 2 == pytest.approx(602.4, rel=1e-4)
+    assert row["bound_e2"] == 156.25
+    assert out["all_progressions_hold"] and out["aggregate_holds"]
+    assert out["sum_bound"] == 8125.0
+
+
+def test_liouville_demo_refuses_before_any_sweep(table, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("window swept before the budget check")
+
+    monkeypatch.setattr(equidist, "_window_points", no_sweep)
+    with pytest.raises(BudgetError) as refused:
+        liouville_demo(q_cap=10**6, table=table)
+    assert refused.value.estimate > equidist.HARNESS_POINT_BUDGET
+    # few point-visits, but more rows than the demo budget allows
+    with pytest.raises(BudgetError) as refused:
+        liouville_demo(q_cap=1500, table=table)
+    assert refused.value.estimate == 1500 * 1501 // 2 > equidist.DEMO_ROW_BUDGET
 
 
 def test_regcond_report(sqrt2):
