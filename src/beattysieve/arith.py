@@ -42,6 +42,10 @@ class FactorTable:
     def is_prime(self, n: int) -> bool:
         return n >= 2 and int(self.spf[n]) == n
 
+    def prime_mask(self, ns: np.ndarray) -> np.ndarray:
+        """Boolean array: is_prime(n) for each n of an int64 array."""
+        return (ns >= 2) & (self.spf[ns] == ns)
+
     def factor(self, n: int) -> list[tuple[int, int]]:
         """Prime factorization [(p, e), ...] with p ascending."""
         if not 1 <= n <= self.limit:

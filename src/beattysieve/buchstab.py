@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,8 +118,13 @@ def _int_root(n: int, k: int) -> int:
     return r
 
 
+@lru_cache(maxsize=16)
 def _chain_cutoffs(two_n: int) -> tuple[int, int]:
-    """(z1, z2max): smallest integer with z^7 >= 2N, largest with z^2 < 2N."""
+    """(z1, z2max): smallest integer with z^7 >= 2N, largest with z^2 < 2N.
+
+    Cached: every n of a window, and every prime pair tested, asks for the
+    same 2N.
+    """
     z1 = _int_root(two_n - 1, 7) + 1
     return z1, math.isqrt(two_n - 1)
 

@@ -534,7 +534,8 @@ def cmd_find(ns):
 
     # windowed fallback: minimal-diameter group of Beatty primes
     members = beatty.beatty_enumerate(params, lo, hi)
-    bprimes = [p for p in members if p >= 2 and table.is_prime(p)]
+    arr = np.array(members, dtype=np.int64)
+    bprimes = arr[table.prime_mask(arr)].tolist()
     scan["beatty_members"] = len(members)
     scan["beatty_primes"] = len(bprimes)
     if result is None:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from beattysieve.chars import (bilinear_S, bilinear_report, char_table,
+from beattysieve.chars import (BILINEAR_OP_BUDGET, CharTable, bilinear_S,
+                               bilinear_report, char_table,
                                divisor_concentration, gauss_sum,
                                primitive_count_formula, split_partition_check)
 from beattysieve.errors import BudgetError, PreconditionError
@@ -88,6 +89,61 @@ def test_bilinear_routes_agree():
     assert direct == pytest.approx(33.882547, rel=1e-5)
     type1 = bilinear_type1(3, gamma, ones, 8, 16, 64, 128)
     assert type1 == pytest.approx(direct, rel=1e-9)
+
+
+def bilinear_per_character(q_lo, gamma, a_coeffs, b_coeffs, n_lo, n_hi):
+    """Oracle for bilinear_S: the pairs binned by residue in a Python loop,
+    then one dense product per character, each value taken from chi(j)."""
+    pairs = [(m * k, am * bk * cmath.exp(2j * cmath.pi * gamma * m * k))
+             for m, am in a_coeffs.items() for k, bk in b_coeffs.items()
+             if am != 0 and bk != 0 and n_lo <= m * k < n_hi]
+    total = 0.0
+    for q in range(q_lo, 2 * q_lo):
+        by_residue = np.zeros(q, dtype=complex)
+        for n, w in pairs:
+            by_residue[n % q] += w
+        for chi in char_table(q).characters:
+            values = np.array([chi(j) for j in range(q)])
+            total += abs(complex(values @ by_residue))
+    return total
+
+
+# q0 = 1 and 2 reach q = 1, 2 (no cyclic factor); 4, 8, 16, 32 reach 4 and
+# 8k, whose 2-part splits as {+-1} x <5>; 9 and 25 reach the odd prime
+# powers 9, 11, 13, 25, 27, 29, 49; every window has mixed composites.
+@pytest.mark.parametrize("q0", [1, 2, 4, 8, 9, 16, 25, 32])
+def test_bilinear_matches_the_per_character_oracle(q0):
+    rng = np.random.default_rng(q0)
+    def coeffs(lo, hi):
+        out = {m: complex(*rng.normal(size=2)) for m in range(lo, hi)}
+        for m in rng.choice(list(out), size=len(out) // 4, replace=False):
+            out[int(m)] = 0
+        return out
+    a, b = coeffs(10, 20), coeffs(7, 14)
+    gamma = (math.sqrt(5) - 1) / 2
+    got = bilinear_S(q0, gamma, a, b, 80, 250)
+    assert got == pytest.approx(
+        bilinear_per_character(q0, gamma, a, b, 80, 250), rel=1e-12)
+
+
+def test_unit_dlog_matrix_matches_the_per_unit_oracle():
+    for q in range(1, 401):
+        table = CharTable(q)
+        js, rows = table.unit_dlog_matrix()
+        units = [j for j in range(q) if math.gcd(j, q) == 1]
+        expect = np.array([table.unit_dlog(j) for j in units], dtype=np.int64)
+        assert js.dtype == np.int64 and rows.dtype == np.int64
+        assert js.tolist() == units
+        assert rows.shape == (len(units), len(table.cyc_orders))
+        assert np.array_equal(rows, expect.reshape(rows.shape))
+
+
+def test_bilinear_budget_refuses_before_any_table():
+    misses = char_table.cache_info().misses
+    with pytest.raises(BudgetError) as err:
+        bilinear_S(3000, 0.5, {1: 1}, {1: 1}, 1, 2)
+    assert err.value.estimate > BILINEAR_OP_BUDGET
+    assert char_table.cache_info().misses == misses
 
 
 def test_bilinear_report_fields():

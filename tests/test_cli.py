@@ -380,9 +380,9 @@ def test_find_small_windows(capsys):
 
 @pytest.mark.filterwarnings("ignore:denominator form is singular")
 def test_find_certificate_does_not_trust_the_factor_table(monkeypatch, capsys):
-    real_is_prime = arith.FactorTable.is_prime
-    monkeypatch.setattr(arith.FactorTable, "is_prime",
-                        lambda self, n: n == 4 or real_is_prime(self, n))
+    real_prime_mask = arith.FactorTable.prime_mask
+    monkeypatch.setattr(arith.FactorTable, "prime_mask",
+                        lambda self, ns: (ns == 4) | real_prime_mask(self, ns))
     rc, payload, _ = jrun(["find", "--t", "2", "--lo", "2", "--hi", "30"],
                           capsys)
     assert rc == 1
