@@ -114,11 +114,6 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def omega(n: int) -> int:
-    """Number of distinct prime factors."""
-    return len(factorize(n))
-
-
 def tau_k(n: int, k: int) -> int:
     """k-fold divisor function: number of ordered factorizations into k parts."""
     if k < 1:
@@ -127,45 +122,3 @@ def tau_k(n: int, k: int) -> int:
     for _, e in factorize(n):
         out *= math.comb(e + k - 1, k - 1)
     return out
-
-
-def mangoldt(n: int) -> float:
-    """log p if n is a prime power p^j, else 0."""
-    if n < 2:
-        return 0.0
-    fac = factorize(n)
-    if len(fac) == 1:
-        return math.log(fac[0][0])
-    return 0.0
-
-
-def rough_psi(n: int, z) -> int:
-    """1 if n has no prime factor < z, else 0.  rough_psi(1, z) = 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for p, _ in factorize(n):
-        if p < z:
-            return 0
-    return 1
-
-
-def squarefree_multiplicative_values(limit: int, g_of_prime) -> np.ndarray:
-    """Array v with v[n] = prod_{p | n} g(p) for squarefree n, 0 for non-squarefree.
-
-    v[0] = 0, v[1] = 1.  Linear pass over a smallest-prime-factor table.
-    """
-    table = FactorTable(limit)
-    spf = table.spf
-    v = np.zeros(limit + 1, dtype=np.float64)
-    if limit >= 1:
-        v[1] = 1.0
-    gp = {}
-    for n in range(2, limit + 1):
-        p = int(spf[n])
-        m = n // p
-        if m % p == 0:
-            continue  # not squarefree
-        if p not in gp:
-            gp[p] = float(g_of_prime(p))
-        v[n] = v[m] * gp[p]
-    return v

@@ -123,14 +123,6 @@ class TorusInterval:
         if not 0 < self.length < 1:
             raise PreconditionError("arc length must lie in (0, 1)", length=float(self.length))
 
-    def contains(self, x) -> bool:
-        d = (x - self.left) % 1
-        return 0 < d <= self.length
-
-    @property
-    def right(self):
-        return (self.left + self.length) % 1
-
 
 def membership_interval(params: BeattyParams) -> TorusInterval:
     """Arc I with: n in B(alpha, beta) iff gamma*n mod 1 in I (index check aside)."""

@@ -11,12 +11,10 @@ Everything on the integer side is decided by exact power comparisons
 (p^7 vs 2N, products vs powers of 2N), never by floating logs, and every
 factorization is a lookup in a FactorTable that reaches the window.  The
 five chain counts rho_1..rho_5 and the D-indexed sum obey an exact
-counting identity on every n, which decomposition_check verifies.
-
-Region membership is exact too: classify decides the cone, the good
-windows and D on Fractions (a float input stands for its binary value),
-and triangle_contains tests the two covering triangles TRIANGLE_SHALLOW
-and TRIANGLE_STEEP by barycentric signs.
+counting identity on every n, which decomposition_check verifies.  The
+tests hold the exact classifier of exponent tuples on Fractions (cone, good
+windows, D) as the oracle for good_prime_pair and pair_in_d, and check
+there that the two triangles below cover D.
 
 The continuous side integrates omega((1 - a1 - a2)/a2) / (a1 * a2^2) over D,
 where omega is Buchstab's function.  D decomposes (up to measure zero) into
@@ -36,67 +34,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import arith
 from .errors import BudgetError, CapacityError, PreconditionError
-
-GOOD_WINDOWS = ((Fraction(2, 7), Fraction(3, 7)), (Fraction(4, 7), Fraction(5, 7)))
-
-# Triangles covering the bad region D, as (alpha1, alpha2) vertices.
-# The shallow one has alpha1 <= 2/7, the steep one alpha1 >= 3/7.
-TRIANGLE_SHALLOW = ((Fraction(5, 21), Fraction(5, 21)),
-                    (Fraction(2, 7), Fraction(3, 14)),
-                    (Fraction(2, 7), Fraction(2, 7)))
-TRIANGLE_STEEP = ((Fraction(1, 2), Fraction(3, 14)),
-                  (Fraction(3, 7), Fraction(2, 7)),
-                  (Fraction(1, 2), Fraction(1, 4)))
-
-
-# ---------------------------------------------------------------------------
-# continuum side: exponent-tuple classification
-
-@dataclass(frozen=True)
-class ClassifyResult:
-    in_ej: bool
-    good: bool
-    witness: tuple | None  # indices of a good subsum, if any
-    in_d: bool
-
-
-def classify(alphas) -> ClassifyResult:
-    """Cone membership, good-subsum search, and bad-region test.
-
-    Input must be sorted non-increasing (at most 4 entries).  Every entry
-    is converted with Fraction and decided exactly, so a float stands for
-    its binary value: the float nearest 2/7 lies below 2/7.
-    """
-    vals = [Fraction(x) for x in alphas]
-    if not 1 <= len(vals) <= 4:
-        raise PreconditionError("need 1 to 4 exponents", count=len(vals))
-    if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-        raise PreconditionError("exponents must be sorted non-increasing",
-                                alphas=tuple(float(x) for x in vals))
-
-    j = len(vals)
-    in_ej = (Fraction(1, 7) <= vals[-1] and vals[0] <= Fraction(1, 2)
-             and all(vals[i] > vals[i + 1] for i in range(j - 1))
-             and sum(vals[:-1]) + 2 * vals[-1] <= 1)
-
-    witness = None
-    for mask in range(1, 1 << j):
-        subsum = sum(vals[i] for i in range(j) if mask >> i & 1)
-        if any(lo <= subsum <= hi for lo, hi in GOOD_WINDOWS):
-            witness = tuple(i for i in range(j) if mask >> i & 1)
-            break
-    good = witness is not None
-
-    in_d = (j == 2 and in_ej and not good
-            and vals[0] + 2 * vals[1] > Fraction(5, 7))
-    return ClassifyResult(in_ej, good, witness, in_d)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +113,6 @@ class DecompositionTerms:
     def identity_holds(self) -> bool:
         return (self.x - self.d_sum
                 == self.rho1 + self.rho2 + self.rho3 - self.rho4 - self.rho5)
-
-    def rho(self, g: int) -> int:
-        """Chain count rho_g, g in 1..5."""
-        if g not in (1, 2, 3, 4, 5):
-            raise PreconditionError("g must be in 1..5", g=g)
-        return (self.rho1, self.rho2, self.rho3, self.rho4, self.rho5)[g - 1]
-
 
 def decomposition_terms(n: int, n_base: int,
                         table: arith.FactorTable) -> DecompositionTerms:
@@ -512,19 +448,3 @@ def region_integrals(order: int = 24, tol: float = 1e-7) -> dict:
         vals["b"] = float(1 - exact["integral_over_D"])
     vals["quadrature_error"] = spread
     return vals
-
-
-# ---------------------------------------------------------------------------
-# triangle containment (closed), for the covering triangles
-
-def triangle_contains(vertices, point) -> bool:
-    """Closed-triangle membership by exact barycentric signs.
-
-    Works exactly for rational inputs (floats are converted exactly)."""
-    (x1, y1), (x2, y2), (x3, y3) = [(Fraction(x), Fraction(y))
-                                    for x, y in vertices]
-    px, py = Fraction(point[0]), Fraction(point[1])
-    d1 = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
-    d2 = (x3 - x2) * (py - y2) - (y3 - y2) * (px - x2)
-    d3 = (x1 - x3) * (py - y3) - (y1 - y3) * (px - x3)
-    return (d1 >= 0 and d2 >= 0 and d3 >= 0) or (d1 <= 0 and d2 <= 0 and d3 <= 0)

@@ -11,8 +11,7 @@ logic exact.
 Conductors come from the per-factor index: an odd p^e component with index
 c != 0 contributes p^(e - min(v_p(c), e-1)); a 2^e component (e >= 3) with
 5-index c2 != 0 contributes 2^(e - v_2(c2)), else 4 when the sign index is
-set.  The primitive character inducing chi lives on the conductor and has
-the same indices divided down.
+set.
 
 Character sums are evaluated for a whole modulus at once: with the units
 laid out on the grid of cyclic-factor orders at their dlog coordinates, the
@@ -23,6 +22,7 @@ character at a time.  These sums are floats.
 """
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -39,6 +39,9 @@ TABLE_MODULUS_CAP = 10**6
 # so a run at the budget takes about 3 s there, as the per-character
 # evaluator it replaced did at its budget of 5 * 10**7 of its own operations.
 BILINEAR_OP_BUDGET = 10**8
+# divisor_concentration counts in an int64 table of n_hi entries: 160 MB and
+# about 0.2 s at the budget
+DIVISOR_TABLE_BUDGET = 2 * 10**7
 
 
 def _primitive_root(p: int) -> int:
@@ -173,17 +176,6 @@ class Character:
         return self.table.root_of_unity(t)
 
     @property
-    def is_principal(self) -> bool:
-        return all(c == 0 for c in self.components)
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for c, n in zip(self.components, self.table.cyc_orders):
-            out = math.lcm(out, n // math.gcd(c, n))
-        return out
-
-    @property
     def conductor(self) -> int:
         out = 1
         pos = 0
@@ -196,38 +188,6 @@ class Character:
     @property
     def is_primitive(self) -> bool:
         return self.conductor == self.q
-
-    def induced_primitive(self) -> "Character":
-        """The primitive character of modulus conductor(chi) inducing chi."""
-        f = self.conductor
-        target = char_table(f)
-        comps = []
-        pos = 0
-        for factor in self.table.factors:
-            width = len(factor.orders)
-            local = self.components[pos:pos + width]
-            pos += width
-            p, e = factor.p, factor.e
-            fe = 0
-            ff = f
-            while ff % p == 0:
-                ff //= p
-                fe += 1
-            if fe == 0:
-                continue
-            if p != 2:
-                comps.append(local[0] // p ** (e - fe))
-            elif fe == 2:
-                comps.append(local[0])
-            else:
-                comps.append(local[0])
-                comps.append(local[1] // 2 ** (e - fe))
-        index = 0
-        base = 1
-        for c, n in zip(comps, target.cyc_orders):
-            index += c * base
-            base *= n
-        return target.characters[index]
 
     def values(self) -> np.ndarray:
         """chi(j) for j in [0, q) as a complex array."""
@@ -372,6 +332,19 @@ def _window_products(gamma, a_coeffs: dict, b_coeffs: dict,
             np.array(ws, dtype=complex))
 
 
+def _pair_count(a_coeffs: dict, b_coeffs: dict, n_lo: int, n_hi: int) -> int:
+    """Number of pairs _window_products forms, without forming them: for
+    each nonzero a_m, the nonzero b keys k with ceil(n_lo/m) <= k <
+    ceil(n_hi/m), by bisection."""
+    ks = sorted(k for k, bk in b_coeffs.items() if bk != 0)
+    count = 0
+    for m, am in a_coeffs.items():
+        if am != 0:
+            count += max(0, bisect.bisect_left(ks, -(-n_hi // m))
+                         - bisect.bisect_left(ks, -(-n_lo // m)))
+    return count
+
+
 def _check_ranges(a_coeffs: dict, b_coeffs: dict):
     for name, coeffs in (("a", a_coeffs), ("b", b_coeffs)):
         if not coeffs:
@@ -396,20 +369,21 @@ def bilinear_S(q_lo: int, gamma, a_coeffs: dict, b_coeffs: dict,
     characters at once (entry c is the sum of the character with indices
     -c).  The work is about #pairs + q + phi(q) ceil(log2 phi(q)) per
     modulus; a request over BILINEAR_OP_BUDGET is refused with that
-    estimate before any character table is built.  The result is a float
-    sum: float weights, float FFT.
+    estimate before any pair is formed or character table built.  The
+    result is a float sum: float weights, float FFT.
     """
     if q_lo < 1:
         raise PreconditionError("Q must be >= 1", q=q_lo)
     _check_ranges(a_coeffs, b_coeffs)
-    ns, ws = _window_products(gamma, a_coeffs, b_coeffs, n_lo, n_hi)
+    pairs = _pair_count(a_coeffs, b_coeffs, n_lo, n_hi)
     cost = 0
     for q in range(q_lo, 2 * q_lo):
         phi = arith.euler_phi(q)
-        cost += len(ns) + q + phi * max(1, (phi - 1).bit_length())
+        cost += pairs + q + phi * max(1, (phi - 1).bit_length())
     if cost > BILINEAR_OP_BUDGET:
         raise BudgetError("bilinear sum too large for the FFT evaluator",
                           estimate=cost)
+    ns, ws = _window_products(gamma, a_coeffs, b_coeffs, n_lo, n_hi)
     total = 0.0
     for q in range(q_lo, 2 * q_lo):
         table = char_table(q)
@@ -425,9 +399,16 @@ def bilinear_S(q_lo: int, gamma, a_coeffs: dict, b_coeffs: dict,
 
 
 def divisor_concentration(q_lo: int, n_hi: int) -> int:
-    """max over n < n_hi of #{q in [Q, 2Q) : q | n} (the D of the bound)."""
+    """max over n < n_hi of #{q in [Q, 2Q) : q | n} (the D of the bound).
+
+    The counts live in a table of n_hi entries; an n_hi over
+    DIVISOR_TABLE_BUDGET is refused with that size before it is allocated.
+    """
     if n_hi <= 1:
         return 0
+    if n_hi > DIVISOR_TABLE_BUDGET:
+        raise BudgetError(f"divisor table of {n_hi} entries, over the budget "
+                          f"of {DIVISOR_TABLE_BUDGET}", estimate=n_hi)
     counts = np.zeros(n_hi, dtype=np.int64)
     for q in range(q_lo, 2 * q_lo):
         if q < n_hi:
@@ -463,12 +444,13 @@ def bilinear_report(q_lo: int, gamma, a_coeffs: dict, b_coeffs: dict,
 
     Ratios are recorded, never asserted.  When b is constantly 1 on its
     range the two specialized variants are reported too, with their
-    applicability conditions checked.
+    applicability conditions checked.  D is computed first, so a window
+    too long for its table is refused before the bilinear sum runs.
     """
+    d_val = divisor_concentration(q_lo, n_hi)
     lhs = bilinear_S(q_lo, gamma, a_coeffs, b_coeffs, n_lo, n_hi)
     a_norm = math.sqrt(sum(abs(v) ** 2 for v in a_coeffs.values()))
     b_norm = math.sqrt(sum(abs(v) ** 2 for v in b_coeffs.values()))
-    d_val = divisor_concentration(q_lo, n_hi)
     m_val = min(a_coeffs)
     k_val = min(b_coeffs)
     n_val = n_lo

@@ -14,9 +14,9 @@ with the resolved config and library versions.  Timings go to stderr
 only, so identical configs produce byte-identical files.  --format csv
 is accepted for row-shaped payloads (RFC-4180-style quoting).
 
-Exit codes: 0 success; 1 not found, a checked bound failed, or work
-refused (over a budget or cap, or no output exists for the input); 2 usage;
-3 I/O failure.
+Exit codes: 0 success; 1 not found, a checked bound or identity failed, or
+work refused (over a budget or cap, or no output exists for the input);
+2 usage; 3 I/O failure.
 """
 from __future__ import annotations
 
@@ -430,6 +430,23 @@ def cmd_report_regcond_trend(ns):
     return payload, 0 if payload["flags"]["regcond_trend_down"] else 1
 
 
+def cmd_report_lemmas(ns):
+    # the two exact identities over their whole stated ranges: the lcm
+    # identity behind the sieve weights on every pair of squarefree d, e,
+    # and the split of the characters mod q into primitive ones by counting
+    d_max, q_max = 200, 1000
+    squarefree = [d for d in range(1, d_max + 1) if arith.mobius(d)]
+    pairs = len(squarefree) ** 2
+    held = sum(maynard.lcm_identity_check(d, e)
+               for d in squarefree for e in squarefree)
+    rows = [{"lemma": "lcm_identity", "over": "squarefree pairs d, e",
+             "range": [1, d_max], "checked": pairs, "holds": held == pairs},
+            {"lemma": "split_partition", "over": "moduli q",
+             "range": [1, q_max], "checked": q_max,
+             "holds": chars.split_partition_check(q_max)}]
+    return {"rows": rows}, 0 if all(row["holds"] for row in rows) else 1
+
+
 # ---------------------------------------------------------------------------
 # constellation pipeline
 
@@ -734,6 +751,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", default="8")
     p.add_argument("--degree", default="3")
     action(g, "regcond-trend", cmd_report_regcond_trend)
+    action(g, "lemmas", cmd_report_lemmas)
 
     return parser
 

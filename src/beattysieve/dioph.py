@@ -1,4 +1,4 @@
-"""Continued fractions, best rational approximations, and spacing sums.
+"""Continued fractions and best rational approximations.
 
 Inputs may be floats (converted to their exact binary rational) or Fractions;
 pass a high precision Fraction when convergents with large denominators are
@@ -7,7 +7,6 @@ only while q stays well below 2^26.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,106 +98,3 @@ def approx_for_modulus(gamma, n: int) -> RationalApprox:
         raise ImpossibleInputError(
             f"convergent {chosen.numerator}/{chosen.denominator} misses the quality bound")
     return chosen
-
-
-def distance_to_integer(x: Fraction) -> Fraction:
-    f = x % 1
-    return min(f, 1 - f)
-
-
-def type_margin(gamma, r_max: int, exponent: int) -> tuple[float, int]:
-    """min over 1 <= r <= r_max of r^exponent * ||gamma r||, with the argmin."""
-    if r_max < 1:
-        raise PreconditionError("r_max must be >= 1", r_max=r_max)
-    g = _to_fraction(gamma)
-    best = None
-    best_r = None
-    for r in range(1, r_max + 1):
-        val = r**exponent * distance_to_integer(g * r)
-        if best is None or val < best:
-            best, best_r = val, r
-    return float(best), best_r
-
-
-@dataclass(frozen=True)
-class SpacingSum:
-    value: float
-    clamped: int  # how many terms hit the min(R, .) clamp
-    zero_spacings: int  # terms with ||m beta|| = 0, counted at R and flagged
-
-
-def spacing_sum(beta, m_start: int, m_count: int, cap) -> SpacingSum:
-    """sum_{m = m_start+1}^{m_start+m_count} min(cap, 1/||m beta||)."""
-    if m_count < 1 or m_start < 0:
-        raise PreconditionError("need m_start >= 0, m_count >= 1")
-    b = _to_fraction(beta)
-    total = 0.0
-    clamped = zero = 0
-    for m in range(m_start + 1, m_start + m_count + 1):
-        d = distance_to_integer(b * m)
-        if d == 0:
-            zero += 1
-            clamped += 1
-            total += float(cap)
-            continue
-        recip = 1 / float(d)
-        if recip >= cap:
-            clamped += 1
-            total += float(cap)
-        else:
-            total += recip
-    return SpacingSum(total, clamped, zero)
-
-
-def _approx_with_height(beta: Fraction, m_cap: int) -> tuple[int, int, float]:
-    """Convergent u/r with r <= m_cap, plus height H = max(1, r^2 |beta - u/r|)."""
-    seq = convergents(beta % 1, 64)
-    chosen = seq[0]
-    for approx in seq:
-        if 1 <= approx.denominator <= m_cap:
-            chosen = approx
-    u, r = chosen.numerator, chosen.denominator
-    height = max(1.0, float(chosen.quality * r * r))
-    return u, r, height
-
-
-def spacing_bound_report(beta, m_values, cap_values) -> list[dict]:
-    """Empirical ratios of spacing_sum against (H M / r + 1)(cap + r log 2r).
-
-    One row per (M, cap) pair; r and H come from the best convergent with
-    denominator <= M.  Ratios are recorded, not asserted.
-    """
-    b = _to_fraction(beta)
-    rows = []
-    for m_count in m_values:
-        u, r, height = _approx_with_height(b, m_count)
-        for cap in cap_values:
-            lhs = spacing_sum(b, 0, m_count, cap).value
-            rhs = (height * m_count / r + 1.0) * (cap + r * math.log(2 * r))
-            rows.append({"M": m_count, "cap": cap, "r": r, "H": height,
-                         "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs})
-    return rows
-
-
-def reciprocal_sum_report(beta, r: int | None = None, m_count: int | None = None) -> dict:
-    """Ratio of sum_{m <= M} 1/||m beta|| against r log 2r, M about r/2.
-
-    Requires M |beta - u/r| <= 1/(2r) so no term degenerates.
-    """
-    b = _to_fraction(beta)
-    if r is None:
-        u, r, _ = _approx_with_height(b, 10**6)
-    else:
-        u = round(float(b) * r)
-    if m_count is None:
-        m_count = max(1, r // 2)
-    if m_count * abs(b - Fraction(u, r)) > Fraction(1, 2 * r):
-        raise PreconditionError("M |beta - u/r| exceeds 1/(2r)", r=r, m=m_count)
-    total = 0.0
-    for m in range(1, m_count + 1):
-        d = distance_to_integer(b * m)
-        if d == 0:
-            raise PreconditionError("zero spacing inside the guarded range", m=m)
-        total += 1 / float(d)
-    rhs = r * math.log(2 * r)
-    return {"M": m_count, "r": r, "lhs": total, "rhs": rhs, "ratio": total / rhs}

@@ -10,12 +10,12 @@ On that support, y_r samples the simplex profile F at (log r_i / log R) and
     lambda_d = prod mu(d_i) d_i * sum_{d_i | r_i} y_r / prod phi(r_i),
 
 with the exact inverse  y_r = prod mu(r_i) phi(r_i) * sum_{r_i | d_i}
-lambda_d / prod d_i.  Both maps, and the second-layer weights y_m, are one
-transform: a sum over component-wise multiples in the support.  The support
-is closed under component-wise divisors (squarefreeness, coprimality to W1,
-pairwise coprimality and the product bound all pass to divisors), so each
-value is pushed onto the divisor tuples of its index, sum_r prod tau(r_i)
-steps instead of |support|^2.  The per-integer weight is the gated square
+lambda_d / prod d_i.  Both maps are one transform: a sum over component-wise
+multiples in the support.  The support is closed under component-wise
+divisors (squarefreeness, coprimality to W1, pairwise coprimality and the
+product bound all pass to divisors), so each value is pushed onto the
+divisor tuples of its index, sum_r prod tau(r_i) steps instead of
+|support|^2.  The per-integer weight is the gated square
 
     w(n) = (sum_{d : d_i | n + h_i for all i} lambda_d)^2   if n = nu0 mod W2.
 
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.integrate
 
 from . import arith, tuples
 from .errors import CapacityError, PreconditionError
@@ -40,8 +39,6 @@ from .variational import SimplexPolynomial
 
 W_PRODUCT_CAP = 10**12
 SUPPORT_CAP = 200_000
-# primes p <= GGPY_EULER_CAP in the Euler product of ggpy_compare
-GGPY_EULER_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -417,87 +414,21 @@ def s1_window_float(family: WeightFamily, a_set, n_lo: int, n_hi: int) -> float:
     return float(np.sum(inner[keep] ** 2))
 
 
-def main_terms(ctx: SieveContext, y_scalar, y_gm: dict | None = None,
-               observed_s1=None, observed_s2: dict | None = None) -> dict:
-    """Predicted window sums from the profile's simplex integrals.
+def main_terms(ctx: SieveContext, y_scalar, observed_s1=None) -> dict:
+    """Predicted S1 from the profile's simplex integral,
 
-    S1 ~ phi(W1)^k Y (log R)^k I / (q0 W1^k W2) and, per (g, m),
-    S2 ~ phi(W1)^(k+1) Y_gm (log R)^(k+1) J_m / (phi(q0) phi(W2) W1^(k+1)).
-    The profile is symmetric, so J_m is one marginal integral for every m.
-    Ratios against observed values are attached when those are supplied."""
+    S1 ~ phi(W1)^k Y (log R)^k I / (q0 W1^k W2),
+
+    with its ratio against an observed value when one is supplied."""
     k = ctx.k
-    f = ctx.f
-    i_val = float((f * f).integral())
-    marg = f.marginal()
-    j_vals = (float((marg * marg).integral()),) * k
+    i_val = float((ctx.f * ctx.f).integral())
     log_r = math.log(float(ctx.r_value))
-    phi_w1 = arith.euler_phi(ctx.w1)
-    s1_pred = (phi_w1**k * float(y_scalar) * log_r**k * i_val
+    s1_pred = (arith.euler_phi(ctx.w1)**k * float(y_scalar) * log_r**k * i_val
                / (ctx.q0 * ctx.w1**k * ctx.w2))
-    out = {"s1_pred": s1_pred, "i_value": i_val, "j_values": j_vals,
-           "s2_pred": {}, "ratio_s1": None, "ratio_s2": {}}
-    if y_gm:
-        denom = (arith.euler_phi(ctx.q0) * arith.euler_phi(ctx.w2)
-                 * ctx.w1 ** (k + 1))
-        for (g, m), y_val in y_gm.items():
-            out["s2_pred"][(g, m)] = (phi_w1 ** (k + 1) * float(y_val)
-                                      * log_r ** (k + 1) * j_vals[m] / denom)
+    ratio = None
     if observed_s1 is not None and s1_pred != 0:
-        out["ratio_s1"] = float(observed_s1) / s1_pred
-    if observed_s2:
-        for key, obs in observed_s2.items():
-            pred = out["s2_pred"].get(key)
-            if pred:
-                out["ratio_s2"][key] = float(obs) / pred
-    return out
-
-
-def positivity_combination(s1, s2_table: dict, a: int, s: int, t: int,
-                           k: int) -> float:
-    """sum_m (sum_{g<=a} S2 - sum_{a<g<=s} S2) - (t-1) S1."""
-    total = 0.0
-    for m in range(k):
-        for g in range(1, s + 1):
-            term = float(s2_table.get((g, m), 0))
-            total += term if g <= a else -term
-    return total - (t - 1) * float(s1)
-
-
-def ggpy_compare(gamma_fn, g_weight, z: int, kappa: float):
-    """Truncated-divisor-sum comparison: the left side sums mu^2(d) g(d)
-    G(log d / log z) for d < z with g(p) = gamma(p)/(p - gamma(p)); the
-    main term is S * (log z)^kappa / Gamma(kappa) * int t^(kappa-1) G(t) dt
-    with S the Euler product truncated at GGPY_EULER_CAP.  Returns (lhs,
-    main, rel_error)."""
-    if z < 2:
-        raise PreconditionError("z must be >= 2", z=z)
-    if kappa <= 0:
-        raise PreconditionError("kappa must be positive", kappa=kappa)
-
-    def g_of_prime(p):
-        gp = gamma_fn(p)
-        if not 0 <= gp < p:
-            raise PreconditionError("gamma(p) must lie in [0, p) for "
-                                    "convergence", p=p, gamma=gp)
-        return gp / (p - gp)
-
-    log_z = math.log(z)
-    lhs = 1.0 * g_weight(0.0)
-    if z > 2:
-        vals = arith.squarefree_multiplicative_values(z - 1, g_of_prime)
-        for d in range(2, z):
-            if vals[d]:
-                lhs += vals[d] * g_weight(math.log(d) / log_z)
-
-    prod = 1.0
-    for p in arith.primes_upto(GGPY_EULER_CAP):
-        gp = gamma_fn(p)
-        prod *= (1.0 - gp / p) ** (-1) * (1.0 - 1.0 / p) ** kappa
-    integral, _ = scipy.integrate.quad(
-        lambda t: t ** (kappa - 1.0) * g_weight(t), 0.0, 1.0)
-    main = prod * log_z**kappa / math.gamma(kappa) * integral
-    rel = abs(lhs - main) / abs(main) if main else math.inf
-    return float(lhs), float(main), float(rel)
+        ratio = float(observed_s1) / s1_pred
+    return {"s1_pred": s1_pred, "i_value": i_val, "ratio_s1": ratio}
 
 
 def _shifted_phi(n: int) -> int:
@@ -522,81 +453,3 @@ def lcm_identity_check(d: int, e: int) -> bool:
     lhs = Fraction(1, arith.euler_phi(lcm))
     rhs = Fraction(rhs_sum, arith.euler_phi(d) * arith.euler_phi(e))
     return lhs == rhs
-
-
-def aux_sums(ctx: SieveContext, h_cut: int = 10,
-             lcm_limit: int = 200) -> dict:
-    """Singular product, the two tail sums, and the exhaustive lcm check.
-
-    T1 = sum_{d <= R, (d, W1) = 1} mu^2(d)/d * prod_{p | d} (1 + 4/p) exactly;
-    T2 = sum_{H < d <= R} mu^2(d)/d^2 * prod_{p | d} (1 + p^(-1/2)) in floats.
-    The singular product prod_p (1 - gamma(p)/p)^(-1) (1 - 1/p), with
-    gamma(p) = 1 off W1 and 0 on p | W1, has every factor off W1 equal to
-    1, so it is exactly phi(W1)/W1, returned as phi_w1_ratio."""
-    r_int = int(float(ctx.r_value))
-    t1 = Fraction(0)
-    t2 = 0.0
-    for d in range(1, r_int + 1):
-        fac = arith.factorize(d)
-        if any(exp > 1 for _, exp in fac):
-            continue
-        if d > 1 and math.gcd(d, ctx.w1) == 1:
-            inner = Fraction(1)
-            for p, _ in fac:
-                inner *= 1 + Fraction(4, p)
-            t1 += inner / d
-        elif d == 1:
-            t1 += 1
-        if d > h_cut:
-            inner2 = 1.0
-            for p, _ in fac:
-                inner2 *= 1.0 + p ** -0.5
-            t2 += inner2 / (d * d)
-
-    ok = True
-    square_free = [d for d in range(1, lcm_limit + 1) if arith.mobius(d) != 0]
-    for d in square_free:
-        for e in square_free:
-            if not lcm_identity_check(d, e):
-                ok = False
-                break
-        if not ok:
-            break
-    phi_ratio = arith.euler_phi(ctx.w1) / ctx.w1
-    return {"phi_w1_ratio": phi_ratio,
-            "t1": t1, "t2": t2, "lcm_identity_ok": ok}
-
-
-def y_m_weights(ctx: SieveContext, family: WeightFamily, m: int) -> dict:
-    """Second-layer weights on tuples with slot m equal to 1:
-    prod mu(r_i) f1(r_i) * sum over d with r_i | d_i, d_m = 1 of
-    lambda_d / prod phi(d_i), exactly."""
-    if not 0 <= m < ctx.k:
-        raise PreconditionError("m out of range", m=m, k=ctx.k)
-    keys = [r for r in enumerate_support(ctx) if r[m] == 1]
-    sums = _sum_over_multiples({d: ld / _phi_prod(d)
-                                for d, ld in family.lam.items() if d[m] == 1},
-                               keys)
-    return {r: _mu_prod(r) * math.prod(map(_shifted_phi, r)) * total
-            for r, total in sums.items()}
-
-
-def y_m_report(ctx: SieveContext, family: WeightFamily, m: int) -> list[dict]:
-    """Defining sum vs the single-slot main term, row per tuple.
-
-    The main term replaces slot m by a free squarefree a_m and sums
-    y / phi(a_m); the stated error envelope phi(W1) log N / (W1 D0) is
-    attached for context, not asserted (it is asymptotic)."""
-    defined = y_m_weights(ctx, family, m)
-    envelope = (arith.euler_phi(ctx.w1) / ctx.w1) * math.log(ctx.n) / ctx.d0
-    mains: dict = {}
-    for r, y_val in family.y.items():
-        if y_val:
-            key = r[:m] + (1,) + r[m + 1:]
-            mains[key] = mains.get(key, Fraction(0)) + y_val / arith.euler_phi(r[m])
-    rows = []
-    for r, val in defined.items():
-        main = mains.get(r, Fraction(0))
-        rows.append({"r": r, "defined": val, "main": main,
-                     "difference": float(val - main), "envelope": envelope})
-    return rows

@@ -1,13 +1,12 @@
-"""Factor tables and the multiplicative-function toolbox."""
+"""Factor tables and multiplicative functions."""
 import math
 import random
 
 import numpy as np
 import pytest
 
-from beattysieve.arith import (FactorTable, euler_phi, factorize, mangoldt,
-                               mobius, omega, primes_upto, rough_psi,
-                               squarefree_multiplicative_values, tau_k)
+from beattysieve.arith import (FactorTable, euler_phi, factorize, mobius,
+                               primes_upto, tau_k)
 from beattysieve.errors import CapacityError
 
 
@@ -69,12 +68,6 @@ def test_phi_divisor_sums_recover_n():
         assert sum(euler_phi(d) for d in range(1, n + 1) if n % d == 0) == n
 
 
-def test_omega_counts_distinct_prime_factors():
-    assert omega(360) == 3
-    assert omega(1) == 0
-    assert omega(97) == 1
-
-
 def test_tau_k_on_prime_powers_and_divisors():
     assert tau_k(12, 2) == 6
     assert tau_k(8, 3) == 10      # C(3 + 2, 2) for 2^3
@@ -96,29 +89,3 @@ def test_tau_k_is_multiplicative():
         k = rng.randrange(1, 6)
         assert tau_k(m * n, k) == tau_k(m, k) * tau_k(n, k)
         checked += 1
-
-
-def test_mangoldt_supported_on_prime_powers():
-    assert mangoldt(8) == pytest.approx(math.log(2))
-    assert mangoldt(7) == pytest.approx(math.log(7))
-    assert mangoldt(6) == 0.0
-    assert mangoldt(1) == 0.0
-
-
-def test_rough_psi_indicator():
-    assert rough_psi(1, 10) == 1
-    assert rough_psi(77, 7) == 1
-    assert rough_psi(77, 8) == 0
-    # below z = 3 only 1 and the odd numbers survive
-    assert sum(rough_psi(n, 3) for n in range(1, 1001)) == 500
-    with pytest.raises(ValueError):
-        rough_psi(0, 3)
-
-
-def test_squarefree_multiplicative_array():
-    v = squarefree_multiplicative_values(60, lambda p: 1.0 / p)
-    assert v.shape == (61,)
-    assert v[1] == 1.0
-    assert v[4] == 0.0 and v[12] == 0.0 and v[50] == 0.0
-    assert v[6] == pytest.approx(1.0 / 6)
-    assert v[30] == pytest.approx(1.0 / 30)

@@ -1,19 +1,86 @@
 """Exponent classification, chain identity, region geometry, integrals."""
 import math
 import random
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from beattysieve import buchstab
-from beattysieve.buchstab import (TRIANGLE_SHALLOW, TRIANGLE_STEEP, _CONTEXT,
-                                  _kink_side_integral, _legendre_rule, _ln,
-                                  classify, decomposition_check,
+from beattysieve.buchstab import (_CONTEXT, _kink_side_integral,
+                                  _legendre_rule, _ln, decomposition_check,
                                   decomposition_terms, good_prime_pair,
-                                  pair_in_d, region_integrals,
-                                  triangle_contains)
+                                  pair_in_d, region_integrals)
 from beattysieve.errors import (BudgetError, CapacityError, PreconditionError)
+
+# The continuum side of the chain decomposition, decided exactly on
+# Fractions: the oracle for the integer predicates good_prime_pair and
+# pair_in_d, and for the two triangles region_integrals integrates over.
+
+GOOD_WINDOWS = ((Fraction(2, 7), Fraction(3, 7)), (Fraction(4, 7), Fraction(5, 7)))
+
+# Triangles covering the bad region D, as (alpha1, alpha2) vertices.
+# The shallow one has alpha1 <= 2/7, the steep one alpha1 >= 3/7.
+TRIANGLE_SHALLOW = ((Fraction(5, 21), Fraction(5, 21)),
+                    (Fraction(2, 7), Fraction(3, 14)),
+                    (Fraction(2, 7), Fraction(2, 7)))
+TRIANGLE_STEEP = ((Fraction(1, 2), Fraction(3, 14)),
+                  (Fraction(3, 7), Fraction(2, 7)),
+                  (Fraction(1, 2), Fraction(1, 4)))
+
+
+@dataclass(frozen=True)
+class ClassifyResult:
+    in_ej: bool
+    good: bool
+    witness: tuple | None  # indices of a good subsum, if any
+    in_d: bool
+
+
+def classify(alphas) -> ClassifyResult:
+    """Cone membership, good-subsum search, and bad-region test.
+
+    Input must be sorted non-increasing (at most 4 entries).  Every entry
+    is converted with Fraction and decided exactly, so a float stands for
+    its binary value: the float nearest 2/7 lies below 2/7.
+    """
+    vals = [Fraction(x) for x in alphas]
+    if not 1 <= len(vals) <= 4:
+        raise PreconditionError("need 1 to 4 exponents", count=len(vals))
+    if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
+        raise PreconditionError("exponents must be sorted non-increasing",
+                                alphas=tuple(float(x) for x in vals))
+
+    j = len(vals)
+    in_ej = (Fraction(1, 7) <= vals[-1] and vals[0] <= Fraction(1, 2)
+             and all(vals[i] > vals[i + 1] for i in range(j - 1))
+             and sum(vals[:-1]) + 2 * vals[-1] <= 1)
+
+    witness = None
+    for mask in range(1, 1 << j):
+        subsum = sum(vals[i] for i in range(j) if mask >> i & 1)
+        if any(lo <= subsum <= hi for lo, hi in GOOD_WINDOWS):
+            witness = tuple(i for i in range(j) if mask >> i & 1)
+            break
+    good = witness is not None
+
+    in_d = (j == 2 and in_ej and not good
+            and vals[0] + 2 * vals[1] > Fraction(5, 7))
+    return ClassifyResult(in_ej, good, witness, in_d)
+
+
+def triangle_contains(vertices, point) -> bool:
+    """Closed-triangle membership by exact barycentric signs.
+
+    Works exactly for rational inputs (floats are converted exactly)."""
+    (x1, y1), (x2, y2), (x3, y3) = [(Fraction(x), Fraction(y))
+                                    for x, y in vertices]
+    px, py = Fraction(point[0]), Fraction(point[1])
+    d1 = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
+    d2 = (x3 - x2) * (py - y2) - (y3 - y2) * (px - x2)
+    d3 = (x1 - x3) * (py - y3) - (y1 - y3) * (px - x3)
+    return (d1 >= 0 and d2 >= 0 and d3 >= 0) or (d1 <= 0 and d2 <= 0 and d3 <= 0)
 
 
 def test_classify_pinned_points():
@@ -123,14 +190,9 @@ def test_decomposition_identity_on_random_sample(table):
         n = rng.randrange(100000, 200000)
         terms = decomposition_terms(n, 100000, table)
         assert terms.identity_holds
-        assert terms.rho(1) == terms.rho1 and terms.rho(5) == terms.rho5
 
 
 def test_decomposition_terms_refusals(table):
-    terms = decomposition_terms(100037, 100000, table)
-    for g in (0, 6):
-        with pytest.raises(PreconditionError):
-            terms.rho(g)
     # n lies in [N, 2N) but past the table, which is the only factor route
     with pytest.raises(PreconditionError):
         decomposition_terms(table.limit + 1, 150_000, table)

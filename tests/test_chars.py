@@ -5,17 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from beattysieve.chars import (BILINEAR_OP_BUDGET, CharTable, bilinear_S,
-                               bilinear_report, char_table,
+from beattysieve import chars
+from beattysieve.chars import (BILINEAR_OP_BUDGET, DIVISOR_TABLE_BUDGET,
+                               CharTable, _pair_count, _window_products,
+                               bilinear_S, bilinear_report, char_table,
                                divisor_concentration, gauss_sum,
                                primitive_count_formula, split_partition_check)
 from beattysieve.errors import BudgetError, PreconditionError
 
 
+def _principal(chi):
+    return not any(chi.components)
+
+
 def test_table_sizes_and_conductors():
     t12 = char_table(12)
     assert t12.phi == 4 and len(t12.characters) == 4
-    principals = [chi for chi in t12.characters if chi.is_principal]
+    principals = [chi for chi in t12.characters if _principal(chi)]
     assert len(principals) == 1
     chi0 = principals[0]
     assert chi0.conductor == 1
@@ -29,17 +35,6 @@ def test_table_sizes_and_conductors():
     assert len(char_table(9).characters) == 6
     with pytest.raises(PreconditionError):
         char_table(0)
-
-
-def test_induced_primitive_agrees_on_units():
-    for q in (12, 15, 16):
-        for chi in char_table(q).characters:
-            prim = chi.induced_primitive()
-            assert prim.q == chi.conductor
-            assert prim.is_primitive or prim.is_principal
-            for n in range(1, q + 1):
-                if math.gcd(n, q) == 1:
-                    assert chi(n) == pytest.approx(prim(n), abs=1e-12)
 
 
 def test_row_orthogonality():
@@ -56,10 +51,10 @@ def test_primitive_counts_match_divisor_sum_formula():
 
 
 def test_gauss_sum_values():
-    chi = next(c for c in char_table(5).characters if not c.is_principal)
+    chi = next(c for c in char_table(5).characters if not _principal(c))
     assert chi.is_primitive
     assert abs(gauss_sum(chi, 1)) == pytest.approx(math.sqrt(5), abs=1e-9)
-    chi0 = next(c for c in char_table(12).characters if c.is_principal)
+    chi0 = next(c for c in char_table(12).characters if _principal(c))
     assert gauss_sum(chi0, 0) == pytest.approx(4 + 0j, abs=1e-9)
     one = char_table(1).characters[0]
     assert gauss_sum(one, 3) == pytest.approx(1 + 0j)
@@ -138,12 +133,34 @@ def test_unit_dlog_matrix_matches_the_per_unit_oracle():
         assert np.array_equal(rows, expect.reshape(rows.shape))
 
 
-def test_bilinear_budget_refuses_before_any_table():
+def test_bilinear_budget_refuses_before_any_table(monkeypatch):
     misses = char_table.cache_info().misses
     with pytest.raises(BudgetError) as err:
         bilinear_S(3000, 0.5, {1: 1}, {1: 1}, 1, 2)
     assert err.value.estimate > BILINEAR_OP_BUDGET
     assert char_table.cache_info().misses == misses
+
+    # nor before any pair is formed: 10^6 pairs, all inside the window, over
+    # 5000 moduli give the estimate the evaluator gave when it formed them
+    def no_pairs(*args):
+        raise AssertionError("pairs formed before the budget check")
+
+    monkeypatch.setattr(chars, "_window_products", no_pairs)
+    a = {m: 1.0 for m in range(1000, 2000)}
+    with pytest.raises(BudgetError) as err:
+        bilinear_S(5000, 0.5, a, a, 1, 10**7)
+    assert err.value.estimate == 5329249914
+
+
+def test_pair_count_matches_the_formed_pairs():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        m0, k0 = (int(x) for x in rng.integers(1, 60, size=2))
+        a = {m: float(rng.integers(0, 3)) for m in range(m0, 2 * m0)}
+        b = {k: float(rng.integers(0, 3)) for k in range(k0, 2 * k0)}
+        n_lo, n_hi = (int(x) for x in rng.integers(-50, 4 * m0 * k0, size=2))
+        ns, _ = _window_products(0.25, a, b, n_lo, n_hi)
+        assert _pair_count(a, b, n_lo, n_hi) == len(ns)
 
 
 def test_bilinear_report_fields():
@@ -175,10 +192,25 @@ def test_coefficient_range_guards():
         bilinear_S(10**4, gamma, {1: 1}, {1: 1}, 1, 2)
 
 
-def test_divisor_concentration():
+def test_divisor_concentration(monkeypatch):
     assert divisor_concentration(3, 13) == 2
     assert divisor_concentration(5, 5) == 0
     assert divisor_concentration(3, 1) == 0
+
+    # a table over the budget is refused before it is allocated, and the
+    # report asks for D before it runs the bilinear sum
+    def no_table(*args, **kwargs):
+        raise AssertionError("divisor table allocated before the budget check")
+
+    monkeypatch.setattr(chars.np, "zeros", no_table)
+    n_hi = DIVISOR_TABLE_BUDGET + 1
+    with pytest.raises(BudgetError) as err:
+        divisor_concentration(3, n_hi)
+    assert err.value.estimate == n_hi
+    ones = {m: 1.0 for m in range(3, 6)}
+    with pytest.raises(BudgetError) as err:
+        bilinear_report(3, 0.7071, ones, dict(ones), 9, 3 * 10**7)
+    assert err.value.estimate == 3 * 10**7
 
 
 def test_split_partition_counting():

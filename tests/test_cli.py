@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from beattysieve import arith, cli, equidist, variational
+from beattysieve import arith, chars, cli, equidist, maynard, variational
 
 SQRT2 = repr(math.sqrt(2))
 SQRT3 = repr(math.sqrt(3))
@@ -174,6 +174,18 @@ def test_chars_table_payload(capsys):
                        "primitive_count_formula": 3}
 
 
+def test_chars_bilinear_refuses_a_long_divisor_table(capsys, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("divisor table allocated before the budget check")
+
+    monkeypatch.setattr(chars.np, "zeros", no_table)
+    rc, out, err = run(["chars", "bilinear", "--gamma", "0.7071", "--q0", "3",
+                        "--m0", "3", "--m1", "6", "--k0", "3", "--k1", "6",
+                        "--n1", "30000000"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("budget: divisor table of 30000000 entries")
+
+
 def test_equidist_e_payload(capsys):
     rc, payload, _ = jrun(["equidist", "e", "--n", "10", "--gamma", "0.7",
                            "--q", "100", "--a", "1"], capsys)
@@ -288,6 +300,29 @@ def test_report_buchstab_integrals(capsys):
     assert rc == 0
     assert set(payload) == {"I1", "I2", "b"}
     assert payload["b"] == pytest.approx(0.9041131616859246, rel=1e-9)
+
+
+def test_report_lemmas(capsys, monkeypatch):
+    rc, payload, _ = jrun(["report", "lemmas"], capsys)
+    assert rc == 0
+    lcm, split = payload["rows"]
+    assert (lcm["lemma"], lcm["range"], lcm["checked"], lcm["holds"]) \
+        == ("lcm_identity", [1, 200], 14884, True)
+    assert (split["lemma"], split["range"], split["checked"], split["holds"]) \
+        == ("split_partition", [1, 1000], 1000, True)
+
+    real_check = maynard.lcm_identity_check
+    calls = []
+
+    def fails_once(d, e):
+        calls.append((d, e))
+        return len(calls) > 1 and real_check(d, e)
+
+    monkeypatch.setattr(maynard, "lcm_identity_check", fails_once)
+    rc, payload, _ = jrun(["report", "lemmas"], capsys)
+    assert rc == 1
+    assert [row["holds"] for row in payload["rows"]] == [False, True]
+    assert len(calls) == 14884
 
 
 def test_sieve_weights_payload(capsys):

@@ -1,13 +1,11 @@
-"""Continued fractions, modulus selection, spacing sums."""
+"""Continued fractions and modulus selection."""
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from beattysieve.dioph import (approx_for_modulus, convergents,
-                               distance_to_integer, reciprocal_sum_report,
-                               spacing_bound_report, spacing_sum, type_margin)
+from beattysieve.dioph import approx_for_modulus, convergents
 from beattysieve.errors import PreconditionError
 
 GAMMA = 1 / math.sqrt(2)
@@ -62,66 +60,3 @@ def test_approx_for_modulus_denominator_policy():
     assert (tiny.numerator, tiny.denominator, tiny.flag) == (0, 1, None)
     with pytest.raises(PreconditionError):
         approx_for_modulus(GAMMA, 1)
-
-
-def test_distance_to_integer_exact():
-    assert distance_to_integer(Fraction(7, 3)) == Fraction(1, 3)
-    assert distance_to_integer(Fraction(-1, 4)) == Fraction(1, 4)
-    assert distance_to_integer(Fraction(5)) == 0
-
-
-def test_type_margin_pinned_and_brute_forced():
-    margin, arg = type_margin(GAMMA, 100, 1)
-    assert margin == pytest.approx(0.29289321881345254)
-    assert arg == 1
-    margin3, arg3 = type_margin(GAMMA, 100, 3)
-    assert margin3 == pytest.approx(0.29289321881345254)
-    assert arg3 == 1
-    assert type_margin(0.5, 2, 3) == (0.0, 2)
-    with pytest.raises(PreconditionError):
-        type_margin(GAMMA, 0, 1)
-
-    rng = random.Random(23)
-    for _ in range(20):
-        g = Fraction(rng.randrange(1, 499), 499)
-        e = rng.randrange(1, 4)
-        margin, arg = type_margin(g, 30, e)
-        best = min((r**e * distance_to_integer(g * r), r) for r in range(1, 31))
-        assert margin == pytest.approx(float(best[0]))
-        assert arg == best[1]
-
-
-def test_spacing_sum_values_and_clamping():
-    res = spacing_sum(GAMMA, 0, 10, 100)
-    assert res.value == pytest.approx(65.80614817413729)
-    assert res.clamped == 0 and res.zero_spacings == 0
-    half = spacing_sum(Fraction(1, 2), 0, 2, 7)
-    assert half.value == 9.0
-    assert half.clamped == 1 and half.zero_spacings == 1
-
-
-def test_spacing_sum_monotone_in_terms_and_cap():
-    base = spacing_sum(GAMMA, 0, 10, 100).value
-    more_terms = spacing_sum(GAMMA, 0, 20, 100).value
-    assert more_terms == pytest.approx(154.30333673503478)
-    assert more_terms > base
-    assert spacing_sum(GAMMA, 0, 10, 1000).value >= base
-
-
-def test_spacing_bound_report_rows():
-    rows = spacing_bound_report(GAMMA, [100, 400, 1000], [100, 1000])
-    assert len(rows) == 6
-    assert set(rows[0]) == {"H", "M", "cap", "lhs", "r", "rhs", "ratio"}
-    for row in rows:
-        assert row["ratio"] == pytest.approx(row["lhs"] / row["rhs"])
-        assert row["lhs"] <= row["rhs"] * 1.01
-
-
-def test_reciprocal_sum_report():
-    rep = reciprocal_sum_report(GAMMA, r=99)
-    assert rep["M"] == 49 and rep["r"] == 99
-    assert rep["lhs"] == pytest.approx(459.76577469802413)
-    assert rep["rhs"] == pytest.approx(523.538436038759)
-    assert rep["lhs"] <= rep["rhs"]
-    with pytest.raises(PreconditionError):
-        reciprocal_sum_report(Fraction(11, 20), r=2, m_count=10)

@@ -6,15 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from beattysieve.arith import euler_phi, factorize, mobius
+from beattysieve.arith import euler_phi, mobius
 from beattysieve.beatty import beatty_enumerate
 from beattysieve.errors import CapacityError, PreconditionError
-from beattysieve.maynard import (aux_sums, build_context, enumerate_support,
-                                 ggpy_compare, invert_lambda,
-                                 lambda_lambda_s1, lcm_identity_check,
-                                 main_terms, positivity_combination,
-                                 s1_s2_direct, s1_window_float, weights,
-                                 window_inner_sums, y_m_report, y_m_weights)
+from beattysieve.maynard import (build_context, enumerate_support,
+                                 invert_lambda, lambda_lambda_s1,
+                                 lcm_identity_check, main_terms, s1_s2_direct,
+                                 s1_window_float, weights, window_inner_sums)
 from beattysieve.variational import SimplexPolynomial
 
 
@@ -162,44 +160,12 @@ def test_main_terms_track_the_observed_window_sum(sqrt2):
     s1 = s1_window_float(fam, a_set, n, 2 * n)
     y_scalar = float(sqrt2.gamma_exact * n)
     report = main_terms(ctx, y_scalar, observed_s1=s1)
-    assert set(report) == {"i_value", "j_values", "ratio_s1", "ratio_s2",
-                           "s1_pred", "s2_pred"}
+    assert set(report) == {"i_value", "ratio_s1", "s1_pred"}
     assert report["i_value"] == pytest.approx(0.5)
-    assert report["j_values"] == pytest.approx((1 / 3, 1 / 3))
     assert report["ratio_s1"] == pytest.approx(1.752250307405533, rel=1e-9)
     empty = main_terms(ctx, 0.0)
     assert empty["s1_pred"] == 0.0
     assert empty["ratio_s1"] is None
-    assert empty["s2_pred"] == {}
-
-
-def test_positivity_combination_hand_values():
-    s2 = {(1, 0): 5.0, (2, 0): 3.0, (1, 1): 4.0, (2, 1): 2.0}
-    assert positivity_combination(10.0, s2, 1, 2, 2, 2) == pytest.approx(-6.0)
-    assert positivity_combination(0.0, s2, 2, 2, 1, 2) == pytest.approx(14.0)
-
-
-def test_truncated_divisor_sum_comparison():
-    pinned = {
-        2: (1.0, 0.6931471805597633, 0.4426950408893422),
-        100: (5.910544146635515, 4.605170185986883, 0.2834583539650211),
-        1000: (8.240045664918354, 6.907755278980323, 0.19286878763526408),
-    }
-    rels = []
-    for z, (lhs_pin, main_pin, rel_pin) in pinned.items():
-        lhs, main, rel = ggpy_compare(lambda p: 1.0, lambda t: 1.0, z, 1.0)
-        assert lhs == pytest.approx(lhs_pin, rel=1e-9)
-        assert main == pytest.approx(main_pin, rel=1e-9)
-        assert rel == pytest.approx(rel_pin, rel=1e-9)
-        rels.append(rel)
-    # relative error shrinks as z grows; recorded at these z, not extrapolated
-    assert rels == sorted(rels, reverse=True)
-    with pytest.raises(PreconditionError):
-        ggpy_compare(lambda p: 1.0, lambda t: 1.0, 1, 1.0)
-    with pytest.raises(PreconditionError):
-        ggpy_compare(lambda p: 1.0, lambda t: 1.0, 10, 0.0)
-    with pytest.raises(PreconditionError):
-        ggpy_compare(lambda p: float(p), lambda t: 1.0, 10, 1.0)
 
 
 def test_lcm_identity_on_random_squarefree_pairs():
@@ -216,16 +182,6 @@ def test_lcm_identity_on_random_squarefree_pairs():
         lcm_identity_check(4, 3)
 
 
-def test_auxiliary_sums():
-    ctx = build_context(2, 10**4, 0.5, 0.05, d0=5, r_value=100, offsets=(0, 2))
-    out = aux_sums(ctx, h_cut=10, lcm_limit=30)
-    assert out["lcm_identity_ok"]
-    assert out["phi_w1_ratio"] == pytest.approx(4 / 15)
-    assert isinstance(out["t1"], Fraction)
-    shallow = aux_sums(ctx, h_cut=5, lcm_limit=30)
-    assert out["t2"] <= shallow["t2"]   # deeper tail cut leaves less mass
-
-
 def test_lambda_magnitudes_scale_like_log_r_to_the_k():
     worst = 0.0
     for k, offsets, d0 in ((1, (0,), 2), (2, (0, 2), 2), (3, (0, 2, 6), 3)):
@@ -239,21 +195,6 @@ def test_lambda_magnitudes_scale_like_log_r_to_the_k():
             worst = max(worst, top / math.log(r) ** k)
     assert worst == pytest.approx(1.0820212806667227, rel=1e-9)
     assert worst <= 1.1
-
-
-def test_y_m_report_rows():
-    ctx = build_context(2, 10**4, 0.5, 0.05, d0=2, r_value=10, offsets=(0, 2))
-    fam = weights(ctx, (0, 2))
-    rows = y_m_report(ctx, fam, 1)
-    assert len(rows) == 4
-    assert [row["r"] for row in rows] == [(1, 1), (3, 1), (5, 1), (7, 1)]
-    assert rows[0]["defined"] == Fraction(227, 144)
-    assert rows[0]["main"] == Fraction(23, 12)
-    for row in rows:
-        assert row["envelope"] == pytest.approx(math.log(10))
-        assert row["difference"] == pytest.approx(float(row["defined"] -
-                                                        row["main"]))
-        assert abs(row["difference"]) <= row["envelope"]
 
 
 # Quadratic definitions of the weight transforms, kept as the oracle for the
@@ -290,24 +231,6 @@ def _oracle_y(support, lam):
     return y
 
 
-def _oracle_y_m(support, lam, m):
-    out = {}
-    for r in support:
-        if r[m] != 1:
-            continue
-        total = sum((ld / _phi_prod(d) for d, ld in lam.items()
-                     if d[m] == 1 and _divides(r, d)), Fraction(0))
-        shifted = math.prod(p - 2 for x in r for p, _ in factorize(x))
-        out[r] = _mu_prod(r) * shifted * total
-    return out
-
-
-def _oracle_main(y, r, m):
-    return sum((y_val / euler_phi(rr[m]) for rr, y_val in y.items()
-                if all(rr[i] == r[i] for i in range(len(r)) if i != m)),
-               Fraction(0))
-
-
 def _slack_plus_3_p2(k):
     """(1 - P1) + 3 P2, so y varies with the tuple beyond its product."""
     return SimplexPolynomial.from_terms(k, {(1, 0): 1, (0, 1): 3})
@@ -338,12 +261,3 @@ def test_transforms_match_quadratic_definitions(k, offsets, d0, r_value,
     bent = dict(fam.lam)
     bent[support[-1]] += Fraction(1, 7)
     assert invert_lambda(ctx, bent).y == _oracle_y(support, bent)
-
-    for m in range(k):
-        got = y_m_weights(ctx, fam, m)
-        expected = _oracle_y_m(support, fam.lam, m)
-        assert list(got) == list(expected) and got == expected
-        rows = y_m_report(ctx, fam, m)
-        assert [row["r"] for row in rows] == list(expected)
-        for row in rows:
-            assert row["main"] == _oracle_main(fam.y, row["r"], m)

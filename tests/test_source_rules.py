@@ -97,3 +97,61 @@ def test_benchmark_names_resolve():
             checked += 1
     assert checked > 20
     assert missing == []
+
+
+def _defined_names(node):
+    """Names a module-level statement binds: a def, a class, a constant."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
+def _referenced(nodes):
+    """Identifiers read in the nodes as a bare name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for node in nodes for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_name_is_reached():
+    # every definition of the library modules is reached from a command
+    # (cli.py) or from the benchmark (perfbench/), directly or through a
+    # definition that is; what only tests call is a test oracle and lives in
+    # tests/, or is dead.  Checked: module-level defs, classes and constants
+    # (a private helper nothing reached calls is dead too) and the public
+    # methods and properties of classes.  A class brings its own body along
+    # but not its public members.  Matching is by identifier, and strings
+    # do not count, so a name shared with any reached identifier passes:
+    # the rule finds what is certainly unreached.
+    definitions = []   # (label, name, nodes read once it is reached)
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name in ("__init__.py", "cli.py"):
+            continue
+        for node in ast.parse(path.read_text(), str(path)).body:
+            for name in _defined_names(node):
+                body = [node]
+                if isinstance(node, ast.ClassDef):
+                    members = [s for s in node.body
+                               if isinstance(s, ast.FunctionDef)
+                               and not s.name.startswith("_")]
+                    body = [s for s in node.body if s not in members]
+                    body += node.decorator_list + node.bases
+                    definitions += [(f"{path.name}:{s.lineno} {name}.{s.name}",
+                                     s.name, [s]) for s in members]
+                definitions.append((f"{path.name}:{node.lineno} {name}",
+                                    name, body))
+    roots = [PACKAGE_DIR / "cli.py", *sorted(BENCH_DIR.glob("*.py"))]
+    seen = _referenced(ast.parse(p.read_text(), str(p)) for p in roots)
+    pending = definitions
+    while True:
+        reached = [d for d in pending if d[1] in seen]
+        if not reached:
+            break
+        pending = [d for d in pending if d[1] not in seen]
+        for _, _, body in reached:
+            seen |= _referenced(body)
+    assert len(definitions) > 150
+    assert [label for label, _, _ in pending] == []
