@@ -36,29 +36,12 @@ class FactorTable:
         self.spf = spf
         self._primes = None
 
-    def smallest_prime_factor(self, n: int) -> int:
-        return int(self.spf[n])
-
     def is_prime(self, n: int) -> bool:
         return n >= 2 and int(self.spf[n]) == n
 
     def prime_mask(self, ns: np.ndarray) -> np.ndarray:
         """Boolean array: is_prime(n) for each n of an int64 array."""
         return (ns >= 2) & (self.spf[ns] == ns)
-
-    def factor(self, n: int) -> list[tuple[int, int]]:
-        """Prime factorization [(p, e), ...] with p ascending."""
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside table range [1, {self.limit}]")
-        out = []
-        while n > 1:
-            p = int(self.spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
 
     def primes(self) -> np.ndarray:
         if self._primes is None:
@@ -82,7 +65,7 @@ def primes_upto(limit: int) -> list[int]:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Factor n by trial division; FactorTable.factor is the bulk route."""
+    """Factor n by trial division; bulk work reads FactorTable.spf instead."""
     if n < 1:
         raise ValueError("n must be >= 1")
     out = []

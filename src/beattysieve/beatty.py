@@ -184,19 +184,33 @@ def pigeonhole_shift(points, length):
 
     Candidates z = x_j - length suffice: the hit count, as a function of z,
     only steps up at those values.  Ties go to the smallest z in [0, 1).
-    For M points the best count is >= ceil(M * length) (area argument; exact
-    when the inputs are Fractions).  Returns (z, hit_indices).
+    For M points the best count is >= ceil(M * length) (area argument).
+    Returns (z, hit_indices) with z a Fraction and the indices ascending.
+
+    Points and length are read exactly (a float at its binary value) and
+    put on one common denominator D as integers X_j in [0, D) and L.  The
+    candidate at x_j catches the points in (X_j - L, X_j] on the circle,
+    so one sort and two pointers over the doubled circle count the hits
+    of every candidate: O(M log M) rather than M^2 comparisons.
     """
     if not 0 < length < 1:
         raise PreconditionError("length must lie in (0, 1)", length=float(length))
-    pts = list(points)
+    length = _to_fraction(length)
+    pts = [_to_fraction(x) for x in points]
     if not pts:
         return 0, []
-    best = None
-    for x in pts:
-        z = (x - length) % 1
-        hits = [j for j, y in enumerate(pts) if 0 < (y - z) % 1 <= length]
-        key = (-len(hits), z)
-        if best is None or key < best[0]:
-            best = (key, z, hits)
-    return best[1], best[2]
+    d = math.lcm(length.denominator, *(x.denominator for x in pts))
+    xs = [x.numerator * (d // x.denominator) % d for x in pts]
+    arc = length.numerator * (d // length.denominator)
+    ring = sorted(xs)
+    ring = [x - d for x in ring] + ring   # the circle, unrolled once
+    best_count, best_z = 0, None
+    below = 0   # ring[below:top] are the values in (x - arc, x]
+    for top, x in enumerate(ring[len(xs):], start=len(xs) + 1):
+        while ring[below] <= x - arc:
+            below += 1
+        z = (x - arc) % d
+        if top - below > best_count or (top - below == best_count and z < best_z):
+            best_count, best_z = top - below, z
+    hits = [j for j, x in enumerate(xs) if (best_z + arc - x) % d < arc]
+    return Fraction(best_z, d), hits

@@ -7,14 +7,25 @@ alpha_j) lies in the admissible cone E_j when 1/7 <= alpha_j < ... < alpha_1
 some nonempty subsum falls in [2/7, 3/7] or [4/7, 5/7].  The bad pairs form
 the region D: in E_2, no good subsum, and alpha_1 + 2 alpha_2 > 5/7.
 
-Everything on the integer side is decided by exact power comparisons
-(p^7 vs 2N, products vs powers of 2N), never by floating logs, and every
-factorization is a lookup in a FactorTable that reaches the window.  The
-five chain counts rho_1..rho_5 and the D-indexed sum obey an exact
-counting identity on every n, which decomposition_check verifies.  The
-tests hold the exact classifier of exponent tuples on Fractions (cone, good
-windows, D) as the oracle for good_prime_pair and pair_in_d, and check
-there that the two triangles below cover D.
+Everything on the integer side is decided by exact integer comparisons,
+never by floating logs.  Each power test of a window becomes a cutoff
+computed once by an exact integer root (_chain_cutoffs): z1 = the least z
+with z^7 >= 2N, and s^7 >= (2N)^2 iff s >= c2, s^7 <= (2N)^3 iff s <= c3,
+likewise c4 and c5 for the powers 4 and 5, and the D boundary
+(p1 p2^2)^7 > (2N)^5 iff p1 p2^2 > c5.  The window runs in blocks of
+_BLOCK = 4096 values of n on numpy int64 arrays.  Repeated division by
+the smallest-prime-factor array of a FactorTable that reaches the window
+gives each n's distinct prime factors >= z1 as one row of a width-6
+matrix, sorted descending (z1^7 >= 2N > n leaves room for six at most).
+A chain p1 > p2 > p3 > p4 is a choice of columns, so the five chain
+counts rho_1..rho_5 and the D-indexed sum are masked sums over column
+combinations, with no product above (2N)^(3/2) < 3 * 10^12.  They obey
+an exact counting identity on every n, which decomposition_check
+verifies; every temporary is O(_BLOCK), whatever the window.  The tests
+hold the per-n route, with the pair tests as exact powers of Python
+integers, as the oracle for the kernel, and the exact classifier of
+exponent tuples on Fractions (cone, good windows, D) as the oracle for
+those pair tests; they also check that the two triangles below cover D.
 
 The continuous side integrates omega((1 - a1 - a2)/a2) / (a1 * a2^2) over D,
 where omega is Buchstab's function.  D decomposes (up to measure zero) into
@@ -32,9 +43,7 @@ finer than float resolution is refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,108 +70,112 @@ def _int_root(n: int, k: int) -> int:
     return r
 
 
-@lru_cache(maxsize=16)
-def _chain_cutoffs(two_n: int) -> tuple[int, int]:
-    """(z1, z2max): smallest integer with z^7 >= 2N, largest with z^2 < 2N.
+def _chain_cutoffs(two_n: int) -> tuple[int, int, int, int, int, int]:
+    """Every exact power test of a window [N, 2N) as an integer cutoff.
 
-    Cached: every n of a window, and every prime pair tested, asks for the
-    same 2N.
+    Returns (z1, z2max, c2, c3, c4, c5) with z1 the smallest z with
+    z^7 >= 2N, z2max the largest with z^2 < 2N, and for a positive integer s
+
+        s^7 >= (2N)^2  iff  s >= c2,      s^7 <= (2N)^3  iff  s <= c3,
+        s^7 >= (2N)^4  iff  s >= c4,      s^7 <= (2N)^5  iff  s <= c5,
+
+    so a subsum lands in a good window iff c2 <= s <= c3 or c4 <= s <= c5,
+    and a pair leaves (p1 p2^2)^7 > (2N)^5, the D boundary, iff
+    p1 p2^2 > c5.
     """
-    z1 = _int_root(two_n - 1, 7) + 1
-    return z1, math.isqrt(two_n - 1)
+    return (_int_root(two_n - 1, 7) + 1, math.isqrt(two_n - 1),
+            _int_root(two_n**2 - 1, 7) + 1, _int_root(two_n**3, 7),
+            _int_root(two_n**4 - 1, 7) + 1, _int_root(two_n**5, 7))
 
 
-def good_prime_pair(p1: int, p2: int, two_n: int) -> bool:
-    """Some subsum of the exponent pair lands in a good window.
+# n per block of the chain kernel: every temporary array is this long (or
+# _FACTOR_WIDTH times it), whatever the window.
+_BLOCK = 4096
+# z1^7 >= 2N > n, so no n of the window has seven prime factors >= z1.
+_FACTOR_WIDTH = 6
 
-    alpha(p) = log p / log 2N, so "subsum in [2/7, 3/7]" reads
-    (2N)^2 <= (prod p)^7 <= (2N)^3, and similarly with powers 4, 5.
+
+def _large_prime_factors(ns: np.ndarray, z1: int, spf: np.ndarray) -> np.ndarray:
+    """The distinct prime factors >= z1 of each n, one row per n, sorted
+    descending and padded with 0.
+
+    Repeated division by the smallest prime factor visits each n's primes
+    in ascending order, repeats adjacent, so a factor is new when it
+    differs from the one before; rows leave once they reach 1, after at
+    most log2(n) rounds.
     """
-    t2, t3, t4, t5 = two_n**2, two_n**3, two_n**4, two_n**5
-    for prod in (p1, p2, p1 * p2):
-        s7 = prod**7
-        if t2 <= s7 <= t3 or t4 <= s7 <= t5:
-            return True
-    return False
+    out = np.zeros((len(ns), _FACTOR_WIDTH), dtype=np.int64)
+    count = np.zeros(len(ns), dtype=np.int64)
+    rows = np.arange(len(ns))
+    m, last = ns.copy(), np.zeros(len(ns), dtype=np.int64)
+    while len(rows):
+        p = spf[m].astype(np.int64)
+        new = (p >= z1) & (p != last)
+        hit = rows[new]
+        out[hit, count[hit]] = p[new]
+        count[hit] += 1
+        m //= p
+        live = m > 1
+        rows, m, last = rows[live], m[live], p[live]
+    return -np.sort(-out, axis=1)
 
 
-def pair_in_d(p1: int, p2: int, two_n: int) -> bool:
-    """Exact integer version of the bad-region test for p1 > p2."""
-    z1, _ = _chain_cutoffs(two_n)
-    if not (p2 >= z1 and p2 < p1 and p1 * p1 <= two_n):
-        return False
-    if p1 * p2 * p2 > two_n:
-        return False
-    if good_prime_pair(p1, p2, two_n):
-        return False
-    return (p1 * p2 * p2) ** 7 > two_n**5
+def _block_terms(lo: int, hi: int, two_n: int, spf: np.ndarray) -> np.ndarray:
+    """Rows x, d_sum, rho1, ..., rho5 of the chain counts for n in [lo, hi).
 
-
-@dataclass(frozen=True)
-class DecompositionTerms:
-    n: int
-    x: int        # 1 iff n is prime
-    d_sum: int    # sum of psi(n3, p2) over chains whose pair lies in D
-    rho1: int
-    rho2: int
-    rho3: int
-    rho4: int
-    rho5: int
-
-    @property
-    def identity_holds(self) -> bool:
-        return (self.x - self.d_sum
-                == self.rho1 + self.rho2 + self.rho3 - self.rho4 - self.rho5)
-
-def decomposition_terms(n: int, n_base: int,
-                        table: arith.FactorTable) -> DecompositionTerms:
-    """All five chain counts plus the D-indexed sum for one n in [N, 2N).
-
-    Chains are strictly decreasing prime divisors p1 > p2 > ..., each at
-    least (2N)^(1/7), with p1 below (2N)^(1/2); chain counts weigh the
-    cofactor by roughness (psi = no prime factor below the stated cutoff).
-    A chain whose leading pair falls in D stops there and feeds d_sum.
-    Every factorization is a lookup in table, which must reach n.
+    A chain is p1 > p2 > ... among the distinct prime factors of n that
+    are >= z1, with p1 <= z2max; the counts weigh each chain's cofactor by
+    its roughness (1, or no prime factor below the stated cutoff), and a
+    chain whose leading pair lies in D stops there and feeds d_sum.  Each chain is a choice of columns i < j < k < l of the factor
+    matrix, so every count is a masked sum over column combinations.
     """
-    two_n = 2 * n_base
-    if not n_base <= n < two_n:
-        raise PreconditionError("n must lie in [N, 2N)", n=n, n_base=n_base)
-    if n > table.limit:
-        raise PreconditionError("factor table does not reach n", n=n,
-                                limit=table.limit)
-    z1, z2max = _chain_cutoffs(two_n)
-    fac = table.factor
-    spf = table.smallest_prime_factor
+    z1, z2max, c2, c3, c4, c5 = _chain_cutoffs(two_n)
+    ns = np.arange(lo, hi, dtype=np.int64)
+    fac = _large_prime_factors(ns, z1, spf)
+    width = int(np.count_nonzero(fac.any(axis=0)))
 
-    def rough(m: int, cutoff: int) -> int:
-        return 1 if m == 1 or spf(m) >= cutoff else 0
+    def rough(m, cutoff):
+        return (m == 1) | (spf[m] >= cutoff)
 
-    x = 1 if (n >= 2 and spf(n) == n) else 0
-    rho1 = rough(n, z1)
-    d_sum = rho2 = rho3 = rho4 = rho5 = 0
-    for p1, _ in fac(n):
-        if not z1 <= p1 <= z2max:
-            continue
-        n2 = n // p1
-        rho4 += rough(n2, z1)
-        for p2, _ in fac(n2):
-            if not z1 <= p2 < p1:
-                continue
-            n3 = n2 // p2
-            if pair_in_d(p1, p2, two_n):
-                d_sum += rough(n3, p2)
-                continue
-            rho2 += rough(n3, z1)
-            for p3, _ in fac(n3):
-                if not z1 <= p3 < p2:
-                    continue
-                n4 = n3 // p3
-                rho5 += rough(n4, z1)
-                for p4, _ in fac(n4):
-                    if not z1 <= p4 < p3:
-                        continue
-                    rho3 += rough(n4 // p4, p4)
-    return DecompositionTerms(n, x, d_sum, rho1, rho2, rho3, rho4, rho5)
+    def good(s):
+        return ((c2 <= s) & (s <= c3)) | ((c4 <= s) & (s <= c5))
+
+    good_alone = good(fac)
+    terms = np.zeros((7, len(ns)), dtype=np.int64)
+    x, d_sum, rho1, rho2, rho3, rho4, rho5 = terms
+    x += spf[ns] == ns
+    rho1 += rough(ns, z1)
+    for i in range(width):
+        p1 = fac[:, i]
+        chain1 = (p1 > 0) & (p1 <= z2max)
+        n2 = ns // np.where(chain1, p1, 1)
+        rho4 += chain1 & rough(n2, z1)
+        for j in range(i + 1, width):
+            p2 = fac[:, j]
+            chain2 = chain1 & (p2 > 0)
+            n3 = n2 // np.where(chain2, p2, 1)
+            bound = p1 * p2 * p2
+            in_d = (chain2 & (bound <= two_n) & (bound > c5)
+                    & ~(good_alone[:, i] | good_alone[:, j] | good(p1 * p2)))
+            d_sum += in_d & rough(n3, p2)
+            chain2 &= ~in_d
+            rho2 += chain2 & rough(n3, z1)
+            for k in range(j + 1, width):
+                p3 = fac[:, k]
+                chain3 = chain2 & (p3 > 0)
+                n4 = n3 // np.where(chain3, p3, 1)
+                rho5 += chain3 & rough(n4, z1)
+                for l in range(k + 1, width):
+                    p4 = fac[:, l]
+                    chain4 = chain3 & (p4 > 0)
+                    rho3 += chain4 & rough(n4 // np.where(chain4, p4, 1), p4)
+    return terms
+
+
+def _window_terms(n_base: int, n_end: int, spf: np.ndarray):
+    """_block_terms of [n_base, n_end), one block of _BLOCK n at a time."""
+    for lo in range(n_base, n_end, _BLOCK):
+        yield _block_terms(lo, min(lo + _BLOCK, n_end), 2 * n_base, spf)
 
 
 def decomposition_check(n_base: int, n_end: int,
@@ -174,7 +187,7 @@ def decomposition_check(n_base: int, n_end: int,
     every window tested, whatever the D membership rule, since removing a
     chain subtree and counting it separately is exact bookkeeping).  A
     given table must reach n_end - 1; a shorter one is refused before any
-    n is checked.
+    n is checked.  The window runs in blocks of _BLOCK values of n.
     """
     if n_base < 100:
         raise PreconditionError("window base must be >= 100", n_base=n_base)
@@ -187,9 +200,10 @@ def decomposition_check(n_base: int, n_end: int,
         raise PreconditionError("factor table does not reach the window",
                                 n_end=n_end, limit=table.limit)
     bad = 0
-    for n in range(n_base, n_end):
-        if not decomposition_terms(n, n_base, table).identity_holds:
-            bad += 1
+    for x, d_sum, rho1, rho2, rho3, rho4, rho5 in _window_terms(n_base, n_end,
+                                                                table.spf):
+        bad += int(np.count_nonzero(x - d_sum
+                                    != rho1 + rho2 + rho3 - rho4 - rho5))
     return bad
 
 

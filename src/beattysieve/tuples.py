@@ -65,10 +65,6 @@ class AdmissibleTuple:
     def k(self) -> int:
         return len(self.offsets)
 
-    @property
-    def diameter(self) -> int:
-        return self.offsets[-1] - self.offsets[0]
-
 
 @dataclass(frozen=True)
 class TranslateResult:

@@ -18,17 +18,11 @@ def test_table_rejects_tiny_and_oversized_limits():
 
 
 def test_table_lookups(table):
-    assert table.smallest_prime_factor(91) == 7
+    assert table.spf[91] == 7
     assert table.is_prime(2)
     assert table.is_prime(99991)
     assert not table.is_prime(99993)
     assert not table.is_prime(1)
-    assert table.factor(360) == [(2, 3), (3, 2), (5, 1)]
-    assert table.factor(1) == []
-    with pytest.raises(ValueError):
-        table.factor(0)
-    with pytest.raises(ValueError):
-        table.factor(200_001)
 
 
 def test_prime_array(table):

@@ -118,6 +118,55 @@ def test_shift_intersection_shrinks_the_window():
         shift_intersection(base, narrow, 1, Fraction(1, 5))
 
 
+def _quadratic_pigeonhole_shift(points, length):
+    """Every candidate z = x_j - length against every point, in the inputs'
+    own arithmetic: the O(M^2) reference for pigeonhole_shift."""
+    pts = list(points)
+    if not pts:
+        return 0, []
+    best = None
+    for x in pts:
+        z = (x - length) % 1
+        hits = [j for j, y in enumerate(pts) if 0 < (y - z) % 1 <= length]
+        key = (-len(hits), z)
+        if best is None or key < best[0]:
+            best = (key, z, hits)
+    return best[1], best[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(den=st.integers(1, 24), nums=st.lists(st.integers(0, 10**6), min_size=1,
+                                             max_size=30),
+       length_num=st.integers(1, 10**6), at_z=st.booleans(),
+       repeat=st.booleans(),
+       others=st.lists(st.fractions(0, 1, max_denominator=50), max_size=5))
+def test_pigeonhole_shift_matches_the_quadratic_oracle(den, nums, length_num,
+                                                       at_z, repeat, others):
+    # a small denominator puts many points on equal values and on arc
+    # endpoints; at_z adds a point exactly at the left end x_0 - length of
+    # a candidate arc (excluded), whose right end x_0 is itself a point
+    den = max(den, 2)
+    length = Fraction(length_num % (den - 1) + 1, den)
+    points = [Fraction(k % (3 * den), den) % 1 for k in nums]
+    points += [x % 1 for x in others]
+    if at_z:
+        points.append((points[0] - length) % 1)
+    if repeat:
+        points += points[:3]
+    z, hits = pigeonhole_shift(points, length)
+    assert (z, hits) == _quadratic_pigeonhole_shift(points, length)
+    assert 0 <= z < 1
+
+
+def test_pigeonhole_shift_single_point_and_float_inputs():
+    assert pigeonhole_shift([Fraction(1, 3)], Fraction(1, 2)) \
+        == (Fraction(5, 6), [0])
+    assert pigeonhole_shift([], Fraction(1, 2)) == (0, [])
+    # floats are read at their binary value
+    z, hits = pigeonhole_shift([0.25, 0.75], 0.5)
+    assert (z, hits) == (Fraction(1, 4), [1])
+
+
 def test_pigeonhole_shift_pinned_cases(sqrt2, table):
     z, hits = pigeonhole_shift([0.1, 0.2, 0.9], 0.5)
     assert z == pytest.approx(0.7)

@@ -25,7 +25,7 @@ def test_admissibility_verdicts():
 def test_admissible_tuple_construction():
     tup = AdmissibleTuple.from_offsets((0, 2, 6))
     assert tup.k == 3
-    assert tup.diameter == 6
+    assert tup.offsets[-1] - tup.offsets[0] == 6
     with pytest.raises(PreconditionError):
         AdmissibleTuple.from_offsets((0, 2, 4))
 
