@@ -33,7 +33,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import scipy
 
 from . import arith, beatty, buchstab, chars, dioph, equidist, maynard, tuples, variational
 from . import __version__ as PACKAGE_VERSION
@@ -172,7 +171,6 @@ def _manifest(ns: argparse.Namespace, payload) -> str:
     doc = {"config": config,
            "versions": {"python": platform.python_version(),
                         "numpy": np.__version__,
-                        "scipy": scipy.__version__,
                         "beattysieve": PACKAGE_VERSION},
            "flags": flags}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

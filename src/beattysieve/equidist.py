@@ -28,13 +28,13 @@ normalized columns so that trends across N can be recorded.
 """
 from __future__ import annotations
 
+import decimal
 import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.integrate
 
 from . import arith, beatty, dioph
 from .beatty import _to_fraction
@@ -382,6 +382,34 @@ def _arc_hits(arc: beatty.TorusInterval, gamma: Fraction, ns) -> list[int]:
     return [n for n in ns if 0 < (g * n - left) % den <= length]
 
 
+def li_difference(lo, hi) -> float:
+    """The integral of 1/log t over [lo, hi] for 1 < lo <= hi (ints, or
+    anything float() takes).
+
+    Computed as li(hi) - li(lo) from li(x) = gamma + log log x
+    + sum_{n >= 1} (log x)^n / (n n!), where Euler's gamma cancels, in
+    decimal at 50 significant digits, and rounded to a float once.
+    """
+    if not 1 < lo <= hi:
+        raise PreconditionError("li_difference needs 1 < lo <= hi",
+                                lo=lo, hi=hi)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        tiny = decimal.Decimal(10) ** -ctx.prec
+        total = decimal.Decimal(0)
+        for x, sign in ((hi, 1), (lo, -1)):
+            u = decimal.Decimal(x if isinstance(x, int) else float(x)).ln()
+            power = decimal.Decimal(1)    # u^n / n!
+            series = u.ln()
+            n = 0
+            while n < u or power > tiny:
+                n += 1
+                power = power * u / n
+                series += power / n
+            total += sign * series
+        return float(total)
+
+
 def regcond_report(a_sets: dict, offsets, config: HarnessConfig) -> list[dict]:
     """Empirical left-hand sides of the two regularity sums, per N.
 
@@ -432,14 +460,14 @@ def regcond_report(a_sets: dict, offsets, config: HarnessConfig) -> list[dict]:
         lhs15 = {}
         norm15 = {}
         arc_match = {}
-        quad = scipy.integrate.quad(lambda t: 1.0 / math.log(t), n_lo, n_hi)[0]
+        log_integral = li_difference(n_lo, n_hi)
         for m_idx, (h, arc) in enumerate(zip(offsets, arcs)):
             kept = [p for p in members
                     if p >= n_lo + h and p - h in member_set and p in primes]
             via_arc = _arc_hits(arc, gamma,
                                 [p for p in range(n_lo + h, n_hi) if p in primes])
             arc_match[m_idx] = via_arc == kept
-            y_gm = float(arc.length) * quad
+            y_gm = float(arc.length) * log_integral
             total = 0.0
             for q in range(1, q_top + 1):
                 if arith.mobius(q) == 0:

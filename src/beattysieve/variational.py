@@ -37,7 +37,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BudgetError, CapacityError, PreconditionError
 
@@ -275,13 +274,17 @@ def mk_lower_bound(k: int, degree_budget: int = 3):
     Returns (bound, certificate).  The bound is the exact rational Rayleigh
     quotient of the returned coefficients, evaluated on the exact form
     matrices, so it is a true lower bound regardless of eigensolver error.
-    The top eigenvector of the pencil (A, B) comes from scipy.linalg.eigh
-    on float copies; when float B is not numerically positive definite
+    The top eigenvector of the pencil (A, B) comes from float copies by
+    Cholesky reduction: B = L L^T, the top eigenvector y of L^-1 A L^-T, and
+    the solve L^T x = y.  When float B is not numerically positive definite
     (entries underflowing past 1/170! at large k, or an ill-conditioned
-    basis at high degree) eigh fails and the input is refused with a
-    CapacityError naming k, the degree and scipy's message.  A degree budget
-    whose forms need more than FORM_LOOKUP_BUDGET Dirichlet lookups is
-    refused with that count as the estimate, before any matrix is built.
+    basis at high degree) the Cholesky factorization fails and the input is
+    refused with a CapacityError naming k, the degree and numpy's message.
+    The triangular systems go through np.linalg.solve, not an explicit
+    inverse: at k = 1 only the solve keeps the certificate exactly 1.  A
+    degree budget whose forms need more than FORM_LOOKUP_BUDGET Dirichlet
+    lookups is refused with that count as the estimate, before any matrix
+    is built.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1", k=k)
@@ -299,10 +302,12 @@ def mk_lower_bound(k: int, degree_budget: int = 3):
     a = np.array([[float(x) for x in row] for row in pair.A])
     b = np.array([[float(x) for x in row] for row in pair.B])
     try:
-        vec = scipy.linalg.eigh(a, b)[1][:, -1]
+        lower = np.linalg.cholesky(b)
     except np.linalg.LinAlgError as exc:
         raise CapacityError(f"the float pencil at k = {k}, degree "
                             f"{degree_budget} is singular: {exc}") from exc
+    reduced = np.linalg.solve(lower, np.linalg.solve(lower, a).T)
+    vec = np.linalg.solve(lower.T, np.linalg.eigh(reduced)[1][:, -1])
     peak = np.max(np.abs(vec))
     if peak > 0:
         vec = vec / peak

@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +12,8 @@ from beattysieve.beatty import _to_fraction, beatty_enumerate
 from beattysieve.equidist import (ErrorRow, HarnessConfig, _rows_for_modulus,
                                   _sliding_max, _window_points, bdh_harness,
                                   bv_harness, e_sup, lambda_points,
-                                  liouville_demo, regcond_report)
+                                  li_difference, liouville_demo,
+                                  regcond_report)
 from beattysieve.errors import BudgetError, PreconditionError
 
 GAMMA = 0.7071067811865476
@@ -166,6 +168,30 @@ def test_regcond_report(sqrt2):
     assert row["lhs15"][1] == pytest.approx(263.05979743501155, rel=1e-9)
     assert row["norm15"][0] == pytest.approx(10.466486625315387, rel=1e-9)
     assert row["norm15"][1] == pytest.approx(11.893592655851103, rel=1e-9)
+
+
+@pytest.mark.parametrize("n, expected", [(12_500, 1273.4601292265952),
+                                         (10**5, 8406.243120846202),
+                                         (4 * 10**5, 30114.675524174312),
+                                         (10**6, 70427.28401466485)])
+def test_li_difference_is_correctly_rounded(n, expected):
+    # mpmath li(2N) - li(N) at 40 digits, rounded to a float
+    assert li_difference(n, 2 * n) == expected
+    assert li_difference(np.int64(n), float(2 * n)) == expected
+
+
+def test_li_difference_matches_quadrature():
+    # quad is 1 ulp high at [4*10^5, 8*10^5], and up to 8 ulp off on wider
+    # windows such as [10, 100]
+    integrate = pytest.importorskip("scipy.integrate")
+    for lo in (2, 3.5, 10, 100, 12_500, 10**5, 4 * 10**5, 10**6, 10**7):
+        for hi in (lo + 1, 2 * lo):
+            want = integrate.quad(lambda t: 1 / math.log(t), lo, hi)[0]
+            assert abs(li_difference(lo, hi) - want) <= 2 * math.ulp(want)
+    assert li_difference(7, 7) == 0.0
+    for lo, hi in ((1, 2), (0.5, 2), (3, 2)):
+        with pytest.raises(PreconditionError):
+            li_difference(lo, hi)
 
 
 def test_regcond_requires_grid_sets(sqrt2):

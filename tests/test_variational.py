@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+from beattysieve import variational
 from beattysieve.errors import CapacityError, PreconditionError
 from beattysieve.variational import (MkCertificate, SimplexPolynomial, forms,
                                      k_satisfying, mk_lower_bound,
@@ -216,14 +216,67 @@ def test_maynard_m105():
     assert rayleigh_quotient(forms(keep), cert.coefficients) == cert.quotient
 
 
-def test_singular_float_pencil_is_refused(monkeypatch):
-    def singular(a, b):
-        raise np.linalg.LinAlgError("not positive definite")
+def test_singular_float_pencil_is_refused():
+    # float B underflows at k = 180 (its first entry is 0.0)
+    with pytest.raises(CapacityError, match="k = 180, degree 3 is singular: "):
+        mk_lower_bound(180, 3)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", singular)
-    with pytest.raises(CapacityError, match="k = 5, degree 3 is singular: "
-                                            "not positive definite"):
-        mk_lower_bound(5, 3)
+
+def _recording_forms(monkeypatch):
+    """Patch variational.forms to keep every pair it returns."""
+    pairs = []
+
+    def recording(basis):
+        pairs.append(forms(basis))
+        return pairs[-1]
+
+    monkeypatch.setattr(variational, "forms", recording)
+    return pairs
+
+
+def _float_pencil(pair):
+    return (np.array([[float(x) for x in row] for row in pair.A]),
+            np.array([[float(x) for x in row] for row in pair.B]))
+
+
+@pytest.mark.filterwarnings("ignore:denominator form is singular")
+@pytest.mark.parametrize("k", [*range(1, 13), 20, 50, 105])
+def test_pencil_bound_matches_scipy_eigh(k, monkeypatch):
+    # oracle: the top eigenvector of scipy.linalg.eigh(a, b), scaled to peak
+    # 1 like mk_lower_bound's, certifies the same float bound
+    linalg = pytest.importorskip("scipy.linalg")
+    pairs = _recording_forms(monkeypatch)
+    for degree in (1, 3, 5, 9):
+        bound, cert = mk_lower_bound(k, degree)
+        pair = pairs[-1]
+        vec = linalg.eigh(*_float_pencil(pair))[1][:, -1]
+        vec = vec / np.max(np.abs(vec))
+        oracle = rayleigh_quotient(pair, [Fraction(float(x)) for x in vec])
+        assert bound == float(oracle) == float(cert.quotient)
+        assert rayleigh_quotient(pair, cert.coefficients) == cert.quotient
+        assert abs(cert.quotient - oracle) <= Fraction(3, 10**15) * oracle
+        if k == 1:
+            assert cert.quotient == 1
+
+
+@pytest.mark.parametrize("k, degree", [(172, 3), (173, 3), (179, 3),
+                                       (180, 3), (5, 15)])
+def test_pencil_refusals_match_scipy_eigh(k, degree, monkeypatch):
+    # float B loses positive definiteness by underflow from k = 173 at
+    # degree 3, and by rounding at degree 15
+    linalg = pytest.importorskip("scipy.linalg")
+    pairs = _recording_forms(monkeypatch)
+    try:
+        mk_lower_bound(k, degree)
+        refused = False
+    except CapacityError:
+        refused = True
+    try:
+        linalg.eigh(*_float_pencil(pairs[-1]))
+        oracle_refused = False
+    except np.linalg.LinAlgError:
+        oracle_refused = True
+    assert refused == oracle_refused == ((k, degree) != (172, 3))
 
 
 def test_k_search_certified_and_fallback_paths():
