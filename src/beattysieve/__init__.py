@@ -14,7 +14,8 @@ Submodules:
 """
 from . import (arith, beatty, buchstab, chars, dioph, equidist, maynard,
                tuples, variational)
-from .beatty import BeattyParams, TorusInterval, beatty_enumerate, torus_member
+from .beatty import (BeattyParams, TorusInterval, beatty_enumerate,
+                     beatty_members, torus_member)
 from .errors import (BudgetError, CapacityError, ImpossibleInputError,
                      PreconditionError)
 
@@ -23,7 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "arith", "beatty", "buchstab", "chars", "dioph", "equidist", "maynard",
     "tuples", "variational",
-    "BeattyParams", "TorusInterval", "beatty_enumerate", "torus_member",
+    "BeattyParams", "TorusInterval", "beatty_enumerate", "beatty_members",
+    "torus_member",
     "BudgetError", "CapacityError", "ImpossibleInputError", "PreconditionError",
     "__version__",
 ]

@@ -50,10 +50,10 @@ class FactorTable:
         return self._primes
 
 
-def primes_upto(limit: int) -> list[int]:
-    """All primes p <= limit, ascending."""
+def prime_array(limit: int) -> np.ndarray:
+    """All primes p <= limit, ascending, as int64."""
     if limit < 2:
-        return []
+        return np.empty(0, dtype=np.int64)
     if limit > TABLE_LIMIT_CAP:
         raise CapacityError(f"limit {limit} exceeds cap {TABLE_LIMIT_CAP}")
     sieve = np.ones(limit + 1, dtype=bool)
@@ -61,7 +61,12 @@ def primes_upto(limit: int) -> list[int]:
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p:: p] = False
-    return np.flatnonzero(sieve).tolist()
+    return np.flatnonzero(sieve).astype(np.int64)
+
+
+def primes_upto(limit: int) -> list[int]:
+    """All primes p <= limit, ascending."""
+    return prime_array(limit).tolist()
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

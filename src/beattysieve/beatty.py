@@ -15,6 +15,24 @@ rationals at every n:
 The second holds because A > D: at most one multiple A*m lies in
 [x - D, x), and it is x - r when 0 < r <= D.
 
+beatty_members lists a window without one big-integer division per
+member.  With m_lo and m_hi exact as above and (c0, r0) = divmod(A*m_lo
++ B, D), the j-th member is c0 + floor(r0/D + j*alpha).  That floor is
+filtered exact, as in Shewchuk's adaptive predicates: numpy evaluates
+r0/D + j*alpha in float64 from the correctly rounded r0/D and A/D, and an
+a-priori bound delta = (W*alpha + 2)*2^-50, W the number of indices,
+exceeds the float error of every entry (the two input roundings and the
+two float operations, each at most (j*alpha + 1)*2^-53).  Where the float
+value's fractional part lies farther than delta from 0 and from 1, no
+integer lies between the float and the exact value, so their floors agree;
+every other entry is recomputed as (r0 + j*A) // D on Python ints.  The
+result is the integer identity above at every entry.  delta grows with
+the window's width, not its position, so a window at 10^18 takes the same
+route as one at 10^3; only the members must fit in int64.  For an
+irrational alpha about 2*delta*W entries go the exact way (none in
+practice); for a rational alpha with a small denominator many values
+are integers and all of those do.
+
 Geometrically, writing gamma = 1/alpha, n is a member exactly when
 
     gamma*n  mod 1  in  (gamma*beta - gamma, gamma*beta]      (half open arc)
@@ -40,9 +58,12 @@ from functools import cached_property
 from fractions import Fraction
 from numbers import Rational
 
+import numpy as np
+
 from .errors import PreconditionError
 
 SURD_DIGITS = 40
+INT64_MAX = 2**63 - 1
 
 
 def sqrt_fraction(d: int) -> Fraction:
@@ -149,13 +170,57 @@ def torus_member(params: BeattyParams, n: int) -> bool:
     return 0 < r <= d and x - r >= a
 
 
-def beatty_enumerate(params: BeattyParams, lo: int, hi: int) -> list[int]:
-    """All members of B(alpha, beta) in [lo, hi), ascending: (A*m + B)//D
-    for the indices m >= 1 with D*lo <= A*m + B < D*hi."""
+def _float_floors(count: int, alpha: float, start: float):
+    """floor(start + j*alpha) for j < count in float64, as int64, and the
+    ascending j whose float value lies within the error bound delta of an
+    integer: those floors may be off by one and need the exact route.
+
+    start and alpha are the correctly rounded values of r0/D in [0, 1)
+    and of A/D.  With u = 2^-53, start is off by at most u, alpha by
+    alpha*u, the product j*alpha and the sum each round by u times their
+    size, so the float value is within (3*j*alpha + 2)*u + O(u^2 j alpha)
+    of the exact one.  delta = (count*alpha + 2)*2^-50 = 8*(count*alpha
+    + 2)*u covers that for every j < count, with room for the O(u^2)
+    terms and for the rounding of delta and 1 - delta themselves.
+    """
+    t = np.arange(count, dtype=np.float64)
+    t *= alpha
+    t += start
+    whole = np.floor(t)
+    frac = t - whole                      # exact: the low bits of t
+    delta = (count * alpha + 2) * 2.0**-50
+    unsure = np.flatnonzero((frac <= delta) | (frac >= 1 - delta))
+    return whole.astype(np.int64), unsure
+
+
+def beatty_members(params: BeattyParams, lo: int, hi: int) -> np.ndarray:
+    """All members of B(alpha, beta) in [lo, hi), ascending, as int64:
+    (A*m + B)//D for the indices m >= 1 with D*lo <= A*m + B < D*hi.
+
+    With (c0, r0) = divmod(A*m_lo + B, D), the j-th member is
+    c0 + (r0 + j*A)//D = c0 + floor(r0/D + j*alpha): _float_floors takes
+    that floor in float64 and the entries it cannot vouch for are
+    recomputed on Python ints.
+    """
     a, b, d = params._integers
     m_lo = max(1, -((b - d * int(lo)) // a))
     m_hi = -((b - d * int(hi)) // a)
-    return [(a * m + b) // d for m in range(m_lo, m_hi)]
+    count = m_hi - m_lo
+    if count <= 0:
+        return np.empty(0, dtype=np.int64)
+    if (a * (m_hi - 1) + b) // d > INT64_MAX:
+        raise PreconditionError("members beyond the int64 range", hi=hi)
+    c0, r0 = divmod(a * m_lo + b, d)
+    out, unsure = _float_floors(count, a / d, r0 / d)
+    for j in unsure.tolist():
+        out[j] = (r0 + j * a) // d
+    out += c0
+    return out
+
+
+def beatty_enumerate(params: BeattyParams, lo: int, hi: int) -> list[int]:
+    """beatty_members as a list of Python ints."""
+    return beatty_members(params, lo, hi).tolist()
 
 
 def shift_intersection(interval: TorusInterval, params: BeattyParams, h: int,

@@ -272,13 +272,13 @@ def cmd_sieve_s1s2(ns):
     ctx = maynard.build_context(_int(ns.k), n, _float(ns.theta),
                                 _float(ns.eps), **overrides)
     family = maynard.weights(ctx, offsets)
-    a_set = beatty.beatty_enumerate(params, n, 2 * n)
-    s1 = maynard.s1_window_float(family, set(a_set), n, 2 * n)
+    members = beatty.beatty_members(params, n, 2 * n)
+    s1 = maynard.s1_window_float(family, members, n, 2 * n)
     y_scalar = float(params.gamma_exact * n)
     pred = maynard.main_terms(ctx, y_scalar, observed_s1=s1)
     payload = {"alpha": params.alpha, "beta": params.beta, "k": ctx.k, "n": n,
                "theta": ctx.theta, "offsets": list(offsets),
-               "a_size": len(a_set), "s1_observed": s1,
+               "a_size": len(members), "s1_observed": s1,
                "s1_predicted": pred["s1_pred"], "i_value": pred["i_value"],
                "ratio_s1": pred["ratio_s1"]}
     return payload, 0
@@ -381,7 +381,7 @@ def cmd_equidist_bdh(ns):
 
 
 def _regcond_with_defaults(params, n_grid, offsets, theta, k, eps):
-    a_sets = {n: set(beatty.beatty_enumerate(params, n, 2 * n)) for n in n_grid}
+    a_sets = {n: beatty.beatty_members(params, n, 2 * n) for n in n_grid}
     cfg = equidist.HarnessConfig(gamma=params.gamma_exact, n_grid=tuple(n_grid),
                                  theta=theta, k=k, eps=eps, params=params)
     rows = equidist.regcond_report(a_sets, offsets, cfg)
@@ -548,9 +548,8 @@ def cmd_find(ns):
                     break
 
     # windowed fallback: minimal-diameter group of Beatty primes
-    members = beatty.beatty_enumerate(params, lo, hi)
-    arr = np.array(members, dtype=np.int64)
-    bprimes = arr[table.prime_mask(arr)].tolist()
+    members = beatty.beatty_members(params, lo, hi)
+    bprimes = members[table.prime_mask(members)].tolist()
     scan["beatty_members"] = len(members)
     scan["beatty_primes"] = len(bprimes)
     if result is None:

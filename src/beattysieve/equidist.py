@@ -103,7 +103,7 @@ def lambda_points(n_lo: int, n_hi: int, table=None):
     if table is not None and table.limit >= n_hi - 1:
         primes = table.primes()
     else:
-        primes = np.array(arith.primes_upto(n_hi - 1), dtype=np.int64)
+        primes = arith.prime_array(n_hi - 1)
     lo, hi = np.searchsorted(primes, (n_lo, n_hi))
     window = primes[lo:hi].tolist()
     small = primes[:np.searchsorted(primes, math.isqrt(n_hi - 1),
@@ -365,13 +365,6 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5,
             "all_progressions_hold": all_hold and in_arc == 0}
 
 
-def _class_counts(values, q: int) -> list[int]:
-    counts = [0] * q
-    for v in values:
-        counts[v % q] += 1
-    return counts
-
-
 def _arc_hits(arc: beatty.TorusInterval, gamma: Fraction, ns) -> list[int]:
     """The n of ns with frac(gamma n) in the arc (left, left + length], one
     integer test per n over den = lcm of the arc's and gamma's denominators."""
@@ -421,9 +414,11 @@ def regcond_report(a_sets: dict, offsets, config: HarnessConfig) -> list[dict]:
     of 1/log t over the window.  Both are normalized by their target
     envelopes Y / L^(k+eps); columns are recorded, never asserted.
 
-    a_sets maps each grid N to the window set A.  config.params is
-    required: the shifted memberships are recomputed through the torus
-    arc and cross-checked against the set route; mismatches are reported.
+    a_sets maps each grid N to the members of the window set A as a
+    strictly ascending int64 array (as beatty_members returns it).
+    config.params is required: the shifted memberships are recomputed
+    through the torus arc on exact integers and cross-checked against the
+    array route; mismatches are reported.
     """
     params = config.params
     if params is None:
@@ -440,43 +435,42 @@ def regcond_report(a_sets: dict, offsets, config: HarnessConfig) -> list[dict]:
         if n not in a_sets:
             raise PreconditionError("a_sets lacks a grid point", n=n)
         n_lo, n_hi = n, 2 * n
-        members = sorted(set(a_sets[n]))
-        member_set = set(members)
+        members = np.asarray(a_sets[n], dtype=np.int64)
+        if np.any(members[1:] <= members[:-1]):
+            raise PreconditionError("a_sets entries must be strictly "
+                                    "ascending", n=n)
         big_l = math.log(n)
         q_top = max(1, int(n**config.theta))
         y_val = float(_to_fraction(config.gamma) * n)
         envelope = y_val / big_l ** (config.k + config.eps)
+        moduli = [(q, arith.tau_k(q, 3 * config.k)) for q in range(1, q_top + 1)
+                  if arith.mobius(q) != 0]
 
         lhs12 = 0.0
-        for q in range(1, q_top + 1):
-            if arith.mobius(q) == 0:
-                continue
-            counts = _class_counts(members, q)
-            dev = max(abs(cnt - y_val / q) for cnt in counts)
-            lhs12 += arith.tau_k(q, 3 * config.k) * dev
+        for q, tau in moduli:
+            counts = np.bincount(members % q, minlength=q)
+            lhs12 += tau * float(np.max(np.abs(counts - y_val / q)))
 
-        primes = set(arith.primes_upto(n_hi - 1))
+        primes = arith.prime_array(n_hi - 1)
+        is_prime = np.isin(members, primes)
 
         lhs15 = {}
         norm15 = {}
         arc_match = {}
         log_integral = li_difference(n_lo, n_hi)
         for m_idx, (h, arc) in enumerate(zip(offsets, arcs)):
-            kept = [p for p in members
-                    if p >= n_lo + h and p - h in member_set and p in primes]
+            kept = members[is_prime & (members >= n_lo + h)
+                           & np.isin(members - h, members)]
             via_arc = _arc_hits(arc, gamma,
-                                [p for p in range(n_lo + h, n_hi) if p in primes])
-            arc_match[m_idx] = via_arc == kept
+                                primes[np.searchsorted(primes, n_lo + h):].tolist())
+            arc_match[m_idx] = via_arc == kept.tolist()
             y_gm = float(arc.length) * log_integral
             total = 0.0
-            for q in range(1, q_top + 1):
-                if arith.mobius(q) == 0:
-                    continue
-                counts = _class_counts(kept, q)
-                phi = arith.euler_phi(q)
-                dev = max(abs(counts[a] - y_gm / phi)
-                          for a in range(q) if math.gcd(a, q) == 1)
-                total += arith.tau_k(q, 3 * config.k) * dev
+            for q, tau in moduli:
+                counts = np.bincount(kept % q, minlength=q)
+                coprime = np.gcd(np.arange(q), q) == 1
+                dev = np.max(np.abs(counts[coprime] - y_gm / arith.euler_phi(q)))
+                total += tau * float(dev)
             lhs15[m_idx] = total
             norm15[m_idx] = total / envelope if envelope else math.inf
 

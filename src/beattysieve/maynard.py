@@ -402,13 +402,14 @@ def window_inner_sums(family: WeightFamily, n_lo: int, n_hi: int) -> np.ndarray:
     return arr
 
 
-def s1_window_float(family: WeightFamily, a_set, n_lo: int, n_hi: int) -> float:
-    """S1 over the window in float arithmetic, for N-scale ratio reports."""
+def s1_window_float(family: WeightFamily, members, n_lo: int, n_hi: int) -> float:
+    """S1 over the window in float arithmetic, for N-scale ratio reports.
+    members is an int64 array of the set A (as beatty_members returns
+    it); entries outside [n_lo, n_hi) are ignored."""
     inner = window_inner_sums(family, n_lo, n_hi)
+    members = np.asarray(members, dtype=np.int64)
     mask = np.zeros(n_hi - n_lo, dtype=bool)
-    for n in a_set:
-        if n_lo <= n < n_hi:
-            mask[n - n_lo] = True
+    mask[members[(members >= n_lo) & (members < n_hi)] - n_lo] = True
     gate = (np.arange(n_lo, n_hi) - family.nu0) % family.w2 == 0
     keep = mask & gate
     return float(np.sum(inner[keep] ** 2))

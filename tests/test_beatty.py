@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beattysieve import beatty
 from beattysieve.beatty import (BeattyParams, TorusInterval, _to_fraction,
-                                beatty_enumerate, membership_interval,
+                                beatty_enumerate, beatty_members,
+                                membership_interval,
                                 pigeonhole_shift, recovered_index,
                                 shift_intersection, sqrt_fraction,
                                 torus_member)
@@ -285,3 +287,99 @@ def test_integer_arc_route_matches_torus_interval(alpha, beta_num, beta_den,
     for arc in arcs:
         assert _arc_hits(arc, gamma, ns) == [
             n for n in ns if _arc_contains(arc, (gamma * n) % 1)]
+
+
+def _comprehension_enumerate(params, lo, hi):
+    """One integer floor division per member, (A*m + B) // D over the
+    common denominator D of alpha and beta: the exact reference for
+    beatty_members."""
+    alpha, beta = params.alpha_exact, params.beta_exact
+    d = math.lcm(alpha.denominator, beta.denominator)
+    a = alpha.numerator * (d // alpha.denominator)
+    b = beta.numerator * (d // beta.denominator)
+    m_lo = max(1, -((b - d * lo) // a))
+    m_hi = -((b - d * hi) // a)
+    return [(a * m + b) // d for m in range(m_lo, m_hi)]
+
+
+def _check_members(params, lo, hi):
+    got = beatty_members(params, lo, hi)
+    assert got.dtype == np.int64
+    assert got.tolist() == _comprehension_enumerate(params, lo, hi)
+    assert beatty_enumerate(params, lo, hi) == got.tolist()
+    return got
+
+
+# rational alpha with a small denominator puts many alpha*m + beta exactly
+# on integers, where only the exact fallback decides the floor
+SMALL_RATIONALS = st.builds(lambda den, extra: Fraction(den + extra, den),
+                            st.integers(1, 12), st.integers(1, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.one_of(SMALL_RATIONALS, ALPHAS),
+       beta_num=st.integers(0, 10**12),
+       beta_den=st.one_of(st.integers(1, 12), BETA_DENS),
+       lo=st.one_of(st.integers(-5, 5), st.integers(6, 10**12),
+                    st.integers(10**18 - 10**9, 10**18 + 10**9)),
+       width=st.one_of(st.integers(-3, 1), st.integers(2, 3000)))
+def test_beatty_members_match_the_comprehension(alpha, beta_num, beta_den,
+                                                lo, width):
+    # beta != 0 in most draws; lo <= 0 starts below the first member;
+    # width <= 0 gives an empty window; lo near 10^18 uses the same
+    # float route as lo near 1
+    _check_members(_alpha_beta(alpha, beta_num, beta_den), lo, lo + width)
+
+
+def test_beatty_members_edge_windows(sqrt2):
+    assert _check_members(sqrt2, 5, 5).size == 0
+    assert _check_members(sqrt2, 9, 3).size == 0
+    assert _check_members(sqrt2, -10, 3).tolist() == [1, 2]
+    third = BeattyParams.make(Fraction(7, 3), Fraction(1, 3))
+    assert _check_members(third, 0, 2).size == 0     # first member is 2
+    assert _check_members(third, 0, 10).tolist() == [2, 5, 7, 9]
+    # r0/D = 1 - 10^-40 rounds to 1.0 in float, one too high at every j
+    near_one = BeattyParams(Fraction(2), Fraction(10**40 - 1, 10**40))
+    assert _check_members(near_one, 1, 12).tolist() == [2, 4, 6, 8, 10]
+    # a wide window far out: the bound depends on the width only
+    _check_members(sqrt2, 10**18, 10**18 + 200_000)
+    _check_members(BeattyParams.make(Fraction(10**6 + 1, 10**6)),
+                   10**17, 10**17 + 100_000)
+    with pytest.raises(PreconditionError):
+        beatty_members(sqrt2, 2**63 - 10, 2**63 + 10)
+
+
+def test_beatty_members_take_the_exact_route_where_floats_cannot_tell(
+        monkeypatch):
+    seen = []
+    float_floors = beatty._float_floors
+
+    def spy(count, alpha, start):
+        whole, unsure = float_floors(count, alpha, start)
+        seen.append((whole.copy(), unsure))
+        return whole, unsure
+
+    monkeypatch.setattr(beatty, "_float_floors", spy)
+
+    def float_only(params, lo, hi):
+        seen.clear()
+        exact = _check_members(params, lo, hi)
+        whole, unsure = seen[0]
+        return whole + exact[0], unsure, exact   # member 0 is c0 itself
+
+    # alpha = 3/2: every second value alpha*m is an integer, and exactly so
+    # in float
+    approx, unsure, exact = float_only(BeattyParams.make(Fraction(3, 2)),
+                                       1000, 2000)
+    assert unsure.tolist() == list(range(1, len(exact), 2))
+    assert approx.tolist() == exact.tolist()
+    # alpha = 4/3 is not a float: from lo = 1, r0/D + j*alpha should hit an
+    # integer at every j = 2 mod 3, and the float value often lies just below
+    approx, unsure, exact = float_only(BeattyParams.make(Fraction(4, 3)),
+                                       1, 20_001)
+    assert unsure.tolist() == list(range(2, len(exact), 3))
+    wrong = np.flatnonzero(approx != exact)
+    assert len(wrong) > 1000 and set(wrong.tolist()) <= set(unsure.tolist())
+    # a quadratic irrational: no value comes near enough to an integer
+    _, unsure, _ = float_only(BeattyParams.quadratic(0, 1, 2), 10**6, 2 * 10**6)
+    assert unsure.size == 0

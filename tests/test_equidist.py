@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from beattysieve import beatty, equidist
 from beattysieve.arith import euler_phi
-from beattysieve.beatty import _to_fraction, beatty_enumerate
+from beattysieve.beatty import _to_fraction, beatty_members
 from beattysieve.equidist import (ErrorRow, HarnessConfig, _rows_for_modulus,
                                   _sliding_max, _window_points, bdh_harness,
                                   bv_harness, e_sup, lambda_points,
@@ -155,7 +155,7 @@ def test_liouville_demo_refuses_before_any_sweep(table, monkeypatch):
 def test_regcond_report(sqrt2):
     cfg = HarnessConfig(gamma=sqrt2.gamma_exact, n_grid=(2000,), k=2,
                         theta=0.25, params=sqrt2)
-    a_sets = {2000: set(beatty_enumerate(sqrt2, 2000, 4000))}
+    a_sets = {2000: beatty_members(sqrt2, 2000, 4000)}
     row, = regcond_report(a_sets, (0, 7), cfg)
     assert set(row) == {"arc_route_matches", "lhs12", "lhs15", "n", "norm12",
                         "norm15", "q_top", "y"}
@@ -201,7 +201,18 @@ def test_regcond_requires_grid_sets(sqrt2):
     # the shift arcs need the Beatty pair, not just its slope
     no_params = HarnessConfig(gamma=sqrt2.gamma_exact, n_grid=(2000,))
     with pytest.raises(PreconditionError):
-        regcond_report({2000: set()}, (0, 7), no_params)
+        regcond_report({2000: beatty_members(sqrt2, 2000, 4000)}, (0, 7),
+                       no_params)
+
+
+def test_regcond_refuses_members_out_of_order(sqrt2):
+    cfg = HarnessConfig(gamma=sqrt2.gamma_exact, n_grid=(2000,), params=sqrt2)
+    members = beatty_members(sqrt2, 2000, 4000)
+    regcond_report({2000: members}, (0, 7), cfg)
+    for bad in (members[::-1], np.sort(np.concatenate([members, members[:1]])),
+                np.roll(members, 1)):
+        with pytest.raises(PreconditionError, match="strictly ascending"):
+            regcond_report({2000: bad}, (0, 7), cfg)
 
 
 def _fraction_points(n_lo, n_hi, gamma, table):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from beattysieve.arith import euler_phi, mobius
-from beattysieve.beatty import beatty_enumerate
+from beattysieve.beatty import beatty_enumerate, beatty_members
 from beattysieve.errors import CapacityError, PreconditionError
 from beattysieve.maynard import (build_context, enumerate_support,
                                  invert_lambda, lambda_lambda_s1,
@@ -146,18 +146,20 @@ def test_window_inner_sums_match_pointwise_sums():
 def test_float_window_sum_tracks_exact_weights(sqrt2):
     ctx = build_context(2, 10**4, 0.5, 0.05, d0=3, r_value=20, offsets=(0, 6))
     fam = weights(ctx, (0, 6))
-    a_set = set(beatty_enumerate(sqrt2, 10**4, 10**4 + 2000))
-    got = s1_window_float(fam, a_set, 10**4, 10**4 + 2000)
-    exact = float(sum((fam.w(n) for n in a_set), Fraction(0)))
+    members = beatty_members(sqrt2, 10**4, 10**4 + 2000)
+    got = s1_window_float(fam, members, 10**4, 10**4 + 2000)
+    exact = float(sum((fam.w(n) for n in members.tolist()), Fraction(0)))
     assert got == pytest.approx(exact, rel=1e-9)
+    # members outside the window are ignored
+    wider = beatty_members(sqrt2, 10**4 - 50, 10**4 + 2050)
+    assert s1_window_float(fam, wider, 10**4, 10**4 + 2000) == got
 
 
 def test_main_terms_track_the_observed_window_sum(sqrt2):
     n = 10**4
     ctx = build_context(2, n, 0.99, 0.005, d0=2, offsets=(0, 2))
     fam = weights(ctx, (0, 2))
-    a_set = set(beatty_enumerate(sqrt2, n, 2 * n))
-    s1 = s1_window_float(fam, a_set, n, 2 * n)
+    s1 = s1_window_float(fam, beatty_members(sqrt2, n, 2 * n), n, 2 * n)
     y_scalar = float(sqrt2.gamma_exact * n)
     report = main_terms(ctx, y_scalar, observed_s1=s1)
     assert set(report) == {"i_value", "ratio_s1", "s1_pred"}

@@ -38,6 +38,17 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
+def test_only_beatty_reads_the_integer_form_of_a_pair():
+    # one Beatty membership and enumeration kernel: every other module goes
+    # through beatty's functions rather than BeattyParams._integers
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if path.name != "beatty.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "_integers"]
+    assert found == []
+
+
 def test_importing_the_cli_loads_no_scipy():
     code = ("import sys, beattysieve.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
