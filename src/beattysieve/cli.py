@@ -1,18 +1,25 @@
 """Command line frontend.
 
 One subcommand per library module, plus `find` (the end-to-end
-constellation pipeline) and `report` (bundled artifact tables).  Every
-flag parses as a string and is coerced inside its handler, so values
-coming from a flat `key = value` config file (UTF-8, `#` comments) and
-values typed on the command line take the same path; explicit flags win
-over file values, file values win over defaults.  File keys that the
-active subcommand does not know are noted on stderr and skipped.
+constellation pipeline) and `report` (bundled artifact tables).  The
+parser is built once per process, and each flag declares its type with
+the flag, so handlers read typed values.
+
+--config FILE reads flat `key = value` lines (UTF-8, `#` comments).  A
+key names a flag's destination (`qcap_demo`, `lo` for --from, `apower`
+for --A; `-` and `_` are interchangeable).  The pairs enter the command
+line as `--flag=value` right after the subcommand's name, so argparse
+coerces them like typed flags, a required flag may come from the file,
+and an explicit flag, under any of its spellings, wins over the file
+because it comes later.  File keys that the subcommand does not know are
+noted on stderr and skipped.
 
 Output is JSON on stdout by default (stable key order); --output PATH
 writes the payload atomically and adds a `PATH.manifest.json` sidecar
-with the resolved config and library versions.  Timings go to stderr
-only, so identical configs produce byte-identical files.  --format csv
-is accepted for row-shaped payloads (RFC-4180-style quoting).
+with the resolved config (typed: numbers, lists, Fractions as "p/q") and
+library versions.  Timings go to stderr only, so identical configs
+produce byte-identical files.  --format csv is accepted for row-shaped
+payloads (RFC-4180-style quoting).
 
 Exit codes: 0 success; 1 not found, a checked bound or identity failed, or
 work refused (over a budget or cap, or no output exists for the input);
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -45,35 +53,36 @@ THETA_LABELS = ("quarter", "two-sevenths")
 
 
 # ---------------------------------------------------------------------------
-# value coercion (flags and config-file values arrive as strings)
+# flag types: each flag declares one as its argparse `type`, which turns
+# command-line and config-file text alike into the value handlers read
 
-def _int(s) -> int:
-    return int(str(s).strip(), 10)
-
-
-def _float(s) -> float:
-    return float(str(s).strip())
+def _int(s: str) -> int:
+    return int(s, 10)
 
 
-def _number(s):
+def _float(s: str) -> float:
+    return float(s)
+
+
+def _number(s: str):
     """int, Fraction ('p/q'), or float, whichever the text denotes."""
-    if isinstance(s, (int, float, Fraction)):
-        return s
-    txt = str(s).strip()
-    if "/" in txt:
-        return Fraction(txt)
+    if "/" in s:
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
     try:
-        return int(txt, 10)
+        return int(s, 10)
     except ValueError:
-        return float(txt)
+        return float(s)
 
 
-def _int_list(s) -> list[int]:
-    return [int(tok, 10) for tok in str(s).replace(",", " ").split()]
+def _int_list(s: str) -> list[int]:
+    return [int(tok, 10) for tok in s.replace(",", " ").split()]
 
 
-def _flag(s) -> bool:
-    return str(s).strip().lower() in ("1", "true", "yes", "on")
+def _flag(s: str) -> bool:
+    return s.strip().lower() in ("1", "true", "yes", "on")
 
 
 # ---------------------------------------------------------------------------
@@ -93,20 +102,6 @@ def load_config_file(path: str) -> dict:
                     f"config line {lineno} is not 'key = value': {line!r}")
             out[key.strip().replace("-", "_")] = val.strip()
     return out
-
-
-def _apply_config(ns: argparse.Namespace, file_values: dict, argv: list[str]):
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    for key, val in file_values.items():
-        if key in explicit:
-            continue
-        if hasattr(ns, key):
-            setattr(ns, key, val)
-        else:
-            print(f"config: ignoring unknown key {key!r}", file=sys.stderr)
 
 
 def _jsonable(x):
@@ -162,18 +157,14 @@ def _atomic_write(path: str, text: str):
 
 
 def _manifest(ns: argparse.Namespace, payload) -> str:
-    config = {}
-    for key, val in sorted(vars(ns).items()):
-        if key in ("handler",):
-            continue
-        config[key] = val if isinstance(val, (int, float, bool, str, type(None))) else str(val)
+    config = {key: val for key, val in vars(ns).items() if key != "handler"}
     flags = payload.get("flags", {}) if isinstance(payload, dict) else {}
     doc = {"config": config,
            "versions": {"python": platform.python_version(),
                         "numpy": np.__version__,
                         "beattysieve": PACKAGE_VERSION},
            "flags": flags}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, default=_jsonable) + "\n"
 
 
 def _emit(ns: argparse.Namespace, payload):
@@ -190,52 +181,49 @@ def _emit(ns: argparse.Namespace, payload):
 # subcommand handlers; each returns (payload, exit_code)
 
 def _params_from(ns) -> beatty.BeattyParams:
-    return beatty.BeattyParams.make(_number(ns.alpha), _number(ns.beta))
+    return beatty.BeattyParams.make(ns.alpha, ns.beta)
 
 
 def cmd_beatty_enumerate(ns):
     params = _params_from(ns)
-    members = beatty.beatty_enumerate(params, _int(ns.lo), _int(ns.hi))
-    return {"alpha": params.alpha, "beta": params.beta, "lo": _int(ns.lo),
-            "hi": _int(ns.hi), "count": len(members), "members": members}, 0
+    members = beatty.beatty_enumerate(params, ns.lo, ns.hi)
+    return {"alpha": params.alpha, "beta": params.beta, "lo": ns.lo,
+            "hi": ns.hi, "count": len(members), "members": members}, 0
 
 
 def cmd_beatty_member(ns):
     params = _params_from(ns)
-    n = _int(ns.n)
-    member = beatty.torus_member(params, n)
-    payload = {"n": n, "member": member, "alpha": params.alpha}
+    member = beatty.torus_member(params, ns.n)
+    payload = {"n": ns.n, "member": member, "alpha": params.alpha}
     if member:
-        payload["index"] = beatty.recovered_index(params, n)
+        payload["index"] = beatty.recovered_index(params, ns.n)
     return payload, 0
 
 
 def cmd_dioph_convergents(ns):
     rows = [{"numerator": c.numerator, "denominator": c.denominator,
              "quality": str(c.quality), "flag": c.flag}
-            for c in dioph.convergents(_number(ns.gamma), _int(ns.depth))]
-    return {"gamma": float(_number(ns.gamma)), "rows": rows}, 0
+            for c in dioph.convergents(ns.gamma, ns.depth)]
+    return {"gamma": float(ns.gamma), "rows": rows}, 0
 
 
 def cmd_dioph_modulus(ns):
-    approx = dioph.approx_for_modulus(_number(ns.gamma), _int(ns.n))
-    return {"n": _int(ns.n), "numerator": approx.numerator,
+    approx = dioph.approx_for_modulus(ns.gamma, ns.n)
+    return {"n": ns.n, "numerator": approx.numerator,
             "denominator": approx.denominator,
             "quality": str(approx.quality), "flag": approx.flag}, 0
 
 
 def cmd_tuples_admissible(ns):
-    offsets = _int_list(ns.h)
-    report = tuples.is_admissible(offsets)
-    payload = {"offsets": sorted(offsets), "admissible": report.admissible}
+    report = tuples.is_admissible(ns.h)
+    payload = {"offsets": sorted(ns.h), "admissible": report.admissible}
     if not report.admissible:
         payload["violating_prime"] = report.violating_prime
     return payload, 0 if report.admissible else 1
 
 
 def cmd_tuples_translate(ns):
-    res = tuples.translate_tuple(_int(ns.l), _int(ns.k), _number(ns.gamma),
-                                 _number(ns.eps))
+    res = tuples.translate_tuple(ns.l, ns.k, ns.gamma, ns.eps)
     payload = {"offsets": list(res.tuple_.offsets), "shift": res.shift,
                "eta": str(res.eta), "requested_k": res.requested_k,
                "achieved_k": res.achieved_k, "complete": res.complete,
@@ -244,17 +232,20 @@ def cmd_tuples_translate(ns):
     return payload, 0 if res.complete else 1
 
 
-def cmd_sieve_weights(ns):
-    offsets = tuple(_int_list(ns.h))
+def _sieve_context(ns):
+    offsets = tuple(ns.h)
     overrides = {"offsets": offsets}
     if ns.d0 is not None:
-        overrides["d0"] = _int(ns.d0)
-    ctx = maynard.build_context(_int(ns.k), _int(ns.n), _float(ns.theta),
-                                _float(ns.eps), **overrides)
-    family = maynard.weights(ctx, offsets)
+        overrides["d0"] = ns.d0
+    ctx = maynard.build_context(ns.k, ns.n, ns.theta, ns.eps, **overrides)
+    return ctx, maynard.weights(ctx, offsets)
+
+
+def cmd_sieve_weights(ns):
+    ctx, family = _sieve_context(ns)
     lam_rows = [{"d": " ".join(map(str, d)), "lam": str(l)}
                 for d, l in sorted(family.lam.items())]
-    payload = {"k": ctx.k, "n": ctx.n, "theta": ctx.theta, "offsets": list(offsets),
+    payload = {"k": ctx.k, "n": ctx.n, "theta": ctx.theta, "offsets": ns.h,
                "r": float(ctx.r_value), "w1": ctx.w1, "w2": ctx.w2,
                "nu0": family.nu0, "support_size": len(family.y),
                "max_abs_lambda": float(max(abs(l) for l in family.lam.values())),
@@ -264,20 +255,14 @@ def cmd_sieve_weights(ns):
 
 def cmd_sieve_s1s2(ns):
     params = _params_from(ns)
-    offsets = tuple(_int_list(ns.h))
-    n = _int(ns.n)
-    overrides = {"offsets": offsets}
-    if ns.d0 is not None:
-        overrides["d0"] = _int(ns.d0)
-    ctx = maynard.build_context(_int(ns.k), n, _float(ns.theta),
-                                _float(ns.eps), **overrides)
-    family = maynard.weights(ctx, offsets)
+    n = ns.n
+    ctx, family = _sieve_context(ns)
     members = beatty.beatty_members(params, n, 2 * n)
     s1 = maynard.s1_window_float(family, members, n, 2 * n)
     y_scalar = float(params.gamma_exact * n)
     pred = maynard.main_terms(ctx, y_scalar, observed_s1=s1)
     payload = {"alpha": params.alpha, "beta": params.beta, "k": ctx.k, "n": n,
-               "theta": ctx.theta, "offsets": list(offsets),
+               "theta": ctx.theta, "offsets": ns.h,
                "a_size": len(members), "s1_observed": s1,
                "s1_predicted": pred["s1_pred"], "i_value": pred["i_value"],
                "ratio_s1": pred["ratio_s1"]}
@@ -285,17 +270,16 @@ def cmd_sieve_s1s2(ns):
 
 
 def cmd_mk_bound(ns):
-    bound, cert = variational.mk_lower_bound(_int(ns.k), _int(ns.degree))
-    return {"k": _int(ns.k), "degree_budget": _int(ns.degree), "bound": bound,
+    bound, cert = variational.mk_lower_bound(ns.k, ns.degree)
+    return {"k": ns.k, "degree_budget": ns.degree, "bound": bound,
             "quotient": str(cert.quotient),
             "labels": [str(lab) for lab in cert.labels],
             "coefficients": [str(c) for c in cert.coefficients]}, 0
 
 
 def cmd_mk_threshold(ns):
-    res = variational.k_satisfying(_int(ns.t), _float(ns.b), _float(ns.theta),
-                                   _int(ns.degree))
-    payload = {"t": _int(ns.t), "b": _float(ns.b), "theta": _float(ns.theta),
+    res = variational.k_satisfying(ns.t, ns.b, ns.theta, ns.degree)
+    payload = {"t": ns.t, "b": ns.b, "theta": ns.theta,
                "k": res.k, "certified": res.certified,
                "threshold": res.threshold, "bound": res.bound,
                "trail": [list(pair) for pair in res.trail]}
@@ -303,36 +287,34 @@ def cmd_mk_threshold(ns):
 
 
 def cmd_buchstab_integrals(ns):
-    vals = buchstab.region_integrals(order=_int(ns.order), tol=_float(ns.tol))
+    vals = buchstab.region_integrals(order=ns.order, tol=ns.tol)
     return dict(vals), 0
 
 
 def cmd_buchstab_check(ns):
-    lo, hi = _int(ns.lo), _int(ns.hi)
-    violations = buchstab.decomposition_check(lo, hi)
-    return {"from": lo, "to": hi, "violations": violations}, 0 if violations == 0 else 1
+    violations = buchstab.decomposition_check(ns.lo, ns.hi)
+    return ({"from": ns.lo, "to": ns.hi, "violations": violations},
+            0 if violations == 0 else 1)
 
 
 def cmd_chars_table(ns):
-    q = _int(ns.q)
-    table = chars.char_table(q)
-    return {"q": q, "phi": table.phi, "cyc_orders": list(table.cyc_orders),
+    table = chars.char_table(ns.q)
+    return {"q": ns.q, "phi": table.phi, "cyc_orders": list(table.cyc_orders),
             "group_exponent": table.group_exponent,
             "primitive_count": table.primitive_count(),
-            "primitive_count_formula": chars.primitive_count_formula(q)}, 0
+            "primitive_count_formula": chars.primitive_count_formula(ns.q)}, 0
 
 
 def cmd_chars_bilinear(ns):
-    q0 = _int(ns.q0)
-    if ns.q1 is not None and _int(ns.q1) != 2 * q0:
+    q0, m0, m1, k0, k1 = ns.q0, ns.m0, ns.m1, ns.k0, ns.k1
+    if ns.q1 is not None and ns.q1 != 2 * q0:
         raise PreconditionError("modulus window is dyadic: q1 must equal 2*q0",
-                                q0=q0, q1=_int(ns.q1))
-    m0, m1, k0, k1 = (_int(ns.m0), _int(ns.m1), _int(ns.k0), _int(ns.k1))
-    n0 = _int(ns.n0) if ns.n0 is not None else m0 * k0
-    n1 = _int(ns.n1) if ns.n1 is not None else m1 * k1
+                                q0=q0, q1=ns.q1)
+    n0 = ns.n0 if ns.n0 is not None else m0 * k0
+    n1 = ns.n1 if ns.n1 is not None else m1 * k1
     a = {m: 1.0 for m in range(m0, m1)}
     b = {k: 1.0 for k in range(k0, k1)}
-    payload = dict(chars.bilinear_report(q0, _number(ns.gamma), a, b, n0, n1))
+    payload = dict(chars.bilinear_report(q0, ns.gamma, a, b, n0, n1))
     payload.update({"q0": q0, "m0": m0, "m1": m1, "k0": k0, "k1": k1,
                     "n0": n0, "n1": n1})
     if ns.report:
@@ -342,31 +324,26 @@ def cmd_chars_bilinear(ns):
 
 
 def cmd_equidist_e(ns):
-    n = _int(ns.n)
-    n2 = _int(ns.n2) if ns.n2 is not None else 2 * n
-    row = equidist.e_sup(n, n2, _number(ns.gamma), _int(ns.q), _int(ns.a))
-    return {"n": n, "n2": n2, "q": row.q, "a": row.a, "e": str(row.e),
+    n2 = ns.n2 if ns.n2 is not None else 2 * ns.n
+    row = equidist.e_sup(ns.n, n2, ns.gamma, ns.q, ns.a)
+    return {"n": ns.n, "n2": n2, "q": row.q, "a": row.a, "e": str(row.e),
             "e_float": float(row.e), "contributing_count": row.contributing_count,
             "interval": row.interval, "attained": row.attained}, 0
 
 
 def _harness_config(ns, **extra) -> equidist.HarnessConfig:
-    kwargs = {"gamma": _number(ns.gamma), "n_grid": tuple(_int_list(ns.ngrid)),
-              "eps": _float(ns.eps), "a_power": _float(ns.apower)}
-    kwargs.update(extra)
-    return equidist.HarnessConfig(**kwargs)
+    return equidist.HarnessConfig(gamma=ns.gamma, n_grid=tuple(ns.ngrid),
+                                  eps=ns.eps, a_power=ns.apower, **extra)
 
 
 def cmd_equidist_bv(ns):
-    cfg = _harness_config(ns, q_cap=_int(ns.qcap) if ns.qcap is not None else None)
-    rows = equidist.bv_harness(cfg)
+    rows = equidist.bv_harness(_harness_config(ns, q_cap=ns.qcap))
     return {"rows": rows}, 0
 
 
 def cmd_equidist_bdh(ns):
-    if _flag(ns.demo):
-        demo = equidist.liouville_demo(_int(ns.r), _int(ns.u), _int(ns.n),
-                                       _int(ns.qcap_demo))
+    if ns.demo:
+        demo = equidist.liouville_demo(ns.r, ns.u, ns.n, ns.qcap_demo)
         payload = {"gamma": str(demo["gamma"]), "delta": str(demo["delta"]),
                    "arc": [str(demo["arc"][0]), str(demo["arc"][1])],
                    "points_in_arc": demo["points_in_arc"],
@@ -375,8 +352,7 @@ def cmd_equidist_bdh(ns):
                    "all_progressions_hold": demo["all_progressions_hold"],
                    "rows": demo["rows"]}
         return payload, 0 if demo["all_progressions_hold"] else 1
-    cfg = _harness_config(ns, r_cap=_int(ns.rcap) if ns.rcap is not None else None)
-    rows = equidist.bdh_harness(cfg)
+    rows = equidist.bdh_harness(_harness_config(ns, r_cap=ns.rcap))
     return {"rows": rows}, 0
 
 
@@ -393,10 +369,8 @@ def _regcond_with_defaults(params, n_grid, offsets, theta, k, eps):
 
 
 def cmd_equidist_regcond(ns):
-    params = _params_from(ns)
-    payload = _regcond_with_defaults(params, _int_list(ns.ngrid),
-                                     tuple(_int_list(ns.offsets)),
-                                     _float(ns.theta), _int(ns.k), _float(ns.eps))
+    payload = _regcond_with_defaults(_params_from(ns), ns.ngrid,
+                                     tuple(ns.offsets), ns.theta, ns.k, ns.eps)
     trend = payload["flags"]["regcond_trend_down"]
     return payload, 0 if trend in (None, True) else 1
 
@@ -412,11 +386,9 @@ def cmd_report_buchstab(ns):
 
 
 def cmd_report_mk(ns):
-    kmax = _int(ns.kmax)
-    if kmax < 1:
-        raise PreconditionError("kmax must be >= 1", kmax=kmax)
-    degree = _int(ns.degree)
-    rows = [_mk_row(k, degree) for k in range(1, kmax + 1)]
+    if ns.kmax < 1:
+        raise PreconditionError("kmax must be >= 1", kmax=ns.kmax)
+    rows = [_mk_row(k, ns.degree) for k in range(1, ns.kmax + 1)]
     return {"rows": rows}, 0
 
 
@@ -474,19 +446,19 @@ def cmd_find(ns):
     the minimal observed diameter.  Every output re-validates.
     """
     params = _params_from(ns)
-    t = _int(ns.t)
+    t = ns.t
     if t < 1:
         raise PreconditionError("t must be >= 1", t=t)
-    eps = _float(ns.eps)
+    eps = ns.eps
     theta_label = ns.theta
     theta = _theta_value(theta_label, eps)
-    n_req = _int(ns.n)
+    n_req = ns.n
     note = None
 
     if ns.lo is not None or ns.hi is not None:
         if ns.lo is None or ns.hi is None:
             raise PreconditionError("--lo and --hi must be given together")
-        lo, hi = _int(ns.lo), _int(ns.hi)
+        lo, hi = ns.lo, ns.hi
     elif theta_label == "two-sevenths":
         # this path ties the window to a square of a convergent denominator
         r = next((c.denominator for c in dioph.convergents(params.gamma_exact, 60)
@@ -508,16 +480,17 @@ def cmd_find(ns):
                                 hi=hi, cap=FIND_WINDOW_CAP)
 
     table = arith.FactorTable(hi)
-    scan = {"window": [lo, hi], "candidates_checked": 0}
+    members = beatty.beatty_members(params, lo, hi)
+    bprimes = members[table.prime_mask(members)]
+    scan = {"window": [lo, hi], "candidates_checked": 0,
+            "beatty_members": len(members), "beatty_primes": len(bprimes)}
     result = None
     tuple_offsets = None
     path = None
 
     # tuple-guided path
-    k_plan = None
-    if ns.k is not None:
-        k_plan = _int(ns.k)
-    else:
+    k_plan = ns.k
+    if k_plan is None:
         search = variational.k_satisfying(t, 1.0 - 2.0 * eps, theta,
                                           search_cap=8)
         if search.certified:
@@ -533,27 +506,26 @@ def cmd_find(ns):
         except BudgetError:
             trans = None
         if trans is not None and trans.complete:
-            offs = list(trans.tuple_.offsets)
-            tuple_offsets = offs
-            top = hi - offs[-1]
-            budget = min(top - lo, FIND_SCAN_BUDGET)
-            for n in range(lo, lo + max(0, budget)):
-                scan["candidates_checked"] += 1
-                hits = [n + h for h in offs
-                        if table.is_prime(n + h)
-                        and beatty.torus_member(params, n + h)]
-                if len(hits) >= t:
-                    result = _min_diameter_group(hits, t)[1]
-                    path = "tuple"
-                    break
+            tuple_offsets = offs = list(trans.tuple_.offsets)
+            # the first n in [lo, lo + budget) with >= t of n + offs Beatty
+            # primes; every n + h stays inside [lo, hi)
+            budget = max(0, min(hi - offs[-1] - lo, FIND_SCAN_BUDGET))
+            is_bprime = np.zeros(hi - lo, dtype=bool)
+            is_bprime[bprimes - lo] = True
+            hit_counts = np.zeros(budget, dtype=np.int64)
+            for h in offs:
+                hit_counts += is_bprime[h:h + budget]
+            first = np.flatnonzero(hit_counts >= t)
+            scan["candidates_checked"] = int(first[0]) + 1 if first.size else budget
+            if first.size:
+                n = lo + int(first[0])
+                hits = [n + h for h in offs if is_bprime[n - lo + h]]
+                result = _min_diameter_group(hits, t)[1]
+                path = "tuple"
 
     # windowed fallback: minimal-diameter group of Beatty primes
-    members = beatty.beatty_members(params, lo, hi)
-    bprimes = members[table.prime_mask(members)].tolist()
-    scan["beatty_members"] = len(members)
-    scan["beatty_primes"] = len(bprimes)
     if result is None:
-        group = _min_diameter_group(bprimes, t)
+        group = _min_diameter_group(bprimes.tolist(), t)
         if group is not None:
             result = group[1]
             path = "window"
@@ -603,169 +575,194 @@ def _common_parent(fmt_default: str) -> argparse.ArgumentParser:
     return common
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser():
+    """The argument parser, and the (parser, common-options parent) pair of
+    each command keyed by its name tuple, e.g. ("beatty", "enumerate")."""
     parser = argparse.ArgumentParser(
         prog="beattysieve",
         description="Workbench for gaps between primes in Beatty sequences")
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    def action(group, name, handler, fmt_default="json", **kwargs):
-        p = group.add_parser(name, parents=[_common_parent(fmt_default)], **kwargs)
-        p.set_defaults(handler=handler)
-        return p
+    groups = {(): parser.add_subparsers(dest="subcommand", required=True)}
+    commands = {}
 
     def module(name, help_text):
-        p = subs.add_parser(name, help=help_text)
-        return p.add_subparsers(dest="action", required=True)
+        p = groups[()].add_parser(name, help=help_text)
+        groups[(name,)] = p.add_subparsers(dest="action", required=True)
 
-    g = module("beatty", "Beatty sequence membership and enumeration")
-    p = action(g, "enumerate", cmd_beatty_enumerate)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", default="0")
-    p.add_argument("--lo", required=True)
-    p.add_argument("--hi", required=True)
-    p = action(g, "member", cmd_beatty_member)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", default="0")
-    p.add_argument("--n", required=True)
+    def action(path, handler, fmt_default="json", **kwargs):
+        names = tuple(path.split())
+        common = _common_parent(fmt_default)
+        p = groups[names[:-1]].add_parser(names[-1], parents=[common], **kwargs)
+        p.set_defaults(handler=handler)
+        commands[names] = (p, common)
+        return p
 
-    g = module("dioph", "continued fractions and modulus selection")
-    p = action(g, "convergents", cmd_dioph_convergents)
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--depth", default="20")
-    p = action(g, "modulus", cmd_dioph_modulus)
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--n", required=True)
+    def beatty_pair(p, alpha=None):
+        p.add_argument("--alpha", type=_number, required=alpha is None,
+                       default=alpha)
+        p.add_argument("--beta", type=_number, default="0")
 
-    g = module("tuples", "admissible tuples and Beatty translation")
-    p = action(g, "admissible", cmd_tuples_admissible)
-    p.add_argument("--h", required=True, help="offsets, e.g. 0,2,6")
-    p = action(g, "translate", cmd_tuples_translate)
-    p.add_argument("--l", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--eps", required=True)
+    module("beatty", "Beatty sequence membership and enumeration")
+    p = action("beatty enumerate", cmd_beatty_enumerate)
+    beatty_pair(p)
+    p.add_argument("--lo", type=_int, required=True)
+    p.add_argument("--hi", type=_int, required=True)
+    p = action("beatty member", cmd_beatty_member)
+    beatty_pair(p)
+    p.add_argument("--n", type=_int, required=True)
 
-    g = module("sieve", "multidimensional sieve weights and window sums")
-    p = action(g, "weights", cmd_sieve_weights)
-    p.add_argument("--k", required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--n", required=True)
-    p.add_argument("--h", required=True)
-    p.add_argument("--eps", default="0.005")
-    p.add_argument("--d0", default=None)
-    p = action(g, "s1s2", cmd_sieve_s1s2)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", default="0")
-    p.add_argument("--k", default="2")
-    p.add_argument("--theta", default="0.99")
-    p.add_argument("--n", default="1000000")
-    p.add_argument("--h", default="0,2")
-    p.add_argument("--eps", default="0.005")
-    p.add_argument("--d0", default="2")
+    module("dioph", "continued fractions and modulus selection")
+    p = action("dioph convergents", cmd_dioph_convergents)
+    p.add_argument("--gamma", type=_number, required=True)
+    p.add_argument("--depth", type=_int, default="20")
+    p = action("dioph modulus", cmd_dioph_modulus)
+    p.add_argument("--gamma", type=_number, required=True)
+    p.add_argument("--n", type=_int, required=True)
 
-    g = module("mk", "variational lower bounds and tuple-size thresholds")
-    p = action(g, "bound", cmd_mk_bound)
-    p.add_argument("--k", required=True)
-    p.add_argument("--degree", default="3")
-    p = action(g, "threshold", cmd_mk_threshold)
-    p.add_argument("--t", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--degree", default="3")
+    module("tuples", "admissible tuples and Beatty translation")
+    p = action("tuples admissible", cmd_tuples_admissible)
+    p.add_argument("--h", type=_int_list, required=True, help="offsets, e.g. 0,2,6")
+    p = action("tuples translate", cmd_tuples_translate)
+    p.add_argument("--l", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--gamma", type=_number, required=True)
+    p.add_argument("--eps", type=_number, required=True)
 
-    g = module("buchstab", "decomposition identity and region integrals")
-    p = action(g, "integrals", cmd_buchstab_integrals)
-    p.add_argument("--order", default="24")
-    p.add_argument("--tol", default="1e-7")
-    p = action(g, "check", cmd_buchstab_check)
-    p.add_argument("--from", dest="lo", required=True)
-    p.add_argument("--to", dest="hi", required=True)
+    module("sieve", "multidimensional sieve weights and window sums")
+    p = action("sieve weights", cmd_sieve_weights)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--theta", type=_float, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--h", type=_int_list, required=True)
+    p.add_argument("--eps", type=_float, default="0.005")
+    p.add_argument("--d0", type=_int, default=None)
+    p = action("sieve s1s2", cmd_sieve_s1s2)
+    beatty_pair(p)
+    p.add_argument("--k", type=_int, default="2")
+    p.add_argument("--theta", type=_float, default="0.99")
+    p.add_argument("--n", type=_int, default="1000000")
+    p.add_argument("--h", type=_int_list, default="0,2")
+    p.add_argument("--eps", type=_float, default="0.005")
+    p.add_argument("--d0", type=_int, default="2")
 
-    g = module("chars", "Dirichlet characters and bilinear sums")
-    p = action(g, "table", cmd_chars_table)
-    p.add_argument("--q", required=True)
-    p = action(g, "bilinear", cmd_chars_bilinear)
-    p.add_argument("--q0", required=True)
-    p.add_argument("--q1", default=None)
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--m0", required=True)
-    p.add_argument("--m1", required=True)
-    p.add_argument("--k0", required=True)
-    p.add_argument("--k1", required=True)
-    p.add_argument("--n0", default=None)
-    p.add_argument("--n1", default=None)
+    module("mk", "variational lower bounds and tuple-size thresholds")
+    p = action("mk bound", cmd_mk_bound)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--degree", type=_int, default="3")
+    p = action("mk threshold", cmd_mk_threshold)
+    p.add_argument("--t", type=_int, required=True)
+    p.add_argument("--b", type=_float, required=True)
+    p.add_argument("--theta", type=_float, required=True)
+    p.add_argument("--degree", type=_int, default="3")
+
+    module("buchstab", "decomposition identity and region integrals")
+    p = action("buchstab integrals", cmd_buchstab_integrals)
+    p.add_argument("--order", type=_int, default="24")
+    p.add_argument("--tol", type=_float, default="1e-7")
+    p = action("buchstab check", cmd_buchstab_check)
+    p.add_argument("--from", dest="lo", type=_int, required=True)
+    p.add_argument("--to", dest="hi", type=_int, required=True)
+
+    module("chars", "Dirichlet characters and bilinear sums")
+    p = action("chars table", cmd_chars_table)
+    p.add_argument("--q", type=_int, required=True)
+    p = action("chars bilinear", cmd_chars_bilinear)
+    p.add_argument("--q0", type=_int, required=True)
+    p.add_argument("--q1", type=_int, default=None)
+    p.add_argument("--gamma", type=_number, required=True)
+    for name in ("--m0", "--m1", "--k0", "--k1"):
+        p.add_argument(name, type=_int, required=True)
+    p.add_argument("--n0", type=_int, default=None)
+    p.add_argument("--n1", type=_int, default=None)
     p.add_argument("--report", default=None, help="also write a one-row CSV here")
 
-    g = module("equidist", "progression error suprema and scaling harnesses")
-    p = action(g, "e", cmd_equidist_e)
-    p.add_argument("--n", required=True)
-    p.add_argument("--n2", default=None)
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--a", required=True)
-    p = action(g, "bv", cmd_equidist_bv)
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--ngrid", required=True, help="e.g. 10000,100000")
-    p.add_argument("--eps", default="0.05")
-    p.add_argument("--apower", "--A", dest="apower", default="2.0")
-    p.add_argument("--qcap", default=None)
-    p = action(g, "bdh", cmd_equidist_bdh)
-    p.add_argument("--gamma", default="0.7071067811865476")
-    p.add_argument("--ngrid", default="10000")
-    p.add_argument("--eps", default="0.05")
-    p.add_argument("--apower", "--A", dest="apower", default="2.0")
-    p.add_argument("--rcap", default=None)
-    p.add_argument("--demo", default="false", help="run the avoidance construction")
-    p.add_argument("--r", default="10")
-    p.add_argument("--u", default="3")
-    p.add_argument("--n", default="100")
-    p.add_argument("--qcap-demo", dest="qcap_demo", default="5")
-    p = action(g, "regcond", cmd_equidist_regcond)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", default="0")
-    p.add_argument("--ngrid", required=True)
-    p.add_argument("--offsets", default="0,7")
-    p.add_argument("--theta", default="0.25")
-    p.add_argument("--k", default="2")
-    p.add_argument("--eps", default="0.05")
+    module("equidist", "progression error suprema and scaling harnesses")
+    p = action("equidist e", cmd_equidist_e)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--n2", type=_int, default=None)
+    p.add_argument("--gamma", type=_number, required=True)
+    p.add_argument("--q", type=_int, required=True)
+    p.add_argument("--a", type=_int, required=True)
+    p = action("equidist bv", cmd_equidist_bv)
+    p.add_argument("--gamma", type=_number, required=True)
+    p.add_argument("--ngrid", type=_int_list, required=True, help="e.g. 10000,100000")
+    p.add_argument("--eps", type=_float, default="0.05")
+    p.add_argument("--apower", "--A", dest="apower", type=_float, default="2.0")
+    p.add_argument("--qcap", type=_int, default=None)
+    p = action("equidist bdh", cmd_equidist_bdh)
+    p.add_argument("--gamma", type=_number, default="0.7071067811865476")
+    p.add_argument("--ngrid", type=_int_list, default="10000")
+    p.add_argument("--eps", type=_float, default="0.05")
+    p.add_argument("--apower", "--A", dest="apower", type=_float, default="2.0")
+    p.add_argument("--rcap", type=_int, default=None)
+    p.add_argument("--demo", type=_flag, default="false",
+                   help="run the avoidance construction")
+    p.add_argument("--r", type=_int, default="10")
+    p.add_argument("--u", type=_int, default="3")
+    p.add_argument("--n", type=_int, default="100")
+    p.add_argument("--qcap-demo", dest="qcap_demo", type=_int, default="5")
+    p = action("equidist regcond", cmd_equidist_regcond)
+    beatty_pair(p)
+    p.add_argument("--ngrid", type=_int_list, required=True)
+    p.add_argument("--offsets", type=_int_list, default="0,7")
+    p.add_argument("--theta", type=_float, default="0.25")
+    p.add_argument("--k", type=_int, default="2")
+    p.add_argument("--eps", type=_float, default="0.05")
 
-    p = action(subs, "find", cmd_find,
+    p = action("find", cmd_find,
                help="search a window for t Beatty primes close together")
-    p.add_argument("--alpha", default=repr(math.sqrt(2)))
-    p.add_argument("--beta", default="0")
-    p.add_argument("--t", default="2")
-    p.add_argument("--n", default="1000")
-    p.add_argument("--lo", default=None)
-    p.add_argument("--hi", default=None)
+    beatty_pair(p, alpha=repr(math.sqrt(2)))
+    p.add_argument("--t", type=_int, default="2")
+    p.add_argument("--n", type=_int, default="1000")
+    p.add_argument("--lo", type=_int, default=None)
+    p.add_argument("--hi", type=_int, default=None)
     p.add_argument("--theta", default="quarter", choices=THETA_LABELS)
-    p.add_argument("--eps", default="0.01")
-    p.add_argument("--k", default=None, help="tuple size override")
+    p.add_argument("--eps", type=_float, default="0.01")
+    p.add_argument("--k", type=_int, default=None, help="tuple size override")
 
-    g = module("report", "bundled artifact tables")
-    action(g, "buchstab-integrals", cmd_report_buchstab)
-    p = action(g, "mk", cmd_report_mk, fmt_default="csv")
-    p.add_argument("--kmax", default="8")
-    p.add_argument("--degree", default="3")
-    action(g, "regcond-trend", cmd_report_regcond_trend)
-    action(g, "lemmas", cmd_report_lemmas)
+    module("report", "bundled artifact tables")
+    action("report buchstab-integrals", cmd_report_buchstab)
+    p = action("report mk", cmd_report_mk, fmt_default="csv")
+    p.add_argument("--kmax", type=_int, default="8")
+    p.add_argument("--degree", type=_int, default="3")
+    action("report regcond-trend", cmd_report_regcond_trend)
+    action("report lemmas", cmd_report_lemmas)
 
-    return parser
+    return parser, commands
+
+
+def _with_config(commands: dict, argv: list[str]) -> list[str]:
+    """argv with the --config file's pairs spliced in as `--flag=value`
+    tokens right after the subcommand's name, ahead of every explicit flag,
+    so that argparse's last-one-wins rule lets explicit flags win."""
+    n_names = next((i for i in (1, 2) if tuple(argv[:i]) in commands), 0)
+    if not n_names:
+        return argv   # no command: the full parse reports the usage error
+    command, common = commands[tuple(argv[:n_names])]
+    known, _ = common.parse_known_args(argv[n_names:])
+    if known.config is None:
+        return argv
+    options = {a.dest: a.option_strings[0] for a in command._actions
+               if a.option_strings and a.nargs != 0}
+    tokens = []
+    for key, val in load_config_file(known.config).items():
+        if key in options:
+            tokens.append(f"{options[key]}={val}")
+        else:
+            print(f"config: ignoring unknown key {key!r}", file=sys.stderr)
+    return argv[:n_names] + tokens + argv[n_names:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    parser, commands = _build_parser()
     started = time.perf_counter()
     try:
-        if getattr(ns, "config", None):
-            _apply_config(ns, load_config_file(ns.config), argv)
+        ns = parser.parse_args(_with_config(commands, argv))
         payload, code = ns.handler(ns)
         _emit(ns, payload)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
     except BudgetError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 1

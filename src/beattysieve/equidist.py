@@ -416,9 +416,10 @@ def regcond_report(a_sets: dict, offsets, config: HarnessConfig) -> list[dict]:
 
     a_sets maps each grid N to the members of the window set A as a
     strictly ascending int64 array (as beatty_members returns it).
-    config.params is required: the shifted memberships are recomputed
-    through the torus arc on exact integers and cross-checked against the
-    array route; mismatches are reported.
+    config.params is required, and gamma (in Y and in the arcs) is its
+    exact gamma, whatever config.gamma holds: the shifted memberships are
+    recomputed through the torus arc on exact integers and cross-checked
+    against the array route; mismatches are reported.
     """
     params = config.params
     if params is None:
@@ -441,7 +442,7 @@ def regcond_report(a_sets: dict, offsets, config: HarnessConfig) -> list[dict]:
                                     "ascending", n=n)
         big_l = math.log(n)
         q_top = max(1, int(n**config.theta))
-        y_val = float(_to_fraction(config.gamma) * n)
+        y_val = float(gamma * n)
         envelope = y_val / big_l ** (config.k + config.eps)
         moduli = [(q, arith.tau_k(q, 3 * config.k)) for q in range(1, q_top + 1)
                   if arith.mobius(q) != 0]

@@ -215,6 +215,65 @@ def test_bdh_demo_config_file(tmp_path, capsys):
     assert payload["sum_bound"] == pytest.approx(81.25)
 
 
+def test_explicit_apower_beats_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "bv.cfg"
+    cfg.write_text("apower = 1\n")
+    argv = ["equidist", "bv", "--gamma", INV_SQRT2, "--ngrid", "1000"]
+    rc, explicit, _ = jrun(argv + ["--A", "3"], capsys)
+    assert rc == 0
+    rc, merged, _ = jrun(argv + ["--A", "3", "--config", str(cfg)], capsys)
+    assert rc == 0 and merged == explicit
+    rc, from_file, _ = jrun(argv + ["--config", str(cfg)], capsys)
+    assert rc == 0 and from_file != explicit
+
+
+def test_explicit_short_output_beats_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "out.cfg"
+    cfg.write_text(f"output = {tmp_path / 'y.json'}\n")
+    rc, stdout, _ = run(["mk", "bound", "--k", "2", "--degree", "1",
+                         "-o", str(tmp_path / "x.json"), "--config", str(cfg)],
+                        capsys)
+    assert rc == 0 and stdout == ""
+    assert (tmp_path / "x.json").exists()
+    assert not (tmp_path / "y.json").exists()
+
+
+def test_explicit_from_and_to_beat_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text("lo = 100000\nhi = 100200\n")
+    rc, payload, _ = jrun(["buchstab", "check", "--from", "100100",
+                           "--to", "100150", "--config", str(cfg)], capsys)
+    assert rc == 0
+    assert payload == {"from": 100100, "to": 100150, "violations": 0}
+
+
+def test_required_flags_may_come_from_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text("lo = 100000\nhi = 100200\n")
+    rc, payload, _ = jrun(["buchstab", "check", "--config", str(cfg)], capsys)
+    assert rc == 0
+    assert payload == {"from": 100000, "to": 100200, "violations": 0}
+    cfg = tmp_path / "mk.cfg"
+    cfg.write_text("k = 2\ndegree = 1\n")
+    rc, from_file, _ = jrun(["mk", "bound", "--config", str(cfg)], capsys)
+    assert rc == 0
+    assert from_file == jrun(["mk", "bound", "--k", "2", "--degree", "1"],
+                             capsys)[1]
+    # file values meet the flag's type like typed ones
+    cfg.write_text("k = two\n")
+    rc, out, _ = run(["mk", "bound", "--config", str(cfg)], capsys)
+    assert rc == 2 and out == ""
+
+
+def test_two_calls_build_the_parser_once(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        rc, _, _ = run(["chars", "table", "--q", "15"], capsys)
+        assert rc == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_bdh_demo_refuses_a_huge_qcap(capsys, monkeypatch):
     def no_sweep(*args):
         raise AssertionError("window swept before the budget check")
@@ -241,6 +300,22 @@ def test_output_file_and_manifest(tmp_path, capsys):
     assert "k" in manifest["config"]
 
 
+def test_manifest_records_typed_config(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    rc, _, _ = run(["beatty", "enumerate", "--alpha", "3/2", "--beta", "1/3",
+                    "--lo", "1", "--hi", "8", "-o", str(out)], capsys)
+    assert rc == 0
+    config = json.loads((tmp_path / "b.json.manifest.json").read_text())["config"]
+    assert config == {"alpha": "3/2", "beta": "1/3", "lo": 1, "hi": 8,
+                      "config": None, "format": "json", "output": str(out),
+                      "subcommand": "beatty", "action": "enumerate"}
+    rc, _, _ = run(["tuples", "admissible", "--h", "0,2,6", "-o", str(out)],
+                   capsys)
+    assert rc == 0
+    config = json.loads((tmp_path / "b.json.manifest.json").read_text())["config"]
+    assert config["h"] == [0, 2, 6]
+
+
 def test_output_into_missing_directory(capsys):
     rc, _, _ = run(["beatty", "enumerate", "--alpha", SQRT2, "--lo", "1",
                     "--hi", "8", "--output", "/nonexistent-dir/x.json"],
@@ -256,6 +331,8 @@ def test_bad_inputs_exit_code(capsys):
                     "--gamma", "0.5", "--m0", "8", "--m1", "16",
                     "--k0", "8", "--k1", "16"], capsys)
     assert rc == 2
+    rc, out, _ = run(["beatty", "member", "--alpha", "3/0", "--n", "7"], capsys)
+    assert rc == 2 and out == ""
 
 
 def test_report_mk_csv(capsys):
@@ -426,6 +503,21 @@ def test_find_square_window(capsys):
     assert payload["primes"] == [1697, 1699]
     assert payload["bound_ok"] and payload["path"] == "window"
     assert "r = 41" in payload["note"]
+
+
+def test_find_tuple_path(capsys):
+    # --k 2 skips the threshold search; the translated pair (140, 280) puts
+    # two Beatty primes on the 12th candidate, n = 100011
+    rc, payload, _ = jrun(["find", "--t", "2", "--k", "2", "--lo", "100000",
+                           "--hi", "200000"], capsys)
+    assert rc == 0
+    assert payload["path"] == "tuple"
+    assert payload["primes"] == [100151, 100291]
+    assert payload["tuple_offsets"] == [140, 280]
+    assert payload["scan"]["candidates_checked"] == 12
+    assert payload["bound_ok"]
+    for entry in payload["certificate"]:
+        assert entry["prime"] and entry["beatty_member"] and entry["in_window"]
 
 
 # Reference commands and the payloads they printed (exit 0) under the

@@ -170,6 +170,16 @@ def test_regcond_report(sqrt2):
     assert row["norm15"][1] == pytest.approx(11.893592655851103, rel=1e-9)
 
 
+def test_regcond_report_takes_gamma_from_params(sqrt2):
+    # Y = gamma N and the shift arcs use the same gamma, that of params
+    a_sets = {2000: beatty_members(sqrt2, 2000, 4000)}
+    want = regcond_report(a_sets, (0, 7), HarnessConfig(
+        gamma=sqrt2.gamma_exact, n_grid=(2000,), params=sqrt2))
+    got = regcond_report(a_sets, (0, 7), HarnessConfig(
+        gamma=0.5, n_grid=(2000,), params=sqrt2))
+    assert got == want
+
+
 @pytest.mark.parametrize("n, expected", [(12_500, 1273.4601292265952),
                                          (10**5, 8406.243120846202),
                                          (4 * 10**5, 30114.675524174312),

@@ -59,6 +59,22 @@ def test_importing_the_cli_loads_no_scipy():
     assert out == "[]\n"
 
 
+def test_cli_coerces_flags_only_through_argparse():
+    # each flag declares its type with the flag, so handlers and their
+    # helpers read typed values and never call a flag type themselves
+    flag_types = {"_int", "_float", "_number", "_int_list", "_flag"}
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text())
+    calls = [f"cli.py:{node.lineno} {node.func.id}"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in flag_types]
+    declared = {kw.value.id for node in ast.walk(tree)
+                if isinstance(node, ast.Call) for kw in node.keywords
+                if kw.arg == "type" and isinstance(kw.value, ast.Name)}
+    assert calls == []
+    assert declared == flag_types
+
+
 def test_every_function_parameter_is_read():
     # a parameter no body reads is an option no caller can use; the cmd_*
     # handlers all take the parsed namespace `ns`, read or not, because
