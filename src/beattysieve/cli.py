@@ -48,6 +48,7 @@ from .errors import (BudgetError, CapacityError, ImpossibleInputError,
                      PreconditionError)
 FIND_WINDOW_CAP = 2 * 10**7
 FIND_TUPLE_K_CAP = 16
+FIND_K_SEARCH_CAP = 8
 FIND_SCAN_BUDGET = 500_000
 THETA_LABELS = ("quarter", "two-sevenths")
 
@@ -491,14 +492,19 @@ def cmd_find(ns):
     # tuple-guided path
     k_plan = ns.k
     if k_plan is None:
-        search = variational.k_satisfying(t, 1.0 - 2.0 * eps, theta,
-                                          search_cap=8)
-        if search.certified:
-            k_plan = search.k
-        else:
+        b = 1.0 - 2.0 * eps
+        threshold = variational.k_threshold(t, b, theta)
+        # no certified bound up to the cap can clear a threshold above
+        # M_k's upper bound there, so the forms are solved only when one can
+        if variational.mk_upper_bound(FIND_K_SEARCH_CAP) > threshold:
+            search = variational.k_satisfying(t, b, theta,
+                                              search_cap=FIND_K_SEARCH_CAP)
+            if search.certified:
+                k_plan = search.k
+        if k_plan is None:
             note = (note + "; " if note else "") + (
-                f"certified tuple size unavailable below k = 8 "
-                f"(threshold {search.threshold:.3g}); using windowed scan")
+                f"certified tuple size unavailable below k = {FIND_K_SEARCH_CAP} "
+                f"(threshold {threshold:.3g}); using windowed scan")
     if k_plan is not None and k_plan <= FIND_TUPLE_K_CAP:
         try:
             trans = tuples.translate_tuple(max(2 * k_plan, 50), k_plan,

@@ -7,13 +7,15 @@ The central object is
 with n running over [N, N'), n = a mod q, frac(gamma n) in I, and I over
 torus arcs of length < 1.  The objective is piecewise linear in the arc
 endpoints, so the supremum is determined by endpoint pairs at the data
-points frac(gamma n).  The sweep below evaluates every candidate exactly
-on Python integers over one common denominator d per window: von Mangoldt
-masses are frozen to the rationals of their float values (dyadic, so
-both this sweep and any independent oracle see identical numbers), every
-position frac(gamma n) has a denominator dividing that of gamma, and d is
-the lcm of all of them.  Only the winning candidate of each progression
-is turned back into a Fraction.
+points frac(gamma n).  Von Mangoldt masses are frozen to the rationals of
+their float values (dyadic, so this sweep and any independent oracle see
+identical numbers), every position frac(gamma n) has a denominator
+dividing that of gamma, and one common denominator d per window is the
+lcm of all of them.  The sweep scores every candidate of every class of a
+modulus in one float64 numpy pass, then re-evaluates the few candidates
+within the pass's error bound of each class's best on Python integers
+over d, so the rows are exact.  Only the winning candidate of each
+progression is turned back into a Fraction.
 
 With the half-open arc convention (z, z + l] and a positive main term the
 extremes are approached, not attained: shrinking l toward the minimal
@@ -41,11 +43,18 @@ from .beatty import _to_fraction
 from .errors import BudgetError, PreconditionError
 
 # Point-visits a harness run may spend on its arc sweep (see
-# _check_sweep_budget).  Measured at 3-8 us per visit with Python 3.11 on a
-# 2-core x86-64 VM: bv at N = 10^6, q <= 15 is 1.09e6 visits in 4.9 s; bdh
-# at N = 10^4, R = 3000 is 7.8e6 visits in 64 s, where rows of one or two
-# points dominate.  So the budget is about a minute of work.
+# _check_sweep_budget).  Measured with Python 3.11 on a 2-core x86-64 VM:
+# bv at N = 10^6, q <= 15 is 1.09e6 visits in 0.53 s (0.5 us each); bdh at
+# N = 10^4 is 3.7e5 visits in 0.97 s at R = 300 (2.6 us) and 7.8e6 visits
+# in 50 s at R = 3000 (6.4 us), where rows of one or two points dominate
+# and each row's exact Fractions cost more than its points.  So the budget
+# is still about a minute of the slowest work.
 HARNESS_POINT_BUDGET = 10**7
+
+# Candidate (start, end) pairs one progression may send to the exact
+# re-check of _rows_for_modulus; a row with more is swept in full on
+# integers by _row_from_pairs.
+EXACT_RECHECK_CAP = 32
 
 # Rows liouville_demo may return, estimated as q_cap (q_cap + 1) / 2 (one
 # per reduced class of every q <= q_cap; the true count is about 0.3 q_cap^2).
@@ -98,8 +107,8 @@ class HarnessConfig:
 
 
 def lambda_points(n_lo: int, n_hi: int, table=None):
-    """(n, Lambda(n)) for prime powers in [n_lo, n_hi); masses are exact
-    rational snapshots of log p."""
+    """(n, Lambda(n)) for prime powers in [n_lo, n_hi), ascending in n; each
+    mass is the float math.log(p) of the root p, an exact dyadic rational."""
     if table is not None and table.limit >= n_hi - 1:
         primes = table.primes()
     else:
@@ -108,9 +117,9 @@ def lambda_points(n_lo: int, n_hi: int, table=None):
     window = primes[lo:hi].tolist()
     small = primes[:np.searchsorted(primes, math.isqrt(n_hi - 1),
                                     side="right")].tolist()
-    out = [(p, Fraction(math.log(p))) for p in window]
+    out = [(p, math.log(p)) for p in window]
     for p in small:
-        mass = Fraction(math.log(p))
+        mass = math.log(p)
         power = p * p
         while power < n_hi:
             if power >= n_lo:
@@ -138,22 +147,51 @@ def _sliding_max(values, window: int):
     return best
 
 
-def _window_points(n_lo: int, n_hi: int, gamma, table=None):
-    """(d, points): the prime powers n of [n_lo, n_hi) as triples (n, X, W),
-    sorted by X, with frac(gamma n) = X/d and Lambda(n) = W/d over one
-    common denominator d = lcm(den gamma, every mass denominator)."""
+@dataclass(frozen=True)
+class _Window:
+    """The prime powers of one window, sorted by X (ties keep n order).
+
+    frac(gamma n) = xs[k] / d exactly, x[k] is that ratio correctly
+    rounded, and xid[k] numbers the distinct X in order.  Lambda(n) =
+    mass[k] = wm[k] / mass_den exactly, with mass_den (a power of two)
+    dividing d.  n, xid and wm are int64 arrays, x and mass float64 ones,
+    xs a list of Python ints.
+    """
+    d: int
+    mass_den: int
+    xs: list
+    n: np.ndarray
+    xid: np.ndarray
+    x: np.ndarray
+    mass: np.ndarray
+    wm: np.ndarray
+
+
+def _window_points(n_lo: int, n_hi: int, gamma, table=None) -> _Window:
+    """The window [n_lo, n_hi) over one common denominator d = lcm(den
+    gamma, every mass denominator); nothing per point is a Fraction."""
     g = _to_fraction(gamma)
     pts = lambda_points(n_lo, n_hi, table)
-    d = math.lcm(g.denominator, *{lam.denominator for _, lam in pts})
+    mass_den = max((lam.as_integer_ratio()[1] for _, lam in pts), default=1)
+    d = math.lcm(g.denominator, mass_den)
     step = g.numerator * (d // g.denominator)
-    points = [(n, step * n % d, lam.numerator * (d // lam.denominator))
-              for n, lam in pts]
-    points.sort(key=lambda t: t[1])
-    return d, points
+    xs = [step * n % d for n, _ in pts]
+    order = sorted(range(len(xs)), key=xs.__getitem__)
+    xs = [xs[k] for k in order]
+    xid = np.zeros(len(xs), dtype=np.int64)
+    xid[1:] = np.cumsum([x1 != x0 for x0, x1 in zip(xs, xs[1:])])
+    mass = np.array([lam for _, lam in pts], dtype=np.float64)[order]
+    # mass * mass_den < 2^59 while log p < 64, so wm is exact in int64
+    return _Window(d, mass_den, xs,
+                   np.array([n for n, _ in pts], dtype=np.int64)[order], xid,
+                   np.array([x / d for x in xs], dtype=np.float64), mass,
+                   (mass * mass_den).astype(np.int64))
 
 
 def _row_from_pairs(pairs, d: int, span: int, phi: int, q: int, a: int) -> ErrorRow:
-    """Run the endpoint sweep on one progression's (X, W) pairs, sorted by X.
+    """Run the endpoint sweep on one progression's (X, W) pairs, sorted by X,
+    visiting every point on Python integers: the route of the rows whose
+    float filter leaves too many candidates (see _rows_for_modulus).
 
     Positions X/d and masses W/d are integers over d, and the slope is
     c = span/phi, so every candidate times d*phi is an integer: the mass
@@ -208,15 +246,173 @@ def _row_from_pairs(pairs, d: int, span: int, phi: int, q: int, a: int) -> Error
     return ErrorRow(q, a, Fraction(val, d * phi), count, arc, False)
 
 
-def _rows_for_modulus(d: int, points, span: int, q: int) -> dict[int, ErrorRow]:
-    """ErrorRow per reduced class a mod q; the points arrive sorted by X,
-    so each class's bucket does too."""
+def _rows_for_modulus(w: _Window, span: int, q: int, a: int | None = None
+                      ) -> dict[int, ErrorRow]:
+    """ErrorRow per reduced class mod q, or for the class of a alone.
+
+    One numpy pass covers every class of q at once.  A stable argsort by
+    n mod q buckets the window (each bucket stays sorted by X), equal X
+    within a class merge, and the classes become the rows of padded 2-D
+    arrays.  In units of mass, with c = span/phi and P the prefix masses,
+    a run i..j scores g[j] - h[i] and a gap between i and j scores
+    g[i] - h[j], where g[j] = P[j+1] - c x_j and h[i] = P[i] - c x_i; on the
+    second lap round the circle g and h gain total - c.  So the best
+    partner of every start i, and of every end j on either lap, is one
+    prefix or suffix max of g or min of h.
+
+    Those scores are floats, and a row of n points has them within
+    (3.03 n + 17) 2^-53 (total + c) of the truth (Higham's gamma_n for the
+    prefix sums, a few roundings for the rest); delta below is about twice
+    that.  An exact maximiser scores at least the float maximum - 2 delta,
+    so its start and its end both pass that floor.  Every pairing of a
+    passing start with a passing end is evaluated on Python integers over
+    d*phi with the integer sweep's tie rules: the first i, the last j, and
+    a gap only when strictly above every run.  A row with more than
+    EXACT_RECHECK_CAP such pairs is swept in full by _row_from_pairs.
+    """
     phi = arith.euler_phi(q)
-    buckets = {}
-    for n, x, w in points:
-        buckets.setdefault(n % q, []).append((x, w))
-    return {a: _row_from_pairs(buckets.get(a, ()), d, span, phi, q, a)
-            for a in range(q) if math.gcd(a, q) == 1}
+    residue = w.n % q
+    order = np.argsort(residue, kind="stable")
+    residue = residue[order]
+    keep = residue == a % q if a is not None else np.gcd(residue, q) == 1
+    order, residue = order[keep], residue[keep]
+    rows = {}
+    if order.size:
+        # merged points (their first bucket positions) and rows of them
+        xid = w.xid[order]
+        first = np.ones(order.size + 1, dtype=bool)
+        first[1:-1] = (residue[1:] != residue[:-1]) | (xid[1:] != xid[:-1])
+        bounds = np.flatnonzero(first)
+        seg = bounds[:-1]
+        row_first = np.ones(seg.size, dtype=bool)
+        row_first[1:] = residue[seg[1:]] != residue[seg[:-1]]
+        row_start = np.flatnonzero(row_first)
+        row_of = np.cumsum(row_first) - 1
+        m = np.bincount(row_of)
+        col = np.arange(seg.size) - row_start[row_of]
+        n_rows, width = m.size, int(m.max())
+
+        c = span / phi
+        prefix = np.zeros((n_rows, width + 1))
+        prefix[row_of, col + 1] = np.add.reduceat(w.mass[order], seg)
+        np.cumsum(prefix, axis=1, out=prefix)
+        total = prefix[np.arange(n_rows), m]
+        cx = np.full((n_rows, width), np.inf)
+        cx[row_of, col] = c * w.x[order[seg]]
+        g = prefix[:, 1:] - cx
+        h = prefix[:, :-1] - cx
+        h[cx == np.inf] = np.inf
+        lap = (total - c)[:, None]
+        g_before = np.full((n_rows, width), -np.inf)
+        np.maximum.accumulate(g[:, :-1], axis=1, out=g_before[:, 1:])
+        g_from = np.maximum.accumulate(g[:, ::-1], axis=1)[:, ::-1]
+        h_to = np.minimum.accumulate(h, axis=1)
+        h_after = np.full((n_rows, width), np.inf)
+        h_after[:, :-1] = np.minimum.accumulate(h[:, :0:-1], axis=1)[:, ::-1]
+        # best score per start i of a run, per end j of a run on the first
+        # and second lap, and the same three for gaps
+        score = np.empty((n_rows, 6, width))
+        np.subtract(np.maximum(g_from, g_before + lap), h, out=score[:, 0])
+        np.subtract(g, h_to, out=score[:, 1])
+        np.subtract(g + lap, h_after, out=score[:, 2])
+        np.subtract(g, np.minimum(h_after, h_to + lap), out=score[:, 3])
+        np.subtract(g_before, h, out=score[:, 4])
+        np.subtract(g_from, h + lap, out=score[:, 5])
+        n_points = bounds[row_start + m] - bounds[row_start]
+        delta = (3 * n_points + 32) * 2.0**-52 * (total + c)
+        floor = score.max(axis=(1, 2)) - 2 * delta
+        hits = zip(*(idx.tolist()
+                     for idx in np.nonzero(score >= floor[:, None, None])))
+        hit = next(hits, None)
+
+        exact = _Exact(w.d, w.xs, order.tolist(), w.wm[order].tolist(),
+                       bounds.tolist(), span, phi, w.d // w.mass_den)
+        for r, (start, count) in enumerate(zip(row_start.tolist(), m.tolist())):
+            label = a if a is not None else int(residue[seg[start]])
+            sets = ([], [], [], [], [], [])
+            while hit is not None and hit[0] == r:
+                sets[hit[1]].append(hit[2])
+                hit = next(hits, None)
+            runs_i, runs_j0, runs_j1, gaps_i, gaps_j0, gaps_j1 = sets
+            runs_j = runs_j0 + [j + count for j in runs_j1]
+            gaps_j = gaps_j0 + [j + count for j in gaps_j1]
+            if (len(runs_i) * len(runs_j) + len(gaps_i) * len(gaps_j)
+                    > EXACT_RECHECK_CAP):
+                rows[label] = exact.full_sweep(start, count, q, label)
+            else:
+                rows[label] = exact.best(start, count, runs_i, runs_j,
+                                         gaps_i, gaps_j, q, label)
+    empty = Fraction(span, phi)
+    labels = [a] if a is not None else [b for b in range(q) if math.gcd(b, q) == 1]
+    for b in labels:
+        if b not in rows:
+            rows[b] = ErrorRow(q, b, empty, 0, None, False)
+    return rows
+
+
+@dataclass(frozen=True)
+class _Exact:
+    """One modulus's buckets on Python integers, for the exact re-check.
+
+    Merged point k of the row starting at merged index s covers bucket
+    positions bounds[s + k] to bounds[s + k + 1]; order maps a bucket
+    position to its window index, and wm holds the mass of each bucket
+    position in units of 1/mass_den.  Scores are integers over d*phi, and
+    one unit of mass is unit = d / mass_den of them.
+    """
+    d: int
+    xs: list
+    order: list
+    wm: list
+    bounds: list
+    span: int
+    phi: int
+    unit: int
+
+    def best(self, start, count, runs_i, runs_j, gaps_i, gaps_j, q, a) -> ErrorRow:
+        """The exact winner among the candidate runs and gaps of one row;
+        an end j >= count lies on the second lap."""
+        at = self.bounds[start:start + count + 1]
+        total = sum(self.wm[at[0]:at[-1]])
+        scale = self.phi * self.unit
+        best = None
+        for kind, starts, ends in ((1, runs_i, runs_j), (0, gaps_i, gaps_j)):
+            for i in starts:
+                for j in ends:
+                    if not (i <= j < i + count if kind else i < j <= i + count):
+                        continue
+                    wrap = j >= count
+                    jj = j - count if wrap else j
+                    dx = (self.xs[self.order[at[jj]]] - self.xs[self.order[at[i]]]
+                          + (self.d if wrap else 0))
+                    # the mass of the run i..j, or strictly inside the gap;
+                    # across the lap, the total less the points left out
+                    if kind:
+                        lo, hi = (jj + 1, i) if wrap else (i, jj + 1)
+                    else:
+                        lo, hi = (jj, i + 1) if wrap else (i + 1, jj)
+                    inside = sum(self.wm[at[lo]:at[hi]])
+                    if wrap:
+                        inside = total - inside
+                    val = (scale * inside - self.span * dx if kind
+                           else self.span * dx - scale * inside)
+                    key = (val, kind, -i, j, dx)
+                    if best is None or key > best:
+                        best = key
+        val, kind, i, j, dx = best
+        i = -i
+        arc = (beatty.TorusInterval(Fraction(self.xs[self.order[at[i]]], self.d),
+                                    Fraction(dx, self.d))
+               if 0 < dx < self.d else None)
+        return ErrorRow(q, a, Fraction(val, self.d * self.phi),
+                        j - i + 1 if kind else j - i - 1, arc, False)
+
+    def full_sweep(self, start, count, q, a) -> ErrorRow:
+        """The row swept in full by the integer routine."""
+        lo, hi = self.bounds[start], self.bounds[start + count]
+        pairs = [(self.xs[self.order[p]], self.wm[p] * self.unit)
+                 for p in range(lo, hi)]
+        return _row_from_pairs(pairs, self.d, self.span, self.phi, q, a)
 
 
 def e_sup(n: int, n2: int, gamma, q: int, a: int, table=None) -> ErrorRow:
@@ -227,9 +423,7 @@ def e_sup(n: int, n2: int, gamma, q: int, a: int, table=None) -> ErrorRow:
         raise PreconditionError("q must be >= 1", q=q)
     if math.gcd(a, q) != 1:
         raise PreconditionError("a must be coprime to q", a=a, q=q)
-    d, points = _window_points(n, n2, gamma, table)
-    pairs = [(x, w) for m, x, w in points if m % q == a % q]
-    return _row_from_pairs(pairs, d, n2 - n, arith.euler_phi(q), q, a)
+    return _rows_for_modulus(_window_points(n, n2, gamma, table), n2 - n, q, a)[a]
 
 
 def _check_sweep_budget(windows) -> None:
@@ -261,12 +455,12 @@ def bv_harness(config: HarnessConfig, table=None) -> list[dict]:
     for n, r, q_cap in plan:
         n_lo, n_hi = n, 2 * n
         big_l = math.log(n)
-        d, points = _window_points(n_lo, n_hi, config.gamma, table)
+        window = _window_points(n_lo, n_hi, config.gamma, table)
         terms = []
         lhs = Fraction(0)
         for q in range(1, q_cap + 1):
             best = None
-            for a, row in sorted(_rows_for_modulus(d, points, n_hi - n_lo, q).items()):
+            for a, row in sorted(_rows_for_modulus(window, n_hi - n_lo, q).items()):
                 if best is None or row.e > best.e:
                     best = row
             if best is not None:
@@ -295,12 +489,12 @@ def bdh_harness(config: HarnessConfig, table=None) -> list[dict]:
     for n, r_cap in plan:
         n_lo, n_hi = n, 2 * n
         big_l = math.log(n)
-        d, points = _window_points(n_lo, n_hi, config.gamma, table)
+        window = _window_points(n_lo, n_hi, config.gamma, table)
         lhs = Fraction(0)
         per_q = []
         for q in range(1, r_cap + 1):
             sub = Fraction(0)
-            for a, row in sorted(_rows_for_modulus(d, points, n_hi - n_lo, q).items()):
+            for a, row in sorted(_rows_for_modulus(window, n_hi - n_lo, q).items()):
                 sub += row.e * row.e
             per_q.append((q, float(sub)))
             lhs += sub
@@ -343,7 +537,7 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5,
     lo, hi = Fraction(1, 4 * r), Fraction(3, 4 * r)
     in_arc = sum(1 for m in range(1, 2 * n + 1) if lo < (gamma * m) % 1 < hi)
 
-    d, points = _window_points(n, 2 * n, gamma, table)
+    window = _window_points(n, 2 * n, gamma, table)
     rows = []
     total = Fraction(0)
     bound_total = Fraction(0)
@@ -351,7 +545,7 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5,
     for q in range(1, q_cap + 1):
         phi = arith.euler_phi(q)
         bound = Fraction(n * n, 4 * r * r * phi * phi)
-        for a, row in sorted(_rows_for_modulus(d, points, n, q).items()):
+        for a, row in sorted(_rows_for_modulus(window, n, q).items()):
             holds = row.e * row.e >= bound
             all_hold = all_hold and holds
             total += row.e * row.e

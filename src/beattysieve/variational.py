@@ -325,22 +325,36 @@ class KSearchResult:
     trail: tuple
 
 
-def k_satisfying(t: int, b: float, theta: float, degree_budget: int = 3,
-                 search_cap: int = 12) -> KSearchResult:
-    """Least k whose certified bound clears (2t-2)/(b*theta).
-
-    The scan uses certified lower bounds only, so the answer is an upper
-    bound for the true minimal k.  If no k up to search_cap clears the
-    threshold, returns the asymptotic-floor estimate
-    ceil(exp(threshold + K_FLOOR_CONSTANT)) flagged as non-certified.
-    """
+def k_threshold(t: int, b: float, theta: float) -> float:
+    """(2t-2)/(b*theta): t primes among k shifts follow once M_k exceeds it."""
     if t < 1:
         raise PreconditionError("t must be >= 1", t=t)
     if not 0 < b <= 1:
         raise PreconditionError("b must lie in (0, 1]", b=b)
     if not 0 < theta < 1:
         raise PreconditionError("theta must lie in (0, 1)", theta=theta)
-    threshold = (2 * t - 2) / (b * theta)
+    return (2 * t - 2) / (b * theta)
+
+
+def mk_upper_bound(k: int) -> float:
+    """An upper bound for M_k, k >= 2: k log k / (k-1) (Maynard,
+    arXiv:1311.4600, Prop. 4.2), raised by a relative 1e-12 to cover its
+    rounding and that of a certified bound's float.  It grows with k and
+    M_1 = 1, so no k up to K clears a threshold above mk_upper_bound(K).
+    """
+    return k * math.log(k) / (k - 1) * (1 + 1e-12)
+
+
+def k_satisfying(t: int, b: float, theta: float, degree_budget: int = 3,
+                 search_cap: int = 12) -> KSearchResult:
+    """Least k whose certified bound clears k_threshold(t, b, theta).
+
+    The scan uses certified lower bounds only, so the answer is an upper
+    bound for the true minimal k.  If no k up to search_cap clears the
+    threshold, returns the asymptotic-floor estimate
+    ceil(exp(threshold + K_FLOOR_CONSTANT)) flagged as non-certified.
+    """
+    threshold = k_threshold(t, b, theta)
     trail = []
     for k in range(1, search_cap + 1):
         bound, _ = mk_lower_bound(k, degree_budget)

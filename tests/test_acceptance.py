@@ -236,13 +236,27 @@ def test_criterion_8_constellation_pipeline(big_table, sqrt2, capsys):
 def test_criterion_9_distribution_harnesses(big_table, tmp_path, capsys):
     grid = (10**4, 10**5, 10**6)
     bv_cfg = HarnessConfig(gamma=0.7071067811865476, n_grid=grid)
-    bv_first = [row["normalized"] for row in bv_harness(bv_cfg, big_table)]
+    bv_rows = bv_harness(bv_cfg, big_table)
+    bv_first = [row["normalized"] for row in bv_rows]
     bv_second = [row["normalized"] for row in bv_harness(bv_cfg, big_table)]
     assert bv_first == bv_second
     bdh_cfg = HarnessConfig(gamma=0.7071067811865476, n_grid=grid, r_cap=8)
-    bdh_first = [row["normalized"] for row in bdh_harness(bdh_cfg, big_table)]
+    bdh_rows = bdh_harness(bdh_cfg, big_table)
+    bdh_first = [row["normalized"] for row in bdh_rows]
     bdh_second = [row["normalized"] for row in bdh_harness(bdh_cfg, big_table)]
     assert bdh_first == bdh_second
+    # the rows of the per-point integer sweep, which the float-filtered
+    # sweep must reproduce exactly
+    assert [(row["r"], row["q_cap"]) for row in bv_rows] == [
+        (577, 6), (3363, 10), (19601, 15)]
+    assert [row["lhs"] for row in bv_rows] == [
+        1456.302973582616, 9918.789306510136, 37723.01993204099]
+    assert bv_first == [12.353871974274794, 13.14710257060486,
+                        7.200129891572174]
+    assert [row["lhs"] for row in bdh_rows] == [
+        870762.6733500849, 15959799.0854878, 126967632.75965334]
+    assert bdh_first == [0.23971782713065948, 0.29022685122773667,
+                         0.16661553157671427]
 
     out = tmp_path / "trend.json"
     rc = cli.main(["report", "regcond-trend", "--output", str(out)])

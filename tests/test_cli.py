@@ -495,6 +495,20 @@ def test_find_certificate_does_not_trust_the_factor_table(monkeypatch, capsys):
     assert [entry["prime"] for entry in payload["certificate"]] == [False, True]
 
 
+def test_find_skips_the_threshold_search_it_cannot_win(capsys, monkeypatch):
+    # at t = 2 the threshold 2/(b theta) is 8.50 at the defaults, above the
+    # upper bound 2.3765 on every M_k with k <= 8, so no form is solved
+    def no_solve(*args):
+        raise AssertionError("M_k solved for a threshold it cannot clear")
+
+    monkeypatch.setattr(variational, "mk_lower_bound", no_solve)
+    rc, payload, _ = jrun(["find", "--t", "2", "--lo", "2", "--hi", "30"],
+                          capsys)
+    assert rc == 0 and payload["primes"] == [5, 7]
+    assert payload["note"] == ("certified tuple size unavailable below k = 8 "
+                               "(threshold 8.5); using windowed scan")
+
+
 def test_find_square_window(capsys):
     rc, payload, _ = jrun(["find", "--t", "2", "--theta", "two-sevenths",
                            "--n", "1000"], capsys)

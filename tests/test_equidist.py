@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beattysieve import beatty, equidist
 from beattysieve.arith import euler_phi
@@ -23,11 +23,12 @@ def test_lambda_point_masses(table):
     pts = lambda_points(1, 20, table)
     assert [m for m, _ in pts] == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
     masses = dict(pts)
-    assert all(isinstance(v, Fraction) for v in masses.values())
-    # prime powers carry the mass of their prime root
-    assert masses[4] == masses[2] == masses[16]
-    assert masses[9] == masses[3]
-    assert float(masses[2]) == pytest.approx(math.log(2))
+    # each mass is the float log of the prime root itself, an exact dyadic
+    # rational that every route reads at its binary value
+    assert all(type(v) is float for v in masses.values())
+    assert masses[4] == masses[2] == masses[16] == math.log(2)
+    assert masses[9] == masses[3] == math.log(3)
+    assert masses[19] == math.log(19)
 
 
 def test_error_row_single_mass(table):
@@ -228,12 +229,14 @@ def test_regcond_refuses_members_out_of_order(sqrt2):
 def _fraction_points(n_lo, n_hi, gamma, table):
     """The window points as (n, frac(gamma n), Lambda(n)) in Fraction."""
     g = _to_fraction(gamma)
-    return [(m, (g * m) % 1, lam) for m, lam in lambda_points(n_lo, n_hi, table)]
+    return [(m, (g * m) % 1, Fraction(lam))
+            for m, lam in lambda_points(n_lo, n_hi, table)]
 
 
 def _fraction_row(pairs, c, q, a):
     """The endpoint sweep evaluated in Fraction arithmetic throughout: the
-    reference for the integer kernel, which must return the same row."""
+    reference for the float-filtered kernel and its integer fallback, which
+    must return the same row."""
     masses = {}
     for pos, lam in pairs:
         masses[pos] = masses.get(pos, Fraction(0)) + lam
@@ -278,13 +281,8 @@ SLOPES = st.one_of(
               st.integers(1, 9), st.integers(1, 9)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(gamma=SLOPES, n=st.integers(2, 700), frac=st.floats(0.0, 1.0),
-       q=st.integers(1, 24))
-def test_integer_kernel_matches_the_fraction_route(table, gamma, n, frac, q):
-    n2 = n + 1 + int(frac * (n - 1))
-    d, points = _window_points(n, n2, gamma, table)
-    rows = _rows_for_modulus(d, points, n2 - n, q)
+def _check_against_the_fraction_route(table, gamma, n, n2, q):
+    rows = _rows_for_modulus(_window_points(n, n2, gamma, table), n2 - n, q)
     old = _fraction_points(n, n2, gamma, table)
     c = Fraction(n2 - n, euler_phi(q))
     assert sorted(rows) == [a for a in range(q) if math.gcd(a, q) == 1]
@@ -292,3 +290,91 @@ def test_integer_kernel_matches_the_fraction_route(table, gamma, n, frac, q):
         pairs = [(pos, lam) for m, pos, lam in old if m % q == a]
         assert row == _fraction_row(pairs, c, q, a)
         assert e_sup(n, n2, gamma, q, a, table) == row
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(gamma=SLOPES, n=st.integers(2, 700), frac=st.floats(0.0, 1.0),
+       q=st.integers(1, 24))
+# one-point rows; every X equal (gamma = 0); merged equal X with exact ties
+# between the two orientations of a half-circle run (gamma = 1/4); an exact
+# 40-digit surd; and two rows whose float maximum is not the exact winner
+@example(gamma=Fraction(7, 10), n=10, frac=0.0, q=1)
+@example(gamma=0.7071067811865476, n=50, frac=1.0, q=24)
+@example(gamma=Fraction(0), n=300, frac=0.5, q=4)
+@example(gamma=Fraction(1, 4), n=11, frac=0.2, q=1)
+@example(gamma=Fraction(1, 4), n=600, frac=1.0, q=6)
+@example(gamma=beatty.sqrt_fraction(2), n=700, frac=1.0, q=5)
+@example(gamma=Fraction(11, 14), n=251, frac=0.154, q=4)
+@example(gamma=0.9095138640207543, n=4094, frac=0.033, q=9)
+def test_integer_kernel_matches_the_fraction_route(table, gamma, n, frac, q):
+    _check_against_the_fraction_route(table, gamma, n,
+                                      n + 1 + int(frac * (n - 1)), q)
+
+
+def _count_exact_candidates(monkeypatch):
+    """Record, per row sent to the exact re-check, its candidate pairs."""
+    seen = []
+    best = equidist._Exact.best
+
+    def spy(self, start, count, runs_i, runs_j, gaps_i, gaps_j, q, a):
+        seen.append(len(runs_i) * len(runs_j) + len(gaps_i) * len(gaps_j))
+        return best(self, start, count, runs_i, runs_j, gaps_i, gaps_j, q, a)
+
+    monkeypatch.setattr(equidist._Exact, "best", spy)
+    return seen
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10**30), Fraction(0)])
+def test_near_tie_goes_to_the_exact_recheck(table, monkeypatch, eps):
+    # the window [11, 14) holds 11 and 13; with gamma = 1/4 + eps they sit
+    # at 3/4 + 11 eps and 1/4 + 13 eps, so the run over both is about half
+    # the circle either way round, and the two orientations differ by
+    # 4 c eps (c = 3), far below float resolution
+    seen = _count_exact_candidates(monkeypatch)
+    gamma = Fraction(1, 4) + eps
+    row = e_sup(11, 14, gamma, 1, 0, table)
+    assert seen == [4]
+    # the shorter orientation wins; on an exact tie the first start does
+    assert row.contributing_count == 2
+    assert row.interval == beatty.TorusInterval((13 * gamma) % 1,
+                                                Fraction(1, 2) - 2 * eps)
+    assert row.e == Fraction(math.log(11)) + Fraction(math.log(13)) \
+        - 3 * (Fraction(1, 2) - 2 * eps)
+    _check_against_the_fraction_route(table, gamma, 11, 14, 1)
+
+
+def test_exact_recheck_keeps_the_tie_rules():
+    # two unit masses at 0 and 1/2 with c = 2: every run and every gap
+    # scores 1, so the rules alone pick the row: runs before gaps, the
+    # first start, then the last end (the run over both points)
+    window = equidist._Window(4, 1, [0, 2], np.array([1, 2]), np.array([0, 1]),
+                              np.array([0.0, 0.5]), np.array([1.0, 1.0]),
+                              np.array([1, 1]))
+    row = _rows_for_modulus(window, 2, 1)[0]
+    assert row == _fraction_row([(Fraction(0), 1), (Fraction(1, 2), 1)],
+                                Fraction(2), 1, 0)
+    assert (row.e, row.contributing_count) == (1, 2)
+    assert row.interval == beatty.TorusInterval(Fraction(0), Fraction(1, 2))
+
+
+def test_rows_over_the_cap_take_the_integer_sweep(table, monkeypatch):
+    swept = []
+    full_sweep = equidist._Exact.full_sweep
+
+    def spy(self, start, count, q, a):
+        swept.append((q, a))
+        return full_sweep(self, start, count, q, a)
+
+    monkeypatch.setattr(equidist._Exact, "full_sweep", spy)
+    cases = [(GAMMA, 400, 700, 6), (Fraction(3, 7), 300, 600, 5),
+             (beatty.sqrt_fraction(3), 200, 400, 1)]
+    filtered = [_rows_for_modulus(_window_points(n, n2, g, table), n2 - n, q)
+                for g, n, n2, q in cases]
+    assert swept == []
+    monkeypatch.setattr(equidist, "EXACT_RECHECK_CAP", 0)
+    for (g, n, n2, q), want in zip(cases, filtered):
+        swept.clear()
+        assert _check_against_the_fraction_route(table, g, n, n2, q) == want
+        # every nonempty class (and e_sup's) went to the integer sweep
+        assert len(swept) >= 2 * len(want)

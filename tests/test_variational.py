@@ -303,6 +303,18 @@ def test_k_search_certified_and_fallback_paths():
         assert single.threshold == 0
 
 
+@pytest.mark.filterwarnings("ignore:denominator form is singular")
+def test_certified_bounds_stay_below_maynards_upper_bound():
+    # M_k <= k log k / (k - 1) (arXiv:1311.4600, Prop. 4.2); the closest
+    # are 2.3552 < 2.3765 at k = 8, degree 9 and 1.385933 < 1.386294 at k = 2
+    for k in range(2, 9):
+        upper = k * math.log(k) / (k - 1)
+        assert upper < variational.mk_upper_bound(k) < upper * (1 + 1e-11)
+        for degree in (3, 5, 9):
+            assert mk_lower_bound(k, degree)[0] < upper
+    assert variational.k_threshold(2, 0.9, 0.25) == 2 / 0.225
+
+
 def test_k_search_validation():
     with pytest.raises(PreconditionError):
         k_satisfying(0, 1.0, 0.5)
