@@ -15,7 +15,10 @@ multiples in the support.  The support is closed under component-wise
 divisors (squarefreeness, coprimality to W1, pairwise coprimality and the
 product bound all pass to divisors), so each value is pushed onto the
 divisor tuples of its index, sum_r prod tau(r_i) steps instead of
-|support|^2.  The per-integer weight is the gated square
+|support|^2.  The steps add ints: each map puts its summands (y_r / prod
+phi(r_i), or lambda_d / prod d_i) over the lcm of their reduced
+denominators and builds one Fraction per output.  The per-integer weight
+is the gated square
 
     w(n) = (sum_{d : d_i | n + h_i for all i} lambda_d)^2   if n = nu0 mod W2.
 
@@ -157,7 +160,7 @@ def enumerate_support(ctx: SieveContext) -> list[tuple]:
             return
         for m in values:
             if prod * m > r_cap:
-                continue
+                break   # values ascend, so no later m fits either
             if m > 1 and math.gcd(m, used) != 1:
                 continue
             extend(prefix + [m], prod * m, used * m)
@@ -188,56 +191,45 @@ class WeightFamily:
         return self.inner_sum(n) ** 2
 
 
-def _phi_prod(r) -> int:
-    out = 1
-    for x in r:
-        out *= arith.euler_phi(x)
-    return out
+def _entry_tables(support) -> tuple[dict, dict, dict]:
+    """mu, phi and the divisor list of every distinct entry of the support,
+    each entry factored once.  Entries are squarefree."""
+    mu, phi, divisors = {}, {}, {}
+    for n in {n for r in support for n in r}:
+        mu[n], phi[n], divisors[n] = 1, 1, [1]
+        for p, _ in arith.factorize(n):
+            mu[n] = -mu[n]
+            phi[n] *= p - 1
+            divisors[n] += [d * p for d in divisors[n]]
+    return mu, phi, divisors
 
 
-def _mu_prod(r) -> int:
-    out = 1
-    for x in r:
-        out *= arith.mobius(x)
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in arith.factorize(n):
-        out = [d * p**j for d in out for j in range(e + 1)]
-    return out
-
-
-def _sum_over_multiples(values: dict, keys) -> dict:
-    """{d: sum of values[r] over r with d_i | r_i in every slot} for d in
-    keys, in their order, added exactly.
-
-    Each nonzero values[r] goes to every divisor tuple of r, so the cost is
-    sum_r prod tau(r_i) visits.  The result is the double-loop sum for any
-    keys; no visit is wasted when keys are closed under component-wise
-    divisors, as the support is (squarefree, coprime to W1, pairwise
-    coprime, product <= R).
-    """
-    divisors: dict = {}
-    acc: dict = {}
+def _over_common_denominator(values: dict, scale: dict) -> tuple[dict, int]:
+    """Integer numerators of values[r] / scale[r] over den, the lcm of the
+    summands' own reduced denominators: ({r: int}, den)."""
+    parts = {}
     for r, value in values.items():
-        if not value:
-            continue
-        for n in r:
-            if n not in divisors:
-                divisors[n] = _divisors(n)
-        for d in itertools.product(*(divisors[n] for n in r)):
-            acc[d] = acc.get(d, 0) + value
-    return {d: acc.get(d, Fraction(0)) for d in keys}
+        g = math.gcd(value.numerator, scale[r])
+        parts[r] = (value.numerator // g, value.denominator * (scale[r] // g))
+    den = math.lcm(*{b for _, b in parts.values()})
+    return {r: a * (den // b) for r, (a, b) in parts.items()}, den
 
 
-def _lambda_from_y(support, y: dict) -> dict:
-    """lambda_d = prod mu(d_i) d_i * sum over support multiples r of d of
-    y_r / prod phi(r_i)."""
-    sums = _sum_over_multiples({r: y[r] / _phi_prod(r) for r in support},
-                               support)
-    return {d: _mu_prod(d) * math.prod(d) * total for d, total in sums.items()}
+def _sum_over_multiples(numerators: dict, divisors: dict) -> dict:
+    """{d: sum of numerators[r] over r with d_i | r_i in every slot}, added
+    as ints, for every key d of numerators, in their order.
+
+    Each nonzero numerators[r] goes to every divisor tuple of r, so the cost
+    is sum_r prod tau(r_i) visits instead of |support|^2.  The keys must be
+    closed under component-wise divisors, as the support is (squarefree,
+    coprime to W1, pairwise coprime, product <= R).
+    """
+    acc = dict.fromkeys(numerators, 0)
+    for r, value in numerators.items():
+        if value:
+            for d in itertools.product(*(divisors[n] for n in r)):
+                acc[d] += value
+    return acc
 
 
 def weights(ctx: SieveContext, offsets) -> WeightFamily:
@@ -266,7 +258,13 @@ def weights(ctx: SieveContext, offsets) -> WeightFamily:
         point = [math.log(x) / log_r for x in r]
         y[r] = Fraction(float(ctx.f.evaluate(point)))
 
-    return WeightFamily(offsets, nu0, ctx.w2, y, _lambda_from_y(support, y))
+    mu, phi, divisors = _entry_tables(support)
+    numerators, den = _over_common_denominator(
+        y, {r: math.prod(phi[n] for n in r) for r in support})
+    sums = _sum_over_multiples(numerators, divisors)
+    lam = {d: Fraction(math.prod(mu[n] * n for n in d) * total, den)
+           for d, total in sums.items()}
+    return WeightFamily(offsets, nu0, ctx.w2, y, lam)
 
 
 @dataclass(frozen=True)
@@ -279,8 +277,12 @@ class InversionResult:
 def invert_lambda(ctx: SieveContext, lam: dict) -> InversionResult:
     """Exact inverse of the lambda definition, with a residual check.
 
-    Recovers y from lambda, then rebuilds lambda from the recovered y; any
-    nonzero residual means the input was not in the image of the map.
+    Recovers y from lambda (indices missing from lam read as 0), then
+    rebuilds lambda from the recovered y with the forward transform.  On
+    the divisor-closed support y -> lambda is triangular with nonzero
+    diagonal mu(d) d / phi(d), so every lambda on the support is in its
+    image: the residual is 0 for every valid input, and a nonzero one means
+    the forward and inverse kernels disagree.
     """
     support = enumerate_support(ctx)
     missing = set(lam) - set(support)
@@ -289,13 +291,22 @@ def invert_lambda(ctx: SieveContext, lam: dict) -> InversionResult:
                                 example=next(iter(missing)))
     lam_full = {r: Fraction(lam.get(r, 0)) for r in support}
 
-    sums = _sum_over_multiples(
-        {d: value / math.prod(d) for d, value in lam_full.items()}, support)
-    y = {r: _mu_prod(r) * _phi_prod(r) * total for r, total in sums.items()}
+    mu, phi, divisors = _entry_tables(support)
+    numerators, den = _over_common_denominator(
+        lam_full, {d: math.prod(d) for d in support})
+    sums = _sum_over_multiples(numerators, divisors)
+    y = {r: Fraction(math.prod(mu[n] * phi[n] for n in r) * total, den)
+         for r, total in sums.items()}
 
-    rebuilt = _lambda_from_y(support, y)
-    worst = max(abs(rebuilt[d] - lam_full[d]) for d in support)
-    return InversionResult(y, worst, worst == 0)
+    # y_r / phi(r) = mu(r) sums[r] / den, so the rebuilt lambda_d is
+    # mu(d) prod(d) rebuilt[d] / den over the same denominator, and
+    # lambda_d itself is prod(d) numerators[d] / den
+    signs = {r: math.prod(mu[n] for n in r) for r in support}
+    rebuilt = _sum_over_multiples(
+        {r: signs[r] * total for r, total in sums.items()}, divisors)
+    worst = max(math.prod(d) * abs(signs[d] * rebuilt[d] - numerators[d])
+                for d in support)
+    return InversionResult(y, Fraction(worst, den), worst == 0)
 
 
 def s1_s2_direct(ctx: SieveContext, offsets, a_set, rho_fn=None,

@@ -10,10 +10,9 @@ from beattysieve import beatty, equidist
 from beattysieve.arith import euler_phi
 from beattysieve.beatty import _to_fraction, beatty_members
 from beattysieve.equidist import (ErrorRow, HarnessConfig, _rows_for_modulus,
-                                  _sliding_max, _window_points, bdh_harness,
-                                  bv_harness, e_sup, lambda_points,
-                                  li_difference, liouville_demo,
-                                  regcond_report)
+                                  _window_points, bdh_harness, bv_harness,
+                                  e_sup, lambda_points, li_difference,
+                                  liouville_demo, regcond_report)
 from beattysieve.errors import BudgetError, PreconditionError
 
 GAMMA = 0.7071067811865476
@@ -233,6 +232,19 @@ def _fraction_points(n_lo, n_hi, gamma, table):
             for m, lam in lambda_points(n_lo, n_hi, table)]
 
 
+def _window_argmax(values, window):
+    """For each start i, the last j in [i, i + window) with the largest
+    values[j], by scanning the whole window (the kernel keeps a deque)."""
+    out = []
+    for i in range(len(values) - window + 1):
+        j = i
+        for t in range(i + 1, i + window):
+            if values[t] >= values[j]:
+                j = t
+        out.append(j)
+    return out
+
+
 def _fraction_row(pairs, c, q, a):
     """The endpoint sweep evaluated in Fraction arithmetic throughout: the
     reference for the float-filtered kernel and its integer fallback, which
@@ -250,7 +262,7 @@ def _fraction_row(pairs, c, q, a):
     for w in ws + ws:
         prefix.append(prefix[-1] + w)
     g_vals = [prefix[j + 1] - c * x2[j] for j in range(2 * m_count)]
-    best_g = _sliding_max(g_vals, m_count)
+    best_g = _window_argmax(g_vals, m_count)
     best = None
     for i in range(m_count):
         j = best_g[i]
@@ -258,7 +270,7 @@ def _fraction_row(pairs, c, q, a):
         if best is None or val > best[0]:
             best = (val, "run", i, j)
     u_vals = [c * x2[j] - prefix[j] for j in range(2 * m_count)]
-    best_u = _sliding_max(u_vals[1:] + [u_vals[0]], m_count)
+    best_u = _window_argmax(u_vals[1:] + [u_vals[0]], m_count)
     for i in range(m_count):
         j = best_u[i] + 1
         val = u_vals[j] - (c * x2[i] - prefix[i + 1])

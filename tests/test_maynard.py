@@ -258,8 +258,41 @@ def test_transforms_match_quadratic_definitions(k, offsets, d0, r_value,
 
     res = invert_lambda(ctx, fam.lam)
     assert res.y == _oracle_y(support, fam.lam) == fam.y
-    # a lambda off the image of y -> lambda: the recovered y is still the
-    # quadratic one
+    # a lambda no profile sample gives: y -> lambda is triangular with
+    # nonzero diagonal on the support, so it is still in the image, the
+    # recovered y is the quadratic one and the rebuild matches exactly
     bent = dict(fam.lam)
     bent[support[-1]] += Fraction(1, 7)
-    assert invert_lambda(ctx, bent).y == _oracle_y(support, bent)
+    bent_res = invert_lambda(ctx, bent)
+    assert bent_res.y == _oracle_y(support, bent)
+    assert bent_res.consistent is True
+    assert bent_res.max_residual == 0
+
+
+def test_inversion_coerces_mixed_lambda_values():
+    ctx = build_context(2, 10**4, 0.5, 0.05, d0=2, r_value=100,
+                        offsets=(0, 2))
+    support = enumerate_support(ctx)
+    values = (3, 0.375, Fraction(5, 21), -2, -1.25, Fraction(-4, 9))
+    lam = {d: values[i % len(values)]
+           for i, d in enumerate(support) if i % 4 != 3}
+    assert len(lam) < len(support)
+    res = invert_lambda(ctx, lam)
+    full = {d: Fraction(lam.get(d, 0)) for d in support}
+    assert res.y == _oracle_y(support, full)
+    assert list(res.y) == support
+    assert all(type(v) is Fraction for v in res.y.values())
+    assert res.consistent is True and res.max_residual == 0
+
+
+def test_weights_skip_vanishing_profile_values():
+    # 1 - P1 vanishes where r_1 r_2 = R
+    f = SimplexPolynomial.from_terms(2, {(1, 0): 1})
+    ctx = build_context(2, 10**4, 0.5, 0.05, d0=2, r_value=105,
+                        offsets=(0, 2), f=f)
+    support = enumerate_support(ctx)
+    fam = weights(ctx, (0, 2))
+    assert fam.y[(105, 1)] == fam.y[(1, 105)] == 0
+    assert fam.lam == _oracle_lambda(support, fam.y)
+    res = invert_lambda(ctx, fam.lam)
+    assert res.y == fam.y and res.max_residual == 0
