@@ -292,16 +292,16 @@ def invert_lambda(ctx: SieveContext, lam: dict) -> InversionResult:
     lam_full = {r: Fraction(lam.get(r, 0)) for r in support}
 
     mu, phi, divisors = _entry_tables(support)
+    signs = {r: math.prod(mu[n] for n in r) for r in support}
     numerators, den = _over_common_denominator(
         lam_full, {d: math.prod(d) for d in support})
     sums = _sum_over_multiples(numerators, divisors)
-    y = {r: Fraction(math.prod(mu[n] * phi[n] for n in r) * total, den)
+    y = {r: Fraction(signs[r] * math.prod(phi[n] for n in r) * total, den)
          for r, total in sums.items()}
 
     # y_r / phi(r) = mu(r) sums[r] / den, so the rebuilt lambda_d is
     # mu(d) prod(d) rebuilt[d] / den over the same denominator, and
     # lambda_d itself is prod(d) numerators[d] / den
-    signs = {r: math.prod(mu[n] for n in r) for r in support}
     rebuilt = _sum_over_multiples(
         {r: signs[r] * total for r, total in sums.items()}, divisors)
     worst = max(math.prod(d) * abs(signs[d] * rebuilt[d] - numerators[d])
