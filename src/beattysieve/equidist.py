@@ -14,8 +14,9 @@ dividing that of gamma, and one common denominator d per window is the
 lcm of all of them.  The sweep scores every candidate of every class of a
 modulus in one float64 numpy pass, then re-evaluates the few candidates
 within the pass's error bound of each class's best on Python integers
-over d, so the rows are exact.  Only the winning candidate of each
-progression is turned back into a Fraction.
+over d, so the rows are exact; a class with too many such candidates is
+re-scored by the same pass on Python ints.  Only the winning candidate of
+each progression is turned back into a Fraction.
 
 With the half-open arc convention (z, z + l] and a positive main term the
 extremes are approached, not attained: shrinking l toward the minimal
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import decimal
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,8 +52,8 @@ from .errors import BudgetError, PreconditionError
 HARNESS_POINT_BUDGET = 10**7
 
 # Candidate (start, end) pairs one progression may send to the exact
-# re-check of _rows_for_modulus; a row with more is swept in full on
-# integers by _row_from_pairs.
+# re-check of _rows_for_modulus; a row with more is re-scored by the same
+# pass (_scores) on Python ints, and only its exact maximisers are paired.
 EXACT_RECHECK_CAP = 32
 
 # Rows liouville_demo may return, estimated as q_cap (q_cap + 1) / 2 (one
@@ -129,24 +129,6 @@ def lambda_points(n_lo: int, n_hi: int, table=None):
     return out
 
 
-def _sliding_max(values, window: int):
-    """For each start i, the j in [i, i+window) with the largest values[j]
-    (the last such j on ties)."""
-    n = len(values)
-    best = [None] * (n - window + 1) if window <= n else []
-    dq = deque()
-    for j in range(n):
-        while dq and values[dq[-1]] <= values[j]:
-            dq.pop()
-        dq.append(j)
-        i = j - window + 1
-        if i >= 0:
-            while dq[0] < i:
-                dq.popleft()
-            best[i] = dq[0]
-    return best
-
-
 @dataclass(frozen=True)
 class _Window:
     """The prime powers of one window, sorted by X (ties keep n order).
@@ -188,62 +170,39 @@ def _window_points(n_lo: int, n_hi: int, gamma, table=None) -> _Window:
                    (mass * mass_den).astype(np.int64))
 
 
-def _row_from_pairs(pairs, d: int, span: int, phi: int, q: int, a: int) -> ErrorRow:
-    """Run the endpoint sweep on one progression's (X, W) pairs, sorted by X,
-    visiting every point on Python integers: the route of the rows whose
-    float filter leaves too many candidates (see _rows_for_modulus).
+def _scores(prefix, cx, lap, inf):
+    """Every row's best score per arc start and per arc end, as six planes.
 
-    Positions X/d and masses W/d are integers over d, and the slope is
-    c = span/phi, so every candidate times d*phi is an integer: the mass
-    term is prefix*phi (mass) and the length term span*X (span_x).
-    Candidates: point runs with infimal covering length (mass-heavy arcs)
-    and point gaps with supremal empty length (length-heavy arcs),
-    including the wrap-around and the |I| -> 1 limits.
+    In units of mass, with P = prefix the prefix masses (width + 1 columns
+    per row), cx = c x_j (inf past the row's end) and lap = total - c, a
+    run i..j scores g[j] - h[i] and a gap between i and j scores
+    g[i] - h[j], where g[j] = P[j+1] - c x_j and h[i] = P[i] - c x_i; on the
+    second lap round the circle g and h gain lap.  So the best partner of
+    every start i, and of every end j on either lap, is one prefix or
+    suffix max of g or min of h.  Planes 0-2 hold the best run per start,
+    per end on the first lap and per end on the second; planes 3-5 the
+    same for gaps.  The arrays are float64 (the padded classes of a
+    modulus) or object arrays of Python ints (one row over d*phi), with
+    inf standing for infinity in either.
     """
-    xs, ws = [], []
-    for x, w in pairs:
-        if xs and xs[-1] == x:
-            ws[-1] += w
-        else:
-            xs.append(x)
-            ws.append(w)
-    m_count = len(xs)
-    if not m_count:
-        return ErrorRow(q, a, Fraction(span, phi), 0, None, False)
-
-    x2 = xs + [x + d for x in xs]
-    mass = [0]
-    for w in ws + ws:
-        mass.append(mass[-1] + w * phi)
-    span_x = [span * x for x in x2]
-
-    # mass-heavy: runs i..j, value mass(i..j) - c (x_j - x_i)
-    g_vals = [mass[j + 1] - span_x[j] for j in range(2 * m_count)]
-    best_g = _sliding_max(g_vals, m_count)
-    best = None
-    for i in range(m_count):
-        j = best_g[i]
-        val = g_vals[j] - (mass[i] - span_x[i])
-        if best is None or val > best[0]:
-            best = (val, "run", i, j)
-
-    # length-heavy: spans i..j excluding both ends, value
-    # c (x_j - x_i) - mass strictly inside; j = i + m is the |I| -> 1 limit
-    u_vals = [span_x[j] - mass[j] for j in range(2 * m_count)]
-    best_u = _sliding_max(u_vals[1:] + [u_vals[0]], m_count)
-    for i in range(m_count):
-        # window j in [i+1, i+m]: shifted array index i covers it
-        j = best_u[i] + 1
-        val = u_vals[j] - (span_x[i] - mass[i + 1])
-        if val > best[0]:
-            best = (val, "gap", i, j)
-
-    val, kind, i, j = best
-    length = x2[j] - x2[i]
-    count = j - i + 1 if kind == "run" else j - i - 1
-    arc = (beatty.TorusInterval(Fraction(xs[i], d), Fraction(length, d))
-           if 0 < length < d else None)
-    return ErrorRow(q, a, Fraction(val, d * phi), count, arc, False)
+    g = prefix[:, 1:] - cx
+    h = prefix[:, :-1] - cx
+    h[cx == inf] = inf
+    n_rows, width = g.shape
+    g_before = np.full((n_rows, width), -inf, dtype=g.dtype)
+    np.maximum.accumulate(g[:, :-1], axis=1, out=g_before[:, 1:])
+    g_from = np.maximum.accumulate(g[:, ::-1], axis=1)[:, ::-1]
+    h_to = np.minimum.accumulate(h, axis=1)
+    h_after = np.full((n_rows, width), inf, dtype=g.dtype)
+    h_after[:, :-1] = np.minimum.accumulate(h[:, :0:-1], axis=1)[:, ::-1]
+    score = np.empty((n_rows, 6, width), dtype=g.dtype)
+    np.subtract(np.maximum(g_from, g_before + lap), h, out=score[:, 0])
+    np.subtract(g, h_to, out=score[:, 1])
+    np.subtract(g + lap, h_after, out=score[:, 2])
+    np.subtract(g, np.minimum(h_after, h_to + lap), out=score[:, 3])
+    np.subtract(g_before, h, out=score[:, 4])
+    np.subtract(g_from, h + lap, out=score[:, 5])
+    return score
 
 
 def _rows_for_modulus(w: _Window, span: int, q: int, a: int | None = None
@@ -253,12 +212,7 @@ def _rows_for_modulus(w: _Window, span: int, q: int, a: int | None = None
     One numpy pass covers every class of q at once.  A stable argsort by
     n mod q buckets the window (each bucket stays sorted by X), equal X
     within a class merge, and the classes become the rows of padded 2-D
-    arrays.  In units of mass, with c = span/phi and P the prefix masses,
-    a run i..j scores g[j] - h[i] and a gap between i and j scores
-    g[i] - h[j], where g[j] = P[j+1] - c x_j and h[i] = P[i] - c x_i; on the
-    second lap round the circle g and h gain total - c.  So the best
-    partner of every start i, and of every end j on either lap, is one
-    prefix or suffix max of g or min of h.
+    float64 arrays, which _scores scores with c = span/phi.
 
     Those scores are floats, and a row of n points has them within
     (3.03 n + 17) 2^-53 (total + c) of the truth (Higham's gamma_n for the
@@ -266,9 +220,9 @@ def _rows_for_modulus(w: _Window, span: int, q: int, a: int | None = None
     that.  An exact maximiser scores at least the float maximum - 2 delta,
     so its start and its end both pass that floor.  Every pairing of a
     passing start with a passing end is evaluated on Python integers over
-    d*phi with the integer sweep's tie rules: the first i, the last j, and
-    a gap only when strictly above every run.  A row with more than
-    EXACT_RECHECK_CAP such pairs is swept in full by _row_from_pairs.
+    d*phi by _Exact.best.  A row with more than EXACT_RECHECK_CAP such
+    pairs is re-scored by _scores on Python ints instead, and only its
+    exact maximisers go to _Exact.best.
     """
     phi = arith.euler_phi(q)
     residue = w.n % q
@@ -299,25 +253,7 @@ def _rows_for_modulus(w: _Window, span: int, q: int, a: int | None = None
         total = prefix[np.arange(n_rows), m]
         cx = np.full((n_rows, width), np.inf)
         cx[row_of, col] = c * w.x[order[seg]]
-        g = prefix[:, 1:] - cx
-        h = prefix[:, :-1] - cx
-        h[cx == np.inf] = np.inf
-        lap = (total - c)[:, None]
-        g_before = np.full((n_rows, width), -np.inf)
-        np.maximum.accumulate(g[:, :-1], axis=1, out=g_before[:, 1:])
-        g_from = np.maximum.accumulate(g[:, ::-1], axis=1)[:, ::-1]
-        h_to = np.minimum.accumulate(h, axis=1)
-        h_after = np.full((n_rows, width), np.inf)
-        h_after[:, :-1] = np.minimum.accumulate(h[:, :0:-1], axis=1)[:, ::-1]
-        # best score per start i of a run, per end j of a run on the first
-        # and second lap, and the same three for gaps
-        score = np.empty((n_rows, 6, width))
-        np.subtract(np.maximum(g_from, g_before + lap), h, out=score[:, 0])
-        np.subtract(g, h_to, out=score[:, 1])
-        np.subtract(g + lap, h_after, out=score[:, 2])
-        np.subtract(g, np.minimum(h_after, h_to + lap), out=score[:, 3])
-        np.subtract(g_before, h, out=score[:, 4])
-        np.subtract(g_from, h + lap, out=score[:, 5])
+        score = _scores(prefix, cx, (total - c)[:, None], np.inf)
         n_points = bounds[row_start + m] - bounds[row_start]
         delta = (3 * n_points + 32) * 2.0**-52 * (total + c)
         floor = score.max(axis=(1, 2)) - 2 * delta
@@ -334,14 +270,11 @@ def _rows_for_modulus(w: _Window, span: int, q: int, a: int | None = None
                 sets[hit[1]].append(hit[2])
                 hit = next(hits, None)
             runs_i, runs_j0, runs_j1, gaps_i, gaps_j0, gaps_j1 = sets
-            runs_j = runs_j0 + [j + count for j in runs_j1]
-            gaps_j = gaps_j0 + [j + count for j in gaps_j1]
-            if (len(runs_i) * len(runs_j) + len(gaps_i) * len(gaps_j)
+            if (len(runs_i) * (len(runs_j0) + len(runs_j1))
+                    + len(gaps_i) * (len(gaps_j0) + len(gaps_j1))
                     > EXACT_RECHECK_CAP):
-                rows[label] = exact.full_sweep(start, count, q, label)
-            else:
-                rows[label] = exact.best(start, count, runs_i, runs_j,
-                                         gaps_i, gaps_j, q, label)
+                sets = exact.maximisers(start, count)
+            rows[label] = exact.best(start, count, sets, q, label)
     empty = Fraction(span, phi)
     labels = [a] if a is not None else [b for b in range(q) if math.gcd(b, q) == 1]
     for b in labels:
@@ -369,14 +302,34 @@ class _Exact:
     phi: int
     unit: int
 
-    def best(self, start, count, runs_i, runs_j, gaps_i, gaps_j, q, a) -> ErrorRow:
-        """The exact winner among the candidate runs and gaps of one row;
-        an end j >= count lies on the second lap."""
+    def maximisers(self, start, count) -> list:
+        """One row's six candidate sets from _scores on Python ints over
+        d*phi: the starts and ends whose exact score is the row's maximum."""
+        at = np.array(self.bounds[start:start + count + 1])
+        wm = np.array([0, *self.wm[at[0]:at[-1]]], dtype=object)
+        prefix = (self.phi * self.unit * wm.cumsum())[None, at - at[0]]
+        cx = self.span * np.array([[self.xs[self.order[p]] for p in at[:-1]]],
+                                  dtype=object)
+        # g, h and lap lie in (-span d, total], so every real score lies in
+        # (-inf/2, inf/2) and no float inf meets an int past float range
+        inf = 4 * (prefix[0, -1] + self.span * self.d)
+        score = _scores(prefix, cx, prefix[:, -1:] - self.span * self.d, inf)
+        return [np.flatnonzero(plane).tolist()
+                for plane in score[0] == score.max()]
+
+    def best(self, start, count, sets, q, a) -> ErrorRow:
+        """The exact winner among one row's candidate runs and gaps, given
+        as six sets like the planes of _scores.  Ties go to a run, then to
+        the first start, then to the last end, counting an end j on the
+        second lap as j + count."""
+        runs_i, runs_j0, runs_j1, gaps_i, gaps_j0, gaps_j1 = sets
         at = self.bounds[start:start + count + 1]
         total = sum(self.wm[at[0]:at[-1]])
         scale = self.phi * self.unit
         best = None
-        for kind, starts, ends in ((1, runs_i, runs_j), (0, gaps_i, gaps_j)):
+        for kind, starts, ends in (
+                (1, runs_i, runs_j0 + [j + count for j in runs_j1]),
+                (0, gaps_i, gaps_j0 + [j + count for j in gaps_j1])):
             for i in starts:
                 for j in ends:
                     if not (i <= j < i + count if kind else i < j <= i + count):
@@ -406,13 +359,6 @@ class _Exact:
                if 0 < dx < self.d else None)
         return ErrorRow(q, a, Fraction(val, self.d * self.phi),
                         j - i + 1 if kind else j - i - 1, arc, False)
-
-    def full_sweep(self, start, count, q, a) -> ErrorRow:
-        """The row swept in full by the integer routine."""
-        lo, hi = self.bounds[start], self.bounds[start + count]
-        pairs = [(self.xs[self.order[p]], self.wm[p] * self.unit)
-                 for p in range(lo, hi)]
-        return _row_from_pairs(pairs, self.d, self.span, self.phi, q, a)
 
 
 def e_sup(n: int, n2: int, gamma, q: int, a: int, table=None) -> ErrorRow:

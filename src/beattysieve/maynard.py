@@ -132,17 +132,18 @@ def build_context(k: int, n: int, theta: float, eps: float,
 
 
 def _support_values(ctx: SieveContext) -> list[int]:
+    """The squarefree m <= R coprime to W1 (1 among them), ascending."""
     cap = float(ctx.r_value)
     if cap > 10**7:
         raise CapacityError("support radius too large to enumerate explicitly")
-    out = []
-    for m in range(1, int(cap) + 1):
-        if m > 1 and math.gcd(m, ctx.w1) != 1:
-            continue
-        if arith.mobius(m) == 0:
-            continue
-        out.append(m)
-    return out
+    top = int(cap)
+    keep = np.ones(top + 1, dtype=bool)
+    keep[0] = False
+    for p in arith.primes_upto(math.isqrt(top)):
+        keep[p * p::p * p] = False
+    for p, _ in arith.factorize(ctx.w1):
+        keep[p::p] = False
+    return np.flatnonzero(keep).tolist()
 
 
 def enumerate_support(ctx: SieveContext) -> list[tuple]:

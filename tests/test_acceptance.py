@@ -245,7 +245,7 @@ def test_criterion_9_distribution_harnesses(big_table, tmp_path, capsys):
     bdh_first = [row["normalized"] for row in bdh_rows]
     bdh_second = [row["normalized"] for row in bdh_harness(bdh_cfg, big_table)]
     assert bdh_first == bdh_second
-    # the rows of the per-point integer sweep, which the float-filtered
+    # the rows of an exact per-point sweep, which the float-filtered
     # sweep must reproduce exactly
     assert [(row["r"], row["q_cap"]) for row in bv_rows] == [
         (577, 6), (3363, 10), (19601, 15)]

@@ -234,7 +234,7 @@ def _fraction_points(n_lo, n_hi, gamma, table):
 
 def _window_argmax(values, window):
     """For each start i, the last j in [i, i + window) with the largest
-    values[j], by scanning the whole window (the kernel keeps a deque)."""
+    values[j], by scanning the whole window."""
     out = []
     for i in range(len(values) - window + 1):
         j = i
@@ -247,8 +247,8 @@ def _window_argmax(values, window):
 
 def _fraction_row(pairs, c, q, a):
     """The endpoint sweep evaluated in Fraction arithmetic throughout: the
-    reference for the float-filtered kernel and its integer fallback, which
-    must return the same row."""
+    reference for the arc kernel in float and in exact mode, which must
+    return the same row."""
     masses = {}
     for pos, lam in pairs:
         masses[pos] = masses.get(pos, Fraction(0)) + lam
@@ -305,23 +305,49 @@ def _check_against_the_fraction_route(table, gamma, n, n2, q):
     return rows
 
 
+# one-point rows; every X equal (gamma = 0); merged equal X with exact ties
+# between the two orientations of a half-circle run (gamma = 1/4); an exact
+# 40-digit surd; two rows whose float maximum is not the exact winner; and
+# a 400-digit denominator, whose integer scores lie past float range
+HARD_ROWS = [(Fraction(7, 10), 10, 0.0, 1),
+             (0.7071067811865476, 50, 1.0, 24),
+             (Fraction(0), 300, 0.5, 4),
+             (Fraction(1, 4), 11, 0.2, 1),
+             (Fraction(1, 4), 600, 1.0, 6),
+             (beatty.sqrt_fraction(2), 700, 1.0, 5),
+             (Fraction(11, 14), 251, 0.154, 4),
+             (0.9095138640207543, 4094, 0.033, 9),
+             (Fraction(1, 3) + Fraction(1, 10**400), 100, 1.0, 3)]
+
+
+def _with_hard_rows(test):
+    for gamma, n, frac, q in HARD_ROWS:
+        test = example(gamma=gamma, n=n, frac=frac, q=q)(test)
+    return test
+
+
+@_with_hard_rows
 @settings(max_examples=150, deadline=None)
 @given(gamma=SLOPES, n=st.integers(2, 700), frac=st.floats(0.0, 1.0),
        q=st.integers(1, 24))
-# one-point rows; every X equal (gamma = 0); merged equal X with exact ties
-# between the two orientations of a half-circle run (gamma = 1/4); an exact
-# 40-digit surd; and two rows whose float maximum is not the exact winner
-@example(gamma=Fraction(7, 10), n=10, frac=0.0, q=1)
-@example(gamma=0.7071067811865476, n=50, frac=1.0, q=24)
-@example(gamma=Fraction(0), n=300, frac=0.5, q=4)
-@example(gamma=Fraction(1, 4), n=11, frac=0.2, q=1)
-@example(gamma=Fraction(1, 4), n=600, frac=1.0, q=6)
-@example(gamma=beatty.sqrt_fraction(2), n=700, frac=1.0, q=5)
-@example(gamma=Fraction(11, 14), n=251, frac=0.154, q=4)
-@example(gamma=0.9095138640207543, n=4094, frac=0.033, q=9)
 def test_integer_kernel_matches_the_fraction_route(table, gamma, n, frac, q):
     _check_against_the_fraction_route(table, gamma, n,
                                       n + 1 + int(frac * (n - 1)), q)
+
+
+@pytest.mark.parametrize("gamma, n, frac, q", HARD_ROWS)
+def test_hard_rows_re_scored_on_ints_match_the_fraction_route(
+        table, monkeypatch, gamma, n, frac, q):
+    # at cap 0 every row takes the exact mode of _scores
+    monkeypatch.setattr(equidist, "EXACT_RECHECK_CAP", 0)
+    _check_against_the_fraction_route(table, gamma, n,
+                                      n + 1 + int(frac * (n - 1)), q)
+
+
+def _pairs(sets):
+    runs_i, runs_j0, runs_j1, gaps_i, gaps_j0, gaps_j1 = sets
+    return (len(runs_i) * (len(runs_j0) + len(runs_j1))
+            + len(gaps_i) * (len(gaps_j0) + len(gaps_j1)))
 
 
 def _count_exact_candidates(monkeypatch):
@@ -329,9 +355,9 @@ def _count_exact_candidates(monkeypatch):
     seen = []
     best = equidist._Exact.best
 
-    def spy(self, start, count, runs_i, runs_j, gaps_i, gaps_j, q, a):
-        seen.append(len(runs_i) * len(runs_j) + len(gaps_i) * len(gaps_j))
-        return best(self, start, count, runs_i, runs_j, gaps_i, gaps_j, q, a)
+    def spy(self, start, count, sets, q, a):
+        seen.append(_pairs(sets))
+        return best(self, start, count, sets, q, a)
 
     monkeypatch.setattr(equidist._Exact, "best", spy)
     return seen
@@ -356,10 +382,14 @@ def test_near_tie_goes_to_the_exact_recheck(table, monkeypatch, eps):
     _check_against_the_fraction_route(table, gamma, 11, 14, 1)
 
 
-def test_exact_recheck_keeps_the_tie_rules():
+@pytest.mark.parametrize("cap", [equidist.EXACT_RECHECK_CAP, 0],
+                         ids=["filtered", "re-scored"])
+def test_exact_recheck_keeps_the_tie_rules(monkeypatch, cap):
     # two unit masses at 0 and 1/2 with c = 2: every run and every gap
     # scores 1, so the rules alone pick the row: runs before gaps, the
-    # first start, then the last end (the run over both points)
+    # first start, then the last end (the run over both points); at cap 0
+    # the candidates are the exact maximisers of _scores on ints
+    monkeypatch.setattr(equidist, "EXACT_RECHECK_CAP", cap)
     window = equidist._Window(4, 1, [0, 2], np.array([1, 2]), np.array([0, 1]),
                               np.array([0.0, 0.5]), np.array([1.0, 1.0]),
                               np.array([1, 1]))
@@ -372,13 +402,13 @@ def test_exact_recheck_keeps_the_tie_rules():
 
 def test_rows_over_the_cap_take_the_integer_sweep(table, monkeypatch):
     swept = []
-    full_sweep = equidist._Exact.full_sweep
+    maximisers = equidist._Exact.maximisers
 
-    def spy(self, start, count, q, a):
-        swept.append((q, a))
-        return full_sweep(self, start, count, q, a)
+    def spy(self, start, count):
+        swept.append((start, count))
+        return maximisers(self, start, count)
 
-    monkeypatch.setattr(equidist._Exact, "full_sweep", spy)
+    monkeypatch.setattr(equidist._Exact, "maximisers", spy)
     cases = [(GAMMA, 400, 700, 6), (Fraction(3, 7), 300, 600, 5),
              (beatty.sqrt_fraction(3), 200, 400, 1)]
     filtered = [_rows_for_modulus(_window_points(n, n2, g, table), n2 - n, q)
@@ -388,5 +418,58 @@ def test_rows_over_the_cap_take_the_integer_sweep(table, monkeypatch):
     for (g, n, n2, q), want in zip(cases, filtered):
         swept.clear()
         assert _check_against_the_fraction_route(table, g, n, n2, q) == want
-        # every nonempty class (and e_sup's) went to the integer sweep
+        # every nonempty class (and e_sup's) was re-scored on ints
         assert len(swept) >= 2 * len(want)
+
+
+@pytest.mark.parametrize("gamma, n, q", [(GAMMA, 10_000, 1), (GAMMA, 10_000, 6),
+                                         (beatty.sqrt_fraction(2), 700, 5),
+                                         (Fraction(1, 4), 600, 6)])
+def test_delta_bounds_the_float_scores(table, monkeypatch, gamma, n, q):
+    # at cap 0 one _rows_for_modulus call scores every class in float, then
+    # re-scores each nonempty class on ints, in the same row order
+    calls, picked = [], []
+    scores, best = equidist._scores, equidist._Exact.best
+
+    def spy_scores(prefix, cx, lap, inf):
+        out = scores(prefix, cx, lap, inf)
+        calls.append((prefix, inf, out))
+        return out
+
+    def spy_best(self, start, count, sets, q, a):
+        picked.append(sets)
+        return best(self, start, count, sets, q, a)
+
+    monkeypatch.setattr(equidist, "_scores", spy_scores)
+    monkeypatch.setattr(equidist._Exact, "best", spy_best)
+    w = _window_points(n, 2 * n, gamma, table)
+    _rows_for_modulus(w, n, q)
+    filtered = picked[:]
+    picked.clear()
+    calls.clear()
+    monkeypatch.setattr(equidist, "EXACT_RECHECK_CAP", 0)
+    _rows_for_modulus(w, n, q)
+    (_, _, floats), *exact = calls
+    phi = euler_phi(q)
+    c = Fraction(n, phi)
+    sizes = np.bincount(w.n % q, minlength=q)
+    sizes = [int(sizes[b]) for b in range(q) if math.gcd(b, q) == 1 and sizes[b]]
+    assert len(exact) == len(sizes) == floats.shape[0] == len(filtered)
+    for r, ((prefix, inf, score), size) in enumerate(zip(exact, sizes)):
+        width = score.shape[2]
+        total = Fraction(prefix[0, -1], w.d * phi)
+        # the a-priori error of _rows_for_modulus's docstring; its delta
+        # is about twice this
+        bound = (Fraction(303, 100) * size + 17) * Fraction(1, 2**53) * (total + c)
+        # the sentinels sit in the same places; past a row's end the float
+        # planes hold -inf only
+        assert np.array_equal(score[0] <= -inf // 2,
+                              floats[r, :, :width] == -np.inf)
+        assert np.all(floats[r, :, width:] == -np.inf)
+        for (k, j), x in np.ndenumerate(floats[r, :, :width]):
+            if x != -np.inf:
+                assert abs(Fraction(x) - Fraction(score[0, k, j], w.d * phi)) <= bound
+        # each exact maximiser passed the float floor, so the filtered
+        # candidates hold every exact maximiser
+        for want, have in zip(picked[r], filtered[r]):
+            assert set(want) <= set(have)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from beattysieve import maynard
 from beattysieve.arith import euler_phi, mobius
 from beattysieve.beatty import beatty_enumerate, beatty_members
 from beattysieve.errors import CapacityError, PreconditionError
@@ -65,6 +66,21 @@ def test_support_enumeration_constraints():
         for di in d:
             assert math.gcd(di, ctx.w1) == 1
             assert mobius(di) != 0
+
+
+# the certify benchmark's two round trips (R within 2 of 300 and 150), a
+# W1 with the primes of q0 q1 = 35 at R = 10^4, and a fractional R
+@pytest.mark.parametrize("k, offsets, d0, r_value, q0, q1", [
+    (2, (0, 2), 2, 298, 1, 1), (2, (0, 16), 2, 302, 1, 1),
+    (3, (0, 2, 6), 3, 148, 1, 1), (3, (0, 4, 12), 3, 152, 1, 1),
+    (2, (0, 2), 3, 10**4, 5, 7), (1, (0,), 2, 2.5, 1, 1)])
+def test_support_values_are_squarefree_and_coprime_to_w1(k, offsets, d0,
+                                                         r_value, q0, q1):
+    ctx = build_context(k, 10**4, 0.5, 0.05, d0=d0, r_value=r_value,
+                        offsets=offsets, q0=q0, q1=q1)
+    assert maynard._support_values(ctx) == [
+        m for m in range(1, int(r_value) + 1)
+        if mobius(m) != 0 and (m == 1 or math.gcd(m, ctx.w1) == 1)]
 
 
 def test_support_capacity_guard():
