@@ -25,7 +25,9 @@ integral of one marginal squared.  The simplex integral expands P2^b over
 the partitions lambda of b into at most k parts: a lambda with l parts and
 part multiplicities m_j stands for k! / ((k - l)! prod m_j!) monomials, each
 with multinomial coefficient b! / prod lambda_i! and Dirichlet integral
-a! prod (2 lambda_i)! / (k + a + 2b)!.
+a! prod (2 lambda_i)! / (k + a + 2b)!.  forms builds both matrices as integer
+numerators over one factorial each, so its sums and its independence test
+run on Python ints.
 """
 from __future__ import annotations
 
@@ -44,9 +46,10 @@ from .errors import BudgetError, CapacityError, PreconditionError
 K_FLOOR_CONSTANT = 3.0
 # Dirichlet lookups mk_lower_bound may spend on its forms: the product of
 # marginals i and j has (b_i + 1)(b_j + 1) terms, summed over pairs i <= j.
-# The cost is about 36 us per lookup at k = 5 and at k = 105 (Python 3.11 on
-# a 2-core x86-64 VM: 1.1 s at degree 15, 29 340 lookups), so the cap, just
-# under degree 17, is about two seconds of work.
+# On the integer Grams a lookup costs about 3 us at k = 5 and 4.5 us at
+# k = 105 (Python 3.11 on a 2-core x86-64 VM, cold Dirichlet cache: forms
+# takes 0.08 s and 0.13 s at degree 15, 29 340 lookups), so the cap, just
+# under degree 17, is about a quarter second of form assembly.
 FORM_LOOKUP_BUDGET = 50_000
 
 
@@ -64,8 +67,9 @@ def _partitions(total: int, max_parts: int, largest: int):
 
 
 @lru_cache(maxsize=None)
-def _dirichlet(k: int, a: int, b: int) -> Fraction:
-    """Exact integral of (1 - P1)^a * P2^b over the k-simplex."""
+def _dirichlet_num(k: int, a: int, b: int) -> int:
+    """(k + a + 2b)! times the integral of (1 - P1)^a * P2^b over the
+    k-simplex, an integer."""
     total = 0
     for lam in _partitions(b, k, b):
         count = math.factorial(k) // math.factorial(k - len(lam))
@@ -75,7 +79,19 @@ def _dirichlet(k: int, a: int, b: int) -> Fraction:
         for part in lam:
             value = value * math.factorial(2 * part) // math.factorial(part)
         total += count * value
-    return Fraction(total, math.factorial(k + a + 2 * b))
+    return total
+
+
+def _dirichlet(k: int, a: int, b: int) -> Fraction:
+    """Exact integral of (1 - P1)^a * P2^b over the k-simplex."""
+    return Fraction(_dirichlet_num(k, a, b), math.factorial(k + a + 2 * b))
+
+
+def _over_lcm(values) -> tuple[list[int], int]:
+    """Integer numerators of the values over the lcm of their denominators."""
+    fracs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 @dataclass(frozen=True)
@@ -176,28 +192,85 @@ class QuadraticFormPair:
 
 
 def _independent_subset(gram) -> list[int]:
-    """Indices of a maximal prefix-greedy independent subset of a PSD Gram matrix.
+    """Indices of a maximal prefix-greedy independent subset of a PSD
+    integer Gram matrix.
 
-    Symmetric elimination with exact rationals; a zero pivot on a positive
-    semidefinite matrix means the whole residual row vanishes, i.e. the
-    element is dependent on the kept prefix.
+    Fraction-free symmetric elimination: row r takes p * row_r - q * row_i
+    with (p, q) = (pivot, row_r[i]) / gcd, and is then divided by its
+    content.  While every pivot so far is positive, each residual row is a
+    positive multiple of the rational Schur-complement row, so its zero
+    tests and signs are exact.  A zero pivot with a nonzero row, or a
+    negative pivot, means the matrix is not positive semidefinite; a zero
+    pivot with a zero row means the element depends on the kept prefix.
     """
     n = len(gram)
-    resid = [[Fraction(x) for x in row] for row in gram]
+    resid = [list(row) for row in gram]
     kept = []
     for i in range(n):
-        if resid[i][i] == 0:
-            if any(resid[i][c] != 0 for c in range(i + 1, n)):
+        row = resid[i]
+        piv = row[i]
+        if piv <= 0:
+            if piv < 0 or any(row[i + 1:]):
                 raise PreconditionError("matrix is not positive semidefinite", row=i)
             continue
         kept.append(i)
-        piv = resid[i][i]
         for r in range(i + 1, n):
-            f = resid[r][i] / piv
+            other = resid[r]
+            f = other[i]
             if f:
-                for c in range(i + 1, n):
-                    resid[r][c] -= f * resid[i][c]
+                g = math.gcd(piv, f)
+                p, q = piv // g, f // g
+                new = [p * x - q * y for x, y in zip(other[i + 1:], row[i + 1:])]
+                content = math.gcd(*new)
+                if content > 1:
+                    new = [x // content for x in new]
+                other[i + 1:] = new
     return kept
+
+
+def _gram(polys, dim: int) -> tuple[list[list[int]], list[int], int]:
+    """Integer Gram of the polynomials on the dim-simplex.
+
+    Entry (i, j) is den_i * den_j * (dim + 2 top)! times the integral of
+    p_i * p_j, where den_i is the lcm of p_i's coefficient denominators and
+    top the largest a + 2b among the terms.  Returns the matrix, the den_i
+    and the factorial.
+    """
+    scaled, dens = [], []
+    for p in polys:
+        nums, den = _over_lcm(p.terms.values())
+        scaled.append(list(zip(p.terms, nums)))
+        dens.append(den)
+    top = max((a + 2 * b for p in polys for a, b in p.terms), default=0)
+    scale = math.factorial(dim + 2 * top)
+    weight = {}
+    n = len(polys)
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            total = 0
+            for (a1, b1), c1 in scaled[i]:
+                for (a2, b2), c2 in scaled[j]:
+                    key = (a1 + a2, b1 + b2)
+                    w = weight.get(key)
+                    if w is None:
+                        w = weight[key] = _dirichlet_num(dim, *key) * (
+                            scale // math.factorial(dim + key[0] + 2 * key[1]))
+                    total += c1 * c2 * w
+            gram[i][j] = gram[j][i] = total
+    return gram, dens, scale
+
+
+def _reduced(gram, dens, scale, kept, factor=1) -> tuple:
+    """factor * gram[i][j] / (dens[i] * dens[j] * scale) as reduced
+    Fractions over the kept indices, built once per symmetric pair."""
+    out = [[None] * len(kept) for _ in kept]
+    for r, i in enumerate(kept):
+        for s in range(r, len(kept)):
+            j = kept[s]
+            out[r][s] = out[s][r] = Fraction(factor * gram[i][j],
+                                             dens[i] * dens[j] * scale)
+    return tuple(tuple(row) for row in out)
 
 
 def forms(basis) -> QuadraticFormPair:
@@ -206,7 +279,9 @@ def forms(basis) -> QuadraticFormPair:
     B[i][j] is the simplex integral of basis_i * basis_j.  Every polynomial
     here is symmetric, so all k marginals of an element agree and A[i][j] is
     k times the integral of marginal_i * marginal_j over the (k-1)-simplex.
-    If B is singular the dependent elements are dropped with a warning.
+    Both are assembled as integer Grams over one common denominator each;
+    the independence test runs on the integer B.  If B is singular the
+    dependent elements are dropped with a warning.
     """
     basis = tuple(basis)
     if not basis:
@@ -216,48 +291,47 @@ def forms(basis) -> QuadraticFormPair:
         raise PreconditionError("mixed dimensions in basis")
     n = len(basis)
 
-    margs = [p.marginal() for p in basis]
-    a_mat = [[Fraction(0)] * n for _ in range(n)]
-    b_mat = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            b_mat[i][j] = b_mat[j][i] = (basis[i] * basis[j]).integral()
-            a_mat[i][j] = a_mat[j][i] = dim * (margs[i] * margs[j]).integral()
-
-    kept = _independent_subset(b_mat)
-    dropped = tuple(i for i in range(n) if i not in set(kept))
+    b_gram, b_dens, b_scale = _gram(basis, dim)
+    a_gram, a_dens, a_scale = _gram([p.marginal() for p in basis], dim - 1)
+    kept = _independent_subset(b_gram)
+    dropped = tuple(sorted(set(range(n)).difference(kept)))
     if dropped:
         warnings.warn("denominator form is singular on this basis; dropped "
                       f"dependent elements at positions {list(dropped)}")
-        basis = tuple(basis[i] for i in kept)
-        a_mat = [[a_mat[i][j] for j in kept] for i in kept]
-        b_mat = [[b_mat[i][j] for j in kept] for i in kept]
-    return QuadraticFormPair(basis,
-                             tuple(tuple(row) for row in a_mat),
-                             tuple(tuple(row) for row in b_mat),
+    return QuadraticFormPair(tuple(basis[i] for i in kept),
+                             _reduced(a_gram, a_dens, a_scale, kept, dim),
+                             _reduced(b_gram, b_dens, b_scale, kept),
                              dropped)
 
 
+def _quadratic(mat, live, cs) -> tuple[int, int]:
+    """cs^T M cs over the live indices of M, as an integer over the lcm of
+    those entries' denominators; returns (integer, lcm)."""
+    ints, den = _over_lcm(mat[i][j] for i in live for j in live)
+    m = len(live)
+    total = sum(c * sum(x * y for x, y in zip(ints[r * m:(r + 1) * m], cs))
+                for r, c in enumerate(cs))
+    return total, den
+
+
 def rayleigh_quotient(pair: QuadraticFormPair, coefficients) -> Fraction:
-    """Exact value of (c^T A c) / (c^T B c) for a coefficient vector."""
+    """Exact value of (c^T A c) / (c^T B c) for a coefficient vector.
+
+    c, A and B each go over one common denominator; the sums run on
+    integers and the denominators of c cancel in the quotient.
+    """
     c = [Fraction(x) for x in coefficients]
     n = len(pair.basis)
     if len(c) != n:
         raise PreconditionError("coefficient count must match the basis",
                                 expected=n, got=len(c))
-    num = Fraction(0)
-    den = Fraction(0)
-    for i in range(n):
-        if not c[i]:
-            continue
-        for j in range(n):
-            if not c[j]:
-                continue
-            num += c[i] * pair.A[i][j] * c[j]
-            den += c[i] * pair.B[i][j] * c[j]
+    live = [i for i in range(n) if c[i]]
+    cs, _ = _over_lcm(c[i] for i in live)
+    num, a_den = _quadratic(pair.A, live, cs)
+    den, b_den = _quadratic(pair.B, live, cs)
     if den == 0:
         raise PreconditionError("certificate has zero denominator mass")
-    return num / den
+    return Fraction(num * b_den, den * a_den)
 
 
 @dataclass(frozen=True)

@@ -347,7 +347,9 @@ def test_report_mk_csv(capsys):
 
 
 def test_report_mk_default_rows(capsys):
-    rc, out, _ = run(["report", "mk", "--kmax", "3"], capsys)
+    # the degree-3 basis is singular at k = 1
+    with pytest.warns(UserWarning, match="denominator form is singular"):
+        rc, out, _ = run(["report", "mk", "--kmax", "3"], capsys)
     assert rc == 0
     assert out.split("\r\n") == [
         "k,bound,quotient",

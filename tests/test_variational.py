@@ -1,5 +1,6 @@
 """Simplex polynomial calculus and the variational lower bounds."""
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -8,9 +9,10 @@ import pytest
 
 from beattysieve import variational
 from beattysieve.errors import CapacityError, PreconditionError
-from beattysieve.variational import (MkCertificate, SimplexPolynomial, forms,
-                                     k_satisfying, mk_lower_bound,
-                                     rayleigh_quotient, symmetric_basis)
+from beattysieve.variational import (MkCertificate, QuadraticFormPair,
+                                     SimplexPolynomial, forms, k_satisfying,
+                                     mk_lower_bound, rayleigh_quotient,
+                                     symmetric_basis)
 
 
 def _integral(k, a, b):
@@ -176,6 +178,136 @@ def test_forms_drops_dependent_elements_with_a_warning():
     with pytest.warns(UserWarning):
         pair = forms(elements)
     assert pair.dropped == (3, 5)
+
+
+def _fraction_independent_subset(gram):
+    """Oracle: the same prefix-greedy elimination in exact rationals."""
+    n = len(gram)
+    resid = [[Fraction(x) for x in row] for row in gram]
+    kept = []
+    for i in range(n):
+        if resid[i][i] == 0:
+            if any(resid[i][c] != 0 for c in range(i + 1, n)):
+                raise PreconditionError("matrix is not positive semidefinite", row=i)
+            continue
+        kept.append(i)
+        piv = resid[i][i]
+        for r in range(i + 1, n):
+            f = resid[r][i] / piv
+            if f:
+                for c in range(i + 1, n):
+                    resid[r][c] -= f * resid[i][c]
+    return kept
+
+
+def _fraction_rayleigh(pair, coefficients):
+    """Oracle: (c^T A c) / (c^T B c) as a double loop over Fractions."""
+    c = [Fraction(x) for x in coefficients]
+    num = den = Fraction(0)
+    for i in range(len(c)):
+        for j in range(len(c)):
+            if c[i] and c[j]:
+                num += c[i] * pair.A[i][j] * c[j]
+                den += c[i] * pair.B[i][j] * c[j]
+    if den == 0:
+        raise PreconditionError("certificate has zero denominator mass")
+    return num / den
+
+
+def _rational_gram(elements):
+    return [[(p * q).integral() for q in elements] for p in elements]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_integer_elimination_matches_the_fraction_route(k):
+    full = _rational_gram(symmetric_basis(k, 9)[1])
+    for degree in range(10):
+        elements = symmetric_basis(k, degree)[1]
+        gram, dens, scale = variational._gram(elements, k)
+        n = len(elements)
+        rational = [row[:n] for row in full[:n]]
+        assert [[Fraction(gram[i][j], dens[i] * dens[j] * scale)
+                 for j in range(n)] for i in range(n)] == rational
+        assert (variational._independent_subset(gram)
+                == _fraction_independent_subset(rational))
+
+
+def test_integer_elimination_at_degree_15():
+    elements = symmetric_basis(1, 15)[1]
+    kept = variational._independent_subset(variational._gram(elements, 1)[0])
+    assert len(elements) == 72 and len(kept) == 16
+    assert kept == _fraction_independent_subset(_rational_gram(elements))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_elimination_on_planted_dependencies(seed):
+    # Gram of integer vectors: six random ones, plus combinations of them
+    # (or the zero vector) planted first, in the middle and last; then rows
+    # and columns scaled by distinct positive integers
+    rng = random.Random(seed)
+    free = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(6)]
+
+    def planted():
+        if rng.random() < 0.25:
+            return [0] * 6
+        weights = [rng.randint(-3, 3) for _ in free]
+        return [sum(w * v[c] for w, v in zip(weights, free)) for c in range(6)]
+
+    vectors = [planted()] + free[:3] + [planted()] + free[3:] + [planted()]
+    n = len(vectors)
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in vectors] for u in vectors]
+    scale = rng.sample(range(1, 60), n)
+    scaled = [[scale[i] * scale[j] * gram[i][j] for j in range(n)]
+              for i in range(n)]
+    kept = _fraction_independent_subset(scaled)
+    assert len(kept) == _rank([[Fraction(x) for x in row] for row in gram])
+    assert variational._independent_subset(scaled) == kept
+    assert variational._independent_subset(gram) == kept
+
+
+@pytest.mark.parametrize("gram", [[[1, 2], [2, 1]], [[-1]],
+                                  [[4, 2, 0], [2, 1, 0], [0, 0, -3]],
+                                  [[0, 1], [1, 0]]])
+def test_elimination_refuses_indefinite_grams(gram):
+    with pytest.raises(PreconditionError, match="not positive semidefinite"):
+        variational._independent_subset(gram)
+
+
+def test_rayleigh_quotient_matches_the_fraction_route():
+    rng = random.Random(18)
+    hand = QuadraticFormPair((None,) * 3,
+                             ((2, Fraction(1, 3), 0), (1, 5, -1), (0, 2, 7)),
+                             ((3, 1, 0), (1, Fraction(9, 4), 1), (0, 1, 2)))
+    pairs = [forms(symmetric_basis(4, 5)[1]), forms(symmetric_basis(105, 3)[1]),
+             hand]
+    draws = (lambda: 0, lambda: 0.0, lambda: Fraction(0),
+             lambda: rng.randint(-9, 9), lambda: rng.uniform(-1, 1),
+             lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 60)))
+    for pair in pairs:
+        n = len(pair.basis)
+        for _ in range(25):
+            coeffs = [rng.choice(draws)() for _ in range(n)]
+            if not any(coeffs):
+                coeffs[rng.randrange(n)] = 1
+            assert rayleigh_quotient(pair, coeffs) == _fraction_rayleigh(pair, coeffs)
+        with pytest.raises(PreconditionError, match="zero denominator"):
+            rayleigh_quotient(pair, [0.0] * n)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_forms_on_multi_term_rational_polynomials(k):
+    polys = [SimplexPolynomial.from_terms(k, {(1, 0): 1, (0, 1): 3}),
+             SimplexPolynomial.from_terms(k, {(0, 0): Fraction(1, 3),
+                                              (2, 1): Fraction(-5, 7)}),
+             SimplexPolynomial.from_terms(k, {(0, 2): Fraction(2, 9),
+                                              (3, 0): Fraction(-1, 4),
+                                              (0, 0): 5})]
+    pair = forms(polys)
+    assert pair.dropped == ()
+    for i, p in enumerate(polys):
+        for j, q in enumerate(polys):
+            assert pair.B[i][j] == (p * q).integral()
+            assert pair.A[i][j] == k * (p.marginal() * q.marginal()).integral()
 
 
 def test_lower_bound_table():
