@@ -1,12 +1,16 @@
-"""Prime tables and multiplicative-function kernels.
+"""Prime tables, multiplicative-function kernels and the exact-rational kernel.
 
 Bulk work runs off a smallest-prime-factor table (numpy); the standalone
 multiplicative functions factor by trial division, which suits the small
-arguments (moduli, support indices) they are called on.
+arguments (moduli, support indices) they are called on.  Every exact entry
+point of the package reads its values with to_fraction and puts fractions
+over one denominator, as ints, with common_denominator.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -110,3 +114,22 @@ def tau_k(n: int, k: int) -> int:
     for _, e in factorize(n):
         out *= math.comb(e + k - 1, k - 1)
     return out
+
+
+def to_fraction(x) -> Fraction:
+    """A Rational as its exact Fraction, with Python int terms so numpy
+    integers cannot wrap around later; anything else as the exact binary
+    value of float(x)."""
+    if type(x) is Fraction and type(x.numerator) is type(x.denominator) is int:
+        return x
+    if isinstance(x, Rational):
+        return Fraction(int(x.numerator), int(x.denominator))
+    return Fraction(float(x))
+
+
+def common_denominator(pairs) -> tuple[list[int], int]:
+    """(numerator, denominator) pairs of Python ints as (numerators over
+    the lcm of the denominators, that lcm); the lcm of no pairs is 1."""
+    pairs = list(pairs)
+    den = math.lcm(*{b for _, b in pairs})
+    return [a * (den // b) for a, b in pairs], den

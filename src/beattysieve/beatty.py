@@ -56,10 +56,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
+from .arith import common_denominator, to_fraction
 from .errors import PreconditionError
 
 SURD_DIGITS = 40
@@ -73,15 +73,6 @@ def sqrt_fraction(d: int) -> Fraction:
         raise ValueError("d must be >= 0")
     scale = 10**SURD_DIGITS
     return Fraction(math.isqrt(d * scale * scale), scale)
-
-
-def _to_fraction(x) -> Fraction:
-    """A Rational as its exact Fraction (with Python int terms, so numpy
-    integers cannot overflow later); anything else as the exact binary
-    value of float(x)."""
-    if isinstance(x, Rational):
-        return Fraction(int(x.numerator), int(x.denominator))
-    return Fraction(float(x))
 
 
 @dataclass(frozen=True)
@@ -99,22 +90,21 @@ class BeattyParams:
 
     @classmethod
     def make(cls, alpha, beta=0) -> "BeattyParams":
-        return cls(_to_fraction(alpha), _to_fraction(beta))
+        return cls(to_fraction(alpha), to_fraction(beta))
 
     @classmethod
     def quadratic(cls, a: int, b: int, d: int, c: int = 1) -> "BeattyParams":
         """alpha = (a + b*sqrt(d)) / c with sqrt(d) from sqrt_fraction, and
         beta = 0."""
-        return cls((Fraction(a) + b * sqrt_fraction(d)) / c)
+        return cls((to_fraction(a) + b * sqrt_fraction(d)) / c)
 
     @cached_property
     def _integers(self) -> tuple[int, int, int]:
         """(A, B, D): alpha = A/D and beta = B/D over the common denominator
         D = lcm(den alpha, den beta)."""
-        a, b = self.alpha_exact, self.beta_exact
-        d = math.lcm(a.denominator, b.denominator)
-        return (a.numerator * (d // a.denominator),
-                b.numerator * (d // b.denominator), d)
+        (a, b), d = common_denominator([self.alpha_exact.as_integer_ratio(),
+                                        self.beta_exact.as_integer_ratio()])
+        return a, b, d
 
     @property
     def alpha(self) -> float:
@@ -231,7 +221,7 @@ def shift_intersection(interval: TorusInterval, params: BeattyParams, h: int,
     with I gives exactly (a, a + l - t] where t = -h*gamma mod 1, provided
     0 < t < 2*eps and 2*eps < l.
     """
-    eps = _to_fraction(eps)
+    eps = to_fraction(eps)
     t = (-h * params.gamma_exact) % 1
     if not 0 < t < 2 * eps:
         raise PreconditionError(
@@ -260,13 +250,12 @@ def pigeonhole_shift(points, length):
     """
     if not 0 < length < 1:
         raise PreconditionError("length must lie in (0, 1)", length=float(length))
-    length = _to_fraction(length)
-    pts = [_to_fraction(x) for x in points]
+    length = to_fraction(length)
+    pts = [to_fraction(x) for x in points]
     if not pts:
         return 0, []
-    d = math.lcm(length.denominator, *(x.denominator for x in pts))
-    xs = [x.numerator * (d // x.denominator) % d for x in pts]
-    arc = length.numerator * (d // length.denominator)
+    (arc, *xs), d = common_denominator(x.as_integer_ratio() for x in [length, *pts])
+    xs = [x % d for x in xs]
     ring = sorted(xs)
     ring = [x - d for x in ring] + ring   # the circle, unrolled once
     best_count, best_z = 0, None

@@ -359,9 +359,7 @@ def cmd_equidist_bdh(ns):
 
 def _regcond_with_defaults(params, n_grid, offsets, theta, k, eps):
     a_sets = {n: beatty.beatty_members(params, n, 2 * n) for n in n_grid}
-    cfg = equidist.HarnessConfig(gamma=params.gamma_exact, n_grid=tuple(n_grid),
-                                 theta=theta, k=k, eps=eps, params=params)
-    rows = equidist.regcond_report(a_sets, offsets, cfg)
+    rows = equidist.regcond_report(a_sets, offsets, params, n_grid, theta, k, eps)
     trend = None
     if len(rows) >= 2:
         trend = bool(rows[-1]["norm12"] < rows[0]["norm12"])

@@ -1,16 +1,16 @@
 """Continued fractions and best rational approximations.
 
-Inputs may be floats (converted to their exact binary rational) or Fractions;
-pass a high precision Fraction when convergents with large denominators are
-needed, since the expansion of a 53-bit rational tracks the underlying real
-only while q stays well below 2^26.
+Rational inputs (numpy integers too) are read exactly, anything else at
+the binary value of float(x); pass a high precision Fraction when
+convergents with large denominators are needed, since the expansion of a
+53-bit rational tracks the underlying real only while q stays below 2^26.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .beatty import _to_fraction
+from .arith import to_fraction
 from .errors import ImpossibleInputError, PreconditionError
 
 NEAR_RATIONAL_TOL = Fraction(1, 10**14)
@@ -31,7 +31,7 @@ def convergents(gamma, depth: int) -> list[RationalApprox]:
     rational within precision: an exactly consumed remainder flags the last
     convergent "exact", a quality below 1e-14 flags it "near-rational".
     """
-    g = _to_fraction(gamma)
+    g = to_fraction(gamma)
     if not 0 < g < 1:
         raise PreconditionError("gamma must lie in (0, 1)", gamma=float(g))
     if depth < 1:
@@ -82,7 +82,7 @@ def approx_for_modulus(gamma, n: int) -> RationalApprox:
     """
     if n < 2:
         raise PreconditionError("n must be >= 2", n=n)
-    g = _to_fraction(gamma)
+    g = to_fraction(gamma)
     cap = _floor_pow(n, 3, 4)
     seq = convergents(g, 64)
     chosen = None

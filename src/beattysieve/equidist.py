@@ -39,7 +39,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith, beatty, dioph
-from .beatty import _to_fraction
 from .errors import BudgetError, PreconditionError
 
 # Point-visits a harness run may spend on its arc sweep (see
@@ -86,10 +85,7 @@ class HarnessConfig:
     """Knobs shared by the distribution harnesses.
 
     Every grid point N is read on the dyadic window [N, 2N).  q_cap /
-    r_cap override the theorem-shaped modulus policies when set.  k, theta
-    and params are read by regcond_report only: the tau_{3k} weights, the
-    modulus range q <= N^theta, and the Beatty pair whose membership and
-    shift arcs it needs.
+    r_cap override the theorem-shaped modulus policies when set.
     """
     gamma: object
     n_grid: tuple
@@ -97,9 +93,6 @@ class HarnessConfig:
     a_power: float = 2.0
     q_cap: int | None = None
     r_cap: int | None = None
-    k: int = 2
-    theta: float = 0.25
-    params: object = None
 
     def __post_init__(self):
         if not self.n_grid:
@@ -152,11 +145,10 @@ class _Window:
 def _window_points(n_lo: int, n_hi: int, gamma, table=None) -> _Window:
     """The window [n_lo, n_hi) over one common denominator d = lcm(den
     gamma, every mass denominator); nothing per point is a Fraction."""
-    g = _to_fraction(gamma)
     pts = lambda_points(n_lo, n_hi, table)
     mass_den = max((lam.as_integer_ratio()[1] for _, lam in pts), default=1)
-    d = math.lcm(g.denominator, mass_den)
-    step = g.numerator * (d // g.denominator)
+    (step, _), d = arith.common_denominator(
+        [arith.to_fraction(gamma).as_integer_ratio(), (1, mass_den)])
     xs = [step * n % d for n, _ in pts]
     order = sorted(range(len(xs)), key=xs.__getitem__)
     xs = [xs[k] for k in order]
@@ -469,7 +461,7 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5,
         raise PreconditionError("u and r must be coprime", u=u, r=r)
     if delta is None:
         delta = Fraction(1, 8 * r * n)
-    delta = _to_fraction(delta)
+    delta = arith.to_fraction(delta)
     if not 0 < delta <= Fraction(1, 8 * r * n):
         raise PreconditionError("delta must lie in (0, 1/(8rN)]",
                                 delta=float(delta))
@@ -508,10 +500,8 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5,
 def _arc_hits(arc: beatty.TorusInterval, gamma: Fraction, ns) -> list[int]:
     """The n of ns with frac(gamma n) in the arc (left, left + length], one
     integer test per n over den = lcm of the arc's and gamma's denominators."""
-    den = math.lcm(arc.left.denominator, arc.length.denominator, gamma.denominator)
-    g = gamma.numerator * (den // gamma.denominator)
-    left = arc.left.numerator * (den // arc.left.denominator)
-    length = arc.length.numerator * (den // arc.length.denominator)
+    (g, left, length), den = arith.common_denominator(
+        x.as_integer_ratio() for x in (gamma, arc.left, arc.length))
     return [n for n in ns if 0 < (g * n - left) % den <= length]
 
 
@@ -543,7 +533,8 @@ def li_difference(lo, hi) -> float:
         return float(total)
 
 
-def regcond_report(a_sets: dict, offsets, config: HarnessConfig) -> list[dict]:
+def regcond_report(a_sets: dict, offsets, params: beatty.BeattyParams,
+                   n_grid, theta: float, k: int, eps) -> list[dict]:
     """Empirical left-hand sides of the two regularity sums, per N.
 
     The first sum weighs, per squarefree q up to N^theta, the worst class
@@ -555,24 +546,22 @@ def regcond_report(a_sets: dict, offsets, config: HarnessConfig) -> list[dict]:
     envelopes Y / L^(k+eps); columns are recorded, never asserted.
 
     a_sets maps each grid N to the members of the window set A as a
-    strictly ascending int64 array (as beatty_members returns it).
-    config.params is required, and gamma (in Y and in the arcs) is its
-    exact gamma, whatever config.gamma holds: the shifted memberships are
+    strictly ascending int64 array (as beatty_members returns it).  gamma
+    (in Y and in the arcs) is the exact gamma of params, whose membership
+    and shift arcs the second sum needs: the shifted memberships are
     recomputed through the torus arc on exact integers and cross-checked
     against the array route; mismatches are reported.
     """
-    params = config.params
-    if params is None:
-        raise PreconditionError("regcond_report needs config.params for "
-                                "the membership and shift arcs")
+    if not n_grid:
+        raise PreconditionError("empty N grid")
     offsets = tuple(sorted(offsets))
     gamma = params.gamma_exact
     base = beatty.membership_interval(params)
     arcs = [base if h == 0 else
-            beatty.shift_intersection(base, params, h, gamma * Fraction(config.eps))
+            beatty.shift_intersection(base, params, h, gamma * arith.to_fraction(eps))
             for h in offsets]
     rows = []
-    for n in config.n_grid:
+    for n in n_grid:
         if n not in a_sets:
             raise PreconditionError("a_sets lacks a grid point", n=n)
         n_lo, n_hi = n, 2 * n
@@ -581,10 +570,10 @@ def regcond_report(a_sets: dict, offsets, config: HarnessConfig) -> list[dict]:
             raise PreconditionError("a_sets entries must be strictly "
                                     "ascending", n=n)
         big_l = math.log(n)
-        q_top = max(1, int(n**config.theta))
+        q_top = max(1, int(n**theta))
         y_val = float(gamma * n)
-        envelope = y_val / big_l ** (config.k + config.eps)
-        moduli = [(q, arith.tau_k(q, 3 * config.k)) for q in range(1, q_top + 1)
+        envelope = y_val / big_l ** (k + eps)
+        moduli = [(q, arith.tau_k(q, 3 * k)) for q in range(1, q_top + 1)
                   if arith.mobius(q) != 0]
 
         lhs12 = 0.0

@@ -208,12 +208,12 @@ def _entry_tables(support) -> tuple[dict, dict, dict]:
 def _over_common_denominator(values: dict, scale: dict) -> tuple[dict, int]:
     """Integer numerators of values[r] / scale[r] over den, the lcm of the
     summands' own reduced denominators: ({r: int}, den)."""
-    parts = {}
+    parts = []
     for r, value in values.items():
         g = math.gcd(value.numerator, scale[r])
-        parts[r] = (value.numerator // g, value.denominator * (scale[r] // g))
-    den = math.lcm(*{b for _, b in parts.values()})
-    return {r: a * (den // b) for r, (a, b) in parts.items()}, den
+        parts.append((value.numerator // g, value.denominator * (scale[r] // g)))
+    numerators, den = arith.common_denominator(parts)
+    return dict(zip(values, numerators)), den
 
 
 def _sum_over_multiples(numerators: dict, divisors: dict) -> dict:
@@ -257,7 +257,7 @@ def weights(ctx: SieveContext, offsets) -> WeightFamily:
     y = {}
     for r in support:
         point = [math.log(x) / log_r for x in r]
-        y[r] = Fraction(float(ctx.f.evaluate(point)))
+        y[r] = arith.to_fraction(ctx.f.evaluate(point))
 
     mu, phi, divisors = _entry_tables(support)
     numerators, den = _over_common_denominator(
@@ -290,7 +290,7 @@ def invert_lambda(ctx: SieveContext, lam: dict) -> InversionResult:
     if missing:
         raise PreconditionError("lambda carries indices off the support",
                                 example=next(iter(missing)))
-    lam_full = {r: Fraction(lam.get(r, 0)) for r in support}
+    lam_full = {r: arith.to_fraction(lam.get(r, 0)) for r in support}
 
     mu, phi, divisors = _entry_tables(support)
     signs = {r: math.prod(mu[n] for n in r) for r in support}

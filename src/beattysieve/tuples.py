@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith
-from .beatty import _to_fraction, pigeonhole_shift
+from .beatty import pigeonhole_shift
 from .errors import BudgetError, ImpossibleInputError, PreconditionError
 
 SHIFT_SCAN_BUDGET = 10**6
@@ -97,8 +97,8 @@ def translate_tuple(l: int, k: int, gamma, eps) -> TranslateResult:
     primes; if that is below k the result carries the achievable size instead
     (check .complete).
     """
-    g = _to_fraction(gamma)
-    e = _to_fraction(eps)
+    g = arith.to_fraction(gamma)
+    e = arith.to_fraction(eps)
     if not (1 <= k <= l):
         raise PreconditionError("need 1 <= k <= l", l=l, k=k)
     if not 0 < e * g < 1:

@@ -40,6 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arith import common_denominator, to_fraction
 from .errors import BudgetError, CapacityError, PreconditionError
 
 # C in the non-certified tuple-size estimate ceil(exp(threshold + C)).
@@ -67,31 +68,29 @@ def _partitions(total: int, max_parts: int, largest: int):
 
 
 @lru_cache(maxsize=None)
-def _dirichlet_num(k: int, a: int, b: int) -> int:
-    """(k + a + 2b)! times the integral of (1 - P1)^a * P2^b over the
-    k-simplex, an integer."""
+def _partition_sum(k: int, b: int) -> int:
+    """_dirichlet_num(k, a, b) / a!, which does not depend on a."""
     total = 0
     for lam in _partitions(b, k, b):
         count = math.factorial(k) // math.factorial(k - len(lam))
         for m in Counter(lam).values():
             count //= math.factorial(m)
-        value = math.factorial(b) * math.factorial(a)
+        value = math.factorial(b)
         for part in lam:
             value = value * math.factorial(2 * part) // math.factorial(part)
         total += count * value
     return total
 
 
+def _dirichlet_num(k: int, a: int, b: int) -> int:
+    """(k + a + 2b)! times the integral of (1 - P1)^a * P2^b over the
+    k-simplex, an integer."""
+    return math.factorial(a) * _partition_sum(k, b)
+
+
 def _dirichlet(k: int, a: int, b: int) -> Fraction:
     """Exact integral of (1 - P1)^a * P2^b over the k-simplex."""
     return Fraction(_dirichlet_num(k, a, b), math.factorial(k + a + 2 * b))
-
-
-def _over_lcm(values) -> tuple[list[int], int]:
-    """Integer numerators of the values over the lcm of their denominators."""
-    fracs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
-    den = math.lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ class SimplexPolynomial:
             if len(key) != 2 or min(key) < 0:
                 raise PreconditionError("keys must be pairs (a, b) of "
                                         "non-negative exponents", key=key)
-            c = Fraction(coeff)
+            c = to_fraction(coeff)
             if c:
                 clean[key] = clean.get(key, Fraction(0)) + c
         return cls(k, {key: c for key, c in clean.items() if c})
@@ -238,7 +237,7 @@ def _gram(polys, dim: int) -> tuple[list[list[int]], list[int], int]:
     """
     scaled, dens = [], []
     for p in polys:
-        nums, den = _over_lcm(p.terms.values())
+        nums, den = common_denominator(c.as_integer_ratio() for c in p.terms.values())
         scaled.append(list(zip(p.terms, nums)))
         dens.append(den)
     top = max((a + 2 * b for p in polys for a, b in p.terms), default=0)
@@ -307,7 +306,8 @@ def forms(basis) -> QuadraticFormPair:
 def _quadratic(mat, live, cs) -> tuple[int, int]:
     """cs^T M cs over the live indices of M, as an integer over the lcm of
     those entries' denominators; returns (integer, lcm)."""
-    ints, den = _over_lcm(mat[i][j] for i in live for j in live)
+    ints, den = common_denominator(
+        to_fraction(mat[i][j]).as_integer_ratio() for i in live for j in live)
     m = len(live)
     total = sum(c * sum(x * y for x, y in zip(ints[r * m:(r + 1) * m], cs))
                 for r, c in enumerate(cs))
@@ -320,13 +320,13 @@ def rayleigh_quotient(pair: QuadraticFormPair, coefficients) -> Fraction:
     c, A and B each go over one common denominator; the sums run on
     integers and the denominators of c cancel in the quotient.
     """
-    c = [Fraction(x) for x in coefficients]
+    c = [to_fraction(x) for x in coefficients]
     n = len(pair.basis)
     if len(c) != n:
         raise PreconditionError("coefficient count must match the basis",
                                 expected=n, got=len(c))
     live = [i for i in range(n) if c[i]]
-    cs, _ = _over_lcm(c[i] for i in live)
+    cs, _ = common_denominator(c[i].as_integer_ratio() for i in live)
     num, a_den = _quadratic(pair.A, live, cs)
     den, b_den = _quadratic(pair.B, live, cs)
     if den == 0:
@@ -385,7 +385,7 @@ def mk_lower_bound(k: int, degree_budget: int = 3):
     peak = np.max(np.abs(vec))
     if peak > 0:
         vec = vec / peak
-    coeffs = tuple(Fraction(float(x)) for x in vec)
+    coeffs = tuple(to_fraction(x) for x in vec)
     quotient = rayleigh_quotient(pair, coeffs)
     return float(quotient), MkCertificate(tuple(labels), coeffs, quotient)
 

@@ -1,12 +1,14 @@
 """Factor tables and multiplicative functions."""
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from beattysieve.arith import (FactorTable, euler_phi, factorize, mobius,
-                               primes_upto, tau_k)
+from beattysieve.arith import (FactorTable, common_denominator, euler_phi,
+                               factorize, mobius, primes_upto, tau_k,
+                               to_fraction)
 from beattysieve.errors import CapacityError
 
 
@@ -83,3 +85,34 @@ def test_tau_k_is_multiplicative():
         k = rng.randrange(1, 6)
         assert tau_k(m * n, k) == tau_k(m, k) * tau_k(n, k)
         checked += 1
+
+
+def test_to_fraction_is_exact_for_every_input_kind():
+    big = 2**62 + 1   # not a float64 value
+    for x in (big, np.int64(big), Fraction(big, 3), Fraction(np.int64(big)),
+              Fraction(np.int64(big), np.int64(3))):
+        got = to_fraction(x)
+        assert got == Fraction(x)
+        assert type(got.numerator) is int and type(got.denominator) is int
+    assert to_fraction(np.int64(big)) * 2 == 2 * big   # no int64 wraparound
+    assert to_fraction(Fraction(np.int64(big))) * 2 == 2 * big
+    assert to_fraction(0.1) == Fraction(3602879701896397, 2**55)
+    assert to_fraction(np.float32(0.5)) == Fraction(1, 2)
+    assert to_fraction("0.1") == to_fraction(0.1)   # read through float
+    exact = Fraction(big, 3)
+    assert to_fraction(exact) is exact              # already over ints
+
+
+def test_common_denominator_puts_pairs_over_their_lcm():
+    assert common_denominator([]) == ([], 1)
+    assert common_denominator(iter([])) == ([], 1)
+    assert common_denominator([(-3, 4)]) == ([-3], 4)
+    assert common_denominator([(1, 3), (2, 5), (-7, 2)]) == ([10, 12, -105], 30)
+    assert common_denominator([(1, 6), (1, 4), (5, 6), (0, 1)]) == ([2, 3, 10, 0], 12)
+    rng = random.Random(19)
+    for _ in range(200):
+        fracs = [Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**6))
+                 for _ in range(rng.randrange(1, 8))]
+        nums, den = common_denominator(f.as_integer_ratio() for f in fracs)
+        assert den == math.lcm(*(f.denominator for f in fracs))
+        assert [Fraction(a, den) for a in nums] == fracs

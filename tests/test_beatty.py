@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beattysieve import beatty
-from beattysieve.beatty import (BeattyParams, TorusInterval, _to_fraction,
+from beattysieve.beatty import (BeattyParams, TorusInterval,
                                 beatty_enumerate, beatty_members,
                                 membership_interval,
                                 pigeonhole_shift, recovered_index,
@@ -50,6 +50,10 @@ def test_quadratic_params_expose_both_views(sqrt2, golden):
     assert golden.alpha == pytest.approx((1 + math.sqrt(5)) / 2)
     assert golden.gamma == pytest.approx(2 / (1 + math.sqrt(5)))
     assert sqrt2.beta == 0 and sqrt2.beta_exact == 0
+
+
+def test_quadratic_reads_numpy_integers_exactly():
+    assert BeattyParams.quadratic(np.int64(1), 1, 2) == BeattyParams.quadratic(1, 1, 2)
 
 
 def test_enumerate_small_windows(sqrt2):
@@ -193,17 +197,6 @@ def test_pigeonhole_never_below_the_proportional_floor():
         length = Fraction(rng.randrange(1, 96), 100)
         _, hits = pigeonhole_shift(pts, length)
         assert len(hits) >= math.ceil(count * length)
-
-
-def test_to_fraction_is_exact_for_every_input_kind():
-    big = 2**62 + 1   # not a float64 value
-    for x in (big, np.int64(big), Fraction(big, 3)):
-        got = _to_fraction(x)
-        assert got == Fraction(x)
-        assert type(got.numerator) is int and type(got.denominator) is int
-    assert _to_fraction(np.int64(big)) * 2 == 2 * big   # no int64 wraparound
-    assert _to_fraction(0.1) == Fraction(3602879701896397, 2**55)
-    assert _to_fraction(np.float32(0.5)) == Fraction(1, 2)
 
 
 def _fraction_enumerate(params, lo, hi):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from beattysieve import beatty, equidist
-from beattysieve.arith import euler_phi
-from beattysieve.beatty import _to_fraction, beatty_members
+from beattysieve.arith import euler_phi, to_fraction
+from beattysieve.beatty import beatty_members
 from beattysieve.equidist import (ErrorRow, HarnessConfig, _rows_for_modulus,
                                   _window_points, bdh_harness, bv_harness,
                                   e_sup, lambda_points, li_difference,
@@ -152,11 +152,13 @@ def test_liouville_demo_refuses_before_any_sweep(table, monkeypatch):
     assert refused.value.estimate == 1500 * 1501 // 2 > equidist.DEMO_ROW_BUDGET
 
 
+def _regcond(a_sets, params):
+    return regcond_report(a_sets, (0, 7), params, (2000,), 0.25, 2, 0.05)
+
+
 def test_regcond_report(sqrt2):
-    cfg = HarnessConfig(gamma=sqrt2.gamma_exact, n_grid=(2000,), k=2,
-                        theta=0.25, params=sqrt2)
     a_sets = {2000: beatty_members(sqrt2, 2000, 4000)}
-    row, = regcond_report(a_sets, (0, 7), cfg)
+    row, = _regcond(a_sets, sqrt2)
     assert set(row) == {"arc_route_matches", "lhs12", "lhs15", "n", "norm12",
                         "norm15", "q_top", "y"}
     assert row["q_top"] == 6
@@ -168,16 +170,6 @@ def test_regcond_report(sqrt2):
     assert row["lhs15"][1] == pytest.approx(263.05979743501155, rel=1e-9)
     assert row["norm15"][0] == pytest.approx(10.466486625315387, rel=1e-9)
     assert row["norm15"][1] == pytest.approx(11.893592655851103, rel=1e-9)
-
-
-def test_regcond_report_takes_gamma_from_params(sqrt2):
-    # Y = gamma N and the shift arcs use the same gamma, that of params
-    a_sets = {2000: beatty_members(sqrt2, 2000, 4000)}
-    want = regcond_report(a_sets, (0, 7), HarnessConfig(
-        gamma=sqrt2.gamma_exact, n_grid=(2000,), params=sqrt2))
-    got = regcond_report(a_sets, (0, 7), HarnessConfig(
-        gamma=0.5, n_grid=(2000,), params=sqrt2))
-    assert got == want
 
 
 @pytest.mark.parametrize("n, expected", [(12_500, 1273.4601292265952),
@@ -205,29 +197,24 @@ def test_li_difference_matches_quadrature():
 
 
 def test_regcond_requires_grid_sets(sqrt2):
-    cfg = HarnessConfig(gamma=sqrt2.gamma_exact, n_grid=(2000,), params=sqrt2)
-    with pytest.raises(PreconditionError):
-        regcond_report({}, (0, 7), cfg)
-    # the shift arcs need the Beatty pair, not just its slope
-    no_params = HarnessConfig(gamma=sqrt2.gamma_exact, n_grid=(2000,))
-    with pytest.raises(PreconditionError):
-        regcond_report({2000: beatty_members(sqrt2, 2000, 4000)}, (0, 7),
-                       no_params)
+    with pytest.raises(PreconditionError, match="lacks a grid point"):
+        _regcond({}, sqrt2)
+    with pytest.raises(PreconditionError, match="empty N grid"):
+        regcond_report({}, (0, 7), sqrt2, (), 0.25, 2, 0.05)
 
 
 def test_regcond_refuses_members_out_of_order(sqrt2):
-    cfg = HarnessConfig(gamma=sqrt2.gamma_exact, n_grid=(2000,), params=sqrt2)
     members = beatty_members(sqrt2, 2000, 4000)
-    regcond_report({2000: members}, (0, 7), cfg)
+    _regcond({2000: members}, sqrt2)
     for bad in (members[::-1], np.sort(np.concatenate([members, members[:1]])),
                 np.roll(members, 1)):
         with pytest.raises(PreconditionError, match="strictly ascending"):
-            regcond_report({2000: bad}, (0, 7), cfg)
+            _regcond({2000: bad}, sqrt2)
 
 
 def _fraction_points(n_lo, n_hi, gamma, table):
     """The window points as (n, frac(gamma n), Lambda(n)) in Fraction."""
-    g = _to_fraction(gamma)
+    g = to_fraction(gamma)
     return [(m, (g * m) % 1, Fraction(lam))
             for m, lam in lambda_points(n_lo, n_hi, table)]
 

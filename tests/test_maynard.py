@@ -4,6 +4,7 @@ import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from beattysieve import maynard
@@ -299,6 +300,18 @@ def test_inversion_coerces_mixed_lambda_values():
     assert list(res.y) == support
     assert all(type(v) is Fraction for v in res.y.values())
     assert res.consistent is True and res.max_residual == 0
+
+
+def test_inversion_reads_numpy_integers_exactly():
+    ctx = build_context(2, 10**4, 0.5, 0.05, d0=2, r_value=300,
+                        offsets=(0, 2))
+    support = enumerate_support(ctx)
+    lam = {d: 3**20 * (i + 1) for i, d in enumerate(support)}
+    want = invert_lambda(ctx, lam)
+    got = invert_lambda(ctx, {d: np.int64(v) for d, v in lam.items()})
+    assert got == want
+    assert want.y == _oracle_y(support, {d: Fraction(v) for d, v in lam.items()})
+    assert want.consistent is True
 
 
 def test_weights_skip_vanishing_profile_values():

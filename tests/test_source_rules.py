@@ -49,6 +49,40 @@ def test_only_beatty_reads_the_integer_form_of_a_pair():
     assert found == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # what two modules share is public; dunders such as __version__ aside
+    found = [f"{path.name}:{node.lineno} {alias.name}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").startswith("beattysieve"))
+             for alias in node.names
+             if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert found == []
+
+
+def _is_number_literal(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and type(node.value) in (int, float))
+
+
+def test_caller_values_reach_fraction_through_to_fraction():
+    # one coercion route: a single-argument Fraction(x) keeps numpy integer
+    # terms that later wrap around, so outside arith (which defines
+    # to_fraction) and cli (which parses text) it only takes a literal
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if path.name not in ("arith.py", "cli.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and (_dotted(node.func) or [""])[-1] == "Fraction"
+             and len(node.args) + len(node.keywords) == 1
+             and not _is_number_literal(node.args[0] if node.args
+                                        else node.keywords[0].value)]
+    assert found == []
+
+
 def test_importing_the_cli_loads_no_scipy():
     code = ("import sys, beattysieve.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")

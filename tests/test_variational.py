@@ -294,6 +294,26 @@ def test_rayleigh_quotient_matches_the_fraction_route():
             rayleigh_quotient(pair, [0.0] * n)
 
 
+def test_rayleigh_quotient_reads_numpy_integers_exactly():
+    # np.int64 products wrap around past 2^63; the coefficients must be
+    # read as Python ints
+    pair = forms(symmetric_basis(3, 3)[1])
+    n = len(pair.basis)
+    for coeffs in ([3**15 * (i + 1) for i in range(n)], [2**40] * n):
+        want = rayleigh_quotient(pair, coeffs)
+        assert rayleigh_quotient(pair, [np.int64(c) for c in coeffs]) == want
+        assert want == _fraction_rayleigh(pair, coeffs)
+
+
+def test_from_terms_reads_numpy_integers_exactly():
+    big = {(1, 0): 2**62, (0, 1): 2**62}
+    want = SimplexPolynomial.from_terms(2, big)
+    got = SimplexPolynomial.from_terms(2, {key: np.int64(c) for key, c in big.items()})
+    assert got == want
+    assert (got * got).integral() == (want * want).integral() > 10**36
+    assert forms([got]).B == forms([want]).B
+
+
 @pytest.mark.parametrize("k", [2, 3, 7])
 def test_forms_on_multi_term_rational_polynomials(k):
     polys = [SimplexPolynomial.from_terms(k, {(1, 0): 1, (0, 1): 3}),
