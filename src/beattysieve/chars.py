@@ -8,17 +8,23 @@ root-of-unity exponent (an integer mod the group exponent) until a sum
 actually needs complex numbers.  That keeps orthogonality and conductor
 logic exact.
 
-Conductors come from the per-factor index: an odd p^e component with index
-c != 0 contributes p^(e - min(v_p(c), e-1)); a 2^e component (e >= 3) with
-5-index c2 != 0 contributes 2^(e - v_2(c2)), else 4 when the sign index is
-set.
+Everything a modulus needs is computed once per CharTable, in numpy, and
+each character reads its entry.  The dlog tables come from a baby-step /
+giant-step array of the generator's powers.  The conductors of all phi(q)
+characters come in one pass over the mixed-radix components of the
+character indices: an odd p^e component with index c != 0 contributes
+p^(e - min(v_p(c), e-1)); a 2^e component (e >= 3) with 5-index c2 != 0
+contributes 2^(e - v_2(c2)), else 4 when the sign index is set.
 
 Character sums are evaluated for a whole modulus at once: with the units
 laid out on the grid of cyclic-factor orders at their dlog coordinates, the
 sum of chi_c against any function of the residue is entry -c of that
 function's n-dimensional DFT over the grid.  bilinear_S takes one numpy FFT
 per modulus, O(phi(q) log phi(q)) instead of O(q phi(q)) for one
-character at a time.  These sums are floats.
+character at a time.  The Gauss sums G(chi, 1) of all characters come from
+one such transform of e(-j/q), and G(chi, n) = conj(chi(n)) G(chi, 1) for
+n prime to q.  These sums are floats; the Gauss sums differ in their last
+bits from a direct O(q) sum.
 """
 from __future__ import annotations
 
@@ -34,14 +40,19 @@ from . import arith
 from .errors import BudgetError, PreconditionError
 
 TABLE_MODULUS_CAP = 10**6
-# bilinear_S's cost model runs at 15-30 ns per operation on a 2-vCPU x86-64
-# VM (table builds, binning, FFT, and the Python loop that forms the pairs),
-# so a run at the budget takes about 3 s there, as the per-character
-# evaluator it replaced did at its budget of 5 * 10**7 of its own operations.
+# bilinear_S's cost model runs at 9-14 ns per operation on a shared 2-vCPU
+# x86-64 VM (table builds, binning, FFT; timed near the budget at Q = 2835
+# with one pair and at Q = 70 with 1.2 * 10**6 pairs), so a run at the
+# budget takes 1-1.4 s there.  The budget stays where the pair loop of
+# earlier versions put it (15-30 ns per operation, about 3 s), so the same
+# requests are refused.
 BILINEAR_OP_BUDGET = 10**8
 # divisor_concentration counts in an int64 table of n_hi entries: 160 MB and
 # about 0.2 s at the budget
 DIVISOR_TABLE_BUDGET = 2 * 10**7
+# _window_products forms the m * k products in blocks of about this many
+# cells: 8 MB of int64 per block
+OUTER_BLOCK = 2**20
 
 
 def _primitive_root(p: int) -> int:
@@ -55,6 +66,35 @@ def _primitive_root(p: int) -> int:
     if pow(g, p - 1, p * p) == 1:
         g += p
     return g
+
+
+def _powers(g: int, count: int, m: int) -> np.ndarray:
+    """g^t mod m for t in [0, count) as int64: a row of baby steps in
+    Python times a numpy column of giant steps, so the Python work is
+    O(sqrt(count)); m <= 10^6 keeps every product below 10^12.  The row
+    is at least 64 long, since a loop that short costs less than the numpy
+    calls, so a group of at most 64 units takes the loop alone."""
+    step = max(64, math.isqrt(count - 1) + 1)
+    baby = [1]
+    for _ in range(min(step, count) - 1):
+        baby.append(baby[-1] * g % m)
+    if count <= step:
+        return np.array(baby, dtype=np.int64)
+    big = baby[-1] * g % m
+    giant = [1]
+    for _ in range(-(-count // step) - 1):
+        giant.append(giant[-1] * big % m)
+    grid = np.multiply.outer(np.array(giant, dtype=np.int64),
+                             np.array(baby, dtype=np.int64)) % m
+    return grid.ravel()[:count]
+
+
+def _valuation(c: np.ndarray, p: int, cap: int) -> np.ndarray:
+    """min(v_p(c), cap) elementwise (cap where c == 0)."""
+    v = np.zeros(len(c), dtype=np.int64)
+    for k in range(1, cap + 1):
+        v += c % p**k == 0
+    return v
 
 
 class _Factor:
@@ -77,13 +117,10 @@ class _Factor:
             self._build_odd()
 
     def _build_odd(self):
-        m = self.modulus
-        g = _primitive_root(self.p)
-        table = np.full(m, -1, dtype=np.int64)
-        acc = 1
-        for t in range(self.orders[0]):
-            table[acc] = t
-            acc = acc * g % m
+        order = self.orders[0]
+        table = np.full(self.modulus, -1, dtype=np.int64)
+        table[_powers(_primitive_root(self.p), order, self.modulus)] = \
+            np.arange(order)
         self._dlog = table
 
     def _build_two(self):
@@ -99,13 +136,12 @@ class _Factor:
             return
         sign = np.full(m, -1, dtype=np.int64)
         five = np.full(m, -1, dtype=np.int64)
-        acc = 1
-        for b in range(self.orders[1]):
-            sign[acc] = 0
-            five[acc] = b
-            sign[m - acc] = 1
-            five[m - acc] = b
-            acc = acc * 5 % m
+        acc = _powers(5, self.orders[1], m)
+        b = np.arange(self.orders[1])
+        sign[acc] = 0
+        five[acc] = b
+        sign[m - acc] = 1
+        five[m - acc] = b
         self._dlog = (sign, five)
 
     def dlog(self, j: int) -> tuple:
@@ -123,27 +159,17 @@ class _Factor:
         t = int(self._dlog[j])
         return (t,) if t >= 0 else None
 
-    def conductor(self, indices: tuple) -> int:
-        if all(c == 0 for c in indices):
-            return 1
+    def conductors(self, indices: list) -> np.ndarray:
+        """This block's conductor for every character at once, given one
+        index array per cyclic factor."""
         p, e = self.p, self.e
-        if p != 2:
-            c = indices[0]
-            v = 0
-            while c % p == 0 and v < e - 1:
-                c //= p
-                v += 1
-            return p ** (e - v)
-        if e == 2:
-            return 4
-        c2 = indices[1]
-        if c2 == 0:
-            return 4
-        v = 0
-        while c2 % 2 == 0:
-            c2 //= 2
-            v += 1
-        return 2 ** (e - v)
+        if not indices:
+            return np.ones(1, dtype=np.int64)
+        c = indices[-1]
+        out = np.where(c != 0, p ** (e - _valuation(c, p, e - 1)), 1)
+        if p == 2 and e >= 3:
+            out[(c == 0) & (indices[0] != 0)] = 4
+        return out
 
 
 @dataclass(frozen=True)
@@ -177,30 +203,11 @@ class Character:
 
     @property
     def conductor(self) -> int:
-        out = 1
-        pos = 0
-        for factor in self.table.factors:
-            width = len(factor.orders)
-            out *= factor.conductor(self.components[pos:pos + width])
-            pos += width
-        return out
+        return int(self.table.conductors()[self.index])
 
     @property
     def is_primitive(self) -> bool:
         return self.conductor == self.q
-
-    def values(self) -> np.ndarray:
-        """chi(j) for j in [0, q) as a complex array."""
-        q = self.q
-        out = np.zeros(q, dtype=complex)
-        js, dlogs = self.table.unit_dlog_matrix()
-        big_l = self.table.group_exponent
-        w = np.array([c * (big_l // n) for c, n in
-                      zip(self.components, self.table.cyc_orders)],
-                     dtype=np.int64)
-        t = (dlogs @ w) % big_l if len(w) else np.zeros(len(js), np.int64)
-        out[js] = np.exp(2j * np.pi * t / big_l)
-        return out
 
 
 class _CharacterFamily:
@@ -243,6 +250,8 @@ class CharTable:
         self.characters = _CharacterFamily(self)
         self._roots = None
         self._dlog_matrix = None
+        self._conductors = None
+        self._gauss_one = None
 
     def unit_dlog(self, j: int):
         if math.gcd(j, self.q) != 1:
@@ -268,8 +277,10 @@ class CharTable:
         rows agree with unit_dlog(j) for j in the units array.
         """
         if self._dlog_matrix is None:
-            js = np.arange(self.q, dtype=np.int64)
-            js = js[np.gcd(js, self.q) == 1]
+            units = np.ones(self.q, dtype=bool)
+            for f in self.factors:
+                units[::f.p] = False
+            js = np.flatnonzero(units)
             cols = []
             for f in self.factors:
                 if f.orders:
@@ -280,8 +291,42 @@ class CharTable:
             self._dlog_matrix = (js, rows)
         return self._dlog_matrix
 
+    def conductors(self) -> np.ndarray:
+        """Conductor of every character, by index; cached.
+
+        One pass over the mixed-radix components of arange(phi): the index
+        of the first cyclic factor varies fastest, as in characters[i].
+        """
+        if self._conductors is None:
+            rem = np.arange(self.phi, dtype=np.int64)
+            out = np.ones(self.phi, dtype=np.int64)
+            for f in self.factors:
+                indices = []
+                for n in f.orders:
+                    indices.append(rem % n)
+                    rem //= n
+                out *= f.conductors(indices)
+            self._conductors = out
+        return self._conductors
+
     def primitive_count(self) -> int:
-        return sum(1 for chi in self.characters if chi.is_primitive)
+        return int(np.count_nonzero(self.conductors() == self.q))
+
+    def _transform(self, unit_values: np.ndarray) -> np.ndarray:
+        """DFT over the cyclic-factor grid of values placed at the units'
+        dlog coordinates (unit_values in the order of unit_dlog_matrix()).
+
+        Entry -c is the sum of the values against the character with
+        indices c.  q = 1, 2 have no cyclic factor: one unit, one
+        character, one cell.
+        """
+        grid = np.zeros(self.cyc_orders or (1,), dtype=complex)
+        grid[tuple(self.unit_dlog_matrix()[1].T)] = unit_values
+        return np.fft.fftn(grid)
+
+    def _gauss_transform(self, n: int) -> np.ndarray:
+        js = self.unit_dlog_matrix()[0]
+        return self._transform(np.exp(-2j * np.pi * (n * js % self.q) / self.q))
 
 
 @lru_cache(maxsize=128)
@@ -291,45 +336,76 @@ def char_table(q: int) -> CharTable:
 
 def primitive_count_formula(q: int) -> int:
     """Number of primitive characters mod q: sum over d | q of mu(q/d) phi(d)."""
-    total = 0
-    for d in range(1, q + 1):
-        if q % d == 0:
-            total += arith.mobius(q // d) * arith.euler_phi(d)
-    return total
+    divisors = [1]
+    for p, e in arith.factorize(q):
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    return sum(arith.mobius(q // d) * arith.euler_phi(d) for d in divisors)
 
 
 def gauss_sum(chi: Character, n: int) -> complex:
-    """Full-period twisted sum  sum_{j=1}^q chi(j) e(-n j / q)."""
-    q = chi.q
+    """Full-period twisted sum  sum_{j=1}^q chi(j) e(-n j / q).
+
+    For n prime to q, j -> j/n gives conj(chi(n)) G(chi, 1), read from the
+    table's one transform of e(-j/q), built on first use; any other n takes
+    a transform of its own, not kept.
+    """
+    table = chi.table
+    q = table.q
     if q == 1:
         return complex(1.0)
-    vals = chi.values()
-    js = np.arange(q)
-    total = np.sum(vals * np.exp(-2j * np.pi * (n % q) * js / q))
-    return complex(total)
+    cell = tuple(-c % n_c for c, n_c in zip(chi.components, table.cyc_orders)) or (0,)
+    n %= q
+    if math.gcd(n, q) != 1:
+        return complex(table._gauss_transform(n)[cell])
+    if table._gauss_one is None:
+        table._gauss_one = table._gauss_transform(1)
+    return table.root_of_unity(-chi.exponent(n)) * complex(table._gauss_one[cell])
+
+
+def _py_complex_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y elementwise with each of the four real products rounded on its
+    own, as Python's complex multiply computes it; numpy's own complex
+    multiply may fuse them and round differently."""
+    x, y = x.astype(complex), y.astype(complex)
+    out = np.empty(len(x), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def _window_products(gamma, a_coeffs: dict, b_coeffs: dict,
                      n_lo: int, n_hi: int):
     """Products n = m k in [n_lo, n_hi) and their a_m b_k e(gamma m k).
 
-    Returned as an integer array (int64 when n_hi allows it, else Python
-    ints) and a complex array, one entry per pair with a_m b_k != 0.
+    An outer product of the nonzero keys, masked to the window, in the
+    order of a loop over a's keys with b's keys inside; it is formed in
+    blocks of rows of about OUTER_BLOCK cells, so a narrow window over long
+    ranges stays small.  The products are int64 while max m * max k < 2^63
+    and Python ints above, so none wraps into the window.  Returned as an
+    integer array (int64 when n_hi allows it, else Python ints) and a
+    complex array whose entries are the floats
+    am * bk * cmath.exp(2j * cmath.pi * gamma * n) would give.
     """
-    ns, ws = [], []
-    g = float(gamma)
-    for m, am in a_coeffs.items():
-        if am == 0:
-            continue
-        for k, bk in b_coeffs.items():
-            if bk == 0:
-                continue
-            n = m * k
-            if n_lo <= n < n_hi:
-                ns.append(n)
-                ws.append(am * bk * cmath.exp(2j * cmath.pi * g * n))
-    return (np.array(ns, dtype=np.int64 if n_hi <= 2**63 else object),
-            np.array(ws, dtype=complex))
+    a = {m: am for m, am in a_coeffs.items() if am != 0}
+    b = {k: bk for k, bk in b_coeffs.items() if bk != 0}
+    wide = bool(a and b) and int(max(a)) * int(max(b)) >= 2**63
+    ms = np.array(list(a), dtype=object if wide else np.int64)
+    ks = np.array(list(b), dtype=object if wide else np.int64)
+    rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    step = max(1, OUTER_BLOCK // max(1, len(ks)))
+    for lo in range(0, len(ms), step):
+        block = np.multiply.outer(ms[lo:lo + step], ks)
+        r, c = np.nonzero((block >= n_lo) & (block < n_hi))
+        rows.append(r + lo)
+        cols.append(c)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    ns = ms[rows] * ks[cols]
+    am, bk = np.array(list(a.values()))[rows], np.array(list(b.values()))[cols]
+    weights = (_py_complex_product(am, bk)
+               if np.iscomplexobj(am) or np.iscomplexobj(bk) else am * bk)
+    phases = np.exp(2j * cmath.pi * float(gamma) * ns.astype(float))
+    return (ns.astype(np.int64 if n_hi <= 2**63 else object),
+            _py_complex_product(weights, phases))
 
 
 def _pair_count(a_coeffs: dict, b_coeffs: dict, n_lo: int, n_hi: int) -> int:
@@ -384,17 +460,15 @@ def bilinear_S(q_lo: int, gamma, a_coeffs: dict, b_coeffs: dict,
         raise BudgetError("bilinear sum too large for the FFT evaluator",
                           estimate=cost)
     ns, ws = _window_products(gamma, a_coeffs, b_coeffs, n_lo, n_hi)
+    ws_re, ws_im = np.ascontiguousarray(ws.real), np.ascontiguousarray(ws.imag)
     total = 0.0
     for q in range(q_lo, 2 * q_lo):
         table = char_table(q)
-        res = (ns % q).astype(np.intp)
-        by_residue = (np.bincount(res, weights=ws.real, minlength=q)
-                      + 1j * np.bincount(res, weights=ws.imag, minlength=q))
-        js, dlogs = table.unit_dlog_matrix()
-        # q = 1, 2 have no cyclic factor: one unit, one character, one cell
-        grid = np.zeros(table.cyc_orders or (1,), dtype=complex)
-        grid[tuple(dlogs.T)] = by_residue[js]
-        total += float(np.abs(np.fft.fftn(grid)).sum())
+        res = (ns % q).astype(np.intp, copy=False)
+        by_residue = (np.bincount(res, weights=ws_re, minlength=q)
+                      + 1j * np.bincount(res, weights=ws_im, minlength=q))
+        js = table.unit_dlog_matrix()[0]
+        total += float(np.abs(table._transform(by_residue[js])).sum())
     return float(total)
 
 

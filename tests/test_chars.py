@@ -1,17 +1,21 @@
 """Character tables, Gauss sums, bilinear sum cross-checks."""
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from beattysieve import chars
+from beattysieve import arith, chars
 from beattysieve.chars import (BILINEAR_OP_BUDGET, DIVISOR_TABLE_BUDGET,
                                CharTable, _pair_count, _window_products,
                                bilinear_S, bilinear_report, char_table,
                                divisor_concentration, gauss_sum,
                                primitive_count_formula, split_partition_check)
 from beattysieve.errors import BudgetError, PreconditionError
+from char_oracles import (character_values, conductor, direct_gauss_sum,
+                          dlog_tables, primitive_count_by_every_d,
+                          window_products_loop)
 
 
 def _principal(chi):
@@ -40,7 +44,7 @@ def test_table_sizes_and_conductors():
 def test_row_orthogonality():
     for q in (8, 12, 15):
         t = char_table(q)
-        v = np.array([chi.values() for chi in t.characters])
+        v = np.array([character_values(chi) for chi in t.characters])
         gram = v @ v.conj().T
         assert np.allclose(gram, t.phi * np.eye(t.phi), atol=1e-9)
 
@@ -48,6 +52,41 @@ def test_row_orthogonality():
 def test_primitive_counts_match_divisor_sum_formula():
     for q in range(1, 101):
         assert char_table(q).primitive_count() == primitive_count_formula(q)
+
+
+def test_primitive_count_formula_matches_the_every_d_sum():
+    for q in range(1, 1001):
+        assert primitive_count_formula(q) == primitive_count_by_every_d(q)
+
+
+def _check_tables_against_the_oracles(q):
+    table = CharTable(q)
+    for f in table.factors:
+        expect = dlog_tables(f)
+        got = (() if f._dlog is None else
+               f._dlog if isinstance(f._dlog, tuple) else (f._dlog,))
+        assert len(got) == len(expect)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expect))
+    # character i has the mixed-radix digits of i, the first factor fastest
+    digits = itertools.product(*(range(n) for n in reversed(table.cyc_orders)))
+    conductors = [conductor(table, c[::-1]) for c in digits]
+    assert table.conductors().tolist() == conductors
+    assert table.primitive_count() == conductors.count(q)
+    assert [chi.conductor for chi in itertools.islice(table.characters, 50)] \
+        == conductors[:50]
+
+
+def test_small_tables_match_the_one_at_a_time_oracles():
+    for q in range(1, 401):
+        _check_tables_against_the_oracles(q)
+
+
+# the prime powers 2^19, 3^12, 5^8 fill the largest 2-part, 3-part and
+# 5-part tables a modulus under the cap has; 720720 has six factors and
+# 999983 the largest cyclic group
+@pytest.mark.parametrize("q", [2**19, 3**12, 5**8, 720720, 999983])
+def test_large_tables_match_the_one_at_a_time_oracles(q):
+    _check_tables_against_the_oracles(q)
 
 
 def test_gauss_sum_values():
@@ -58,6 +97,41 @@ def test_gauss_sum_values():
     assert gauss_sum(chi0, 0) == pytest.approx(4 + 0j, abs=1e-9)
     one = char_table(1).characters[0]
     assert gauss_sum(one, 3) == pytest.approx(1 + 0j)
+
+
+def test_gauss_sums_match_the_direct_sum():
+    rng = np.random.default_rng(11)
+    for q in range(1, 151):
+        ns = {0, 1, 2, q - 1} | {q // p for p, _ in arith.factorize(q)}
+        coprime = [n for n in range(q) if math.gcd(n, q) == 1]
+        ns.add(int(rng.choice(coprime)))
+        for chi in char_table(q).characters:
+            for n in ns:
+                got = gauss_sum(chi, n)
+                assert abs(got - direct_gauss_sum(chi, n)) < 1e-9
+                if chi.is_primitive and math.gcd(n, q) == 1:
+                    assert abs(abs(got) - math.sqrt(q)) < 1e-9
+
+
+def test_gauss_sums_of_a_table_take_one_transform(monkeypatch):
+    calls = []
+    transform = CharTable._transform
+
+    def spy(self, values):
+        calls.append(self.q)
+        return transform(self, values)
+
+    monkeypatch.setattr(CharTable, "_transform", spy)
+    table = CharTable(720)
+    for chi in table.characters:
+        for n in (1, 7, 719, 7 * 11 * 13):
+            gauss_sum(chi, n)
+    assert calls == [720]
+    # n not prime to q takes a transform of its own every time, not kept
+    chi = table.characters[5]
+    gauss_sum(chi, 6)
+    gauss_sum(chi, 6)
+    assert calls == [720] * 3
 
 
 def bilinear_type1(q_lo, gamma, a_coeffs, k_lo, k_hi, n_lo, n_hi):
@@ -161,6 +235,51 @@ def test_pair_count_matches_the_formed_pairs():
         n_lo, n_hi = (int(x) for x in rng.integers(-50, 4 * m0 * k0, size=2))
         ns, _ = _window_products(0.25, a, b, n_lo, n_hi)
         assert _pair_count(a, b, n_lo, n_hi) == len(ns)
+
+
+@pytest.mark.parametrize("block", [chars.OUTER_BLOCK, 7], ids=["one-block", "7-cells"])
+def test_window_products_match_the_pair_loop_bitwise(block, monkeypatch):
+    # small-integer, complex, float and zero coefficients, gamma of either
+    # sign; a block of 7 cells splits every outer product into many blocks
+    monkeypatch.setattr(chars, "OUTER_BLOCK", block)
+    rng = np.random.default_rng(8)
+    for trial in range(150):
+        m0, k0 = (int(x) for x in rng.integers(1, 60, size=2))
+        def value():
+            if trial % 3 == 0:
+                return float(rng.integers(0, 3))
+            if rng.random() < 0.2:
+                return 0
+            return (complex(*rng.normal(size=2)) if trial % 3 == 1
+                    else float(rng.normal()))
+        a = {m: value() for m in range(m0, 2 * m0)}
+        b = {k: value() for k in range(k0, 2 * k0)}
+        n_lo, n_hi = (int(x) for x in rng.integers(-50, 4 * m0 * k0, size=2))
+        gamma = 3 * float(rng.normal())
+        ns, ws = _window_products(gamma, a, b, n_lo, n_hi)
+        expect_ns, expect_ws = window_products_loop(gamma, a, b, n_lo, n_hi)
+        assert ns.dtype == np.int64 and ns.tolist() == expect_ns
+        assert ws.tobytes() == expect_ws.tobytes()
+
+
+def test_window_products_never_wrap_int64():
+    # (2^32 + i)(2^32 + j) wraps in int64 to (i + j) 2^32 + i j, inside
+    # [0, 2^40): no product may land there
+    keys = {2**32 + i: 1.0 for i in range(3)}
+    ns, ws = _window_products(0.25, keys, dict(keys), 0, 2**40)
+    assert len(ns) == len(ws) == 0 == _pair_count(keys, keys, 0, 2**40)
+    # a window above 2^63 keeps every product exact, as Python ints
+    lo, hi = 2**64, 2**64 + 2**40
+    ns, ws = _window_products(0.25, keys, dict(keys), lo, hi)
+    assert ns.dtype == object
+    assert ns.tolist() == [m * k for m in keys for k in keys]
+    assert _pair_count(keys, keys, lo, hi) == len(ns) == 9
+    expect_ns, expect_ws = window_products_loop(0.25, keys, keys, lo, hi)
+    assert ns.tolist() == expect_ns and ws.tobytes() == expect_ws.tobytes()
+    # products past 2^63 under a window below it: int64 out, nothing wrapped
+    ns, _ = _window_products(0.25, {2**30: 1.0, 2**31: 1.0}, {2**32: 1.0},
+                             0, 2**63)
+    assert ns.dtype == np.int64 and ns.tolist() == [2**62]
 
 
 def test_bilinear_report_fields():
