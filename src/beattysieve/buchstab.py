@@ -31,17 +31,25 @@ The continuous side integrates omega((1 - a1 - a2)/a2) / (a1 * a2^2) over D,
 where omega is Buchstab's function.  D decomposes (up to measure zero) into
 two triangles; both routes are computed and cross-checked.  On D,
 u = (1 - a1 - a2)/a2 stays in [1, 7/3], where omega has the closed forms 1/u
-and (1 + ln(u - 1))/u; omega is evaluated nowhere else.  The iterated
-Gauss-Legendre rules run in decimal at 36 significant digits (nodes refined
-by Newton's method, pieces split at the kink u = 2) and only the final
-values are rounded to float: I1, I2 and the D integral come out correctly
-rounded.  The reported quadrature_error is the difference between the
-floats of two Gauss orders; a requested tolerance is checked against that
-gap in decimal plus each value's float rounding error, so a tolerance
-finer than float resolution is refused.
+and (1 + ln(u - 1))/u; omega is evaluated nowhere else.  The inner
+a2-integral is done in closed form: with t = a2/(1 - a1) its antiderivative
+is ln(t/(1 - t)) on the u <= 2 side of the kink and a sum of logs and
+dilogarithms on the other (_log_side; Lewin, Polylogarithms and Associated
+Functions, 1981), with ln and Li2 from series whose term counts follow from
+stated tail bounds.  Only the outer a1 axis keeps a Gauss-Legendre rule, so
+a call costs about `order` antiderivative evaluations rather than order^2
+integrand nodes.  Everything runs in decimal at 36 significant digits
+(Legendre nodes refined by Newton's method) and only the final values are
+rounded to float: I1, I2 and the D integral come out correctly rounded.
+The reported quadrature_error is the difference between the floats of two
+Gauss orders, an estimate of the error rather than a proven bound; a
+requested tolerance is checked against that gap in decimal plus each
+value's float rounding error, so a tolerance finer than float resolution is
+refused.
 """
 from __future__ import annotations
 
+import functools
 import math
 from decimal import Context, Decimal, localcontext
 
@@ -215,21 +223,27 @@ _CONTEXT = Context(prec=_DIGITS)
 _SEVENTHS = tuple(_CONTEXT.divide(Decimal(k), Decimal(7)) for k in range(6))
 _FIVE_21STS = _CONTEXT.divide(Decimal(5), Decimal(21))
 _QUARTER, _HALF = Decimal("0.25"), Decimal("0.5")
+_THIRD = _CONTEXT.divide(Decimal(1), Decimal(3))
 
 # ln z on [1, 2] as ln m + 2*atanh(s), s = (z - m)/(z + m), with m = k/64
 # the nearest grid point: |s| <= 1/256, so a few odd terms of the atanh
 # series reach the working precision.
 _LN_GRID = 64
-_LN_TABLE = tuple((m, _CONTEXT.ln(m)) for m in
-                  (Decimal(k) / _LN_GRID for k in range(_LN_GRID, 2 * _LN_GRID + 1)))
 _ATANH_TERMS = math.ceil((_DIGITS / math.log10(4 * _LN_GRID) - 1) / 2)
 _ATANH_COEFFS = tuple(_CONTEXT.divide(1, 2 * j + 1)
                       for j in reversed(range(_ATANH_TERMS)))
 
 
+@functools.cache
+def _ln_table() -> tuple[tuple[Decimal, Decimal], ...]:
+    """(m, ln m) for the grid points m = k/64 of [1, 2], built on first use."""
+    return tuple((m, _CONTEXT.ln(m)) for m in
+                 (Decimal(k) / _LN_GRID for k in range(_LN_GRID, 2 * _LN_GRID + 1)))
+
+
 def _ln(z: Decimal) -> Decimal:
-    """ln z for 1 <= z <= 2 at the working precision (see _LN_TABLE)."""
-    m, ln_m = _LN_TABLE[round(z * _LN_GRID) - _LN_GRID]
+    """ln z for 1 <= z <= 2 at the working precision (see _ln_table)."""
+    m, ln_m = _ln_table()[round(z * _LN_GRID) - _LN_GRID]
     s = (z - m) / (z + m)
     s2 = s * s
     acc = _ATANH_COEFFS[0]
@@ -238,36 +252,105 @@ def _ln(z: Decimal) -> Decimal:
     return ln_m + (s + s) * acc
 
 
-def _kink_side_integral(c: Decimal, lo: Decimal, hi: Decimal, nodes, weights) -> Decimal:
-    """Gauss rule for the integral over a2 in [lo, hi] of omega(u)/a2^2 with
-    u = c/a2 - 1, on a piece that lies on one side of the omega kink u = 2.
+# Li2(z) = sum over n >= 0 of B_n w^(n+1)/(n+1)! with w = -ln(1 - z) and
+# B_1 = -1/2 (Lewin, Polylogarithms and Associated Functions, 1981).  Past
+# w - w^2/4 only the even n = 2k remain, and |B_2k|/(2k)! = 2 zeta(2k)/(2 pi)^2k
+# bounds the k-th of them by 2 zeta(2) |w| r^k/(2k + 1), r = (w/(2 pi))^2.
+# For |w| <= ln 4 the tail past k = _LI2_TERMS is below
+# 4.8 r^(_LI2_TERMS + 1)/(2 _LI2_TERMS + 3) < r^(_LI2_TERMS + 1) <= 10^-_DIGITS.
+_LI2_W_MAX = math.log(4)
+_LI2_TERMS = math.ceil(
+    _DIGITS / -math.log10((_LI2_W_MAX / (2 * math.pi)) ** 2)) - 1
 
-    There omega has one closed form, and omega(u)/a2^2 is 1/(a2*(c - a2))
-    on [1, 2] and (1 + ln(u - 1))/(a2*(c - a2)) on [2, 3].  u falls as a2
-    rises, so the end nodes carry its range; a piece reaching outside
-    [1, 3], where neither form holds, is refused rather than extrapolated.
+
+@functools.cache
+def _li2_coeffs() -> tuple[Decimal, ...]:
+    """B_2k/(2k + 1)! for k = _LI2_TERMS, ..., 1, 0 (Horner order), built on
+    first use.  The tangent numbers T_k = tan^(2k-1)(0) come from integer
+    recurrences (Brent and Harvey, Fast computation of Bernoulli, tangent
+    and secant numbers, 2011), and B_2k = (-1)^(k-1) 2k T_k/(4^k (4^k - 1))."""
+    n = _LI2_TERMS
+    tangent = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    return tuple(_CONTEXT.divide((-1) ** (k - 1) * 2 * k * tangent[k],
+                                 4**k * (4**k - 1) * math.factorial(2 * k + 1))
+                 for k in range(n, 0, -1)) + (Decimal(1),)
+
+
+def _li2(w: Decimal) -> Decimal:
+    """Li2(z) at the working precision from w = -ln(1 - z), |w| <= ln 4
+    (for real z, -3 <= z <= 3/4)."""
+    w2 = w * w
+    coeffs = _li2_coeffs()
+    acc = coeffs[0]
+    for c in coeffs[1:]:   # Horner in w^2, coefficients B_2k/(2k+1)!
+        acc = acc * w2 + c
+    return w * acc - w2 / 4
+
+
+def _log_side(t: Decimal) -> Decimal:
+    """An antiderivative of (1 + ln((1 - 2t)/t))/(t(1 - t)) for 1/4 <= t <= 1/3:
+
+        ln(t/(1 - t)) - ln^2(t)/2 - ln^2(2(1 - t))/2
+            - Li2(2t) - Li2(1/(2(1 - t))) - Li2(1 - t),
+
+    less the constant ln 2.  The three Li2 arguments lie in [1/2, 3/4], and
+    their w = -ln(1 - z) are -ln(1 - 2t), ln(2(1 - t)) - ln(1 - 2t) and
+    -ln t: three logs, each brought into [1, 2] by a power of 2.
     """
-    half = (hi - lo) / 2
-    mid = lo + half
-    a2s = [mid + half * x for x in nodes]
-    u_min, u_max = c / a2s[-1] - 1, c / a2s[0] - 1
-    if not (1 <= u_min and u_max <= 3):
+    ln_4 = 2 * _ln_table()[-1][1]          # the grid's last point is m = 2
+    ln_t = _ln(4 * t) - ln_4
+    ln_2s = _ln(2 * (1 - t))               # ln(2(1 - t))
+    ln_v = _ln(4 * (1 - 2 * t)) - ln_4     # ln(1 - 2t)
+    return (ln_t - ln_2s - (ln_t * ln_t + ln_2s * ln_2s) / 2
+            - _li2(-ln_v) - _li2(ln_2s - ln_v) - _li2(-ln_t))
+
+
+@functools.cache
+def _log_side_at_kink() -> Decimal:
+    """_log_side at t = 1/3 (u = 2), where every section across the kink
+    splits."""
+    with localcontext(_CONTEXT):
+        return _log_side(_THIRD)
+
+
+def _inner_integral(c: Decimal, lo: Decimal, hi: Decimal) -> Decimal:
+    """The integral over a2 in [lo, hi] of omega(u)/a2^2, u = c/a2 - 1, in
+    closed form.
+
+    With t = a2/c it is the integral of omega(1/t - 1)/(c t(1 - t)) dt.
+    For u in [1, 2] (t in [1/3, 1/2]) omega is 1/u and the antiderivative
+    ln(t/(1 - t))/c, so that part is one log of a ratio in [1, 2].  For u in
+    [2, 3] (t in [1/4, 1/3]) omega is (1 + ln(u - 1))/u and the
+    antiderivative _log_side(t)/c.  A section reaching outside [1, 3],
+    where neither form holds, is refused rather than extrapolated.
+    """
+    if not (c / 4 <= lo and hi <= c / 2):
         raise CapacityError("closed-form omega covers 1 <= u <= 3, not "
-                            f"u in [{u_min:.6g}, {u_max:.6g}]")
-    if c / mid <= 3:   # u <= 2 at the midpoint, so across the piece
-        total = sum(w / (a2 * (c - a2)) for a2, w in zip(a2s, weights))
-    else:
-        total = sum(w * (1 + _ln((c - a2 - a2) / a2)) / (a2 * (c - a2))
-                    for a2, w in zip(a2s, weights))
-    return half * total
+                            f"u in [{c / hi - 1:.6g}, {c / lo - 1:.6g}]")
+    kink = c / 3   # u = 2
+    total = 0
+    if lo < kink:
+        upper = _log_side_at_kink() if hi >= kink else _log_side(hi / c)
+        total += upper - _log_side(lo / c)
+    if hi > kink:
+        lo = max(lo, kink)
+        total += _ln(hi * (c - lo) / (lo * (c - hi)))
+    return total / c
 
 
 # Gauss-Legendre rules at the working precision, by order
 _legendre_rules: dict = {}
-# Node pairs the iterated rules of one region_integrals call may visit,
-# order^2 + (order + 8)^2.  The cost is about 27 us per pair (Python 3.11 on
-# a 2-core x86-64 VM: 1.4 s at order 160), so the cap, near order 310, is
-# a few seconds of work.
+# Node pairs of the two Legendre builds of one region_integrals call,
+# order^2 + (order + 8)^2: Newton's method runs the n-step recurrence at each
+# node, so a rule costs O(n^2) in decimal, about 2.5 us per pair, while the
+# outer rule over the closed-form inner integral is linear, about 0.7 ms per
+# unit of order (Python 3.11 on a 2-core x86-64 VM: 0.25 s cold at order 160,
+# 0.68 s at order 300).  The cap, near order 310, is under a second of work.
 REGION_NODE_PAIR_BUDGET = 200_000
 _NEWTON_TOL = Decimal(10) ** (6 - _DIGITS)
 
@@ -318,16 +401,16 @@ def _legendre_rule(n: int) -> tuple[tuple[Decimal, ...], tuple[Decimal, ...]]:
 
 class _GaussRule:
     """The order-n Gauss-Legendre rule at the working precision, applied
-    as an iterated rule over the (alpha1, alpha2) plane.
+    over the alpha1 axis to the closed-form inner integral.
 
-    It keeps the inner pieces it has integrated: the D route retraces the
-    pieces of both triangles wherever its sections agree with theirs, and
-    reuses those values instead of recomputing the same numbers.
+    It keeps the inner integrals it has evaluated: the D route retraces the
+    sections of both triangles at the same alpha1 nodes, and reuses those
+    values instead of recomputing the same numbers.
     """
 
     def __init__(self, n: int):
         self.nodes, self.weights = _legendre_rule(n)
-        self._pieces = {}
+        self._sections = {}
 
     def integrate(self, f, lo, hi):
         half = (hi - lo) / 2
@@ -336,19 +419,11 @@ class _GaussRule:
                           for x, w in zip(self.nodes, self.weights))
 
     def inner(self, a1, lo, hi):
-        """Integral over a2 in [lo, hi] of omega((1 - a1 - a2)/a2)/(a1*a2^2),
-        split at the omega kink u = 2 so each piece sees one closed form."""
-        c = 1 - a1
-        kink = c / 3  # u = 2 along a2 = (1 - a1)/3
-        cuts = [lo, kink, hi] if lo < kink < hi else [lo, hi]
-        total = 0
-        for piece in zip(cuts, cuts[1:]):
-            key = (c, *piece)
-            if key not in self._pieces:
-                self._pieces[key] = _kink_side_integral(c, *piece, self.nodes,
-                                                        self.weights)
-            total += self._pieces[key]
-        return total / a1
+        """Integral over a2 in [lo, hi] of omega((1 - a1 - a2)/a2)/(a1*a2^2)."""
+        key = (a1, lo, hi)
+        if key not in self._sections:
+            self._sections[key] = _inner_integral(1 - a1, lo, hi) / a1
+        return self._sections[key]
 
 
 def _triangle_pieces(kind: str):
@@ -419,17 +494,20 @@ def region_integrals(order: int = 24, tol: float = 1e-7) -> dict:
     shallow one; integral_over_D re-derives the domain from the raw
     inequalities as an independent route.  b = 1 - integral_over_D.
 
-    Each route is an iterated Gauss-Legendre rule run in decimal at 36
-    significant digits, at `order` and at `order + 8`; only the final
-    values are rounded to float, so they come out correctly rounded.
-    quadrature_error is the largest difference between the floats the two
-    orders give (0.0 once the rule has converged).  The error of a returned
-    float is bounded by the decimal difference between the orders plus its
-    own rounding error |float(v) - v|; if that bound exceeds tol the
-    function refuses rather than report junk.  A tol below a value's
-    rounding error (some 1e-18 here) is therefore always refused.  The cost
-    grows as order^2; an order past REGION_NODE_PAIR_BUDGET is refused
-    with its node-pair count as the estimate, before any rule is built.
+    Each route integrates the closed-form inner a2-integral (see
+    _inner_integral) with an outer Gauss-Legendre rule over alpha1, run in
+    decimal at 36 significant digits, at `order` and at `order + 8`; only
+    the final values are rounded to float, so they come out correctly
+    rounded.  quadrature_error is the largest difference between the floats
+    the two orders give (0.0 once the rule has converged).  The decimal
+    difference between the orders plus a value's own rounding error
+    |float(v) - v| estimates the error of a returned float; it is not a
+    proven bound.  If that estimate exceeds tol the function refuses rather
+    than report junk, so a tol below a value's rounding error (some 1e-18
+    here) is always refused.  A call evaluates about 6 * order inner
+    integrals, but building the two decimal Legendre rules grows as
+    order^2; an order past REGION_NODE_PAIR_BUDGET is refused with its
+    node-pair count as the estimate, before any rule is built.
     """
     if order < 8:
         raise PreconditionError("order must be >= 8", order=order)
@@ -441,7 +519,7 @@ def region_integrals(order: int = 24, tol: float = 1e-7) -> dict:
     coarse_rule, fine_rule = _GaussRule(order), _GaussRule(order + 8)
     vals, exact = {}, {}
     spread = 0.0
-    order_gap = rounding = bound = Decimal(0)
+    order_gap = rounding = estimate = Decimal(0)
     with localcontext(_CONTEXT):
         for name, compute in (("I1", lambda r: _triangle_integral("steep", r)),
                               ("I2", lambda r: _triangle_integral("shallow", r)),
@@ -452,13 +530,14 @@ def region_integrals(order: int = 24, tol: float = 1e-7) -> dict:
             gap = abs(exact[name] - coarse)
             rnd = abs(Decimal(vals[name]) - exact[name])
             order_gap, rounding = max(order_gap, gap), max(rounding, rnd)
-            bound = max(bound, gap + rnd)
-        if not float(bound) <= tol:   # a NaN tol is refused too
+            estimate = max(estimate, gap + rnd)
+        if not float(estimate) <= tol:   # a NaN tol is refused too
             raise BudgetError(
-                f"error bound {bound:.2e} exceeds tolerance {tol:.2e} (order "
-                f"difference {order_gap:.2e}, float rounding {rounding:.2e}); "
+                f"error estimate {estimate:.2e} exceeds tolerance {tol:.2e} "
+                f"(order difference {order_gap:.2e}, float rounding "
+                f"{rounding:.2e}); "
                 "raise the order, or the tolerance if rounding dominates",
-                estimate=float(bound))
+                estimate=float(estimate))
         vals["b"] = float(1 - exact["integral_over_D"])
     vals["quadrature_error"] = spread
     return vals

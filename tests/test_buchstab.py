@@ -1,20 +1,25 @@
 """Exponent classification, chain identity, region geometry, integrals."""
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from beattysieve import arith, buchstab
 from beattysieve.buchstab import (_BLOCK, _CONTEXT, _FACTOR_WIDTH,
-                                  _block_terms, _chain_cutoffs,
-                                  _kink_side_integral, _legendre_rule, _ln,
-                                  _window_terms, decomposition_check,
-                                  region_integrals)
+                                  _GaussRule, _block_terms, _chain_cutoffs,
+                                  _d_integral, _inner_integral,
+                                  _legendre_rule, _li2, _ln,
+                                  _triangle_integral, _window_terms,
+                                  decomposition_check, region_integrals)
 from beattysieve.errors import (BudgetError, CapacityError, PreconditionError)
 
 # The continuum side of the chain decomposition, decided exactly on
@@ -490,20 +495,137 @@ def test_legendre_rule_integrates_polynomials_exactly(n):
             assert abs(moment - exact) <= tiny, j
 
 
-def test_closed_form_omega_pieces():
-    nodes, weights = _legendre_rule(24)
+# The iterated 2-D route the library ran before the inner integral had a
+# closed form: a Gauss rule over a2 at each outer node, split at the omega
+# kink u = 2, with ln from the decimal module.  It is the oracle for
+# _inner_integral.
+
+def kink_side_oracle(c, lo, hi, nodes, weights):
+    """Gauss rule for the integral over a2 in [lo, hi] of omega(u)/a2^2,
+    u = c/a2 - 1, on a piece on one side of the kink; there omega(u)/a2^2 is
+    1/(a2*(c - a2)) on [1, 2] and (1 + ln(u - 1))/(a2*(c - a2)) on [2, 3]."""
+    half = (hi - lo) / 2
+    mid = lo + half
+    a2s = [mid + half * x for x in nodes]
+    u_min, u_max = c / a2s[-1] - 1, c / a2s[0] - 1
+    if not (1 <= u_min and u_max <= 3):
+        raise CapacityError(f"u in [{u_min:.6g}, {u_max:.6g}]")
+    if c / mid <= 3:   # u <= 2 at the midpoint, so across the piece
+        total = sum(w / (a2 * (c - a2)) for a2, w in zip(a2s, weights))
+    else:
+        total = sum(w * (1 + ((c - a2 - a2) / a2).ln()) / (a2 * (c - a2))
+                    for a2, w in zip(a2s, weights))
+    return half * total
+
+
+def inner_oracle(c, lo, hi, nodes, weights):
+    kink = c / 3
+    cuts = [lo, kink, hi] if lo < kink < hi else [lo, hi]
+    return sum(kink_side_oracle(c, a, b, nodes, weights)
+               for a, b in zip(cuts, cuts[1:]))
+
+
+def test_ln_kernel():
     with localcontext(_CONTEXT):
         tiny = Decimal(10) ** (4 - _CONTEXT.prec)
         for i in range(0, 257, 8):
             z = 1 + Decimal(i) / 256
             assert abs(_ln(z) - z.ln()) <= tiny
-        # on the u <= 2 side the piece integrand 1/(a2*(c - a2)) has the
-        # antiderivative ln(a2/(c - a2))/c
-        c, lo, hi = Decimal("0.75"), Decimal("0.25"), Decimal("0.375")
-        exact = ((hi / (c - hi)).ln() - (lo / (c - lo)).ln()) / c
-        assert abs(_kink_side_integral(c, lo, hi, nodes, weights) - exact) <= tiny
+
+
+@pytest.mark.parametrize("z", ["0.5", "0.6", "0.625", "2/3", "0.7", "5/7",
+                               "0.74", "0.75"])
+def test_li2_kernel_matches_the_defining_series(z):
+    # sum z^k/k^2 in Fractions, to k = 400: the tail past it is below
+    # z^401/(401^2 (1 - z)) < 1e-54 at z <= 3/4
+    z = Fraction(z)
+    term, series = Fraction(1), Fraction(0)
+    for k in range(1, 401):
+        term *= z
+        series += term / (k * k)
+    with localcontext(_CONTEXT):
+        w = -(1 - Decimal(z.numerator) / z.denominator).ln()
+        exact = Decimal(series.numerator) / series.denominator
+        assert abs(_li2(w) - exact) <= Decimal(10) ** (2 - _CONTEXT.prec)
+
+
+def test_li2_kernel_obeys_the_reflection_identity():
+    # Li2(z) + Li2(1 - z) + ln z ln(1 - z) = pi^2/6 = 2 Li2(1/2) + ln^2 2
+    with localcontext(_CONTEXT):
+        tiny = Decimal(10) ** (3 - _CONTEXT.prec)
+        ln2 = Decimal(2).ln()
+        target = 2 * _li2(ln2) + ln2 * ln2
+        for z in ("0.25", "0.3", "0.35", "0.4", "0.45"):
+            z = Decimal(z)
+            ln_z, ln_1z = z.ln(), (1 - z).ln()
+            assert abs(_li2(-ln_1z) + _li2(-ln_z) + ln_z * ln_1z - target) <= tiny
+
+
+def test_closed_form_omega_pieces():
+    nodes, weights = _legendre_rule(32)
+    with localcontext(_CONTEXT):
+        tiny = Decimal(10) ** (4 - _CONTEXT.prec)
+        c = Decimal("0.75")
+        # u <= 2 (a2 >= c/3), u >= 2, and a piece across the kink
+        for lo, hi in (("0.25", "0.375"), ("0.3", "0.35"), ("0.1875", "0.25"),
+                       ("0.2", "0.24"), ("0.2", "0.3"), ("0.24", "0.26")):
+            lo, hi = Decimal(lo), Decimal(hi)
+            assert abs(_inner_integral(c, lo, hi)
+                       - inner_oracle(c, lo, hi, nodes, weights)) <= tiny
+        # the sections at the ends and middle of each outer piece of both
+        # triangles, some of them empty; a rule keeps what _inner_integral gives
+        rule = _GaussRule(24)
+        for lo, hi, section in (buchstab._triangle_pieces("shallow")
+                                + buchstab._triangle_pieces("steep")):
+            for a1 in (lo, (lo + hi) / 2, hi):
+                c, (a2_lo, a2_hi) = 1 - a1, section(a1)
+                assert abs(_inner_integral(c, a2_lo, a2_hi)
+                           - inner_oracle(c, a2_lo, a2_hi, nodes, weights)) <= tiny
+                assert (rule.inner(a1, a2_lo, a2_hi)
+                        == _inner_integral(c, a2_lo, a2_hi) / a1)
         # u = c/a2 - 1 reaches above 3, then below 1: no closed form there
+        c = Decimal("0.75")
         for lo, hi in ((Decimal("0.15"), Decimal("0.25")),
                        (Decimal("0.3"), Decimal("0.4"))):
             with pytest.raises(CapacityError):
-                _kink_side_integral(c, lo, hi, nodes, weights)
+                _inner_integral(c, lo, hi)
+            with pytest.raises(CapacityError):
+                inner_oracle(c, lo, hi, nodes, weights)
+
+
+@pytest.mark.parametrize("order", [24, 32])
+def test_region_decimals_match_the_references(order):
+    rule = _GaussRule(order)
+    with localcontext(_CONTEXT):
+        got = {"I1": _triangle_integral("steep", rule),
+               "I2": _triangle_integral("shallow", rule),
+               "integral_over_D": _d_integral(rule)}
+        for key, ref in REGION_REFERENCE.items():
+            assert abs(got[key] - Decimal(ref)) <= Decimal(10) ** -34, key
+
+
+def test_region_integrals_match_the_2d_route():
+    # the same outer rule over the oracle's inner Gauss rule: the routes
+    # differ only by the inner rule's error, some 1e-35 at order 24
+    nodes, weights = _legendre_rule(24)
+    closed_form, two_d = _GaussRule(16), _GaussRule(16)
+    two_d.inner = lambda a1, lo, hi: inner_oracle(1 - a1, lo, hi, nodes,
+                                                   weights) / a1
+    with localcontext(_CONTEXT):
+        tiny = Decimal(10) ** (4 - _CONTEXT.prec)
+        for route in (lambda r: _triangle_integral("steep", r),
+                      lambda r: _triangle_integral("shallow", r), _d_integral):
+            assert abs(route(closed_form) - route(two_d)) <= tiny
+
+
+def test_region_tables_are_built_on_first_use():
+    code = ("from beattysieve import buchstab as b; "
+            "print(b._ln_table.cache_info().currsize, "
+            "b._li2_coeffs.cache_info().currsize, "
+            "b._log_side_at_kink.cache_info().currsize)")
+    src = str(Path(buchstab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0 0 0\n"
