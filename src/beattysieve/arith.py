@@ -1,10 +1,15 @@
-"""Prime tables, multiplicative-function kernels and the exact-rational kernel.
+"""Prime tables, integer roots, multiplicative functions and the
+exact-rational kernel.
 
-Bulk work runs off a smallest-prime-factor table (numpy); the standalone
-multiplicative functions factor by trial division, which suits the small
-arguments (moduli, support indices) they are called on.  Every exact entry
-point of the package reads its values with to_fraction and puts fractions
-over one denominator, as ints, with common_denominator.
+prime_array is the one sieve of Eratosthenes; FactorTable stamps the
+multiples of its base primes to get a smallest-prime-factor table (numpy)
+that bulk work runs off.  int_root is the one exact integer root, used for
+the power cutoffs of the Buchstab chains and the n^(3/4) cap of the
+Diophantine modulus.  The standalone multiplicative functions factor by
+trial division, which suits the small arguments (moduli, support indices)
+they are called on.  Every exact entry point of the package reads its
+values with to_fraction and puts fractions over one denominator, as ints,
+with common_denominator.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, PreconditionError
 
 # Hard cap on sieve size; a table of this size is ~400 MB.
 TABLE_LIMIT_CAP = 10**8
@@ -29,14 +34,12 @@ class FactorTable:
         if limit > TABLE_LIMIT_CAP:
             raise CapacityError(f"sieve limit {limit} exceeds cap {TABLE_LIMIT_CAP}")
         self.limit = limit
-        spf = np.zeros(limit + 1, dtype=np.uint32)
-        for p in range(2, math.isqrt(limit) + 1):
-            if spf[p] == 0:
-                block = spf[p * p:: p]
-                block[block == 0] = p
-        idx = np.arange(limit + 1, dtype=np.uint32)
-        rest = (spf == 0) & (idx >= 2)
-        spf[rest] = idx[rest]
+        # every n starts as its own factor; the base primes stamp their
+        # multiples from p^2 on, largest first, so the smallest is written last
+        spf = np.arange(limit + 1, dtype=np.uint32)
+        spf[1] = 0
+        for p in prime_array(math.isqrt(limit))[::-1].tolist():
+            spf[p * p:: p] = p
         self.spf = spf
         self._primes = None
 
@@ -71,6 +74,21 @@ def prime_array(limit: int) -> np.ndarray:
 def primes_upto(limit: int) -> list[int]:
     """All primes p <= limit, ascending."""
     return prime_array(limit).tolist()
+
+
+def int_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) on integers only: Newton's method from 2^ceil(bits/k),
+    which lies above the root, descends to it and stops there."""
+    if n < 0 or k < 1:
+        raise PreconditionError("need n >= 0 and k >= 1", n=n, k=k)
+    if k == 1 or n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -9,7 +9,7 @@ the region D: in E_2, no good subsum, and alpha_1 + 2 alpha_2 > 5/7.
 
 Everything on the integer side is decided by exact integer comparisons,
 never by floating logs.  Each power test of a window becomes a cutoff
-computed once by an exact integer root (_chain_cutoffs): z1 = the least z
+computed once by arith.int_root (_chain_cutoffs): z1 = the least z
 with z^7 >= 2N, and s^7 >= (2N)^2 iff s >= c2, s^7 <= (2N)^3 iff s <= c3,
 likewise c4 and c5 for the powers 4 and 5, and the D boundary
 (p1 p2^2)^7 > (2N)^5 iff p1 p2^2 > c5.  The window runs in blocks of
@@ -62,22 +62,6 @@ from .errors import BudgetError, CapacityError, PreconditionError
 # ---------------------------------------------------------------------------
 # integer side: exact chain counts
 
-def _int_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) in exact integer arithmetic."""
-    if n < 0 or k < 1:
-        raise PreconditionError("need n >= 0 and k >= 1", n=n, k=k)
-    if k == 1 or n < 2:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
-
-
 def _chain_cutoffs(two_n: int) -> tuple[int, int, int, int, int, int]:
     """Every exact power test of a window [N, 2N) as an integer cutoff.
 
@@ -91,9 +75,9 @@ def _chain_cutoffs(two_n: int) -> tuple[int, int, int, int, int, int]:
     and a pair leaves (p1 p2^2)^7 > (2N)^5, the D boundary, iff
     p1 p2^2 > c5.
     """
-    return (_int_root(two_n - 1, 7) + 1, math.isqrt(two_n - 1),
-            _int_root(two_n**2 - 1, 7) + 1, _int_root(two_n**3, 7),
-            _int_root(two_n**4 - 1, 7) + 1, _int_root(two_n**5, 7))
+    return (arith.int_root(two_n - 1, 7) + 1, math.isqrt(two_n - 1),
+            arith.int_root(two_n**2 - 1, 7) + 1, arith.int_root(two_n**3, 7),
+            arith.int_root(two_n**4 - 1, 7) + 1, arith.int_root(two_n**5, 7))
 
 
 # n per block of the chain kernel: every temporary array is this long (or

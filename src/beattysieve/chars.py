@@ -10,11 +10,14 @@ logic exact.
 
 Everything a modulus needs is computed once per CharTable, in numpy, and
 each character reads its entry.  The dlog tables come from a baby-step /
-giant-step array of the generator's powers.  The conductors of all phi(q)
-characters come in one pass over the mixed-radix components of the
-character indices: an odd p^e component with index c != 0 contributes
-p^(e - min(v_p(c), e-1)); a 2^e component (e >= 3) with 5-index c2 != 0
-contributes 2^(e - v_2(c2)), else 4 when the sign index is set.
+giant-step array of the generator's powers and are gathered into one
+matrix, a row of dlogs per unit (unit_dlog_matrix); a single value
+chi(j) reads j's row, and every sum reads the whole matrix.  The
+conductors of all phi(q) characters come in one pass over the mixed-radix
+components of the character indices: an odd p^e component with index
+c != 0 contributes p^(e - min(v_p(c), e-1)); a 2^e component (e >= 3) with
+5-index c2 != 0 contributes 2^(e - v_2(c2)), else 4 when the sign index is
+set.
 
 Character sums are evaluated for a whole modulus at once: with the units
 laid out on the grid of cyclic-factor orders at their dlog coordinates, the
@@ -98,7 +101,8 @@ def _valuation(c: np.ndarray, p: int, cap: int) -> np.ndarray:
 
 
 class _Factor:
-    """One prime-power block of the unit group, with its dlog table."""
+    """One prime-power block of the unit group, with one dlog table per
+    cyclic factor (-1 off the units)."""
 
     def __init__(self, p: int, e: int):
         self.p = p
@@ -121,18 +125,18 @@ class _Factor:
         table = np.full(self.modulus, -1, dtype=np.int64)
         table[_powers(_primitive_root(self.p), order, self.modulus)] = \
             np.arange(order)
-        self._dlog = table
+        self._dlog = (table,)
 
     def _build_two(self):
         m = self.modulus
         if self.e == 1:
-            self._dlog = None
+            self._dlog = ()
             return
         if self.e == 2:
             table = np.full(m, -1, dtype=np.int64)
             table[1] = 0
             table[3] = 1
-            self._dlog = table
+            self._dlog = (table,)
             return
         sign = np.full(m, -1, dtype=np.int64)
         five = np.full(m, -1, dtype=np.int64)
@@ -143,21 +147,6 @@ class _Factor:
         sign[m - acc] = 1
         five[m - acc] = b
         self._dlog = (sign, five)
-
-    def dlog(self, j: int) -> tuple:
-        j %= self.modulus
-        if self.p == 2:
-            if self.e == 1:
-                return ()
-            if self.e == 2:
-                t = int(self._dlog[j])
-                return (t,) if t >= 0 else None
-            a = int(self._dlog[0][j])
-            if a < 0:
-                return None
-            return (a, int(self._dlog[1][j]))
-        t = int(self._dlog[j])
-        return (t,) if t >= 0 else None
 
     def conductors(self, indices: list) -> np.ndarray:
         """This block's conductor for every character at once, given one
@@ -186,12 +175,15 @@ class Character:
 
     def exponent(self, j: int):
         """chi(j) as t with chi(j) = e(t / group_exponent); None off units."""
-        dlogs = self.table.unit_dlog(j)
-        if dlogs is None:
+        js, rows = self.table.unit_dlog_matrix()
+        j %= self.q
+        i = int(js.searchsorted(j))
+        if i == len(js) or js[i] != j:
             return None
         big_l = self.table.group_exponent
         t = 0
-        for c, d, n in zip(self.components, dlogs, self.table.cyc_orders):
+        for c, d, n in zip(self.components, rows[i].tolist(),
+                           self.table.cyc_orders):
             t += c * d * (big_l // n)
         return t % big_l
 
@@ -253,17 +245,6 @@ class CharTable:
         self._conductors = None
         self._gauss_one = None
 
-    def unit_dlog(self, j: int):
-        if math.gcd(j, self.q) != 1:
-            return None
-        out = []
-        for f in self.factors:
-            d = f.dlog(j)
-            if d is None:
-                return None
-            out.extend(d)
-        return tuple(out)
-
     def root_of_unity(self, t: int) -> complex:
         if self._roots is None:
             big_l = self.group_exponent
@@ -273,8 +254,9 @@ class CharTable:
     def unit_dlog_matrix(self):
         """(units array, len(units) x num_factors dlog matrix); cached.
 
-        Each factor's dlog table is indexed at every unit at once, so the
-        rows agree with unit_dlog(j) for j in the units array.
+        The units mod q ascend, and row i holds the dlogs of unit i against
+        the cyclic factors, each factor's table indexed at every unit at
+        once.  Every character value reads this one table.
         """
         if self._dlog_matrix is None:
             units = np.ones(self.q, dtype=bool)
@@ -283,9 +265,7 @@ class CharTable:
             js = np.flatnonzero(units)
             cols = []
             for f in self.factors:
-                if f.orders:
-                    tables = f._dlog if len(f.orders) == 2 else (f._dlog,)
-                    cols.extend(t[js % f.modulus] for t in tables)
+                cols.extend(t[js % f.modulus] for t in f._dlog)
             rows = (np.stack(cols, axis=1) if cols
                     else np.zeros((len(js), 0), dtype=np.int64))
             self._dlog_matrix = (js, rows)

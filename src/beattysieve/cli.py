@@ -308,9 +308,6 @@ def cmd_chars_table(ns):
 
 def cmd_chars_bilinear(ns):
     q0, m0, m1, k0, k1 = ns.q0, ns.m0, ns.m1, ns.k0, ns.k1
-    if ns.q1 is not None and ns.q1 != 2 * q0:
-        raise PreconditionError("modulus window is dyadic: q1 must equal 2*q0",
-                                q0=q0, q1=ns.q1)
     n0 = ns.n0 if ns.n0 is not None else m0 * k0
     n1 = ns.n1 if ns.n1 is not None else m1 * k1
     a = {m: 1.0 for m in range(m0, m1)}
@@ -379,11 +376,6 @@ def _mk_row(k, degree):
     return {"k": k, "bound": bound, "quotient": str(cert.quotient)}
 
 
-def cmd_report_buchstab(ns):
-    vals = buchstab.region_integrals()
-    return {"I1": vals["I1"], "I2": vals["I2"], "b": vals["b"]}, 0
-
-
 def cmd_report_mk(ns):
     if ns.kmax < 1:
         raise PreconditionError("kmax must be >= 1", kmax=ns.kmax)
@@ -425,13 +417,15 @@ def _theta_value(label: str, eps: float) -> float:
     return 2.0 / 7.0 - eps
 
 
-def _min_diameter_group(values: list[int], t: int):
-    best = None
-    for i in range(len(values) - t + 1):
-        diam = values[i + t - 1] - values[i]
-        if best is None or diam < best[0]:
-            best = (diam, values[i:i + t])
-    return best
+def _min_diameter_group(values, t: int):
+    """(diameter, group) of the first run of t consecutive ascending values
+    with the least diameter, as Python ints; None below t values."""
+    if len(values) < t:
+        return None
+    v = np.asarray(values, dtype=np.int64)
+    diams = v[t - 1:] - v[:len(v) - t + 1]
+    i = int(np.argmin(diams))
+    return int(diams[i]), v[i:i + t].tolist()
 
 
 def cmd_find(ns):
@@ -529,7 +523,7 @@ def cmd_find(ns):
 
     # windowed fallback: minimal-diameter group of Beatty primes
     if result is None:
-        group = _min_diameter_group(bprimes.tolist(), t)
+        group = _min_diameter_group(bprimes, t)
         if group is not None:
             result = group[1]
             path = "window"
@@ -672,7 +666,6 @@ def _build_parser():
     p.add_argument("--q", type=_int, required=True)
     p = action("chars bilinear", cmd_chars_bilinear)
     p.add_argument("--q0", type=_int, required=True)
-    p.add_argument("--q1", type=_int, default=None)
     p.add_argument("--gamma", type=_number, required=True)
     for name in ("--m0", "--m1", "--k0", "--k1"):
         p.add_argument(name, type=_int, required=True)
@@ -725,7 +718,6 @@ def _build_parser():
     p.add_argument("--k", type=_int, default=None, help="tuple size override")
 
     module("report", "bundled artifact tables")
-    action("report buchstab-integrals", cmd_report_buchstab)
     p = action("report mk", cmd_report_mk, fmt_default="csv")
     p.add_argument("--kmax", type=_int, default="8")
     p.add_argument("--degree", type=_int, default="3")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import to_fraction
+from .arith import int_root, to_fraction
 from .errors import ImpossibleInputError, PreconditionError
 
 NEAR_RATIONAL_TOL = Fraction(1, 10**14)
@@ -56,23 +56,6 @@ def convergents(gamma, depth: int) -> list[RationalApprox]:
     return out
 
 
-def _floor_pow(n: int, num: int, den: int) -> int:
-    """floor(n^(num/den)) for positive integers, exact."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    target = n**num
-    lo, hi = 0, 1
-    while hi**den <= target:
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid**den <= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def approx_for_modulus(gamma, n: int) -> RationalApprox:
     """Largest convergent denominator r <= n^(3/4) with |gamma - b/r| <= 1/(r n^(3/4)).
 
@@ -83,7 +66,7 @@ def approx_for_modulus(gamma, n: int) -> RationalApprox:
     if n < 2:
         raise PreconditionError("n must be >= 2", n=n)
     g = to_fraction(gamma)
-    cap = _floor_pow(n, 3, 4)
+    cap = int_root(n**3, 4)
     seq = convergents(g, 64)
     chosen = None
     for approx in seq:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from beattysieve.arith import (FactorTable, common_denominator, euler_phi,
-                               factorize, mobius, primes_upto, tau_k,
-                               to_fraction)
-from beattysieve.errors import CapacityError
+                               factorize, int_root, mobius, prime_array,
+                               primes_upto, tau_k, to_fraction)
+from beattysieve.errors import CapacityError, PreconditionError
 
 
 def test_table_rejects_tiny_and_oversized_limits():
@@ -33,6 +33,53 @@ def test_prime_array(table):
     assert primes[:5].tolist() == [2, 3, 5, 7, 11]
     assert primes.size == 17984
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def _trial_division_spf(limit: int) -> np.ndarray:
+    """Smallest prime factor of every n <= limit by trial division, 0 for
+    n < 2."""
+    out = np.zeros(limit + 1, dtype=np.int64)
+    for n in range(2, limit + 1):
+        d = 2
+        while d * d <= n and n % d:
+            d += 1
+        out[n] = d if d * d <= n else n
+    return out
+
+
+def test_sieves_match_trial_division():
+    small = [p for p in range(2, 300) if all(p % d for d in range(2, p))]
+    limits = list(range(2, 2001)) + [p * p + s for p in small for s in (-1, 0, 1)]
+    oracle = _trial_division_spf(max(limits))
+    idx = np.arange(len(oracle))
+    for limit in limits:
+        assert np.array_equal(FactorTable(limit).spf, oracle[:limit + 1]), limit
+        expect = idx[2:limit + 1][oracle[2:limit + 1] == idx[2:limit + 1]]
+        assert np.array_equal(prime_array(limit), expect), limit
+
+
+def _is_int_root(r: int, n: int, k: int) -> bool:
+    return r >= 0 and r**k <= n < (r + 1) ** k
+
+
+def test_int_root_matches_its_definition():
+    for k in range(1, 9):
+        for n in range(3000):
+            assert _is_int_root(int_root(n, k), n, k), (n, k)
+        for m in range(400):
+            for n in (m**k - 1, m**k, m**k + 1):
+                if n >= 0:
+                    assert _is_int_root(int_root(n, k), n, k), (n, k)
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.getrandbits(rng.randrange(1100, 1400)) | 1 << 1100
+        k = rng.randrange(1, 30)
+        assert _is_int_root(int_root(n, k), n, k), (n, k)
+        r = int_root(n, k)
+        assert int_root(r**k, k) == r and int_root(r**k - 1, k) == r - 1
+    for n, k in ((-1, 2), (5, 0), (5, -3)):
+        with pytest.raises(PreconditionError):
+            int_root(n, k)
 
 
 def test_factorize_falls_back_past_table_limit():

@@ -63,10 +63,8 @@ def _check_tables_against_the_oracles(q):
     table = CharTable(q)
     for f in table.factors:
         expect = dlog_tables(f)
-        got = (() if f._dlog is None else
-               f._dlog if isinstance(f._dlog, tuple) else (f._dlog,))
-        assert len(got) == len(expect)
-        assert all(np.array_equal(g, e) for g, e in zip(got, expect))
+        assert len(f._dlog) == len(expect)
+        assert all(np.array_equal(g, e) for g, e in zip(f._dlog, expect))
     # character i has the mixed-radix digits of i, the first factor fastest
     digits = itertools.product(*(range(n) for n in reversed(table.cyc_orders)))
     conductors = [conductor(table, c[::-1]) for c in digits]
@@ -195,16 +193,54 @@ def test_bilinear_matches_the_per_character_oracle(q0):
         bilinear_per_character(q0, gamma, a, b, 80, 250), rel=1e-12)
 
 
+def _unit_from_dlogs(factor, dlogs: list) -> int:
+    """The unit mod p^e with these dlogs, as a product of generator
+    powers: g^t with g the primitive root of p, 3^t mod 4, or
+    (-1)^a 5^b mod 2^e."""
+    m = factor.modulus
+    if factor.p != 2:
+        return pow(chars._primitive_root(factor.p), dlogs[0], m)
+    if factor.e == 1:
+        return 1
+    if factor.e == 2:
+        return pow(3, dlogs[0], m)
+    a, b = dlogs
+    return (-1) ** a * pow(5, b, m) % m
+
+
 def test_unit_dlog_matrix_matches_the_per_unit_oracle():
     for q in range(1, 401):
         table = CharTable(q)
         js, rows = table.unit_dlog_matrix()
         units = [j for j in range(q) if math.gcd(j, q) == 1]
-        expect = np.array([table.unit_dlog(j) for j in units], dtype=np.int64)
         assert js.dtype == np.int64 and rows.dtype == np.int64
         assert js.tolist() == units
         assert rows.shape == (len(units), len(table.cyc_orders))
-        assert np.array_equal(rows, expect.reshape(rows.shape))
+        for j, row in zip(units, rows.tolist()):
+            pos = 0
+            for f in table.factors:
+                width = len(f.orders)
+                dlogs = row[pos:pos + width]
+                assert all(0 <= d < n for d, n in zip(dlogs, f.orders))
+                assert _unit_from_dlogs(f, dlogs) == j % f.modulus
+                pos += width
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 8, 9, 12, 16, 45, 97, 120, 200])
+def test_character_exponents_are_periodic_and_multiplicative(q):
+    table = CharTable(q)
+    big_l = table.group_exponent
+    units = [j for j in range(q) if math.gcd(j, q) == 1]
+    for chi in itertools.islice(table.characters, 12):
+        for j in range(-3, q + 3):
+            t = chi.exponent(j)
+            if math.gcd(j, q) != 1:
+                assert t is None and chi(j) == 0j
+                continue
+            assert 0 <= t < big_l and t == chi.exponent(j + q)
+        for j, k in itertools.product(units[:8], units[-8:]):
+            assert chi.exponent(j * k) == \
+                (chi.exponent(j) + chi.exponent(k)) % big_l
 
 
 def test_bilinear_budget_refuses_before_any_table(monkeypatch):

@@ -2,8 +2,10 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from beattysieve import arith, chars, cli, equidist, maynard, variational
@@ -113,6 +115,7 @@ def test_buchstab_cli(capsys):
     assert rc == 0
     assert set(payload) == {"I1", "I2", "b", "integral_over_D",
                             "quadrature_error"}
+    assert payload["b"] == pytest.approx(0.9041131616859246, rel=1e-9)
     rc, payload, _ = jrun(["buchstab", "check", "--from", "100000",
                            "--to", "100200"], capsys)
     assert rc == 0 and payload["violations"] == 0
@@ -327,10 +330,16 @@ def test_bad_inputs_exit_code(capsys):
     rc, _, _ = run(["beatty", "enumerate", "--alpha", "0.5", "--lo", "1",
                     "--hi", "8"], capsys)
     assert rc == 2
-    rc, _, _ = run(["chars", "bilinear", "--q0", "3", "--q1", "7",
-                    "--gamma", "0.5", "--m0", "8", "--m1", "16",
-                    "--k0", "8", "--k1", "16"], capsys)
-    assert rc == 2
+    # the modulus window is [q0, 2 q0), so --q1 was removed
+    rc, _, err = run(["chars", "bilinear", "--q0", "3", "--q1", "6",
+                      "--gamma", "0.5", "--m0", "8", "--m1", "16",
+                      "--k0", "8", "--k1", "16"], capsys)
+    assert rc == 2 and "unrecognized arguments: --q1 6" in err
+    rc, out, err = run(["chars", "bilinear", "--q0", "3", "--gamma", "0.5",
+                        "--m0", "8", "--m1", "20", "--k0", "8", "--k1", "16"],
+                       capsys)
+    assert rc == 2 and out == ""
+    assert "a indices must fit a dyadic range" in err
     rc, out, _ = run(["beatty", "member", "--alpha", "3/0", "--n", "7"], capsys)
     assert rc == 2 and out == ""
 
@@ -368,10 +377,37 @@ def test_removed_common_options_are_usage_errors(capsys):
 
 
 def test_report_buchstab_integrals(capsys):
-    rc, payload, _ = jrun(["report", "buchstab-integrals"], capsys)
-    assert rc == 0
-    assert set(payload) == {"I1", "I2", "b"}
-    assert payload["b"] == pytest.approx(0.9041131616859246, rel=1e-9)
+    # removed: `buchstab integrals` prints the same values and two more
+    rc, out, _ = run(["report", "buchstab-integrals"], capsys)
+    assert rc == 2 and out == ""
+
+
+def min_diameter_group_loop(values: list[int], t: int):
+    """The scan over every run of t values that the numpy pass replaced."""
+    best = None
+    for i in range(len(values) - t + 1):
+        diam = values[i + t - 1] - values[i]
+        if best is None or diam < best[0]:
+            best = (diam, values[i:i + t])
+    return best
+
+
+def test_min_diameter_group_keeps_the_first_of_tied_groups():
+    rng = random.Random(5)
+    for _ in range(300):
+        values = sorted(rng.sample(range(200), rng.randrange(0, 12)))
+        for t in range(1, 6):
+            assert cli._min_diameter_group(values, t) == \
+                min_diameter_group_loop(values, t)
+    values = [2, 5, 7, 11, 13, 17, 19]
+    assert cli._min_diameter_group(values, 2) == (2, [5, 7])
+    assert cli._min_diameter_group(values, 3) == (5, [2, 5, 7])
+    assert cli._min_diameter_group(values, 7) == (17, values)
+    assert cli._min_diameter_group(values, 8) is None
+    assert cli._min_diameter_group([], 1) is None
+    group = cli._min_diameter_group(np.array([3, 7, 11], dtype=np.int64), 2)
+    assert group == (4, [3, 7]) and type(group[0]) is int
+    assert all(type(p) is int for p in group[1])
 
 
 def test_report_lemmas(capsys, monkeypatch):
