@@ -410,24 +410,19 @@ class _GaussRule:
         return self._sections[key]
 
 
-def _triangle_pieces(kind: str):
-    """Outer ranges and a2-sections for the two covering triangles.
-
-    The shallow triangle is split at a1 = 1/4 where the omega kink curve
-    enters through its upper edge.
-    """
-    if kind == "shallow":
-        section = lambda a1: ((_SEVENTHS[5] - a1) / 2, a1)
-        return ((_FIVE_21STS, _QUARTER, section), (_QUARTER, _SEVENTHS[2], section))
-    if kind == "steep":
-        section = lambda a1: (_SEVENTHS[5] - a1, (1 - a1) / 2)
-        return ((_SEVENTHS[3], _HALF, section),)
-    raise PreconditionError("unknown triangle", kind=kind)
+# Outer ranges and a2-sections of the two covering triangles.  The shallow
+# triangle is split at a1 = 1/4 where the omega kink curve enters through its
+# upper edge.
+_STEEP_PIECES = ((_SEVENTHS[3], _HALF,
+                  lambda a1: (_SEVENTHS[5] - a1, (1 - a1) / 2)),)
+_SHALLOW_PIECES = tuple((lo, hi, lambda a1: ((_SEVENTHS[5] - a1) / 2, a1))
+                        for lo, hi in ((_FIVE_21STS, _QUARTER),
+                                       (_QUARTER, _SEVENTHS[2])))
 
 
-def _triangle_integral(kind: str, rule: _GaussRule) -> Decimal:
+def _triangle_integral(pieces, rule: _GaussRule) -> Decimal:
     return sum(rule.integrate(lambda a1: rule.inner(a1, *section(a1)), lo, hi)
-               for lo, hi, section in _triangle_pieces(kind))
+               for lo, hi, section in pieces)
 
 
 def _interval_complement_trim(lo, hi, win_lo, win_hi):
@@ -505,8 +500,10 @@ def region_integrals(order: int = 24, tol: float = 1e-7) -> dict:
     spread = 0.0
     order_gap = rounding = estimate = Decimal(0)
     with localcontext(_CONTEXT):
-        for name, compute in (("I1", lambda r: _triangle_integral("steep", r)),
-                              ("I2", lambda r: _triangle_integral("shallow", r)),
+        for name, compute in (("I1", functools.partial(_triangle_integral,
+                                                       _STEEP_PIECES)),
+                              ("I2", functools.partial(_triangle_integral,
+                                                       _SHALLOW_PIECES)),
                               ("integral_over_D", _d_integral)):
             coarse, exact[name] = compute(coarse_rule), compute(fine_rule)
             vals[name] = float(exact[name])

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import arith
+from . import arith, dioph
 from .errors import BudgetError, PreconditionError
 
 TABLE_MODULUS_CAP = 10**6
@@ -472,10 +472,9 @@ def divisor_concentration(q_lo: int, n_hi: int) -> int:
 
 def _gamma_approximation(gamma, r_cap: int):
     """Best convergent u/r with r <= r_cap, plus H = r^2 |gamma - u/r|."""
-    from . import dioph
     best = None
     for approx in dioph.convergents(gamma, 40):
-        if approx.denominator <= r_cap and approx.denominator >= 1:
+        if approx.denominator <= r_cap:
             best = approx
     if best is None:
         raise PreconditionError("no usable rational approximation",

@@ -235,10 +235,8 @@ def cmd_tuples_translate(ns):
 
 def _sieve_context(ns):
     offsets = tuple(ns.h)
-    overrides = {"offsets": offsets}
-    if ns.d0 is not None:
-        overrides["d0"] = ns.d0
-    ctx = maynard.build_context(ns.k, ns.n, ns.theta, ns.eps, **overrides)
+    ctx = maynard.build_context(ns.k, ns.n, ns.theta, ns.eps, d0=ns.d0,
+                                offsets=offsets)
     return ctx, maynard.weights(ctx, offsets)
 
 

@@ -442,12 +442,11 @@ def bdh_harness(config: HarnessConfig, table=None) -> list[dict]:
     return rows
 
 
-def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5,
-                   delta: Fraction | None = None, table=None) -> dict:
+def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5) -> dict:
     """Near-rational avoidance construction and its error lower bound.
 
-    With gamma = u/r + delta and 0 < delta <= 1/(8 r N), every frac(gamma
-    m) for m <= 2N stays within 1/(4r) of a multiple of 1/r, so the open
+    With gamma = u/r + delta and delta = 1/(8 r N), every frac(gamma m)
+    for m <= 2N stays within 1/(4r) of a multiple of 1/r, so the open
     arc (1/(4r), 3/(4r)) holds no points at all.  The arc has length
     1/(2r), hence E(N, 2N, gamma, q, a) >= N / (2 r phi(q)) for every
     progression, i.e. E^2 >= N^2 / (4 r^2 phi(q)^2) (bound_e2), and summed
@@ -459,12 +458,7 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5,
     """
     if math.gcd(u, r) != 1:
         raise PreconditionError("u and r must be coprime", u=u, r=r)
-    if delta is None:
-        delta = Fraction(1, 8 * r * n)
-    delta = arith.to_fraction(delta)
-    if not 0 < delta <= Fraction(1, 8 * r * n):
-        raise PreconditionError("delta must lie in (0, 1/(8rN)]",
-                                delta=float(delta))
+    delta = Fraction(1, 8 * r * n)
     _check_sweep_budget([(n, q_cap)])
     row_estimate = q_cap * (q_cap + 1) // 2
     if row_estimate > DEMO_ROW_BUDGET:
@@ -475,7 +469,7 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5,
     lo, hi = Fraction(1, 4 * r), Fraction(3, 4 * r)
     in_arc = sum(1 for m in range(1, 2 * n + 1) if lo < (gamma * m) % 1 < hi)
 
-    window = _window_points(n, 2 * n, gamma, table)
+    window = _window_points(n, 2 * n, gamma)
     rows = []
     total = Fraction(0)
     bound_total = Fraction(0)

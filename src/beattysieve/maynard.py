@@ -60,22 +60,19 @@ class SieveContext:
     f: SimplexPolynomial
 
 
-def build_context(k: int, n: int, theta: float, eps: float,
-                  **overrides) -> SieveContext:
-    """Assemble wheel moduli and support radius; overrides may pin
-    d0, q0, q1, r_value, nu0, f, or offsets (to derive nu0 and D0).
+def build_context(k: int, n: int, theta: float, eps: float, *, d0=None,
+                  q0: int = 1, q1: int = 1, r_value=None, nu0=None, f=None,
+                  offsets=None) -> SieveContext:
+    """Assemble wheel moduli and support radius; the keywords may pin
+    d0, q0, q1, r_value, nu0, f, or give offsets (to derive nu0 and D0).
 
-    Without a d0 override, D0 is the least value >= 2 for which the
+    Without d0, D0 is the least value >= 2 for which the
     offsets pass tuples.divcond_check (every prime > D0 dividing an offset
     difference divides q0), so weights() accepts them: the largest
     violating prime at D0 = 2, or 2 when there is none or no offsets.
     If W1 then exceeds W_PRODUCT_CAP, the CapacityError names the prime
     and the offset difference that forced D0.
     """
-    allowed = {"d0", "q0", "q1", "r_value", "nu0", "f", "offsets"}
-    unknown = set(overrides) - allowed
-    if unknown:
-        raise PreconditionError(f"unknown overrides {sorted(unknown)}")
     if k < 1:
         raise PreconditionError("k must be >= 1", k=k)
     if n < 100:
@@ -85,14 +82,11 @@ def build_context(k: int, n: int, theta: float, eps: float,
     if not 0 <= eps < theta / 2:
         raise PreconditionError("need 0 <= eps < theta/2 so that R > 1",
                                 theta=theta, eps=eps)
-    q0 = overrides.get("q0", 1)
-    q1 = overrides.get("q1", 1)
     if q0 < 1 or q1 < 1:
         raise PreconditionError("q0, q1 must be >= 1", q0=q0, q1=q1)
-    d0 = overrides.get("d0")
     advice = "choose a smaller D0"
     if not d0:
-        _, bad = tuples.divcond_check(overrides.get("offsets", ()), q0, 2)
+        _, bad = tuples.divcond_check(offsets or (), q0, 2)
         if bad:
             d0, h_i, h_j = max(bad)
             advice = (f"D0 = {d0} is forced: the prime {d0} divides the offset "
@@ -115,19 +109,16 @@ def build_context(k: int, n: int, theta: float, eps: float,
     for p in small:
         if q0 % p != 0:
             w2 *= p
-    r_value = overrides.get("r_value")
     if r_value is None:
         r_value = n ** (theta / 2 - eps)
     if not float(r_value) > 1:
         raise PreconditionError("R must exceed 1", r_value=float(r_value))
-    f = overrides.get("f")
     if f is None:
         f = SimplexPolynomial.constant(k, 1)
     if f.k != k:
         raise PreconditionError("profile dimension must equal k", k=k, f_k=f.k)
-    nu0 = overrides.get("nu0")
-    if nu0 is None and "offsets" in overrides:
-        nu0 = tuples.choose_nu0(overrides["offsets"], w2)
+    if nu0 is None and offsets is not None:
+        nu0 = tuples.choose_nu0(offsets, w2)
     return SieveContext(k, n, theta, eps, d0, q0, q1, w1, w2, r_value, nu0, f)
 
 

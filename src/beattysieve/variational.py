@@ -25,9 +25,10 @@ integral of one marginal squared.  The simplex integral expands P2^b over
 the partitions lambda of b into at most k parts: a lambda with l parts and
 part multiplicities m_j stands for k! / ((k - l)! prod m_j!) monomials, each
 with multinomial coefficient b! / prod lambda_i! and Dirichlet integral
-a! prod (2 lambda_i)! / (k + a + 2b)!.  forms builds both matrices as integer
-numerators over one factorial each, so its sums and its independence test
-run on Python ints.
+a! prod (2 lambda_i)! / (k + a + 2b)!.  forms keeps both matrices as integer
+rows over one denominator each, so the independence test and the exact
+Rayleigh quotient run on Python ints, and the float pencil rounds each
+entry once, as the integer quotient x / den.
 """
 from __future__ import annotations
 
@@ -183,10 +184,14 @@ def symmetric_basis(k: int, degree_budget: int):
 
 @dataclass(frozen=True)
 class QuadraticFormPair:
-    """Exact matrices of the numerator (A) and denominator (B) forms."""
+    """Exact matrices of the numerator (A) and denominator (B) forms, as
+    integer rows over one denominator each: A[i][j] = a_num[i][j] / a_den
+    and B[i][j] = b_num[i][j] / b_den."""
     basis: tuple
-    A: tuple
-    B: tuple
+    a_num: tuple
+    a_den: int
+    b_num: tuple
+    b_den: int
     dropped: tuple = ()
 
 
@@ -227,19 +232,17 @@ def _independent_subset(gram) -> list[int]:
     return kept
 
 
-def _gram(polys, dim: int) -> tuple[list[list[int]], list[int], int]:
-    """Integer Gram of the polynomials on the dim-simplex.
+def _gram(polys, dim: int) -> tuple[list[list[int]], int]:
+    """Integer Gram of the polynomials on the dim-simplex over one
+    denominator.
 
-    Entry (i, j) is den_i * den_j * (dim + 2 top)! times the integral of
-    p_i * p_j, where den_i is the lcm of p_i's coefficient denominators and
-    top the largest a + 2b among the terms.  Returns the matrix, the den_i
-    and the factorial.
+    With L the lcm of every coefficient denominator and top the largest
+    a + 2b among the terms, entry (i, j) is L^2 (dim + 2 top)! times the
+    integral of p_i * p_j.  Returns the matrix and L^2 (dim + 2 top)!.
     """
-    scaled, dens = [], []
-    for p in polys:
-        nums, den = common_denominator(c.as_integer_ratio() for c in p.terms.values())
-        scaled.append(list(zip(p.terms, nums)))
-        dens.append(den)
+    lcm = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    scaled = [[(key, c.numerator * (lcm // c.denominator))
+               for key, c in p.terms.items()] for p in polys]
     top = max((a + 2 * b for p in polys for a, b in p.terms), default=0)
     scale = math.factorial(dim + 2 * top)
     weight = {}
@@ -257,19 +260,7 @@ def _gram(polys, dim: int) -> tuple[list[list[int]], list[int], int]:
                             scale // math.factorial(dim + key[0] + 2 * key[1]))
                     total += c1 * c2 * w
             gram[i][j] = gram[j][i] = total
-    return gram, dens, scale
-
-
-def _reduced(gram, dens, scale, kept, factor=1) -> tuple:
-    """factor * gram[i][j] / (dens[i] * dens[j] * scale) as reduced
-    Fractions over the kept indices, built once per symmetric pair."""
-    out = [[None] * len(kept) for _ in kept]
-    for r, i in enumerate(kept):
-        for s in range(r, len(kept)):
-            j = kept[s]
-            out[r][s] = out[s][r] = Fraction(factor * gram[i][j],
-                                             dens[i] * dens[j] * scale)
-    return tuple(tuple(row) for row in out)
+    return gram, lcm * lcm * scale
 
 
 def forms(basis) -> QuadraticFormPair:
@@ -278,9 +269,9 @@ def forms(basis) -> QuadraticFormPair:
     B[i][j] is the simplex integral of basis_i * basis_j.  Every polynomial
     here is symmetric, so all k marginals of an element agree and A[i][j] is
     k times the integral of marginal_i * marginal_j over the (k-1)-simplex.
-    Both are assembled as integer Grams over one common denominator each;
-    the independence test runs on the integer B.  If B is singular the
-    dependent elements are dropped with a warning.
+    Both stay integer Grams over one denominator each; the independence
+    test runs on the integer B.  If B is singular the dependent elements
+    are dropped with a warning, before A is assembled over the rest.
     """
     basis = tuple(basis)
     if not basis:
@@ -290,35 +281,31 @@ def forms(basis) -> QuadraticFormPair:
         raise PreconditionError("mixed dimensions in basis")
     n = len(basis)
 
-    b_gram, b_dens, b_scale = _gram(basis, dim)
-    a_gram, a_dens, a_scale = _gram([p.marginal() for p in basis], dim - 1)
+    b_gram, b_den = _gram(basis, dim)
     kept = _independent_subset(b_gram)
     dropped = tuple(sorted(set(range(n)).difference(kept)))
     if dropped:
         warnings.warn("denominator form is singular on this basis; dropped "
                       f"dependent elements at positions {list(dropped)}")
+    a_gram, a_den = _gram([basis[i].marginal() for i in kept], dim - 1)
     return QuadraticFormPair(tuple(basis[i] for i in kept),
-                             _reduced(a_gram, a_dens, a_scale, kept, dim),
-                             _reduced(b_gram, b_dens, b_scale, kept),
-                             dropped)
+                             tuple(tuple(dim * x for x in row) for row in a_gram),
+                             a_den,
+                             tuple(tuple(b_gram[i][j] for j in kept) for i in kept),
+                             b_den, dropped)
 
 
-def _quadratic(mat, live, cs) -> tuple[int, int]:
-    """cs^T M cs over the live indices of M, as an integer over the lcm of
-    those entries' denominators; returns (integer, lcm)."""
-    ints, den = common_denominator(
-        to_fraction(mat[i][j]).as_integer_ratio() for i in live for j in live)
-    m = len(live)
-    total = sum(c * sum(x * y for x, y in zip(ints[r * m:(r + 1) * m], cs))
-                for r, c in enumerate(cs))
-    return total, den
+def _quadratic(rows, live, cs) -> int:
+    """cs^T M cs over the live indices of the integer matrix M."""
+    return sum(c * sum(rows[i][j] * x for j, x in zip(live, cs))
+               for i, c in zip(live, cs))
 
 
 def rayleigh_quotient(pair: QuadraticFormPair, coefficients) -> Fraction:
     """Exact value of (c^T A c) / (c^T B c) for a coefficient vector.
 
-    c, A and B each go over one common denominator; the sums run on
-    integers and the denominators of c cancel in the quotient.
+    c goes over one common denominator, which cancels in the quotient; the
+    sums run on the integer rows of A and B, and one Fraction divides them.
     """
     c = [to_fraction(x) for x in coefficients]
     n = len(pair.basis)
@@ -327,11 +314,11 @@ def rayleigh_quotient(pair: QuadraticFormPair, coefficients) -> Fraction:
                                 expected=n, got=len(c))
     live = [i for i in range(n) if c[i]]
     cs, _ = common_denominator(c[i].as_integer_ratio() for i in live)
-    num, a_den = _quadratic(pair.A, live, cs)
-    den, b_den = _quadratic(pair.B, live, cs)
+    num = _quadratic(pair.a_num, live, cs)
+    den = _quadratic(pair.b_num, live, cs)
     if den == 0:
         raise PreconditionError("certificate has zero denominator mass")
-    return Fraction(num * b_den, den * a_den)
+    return Fraction(num * pair.b_den, den * pair.a_den)
 
 
 @dataclass(frozen=True)
@@ -373,8 +360,9 @@ def mk_lower_bound(k: int, degree_budget: int = 3):
     if pair.dropped:
         drop = set(pair.dropped)
         labels = [lab for i, lab in enumerate(labels) if i not in drop]
-    a = np.array([[float(x) for x in row] for row in pair.A])
-    b = np.array([[float(x) for x in row] for row in pair.B])
+    # int / int is correctly rounded, subnormal results included
+    a = np.array([[x / pair.a_den for x in row] for row in pair.a_num])
+    b = np.array([[x / pair.b_den for x in row] for row in pair.b_num])
     try:
         lower = np.linalg.cholesky(b)
     except np.linalg.LinAlgError as exc:

@@ -165,7 +165,7 @@ def test_criterion_5_progression_error_oracle(big_table):
         gamma = Fraction(rng.randrange(1, 997), 997)
         assert e_sup(n, n2, gamma, q, a, big_table).e \
             == _arc_error_oracle(n, n2, q, a, gamma)
-    demo = liouville_demo(table=big_table)
+    demo = liouville_demo()
     assert demo["all_progressions_hold"]
     assert demo["aggregate_holds"]
 

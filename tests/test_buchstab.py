@@ -575,8 +575,8 @@ def test_closed_form_omega_pieces():
         # the sections at the ends and middle of each outer piece of both
         # triangles, some of them empty; a rule keeps what _inner_integral gives
         rule = _GaussRule(24)
-        for lo, hi, section in (buchstab._triangle_pieces("shallow")
-                                + buchstab._triangle_pieces("steep")):
+        for lo, hi, section in (buchstab._SHALLOW_PIECES
+                                + buchstab._STEEP_PIECES):
             for a1 in (lo, (lo + hi) / 2, hi):
                 c, (a2_lo, a2_hi) = 1 - a1, section(a1)
                 assert abs(_inner_integral(c, a2_lo, a2_hi)
@@ -597,8 +597,8 @@ def test_closed_form_omega_pieces():
 def test_region_decimals_match_the_references(order):
     rule = _GaussRule(order)
     with localcontext(_CONTEXT):
-        got = {"I1": _triangle_integral("steep", rule),
-               "I2": _triangle_integral("shallow", rule),
+        got = {"I1": _triangle_integral(buchstab._STEEP_PIECES, rule),
+               "I2": _triangle_integral(buchstab._SHALLOW_PIECES, rule),
                "integral_over_D": _d_integral(rule)}
         for key, ref in REGION_REFERENCE.items():
             assert abs(got[key] - Decimal(ref)) <= Decimal(10) ** -34, key
@@ -613,8 +613,9 @@ def test_region_integrals_match_the_2d_route():
                                                    weights) / a1
     with localcontext(_CONTEXT):
         tiny = Decimal(10) ** (4 - _CONTEXT.prec)
-        for route in (lambda r: _triangle_integral("steep", r),
-                      lambda r: _triangle_integral("shallow", r), _d_integral):
+        for route in (lambda r: _triangle_integral(buchstab._STEEP_PIECES, r),
+                      lambda r: _triangle_integral(buchstab._SHALLOW_PIECES, r),
+                      _d_integral):
             assert abs(route(closed_form) - route(two_d)) <= tiny
 
 

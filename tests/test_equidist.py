@@ -107,8 +107,8 @@ def test_harness_budgets_refuse_before_any_sweep(table, monkeypatch):
     assert refused.value.estimate > equidist.HARNESS_POINT_BUDGET
 
 
-def test_liouville_demo_avoidance_bound(table):
-    out = liouville_demo(table=table)
+def test_liouville_demo_avoidance_bound():
+    out = liouville_demo()
     assert out["points_in_arc"] == 0
     assert out["all_progressions_hold"]
     assert out["aggregate_holds"]
@@ -123,14 +123,12 @@ def test_liouville_demo_avoidance_bound(table):
         assert row["bound_e2"] == pytest.approx(25.0 / euler_phi(row["q"]) ** 2)
     with pytest.raises(PreconditionError):
         liouville_demo(u=2)
-    with pytest.raises(PreconditionError):
-        liouville_demo(delta=Fraction(1, 2))
 
 
-def test_liouville_demo_bound_holds_when_phi_exceeds_4r2(table):
+def test_liouville_demo_bound_holds_when_phi_exceeds_4r2():
     # r = 1: at q = 5 the class a = 1 has e^2 = 602.4, below N^2 / (4 phi(q))
     # = 625 but above the bound the argument proves, N^2 / (4 phi(q)^2)
-    out = liouville_demo(r=1, u=1, n=100, q_cap=5, table=table)
+    out = liouville_demo(r=1, u=1, n=100, q_cap=5)
     row = next(row for row in out["rows"] if (row["q"], row["a"]) == (5, 1))
     assert row["e"] ** 2 == pytest.approx(602.4, rel=1e-4)
     assert row["bound_e2"] == 156.25
@@ -138,17 +136,17 @@ def test_liouville_demo_bound_holds_when_phi_exceeds_4r2(table):
     assert out["sum_bound"] == 8125.0
 
 
-def test_liouville_demo_refuses_before_any_sweep(table, monkeypatch):
+def test_liouville_demo_refuses_before_any_sweep(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("window swept before the budget check")
 
     monkeypatch.setattr(equidist, "_window_points", no_sweep)
     with pytest.raises(BudgetError) as refused:
-        liouville_demo(q_cap=10**6, table=table)
+        liouville_demo(q_cap=10**6)
     assert refused.value.estimate > equidist.HARNESS_POINT_BUDGET
     # few point-visits, but more rows than the demo budget allows
     with pytest.raises(BudgetError) as refused:
-        liouville_demo(q_cap=1500, table=table)
+        liouville_demo(q_cap=1500)
     assert refused.value.estimate == 1500 * 1501 // 2 > equidist.DEMO_ROW_BUDGET
 
 

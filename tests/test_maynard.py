@@ -35,7 +35,7 @@ def test_context_validation():
         build_context(2, 10**4, 1.5, 0.05)
     with pytest.raises(PreconditionError):
         build_context(2, 10**4, 0.5, 0.3)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(TypeError, match="nonsense"):
         build_context(2, 10**4, 0.5, 0.05, nonsense=3)
     with pytest.raises(PreconditionError):
         build_context(2, 10**4, 0.5, 0.05,

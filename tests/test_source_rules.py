@@ -22,6 +22,17 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_import_inside_a_function():
+    # imports sit at the top of each module, where its dependencies show
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for func in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
 def test_no_module_imports_scipy():
     # numpy is the only runtime dependency; scipy serves as a test oracle
     found = []

@@ -1,6 +1,7 @@
 """Simplex polynomial calculus and the variational lower bounds."""
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -145,6 +146,10 @@ def _monomial_forms(k, degree):
     return a_mat, b_mat, dropped
 
 
+def _rationals(rows, den):
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
 @pytest.mark.parametrize("k, top", [(k, 5) for k in range(1, 9)] + [(3, 7)])
 def test_forms_match_the_monomial_route(k, top):
     a_all, b_all, dropped_all = _monomial_forms(k, top)
@@ -157,18 +162,20 @@ def test_forms_match_the_monomial_route(k, top):
         dropped = [i for i in dropped_all if i < n]
         kept = [i for i in range(n) if i not in dropped]
         assert list(pair.dropped) == dropped
-        assert pair.A == tuple(tuple(a_all[i][j] for j in kept) for i in kept)
-        assert pair.B == tuple(tuple(b_all[i][j] for j in kept) for i in kept)
+        assert (_rationals(pair.a_num, pair.a_den)
+                == tuple(tuple(a_all[i][j] for j in kept) for i in kept))
+        assert (_rationals(pair.b_num, pair.b_den)
+                == tuple(tuple(b_all[i][j] for j in kept) for i in kept))
 
 
 def test_symmetric_basis_and_forms_for_pairs():
     labels, elements = symmetric_basis(2, 1)
     assert labels == [(0, 0), (1, 0)]
     pair = forms(elements)
-    assert pair.B == ((Fraction(1, 2), Fraction(1, 6)),
-                      (Fraction(1, 6), Fraction(1, 12)))
-    assert pair.A == ((Fraction(2, 3), Fraction(1, 4)),
-                      (Fraction(1, 4), Fraction(1, 10)))
+    assert _rationals(pair.b_num, pair.b_den) == ((Fraction(1, 2), Fraction(1, 6)),
+                                                  (Fraction(1, 6), Fraction(1, 12)))
+    assert _rationals(pair.a_num, pair.a_den) == ((Fraction(2, 3), Fraction(1, 4)),
+                                                  (Fraction(1, 4), Fraction(1, 10)))
     assert rayleigh_quotient(pair, (Fraction(0), Fraction(1))) == Fraction(6, 5)
     assert rayleigh_quotient(pair, (1, -1)) == Fraction(16, 15)
 
@@ -203,12 +210,14 @@ def _fraction_independent_subset(gram):
 def _fraction_rayleigh(pair, coefficients):
     """Oracle: (c^T A c) / (c^T B c) as a double loop over Fractions."""
     c = [Fraction(x) for x in coefficients]
+    a = _rationals(pair.a_num, pair.a_den)
+    b = _rationals(pair.b_num, pair.b_den)
     num = den = Fraction(0)
     for i in range(len(c)):
         for j in range(len(c)):
             if c[i] and c[j]:
-                num += c[i] * pair.A[i][j] * c[j]
-                den += c[i] * pair.B[i][j] * c[j]
+                num += c[i] * a[i][j] * c[j]
+                den += c[i] * b[i][j] * c[j]
     if den == 0:
         raise PreconditionError("certificate has zero denominator mass")
     return num / den
@@ -223,11 +232,10 @@ def test_integer_elimination_matches_the_fraction_route(k):
     full = _rational_gram(symmetric_basis(k, 9)[1])
     for degree in range(10):
         elements = symmetric_basis(k, degree)[1]
-        gram, dens, scale = variational._gram(elements, k)
+        gram, den = variational._gram(elements, k)
         n = len(elements)
         rational = [row[:n] for row in full[:n]]
-        assert [[Fraction(gram[i][j], dens[i] * dens[j] * scale)
-                 for j in range(n)] for i in range(n)] == rational
+        assert [[Fraction(x, den) for x in row] for row in gram] == rational
         assert (variational._independent_subset(gram)
                 == _fraction_independent_subset(rational))
 
@@ -275,9 +283,11 @@ def test_elimination_refuses_indefinite_grams(gram):
 
 def test_rayleigh_quotient_matches_the_fraction_route():
     rng = random.Random(18)
+    # A = ((2, 1/3, 0), (1, 5, -1), (0, 2, 7)), B = ((3, 1, 0), (1, 9/4, 1),
+    # (0, 1, 2)); A is not symmetric
     hand = QuadraticFormPair((None,) * 3,
-                             ((2, Fraction(1, 3), 0), (1, 5, -1), (0, 2, 7)),
-                             ((3, 1, 0), (1, Fraction(9, 4), 1), (0, 1, 2)))
+                             ((6, 1, 0), (3, 15, -3), (0, 6, 21)), 3,
+                             ((12, 4, 0), (4, 9, 4), (0, 4, 8)), 4)
     pairs = [forms(symmetric_basis(4, 5)[1]), forms(symmetric_basis(105, 3)[1]),
              hand]
     draws = (lambda: 0, lambda: 0.0, lambda: Fraction(0),
@@ -311,7 +321,8 @@ def test_from_terms_reads_numpy_integers_exactly():
     got = SimplexPolynomial.from_terms(2, {key: np.int64(c) for key, c in big.items()})
     assert got == want
     assert (got * got).integral() == (want * want).integral() > 10**36
-    assert forms([got]).B == forms([want]).B
+    assert (_rationals(forms([got]).b_num, forms([got]).b_den)
+            == _rationals(forms([want]).b_num, forms([want]).b_den))
 
 
 @pytest.mark.parametrize("k", [2, 3, 7])
@@ -324,10 +335,12 @@ def test_forms_on_multi_term_rational_polynomials(k):
                                               (0, 0): 5})]
     pair = forms(polys)
     assert pair.dropped == ()
+    a = _rationals(pair.a_num, pair.a_den)
+    b = _rationals(pair.b_num, pair.b_den)
     for i, p in enumerate(polys):
         for j, q in enumerate(polys):
-            assert pair.B[i][j] == (p * q).integral()
-            assert pair.A[i][j] == k * (p.marginal() * q.marginal()).integral()
+            assert b[i][j] == (p * q).integral()
+            assert a[i][j] == k * (p.marginal() * q.marginal()).integral()
 
 
 def test_lower_bound_table():
@@ -387,8 +400,45 @@ def _recording_forms(monkeypatch):
 
 
 def _float_pencil(pair):
-    return (np.array([[float(x) for x in row] for row in pair.A]),
-            np.array([[float(x) for x in row] for row in pair.B]))
+    return (np.array([[float(x) for x in row]
+                      for row in _rationals(pair.a_num, pair.a_den)]),
+            np.array([[float(x) for x in row]
+                      for row in _rationals(pair.b_num, pair.b_den)]))
+
+
+class _RecordingNumpy:
+    """numpy, except that np.array keeps every argument it is given."""
+
+    def __init__(self):
+        self.arrays = []
+
+    def array(self, rows):
+        self.arrays.append(rows)
+        return np.array(rows)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.filterwarnings("ignore:denominator form is singular")
+@pytest.mark.parametrize("k, degree", [(5, 5), (105, 11), (172, 3)])
+def test_float_pencil_rounds_each_rational_entry_once(k, degree, monkeypatch):
+    # each float entry is the correctly rounded rational, as float(Fraction)
+    # gives it; at k = 172 some entries of B are subnormal and the common
+    # denominator is past the float range, so float(x) / float(den) fails
+    pairs = _recording_forms(monkeypatch)
+    recorder = _RecordingNumpy()
+    monkeypatch.setattr(variational, "np", recorder)
+    mk_lower_bound(k, degree)
+    pair = pairs[-1]
+    a_rows, b_rows = recorder.arrays
+    assert a_rows == [[float(Fraction(x, pair.a_den)) for x in row]
+                      for row in pair.a_num]
+    assert b_rows == [[float(Fraction(x, pair.b_den)) for x in row]
+                      for row in pair.b_num]
+    subnormal = [x for row in b_rows for x in row
+                 if 0 < abs(x) < sys.float_info.min]
+    assert bool(subnormal) == (k == 172)
 
 
 @pytest.mark.filterwarnings("ignore:denominator form is singular")
