@@ -1,7 +1,7 @@
 """Desk-scale workbench for gaps between primes in Beatty sequences.
 
 Submodules:
-    arith       factor tables, multiplicative functions, prime sieves
+    arith       the window prime sieve, factor tables, multiplicative functions
     beatty      Beatty sequences as circle rotations, torus arcs
     dioph       continued fractions and rational approximation quality
     tuples      admissible tuples and their Beatty-window translates

@@ -1,9 +1,11 @@
 """Prime tables, integer roots, multiplicative functions and the
 exact-rational kernel.
 
-prime_array is the one sieve of Eratosthenes; FactorTable stamps the
-multiples of its base primes to get a smallest-prime-factor table (numpy)
-that bulk work runs off.  int_root is the one exact integer root, used for
+primes_in is the one sieve of Eratosthenes: it strikes a window [lo, hi)
+alone, with base primes up to sqrt(hi) from itself, so a consumer sieves
+just the window it reads.  FactorTable, kept for factoring, stamps the
+multiples of those base primes to get a smallest-prime-factor table
+(numpy).  int_root is the one exact integer root, used for
 the power cutoffs of the Buchstab chains and the n^(3/4) cap of the
 Diophantine modulus.  The standalone multiplicative functions factor by
 trial division, which suits the small arguments (moduli, support indices)
@@ -21,7 +23,8 @@ import numpy as np
 
 from .errors import CapacityError, PreconditionError
 
-# Hard cap on sieve size; a table of this size is ~400 MB.
+# Hard cap on sieve size (a table's limit, a window's length); a table of
+# this size is ~400 MB.
 TABLE_LIMIT_CAP = 10**8
 
 
@@ -38,7 +41,7 @@ class FactorTable:
         # multiples from p^2 on, largest first, so the smallest is written last
         spf = np.arange(limit + 1, dtype=np.uint32)
         spf[1] = 0
-        for p in prime_array(math.isqrt(limit))[::-1].tolist():
+        for p in primes_in(2, math.isqrt(limit) + 1)[::-1].tolist():
             spf[p * p:: p] = p
         self.spf = spf
         self._primes = None
@@ -46,34 +49,29 @@ class FactorTable:
     def is_prime(self, n: int) -> bool:
         return n >= 2 and int(self.spf[n]) == n
 
-    def prime_mask(self, ns: np.ndarray) -> np.ndarray:
-        """Boolean array: is_prime(n) for each n of an int64 array."""
-        return (ns >= 2) & (self.spf[ns] == ns)
-
     def primes(self) -> np.ndarray:
         if self._primes is None:
-            idx = np.arange(self.limit + 1, dtype=np.uint32)
-            self._primes = np.flatnonzero((self.spf == idx) & (idx >= 2)).astype(np.int64)
+            self._primes = primes_in(2, self.limit + 1)
         return self._primes
 
 
-def prime_array(limit: int) -> np.ndarray:
-    """All primes p <= limit, ascending, as int64."""
-    if limit < 2:
+def primes_in(lo: int, hi: int) -> np.ndarray:
+    """The primes p with lo <= p < hi, ascending, as int64.
+
+    One boolean block of the window, struck from max(p^2, lo) on by each
+    base prime p <= isqrt(hi - 1); the base primes are this function's
+    own on [2, isqrt(hi - 1) + 1).
+    """
+    lo = max(lo, 2)
+    if hi <= lo:
         return np.empty(0, dtype=np.int64)
-    if limit > TABLE_LIMIT_CAP:
-        raise CapacityError(f"limit {limit} exceeds cap {TABLE_LIMIT_CAP}")
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
-
-
-def primes_upto(limit: int) -> list[int]:
-    """All primes p <= limit, ascending."""
-    return prime_array(limit).tolist()
+    if hi - lo > TABLE_LIMIT_CAP:
+        raise CapacityError(f"window [{lo}, {hi}) is longer than the cap "
+                            f"{TABLE_LIMIT_CAP}")
+    block = np.ones(hi - lo, dtype=bool)
+    for p in primes_in(2, math.isqrt(hi - 1) + 1).tolist():
+        block[max(p * p, -(-lo // p) * p) - lo:: p] = False
+    return np.flatnonzero(block).astype(np.int64) + lo
 
 
 def int_root(n: int, k: int) -> int:

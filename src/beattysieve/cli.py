@@ -313,9 +313,6 @@ def cmd_chars_bilinear(ns):
     payload = dict(chars.bilinear_report(q0, ns.gamma, a, b, n0, n1))
     payload.update({"q0": q0, "m0": m0, "m1": m1, "k0": k0, "k1": k1,
                     "n0": n0, "n1": n1})
-    if ns.report:
-        row = {k: v for k, v in sorted(payload.items())}
-        _atomic_write(ns.report, _render({"rows": [row]}, "csv"))
     return payload, 0
 
 
@@ -340,21 +337,13 @@ def cmd_equidist_bv(ns):
 def cmd_equidist_bdh(ns):
     if ns.demo:
         demo = equidist.liouville_demo(ns.r, ns.u, ns.n, ns.qcap_demo)
-        payload = {"gamma": str(demo["gamma"]), "delta": str(demo["delta"]),
-                   "arc": [str(demo["arc"][0]), str(demo["arc"][1])],
-                   "points_in_arc": demo["points_in_arc"],
-                   "sum_e2": demo["sum_e2"], "sum_bound": demo["sum_bound"],
-                   "aggregate_holds": demo["aggregate_holds"],
-                   "all_progressions_hold": demo["all_progressions_hold"],
-                   "rows": demo["rows"]}
-        return payload, 0 if demo["all_progressions_hold"] else 1
+        return demo, 0 if demo["all_progressions_hold"] else 1
     rows = equidist.bdh_harness(_harness_config(ns, r_cap=ns.rcap))
     return {"rows": rows}, 0
 
 
 def _regcond_with_defaults(params, n_grid, offsets, theta, k, eps):
-    a_sets = {n: beatty.beatty_members(params, n, 2 * n) for n in n_grid}
-    rows = equidist.regcond_report(a_sets, offsets, params, n_grid, theta, k, eps)
+    rows = equidist.regcond_report(offsets, params, n_grid, theta, k, eps)
     trend = None
     if len(rows) >= 2:
         trend = bool(rows[-1]["norm12"] < rows[0]["norm12"])
@@ -470,9 +459,8 @@ def cmd_find(ns):
         raise PreconditionError("window exceeds the desk primality cap",
                                 hi=hi, cap=FIND_WINDOW_CAP)
 
-    table = arith.FactorTable(hi)
     members = beatty.beatty_members(params, lo, hi)
-    bprimes = members[table.prime_mask(members)]
+    bprimes = members[np.isin(members, arith.primes_in(lo, hi), kind="table")]
     scan = {"window": [lo, hi], "candidates_checked": 0,
             "beatty_members": len(members), "beatty_primes": len(bprimes)}
     result = None
@@ -540,7 +528,7 @@ def cmd_find(ns):
     certificate = []
     valid = True
     for p in result:
-        # trial division, independent of the table that picked the primes
+        # trial division, independent of the sieve that picked the primes
         ok_prime = arith.factorize(p) == [(p, 1)]
         ok_member = beatty.torus_member(params, p)
         ok_range = lo <= p < hi
@@ -669,7 +657,6 @@ def _build_parser():
         p.add_argument(name, type=_int, required=True)
     p.add_argument("--n0", type=_int, default=None)
     p.add_argument("--n1", type=_int, default=None)
-    p.add_argument("--report", default=None, help="also write a one-row CSV here")
 
     module("equidist", "progression error suprema and scaling harnesses")
     p = action("equidist e", cmd_equidist_e)

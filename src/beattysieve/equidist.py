@@ -105,7 +105,7 @@ def lambda_points(n_lo: int, n_hi: int, table=None):
     if table is not None and table.limit >= n_hi - 1:
         primes = table.primes()
     else:
-        primes = arith.prime_array(n_hi - 1)
+        primes = arith.primes_in(2, n_hi)
     lo, hi = np.searchsorted(primes, (n_lo, n_hi))
     window = primes[lo:hi].tolist()
     small = primes[:np.searchsorted(primes, math.isqrt(n_hi - 1),
@@ -144,9 +144,11 @@ class _Window:
 
 def _window_points(n_lo: int, n_hi: int, gamma, table=None) -> _Window:
     """The window [n_lo, n_hi) over one common denominator d = lcm(den
-    gamma, every mass denominator); nothing per point is a Fraction."""
+    gamma, 2^53); nothing per point is a Fraction.  2^53 is a mass
+    denominator for every point: each mass is log p >= log 2 > 1/2, a
+    double whose denominator divides 2^53."""
     pts = lambda_points(n_lo, n_hi, table)
-    mass_den = max((lam.as_integer_ratio()[1] for _, lam in pts), default=1)
+    mass_den = 1 << 53
     (step, _), d = arith.common_denominator(
         [arith.to_fraction(gamma).as_integer_ratio(), (1, mass_den)])
     xs = [step * n % d for n, _ in pts]
@@ -527,8 +529,8 @@ def li_difference(lo, hi) -> float:
         return float(total)
 
 
-def regcond_report(a_sets: dict, offsets, params: beatty.BeattyParams,
-                   n_grid, theta: float, k: int, eps) -> list[dict]:
+def regcond_report(offsets, params: beatty.BeattyParams, n_grid, theta: float,
+                   k: int, eps) -> list[dict]:
     """Empirical left-hand sides of the two regularity sums, per N.
 
     The first sum weighs, per squarefree q up to N^theta, the worst class
@@ -539,12 +541,12 @@ def regcond_report(a_sets: dict, offsets, params: beatty.BeattyParams,
     of 1/log t over the window.  Both are normalized by their target
     envelopes Y / L^(k+eps); columns are recorded, never asserted.
 
-    a_sets maps each grid N to the members of the window set A as a
-    strictly ascending int64 array (as beatty_members returns it).  gamma
-    (in Y and in the arcs) is the exact gamma of params, whose membership
-    and shift arcs the second sum needs: the shifted memberships are
-    recomputed through the torus arc on exact integers and cross-checked
-    against the array route; mismatches are reported.
+    A is the Beatty set of params on each window [N, 2N), and the primes
+    are sieved on that window alone.  gamma (in Y and in the arcs) is the
+    exact gamma of params, whose membership and shift arcs the second sum
+    needs: the shifted memberships are recomputed through the torus arc on
+    exact integers and cross-checked against the array route; mismatches
+    are reported.
     """
     if not n_grid:
         raise PreconditionError("empty N grid")
@@ -556,13 +558,8 @@ def regcond_report(a_sets: dict, offsets, params: beatty.BeattyParams,
             for h in offsets]
     rows = []
     for n in n_grid:
-        if n not in a_sets:
-            raise PreconditionError("a_sets lacks a grid point", n=n)
         n_lo, n_hi = n, 2 * n
-        members = np.asarray(a_sets[n], dtype=np.int64)
-        if np.any(members[1:] <= members[:-1]):
-            raise PreconditionError("a_sets entries must be strictly "
-                                    "ascending", n=n)
+        members = beatty.beatty_members(params, n_lo, n_hi)
         big_l = math.log(n)
         q_top = max(1, int(n**theta))
         y_val = float(gamma * n)
@@ -575,7 +572,7 @@ def regcond_report(a_sets: dict, offsets, params: beatty.BeattyParams,
             counts = np.bincount(members % q, minlength=q)
             lhs12 += tau * float(np.max(np.abs(counts - y_val / q)))
 
-        primes = arith.prime_array(n_hi - 1)
+        primes = arith.primes_in(n_lo, n_hi)
         is_prime = np.isin(members, primes)
 
         lhs15 = {}

@@ -95,7 +95,7 @@ def build_context(k: int, n: int, theta: float, eps: float, *, d0=None,
         else:
             d0 = 2
             advice = "D0 = 2 is the least; the prime factors of q0*q1 carry W1"
-    small = arith.primes_upto(d0)
+    small = arith.primes_in(2, d0 + 1).tolist()
     if math.gcd(q1, q0) != 1 or any(q1 % p == 0 for p in small):
         raise PreconditionError("q1 must be coprime to q0 and to all p <= D0",
                                 q0=q0, q1=q1, d0=d0)
@@ -130,7 +130,7 @@ def _support_values(ctx: SieveContext) -> list[int]:
     top = int(cap)
     keep = np.ones(top + 1, dtype=bool)
     keep[0] = False
-    for p in arith.primes_upto(math.isqrt(top)):
+    for p in arith.primes_in(2, math.isqrt(top) + 1).tolist():
         keep[p * p::p * p] = False
     for p, _ in arith.factorize(ctx.w1):
         keep[p::p] = False

@@ -39,7 +39,7 @@ def is_admissible(offsets) -> AdmissibilityReport:
         raise PreconditionError("offsets must be distinct", offsets=tuple(offsets))
     k = len(hs)
     witnesses = {}
-    for p in arith.primes_upto(k):
+    for p in arith.primes_in(2, k + 1).tolist():
         residues = {h % p for h in hs}
         if len(residues) == p:
             return AdmissibilityReport(False, witnesses, p)
@@ -84,7 +84,7 @@ class TranslateResult:
 def _first_primes_above(l: int, count: int) -> list[int]:
     limit = max(64, 2 * (l + count) * max(1, math.ceil(math.log(l + count + 2))))
     while True:
-        ps = [p for p in arith.primes_upto(limit) if p > l]
+        ps = arith.primes_in(l + 1, limit + 1).tolist()
         if len(ps) >= count:
             return ps[:count]
         limit *= 2

@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from beattysieve import arith
 from beattysieve.arith import (FactorTable, common_denominator, euler_phi,
-                               factorize, int_root, mobius, prime_array,
-                               primes_upto, tau_k, to_fraction)
+                               factorize, int_root, mobius, primes_in, tau_k,
+                               to_fraction)
 from beattysieve.errors import CapacityError, PreconditionError
 
 
@@ -32,7 +33,16 @@ def test_prime_array(table):
     assert primes.dtype == np.int64
     assert primes[:5].tolist() == [2, 3, 5, 7, 11]
     assert primes.size == 17984
-    assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert primes_in(0, 30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert primes_in(10**6, 10**6 + 40).tolist() == [1000003, 1000033, 1000037,
+                                                      1000039]
+
+
+def test_primes_in_refuses_a_window_over_the_cap(monkeypatch):
+    monkeypatch.setattr(arith, "TABLE_LIMIT_CAP", 100)
+    assert primes_in(1000, 1100).size == 16
+    with pytest.raises(CapacityError):
+        primes_in(1000, 1101)
 
 
 def _trial_division_spf(limit: int) -> np.ndarray:
@@ -49,13 +59,38 @@ def _trial_division_spf(limit: int) -> np.ndarray:
 
 def test_sieves_match_trial_division():
     small = [p for p in range(2, 300) if all(p % d for d in range(2, p))]
-    limits = list(range(2, 2001)) + [p * p + s for p in small for s in (-1, 0, 1)]
-    oracle = _trial_division_spf(max(limits))
+    squares = [p * p + s for p in small for s in (-1, 0, 1)]
+    limits = list(range(2, 2001)) + squares
+    oracle = _trial_division_spf(max(limits) + 1000)
     idx = np.arange(len(oracle))
+    is_prime = (oracle == idx) & (idx >= 2)
     for limit in limits:
-        assert np.array_equal(FactorTable(limit).spf, oracle[:limit + 1]), limit
-        expect = idx[2:limit + 1][oracle[2:limit + 1] == idx[2:limit + 1]]
-        assert np.array_equal(prime_array(limit), expect), limit
+        table = FactorTable(limit)
+        assert np.array_equal(table.spf, oracle[:limit + 1]), limit
+        assert np.array_equal(table.primes(), np.flatnonzero(is_prime[:limit + 1]))
+    # windows [lo, hi): every one up to 300, and every one with an end at
+    # p^2 - 1, p^2 or p^2 + 1, where a base prime starts or stops striking
+    windows = [(lo, hi) for hi in range(301) for lo in range(hi + 1)]
+    windows += [(0, s) for s in squares]
+    windows += [w for s in squares for step in (1, 2, 3, 50, 1000)
+                for w in ((s, s + step), (max(0, s - step), s))]
+    for lo, hi in windows:
+        got = primes_in(lo, hi)
+        assert got.dtype == np.int64, (lo, hi)
+        assert np.array_equal(got, lo + np.flatnonzero(is_prime[lo:hi])), (lo, hi)
+    # random windows above 10^6, against trial division by the primes up
+    # to sqrt(10^7 + 1000)
+    divisors = [p for p in range(2, 3200) if all(p % d for d in range(2, p))]
+    rng = random.Random(2024)
+    for _ in range(60):
+        lo = rng.randrange(10**6, 10**7)
+        hi = lo + rng.randrange(1000)
+        expect = [n for n in range(lo, hi)
+                  if all(n % p for p in divisors if p * p <= n)]
+        assert primes_in(lo, hi).tolist() == expect, (lo, hi)
+    for lo, hi in ((5, 5), (9, 3), (-7, 2), (10**9, 10**9 - 1)):
+        got = primes_in(lo, hi)
+        assert got.dtype == np.int64 and got.size == 0, (lo, hi)
 
 
 def _is_int_root(r: int, n: int, k: int) -> bool:

@@ -335,6 +335,11 @@ def test_bad_inputs_exit_code(capsys):
                       "--gamma", "0.5", "--m0", "8", "--m1", "16",
                       "--k0", "8", "--k1", "16"], capsys)
     assert rc == 2 and "unrecognized arguments: --q1 6" in err
+    # the payload is the command's output; it is not written twice
+    rc, _, err = run(["chars", "bilinear", "--q0", "3", "--gamma", "0.5",
+                      "--m0", "8", "--m1", "16", "--k0", "8", "--k1", "16",
+                      "--report", "out.csv"], capsys)
+    assert rc == 2 and "unrecognized arguments: --report out.csv" in err
     rc, out, err = run(["chars", "bilinear", "--q0", "3", "--gamma", "0.5",
                         "--m0", "8", "--m1", "20", "--k0", "8", "--k1", "16"],
                        capsys)
@@ -522,10 +527,14 @@ def test_find_small_windows(capsys):
 
 
 @pytest.mark.filterwarnings("ignore:denominator form is singular")
-def test_find_certificate_does_not_trust_the_factor_table(monkeypatch, capsys):
-    real_prime_mask = arith.FactorTable.prime_mask
-    monkeypatch.setattr(arith.FactorTable, "prime_mask",
-                        lambda self, ns: (ns == 4) | real_prime_mask(self, ns))
+def test_find_certificate_does_not_trust_the_sieve(monkeypatch, capsys):
+    real_primes_in = arith.primes_in
+
+    def primes_and_four(lo, hi):
+        primes = real_primes_in(lo, hi)
+        return np.union1d(primes, [4]) if lo <= 4 < hi else primes
+
+    monkeypatch.setattr(arith, "primes_in", primes_and_four)
     rc, payload, _ = jrun(["find", "--t", "2", "--lo", "2", "--hi", "30"],
                           capsys)
     assert rc == 1

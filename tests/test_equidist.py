@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from beattysieve import beatty, equidist
 from beattysieve.arith import euler_phi, to_fraction
-from beattysieve.beatty import beatty_members
 from beattysieve.equidist import (ErrorRow, HarnessConfig, _rows_for_modulus,
                                   _window_points, bdh_harness, bv_harness,
                                   e_sup, lambda_points, li_difference,
@@ -150,13 +149,8 @@ def test_liouville_demo_refuses_before_any_sweep(monkeypatch):
     assert refused.value.estimate == 1500 * 1501 // 2 > equidist.DEMO_ROW_BUDGET
 
 
-def _regcond(a_sets, params):
-    return regcond_report(a_sets, (0, 7), params, (2000,), 0.25, 2, 0.05)
-
-
 def test_regcond_report(sqrt2):
-    a_sets = {2000: beatty_members(sqrt2, 2000, 4000)}
-    row, = _regcond(a_sets, sqrt2)
+    row, = regcond_report((0, 7), sqrt2, (2000,), 0.25, 2, 0.05)
     assert set(row) == {"arc_route_matches", "lhs12", "lhs15", "n", "norm12",
                         "norm15", "q_top", "y"}
     assert row["q_top"] == 6
@@ -195,19 +189,8 @@ def test_li_difference_matches_quadrature():
 
 
 def test_regcond_requires_grid_sets(sqrt2):
-    with pytest.raises(PreconditionError, match="lacks a grid point"):
-        _regcond({}, sqrt2)
     with pytest.raises(PreconditionError, match="empty N grid"):
-        regcond_report({}, (0, 7), sqrt2, (), 0.25, 2, 0.05)
-
-
-def test_regcond_refuses_members_out_of_order(sqrt2):
-    members = beatty_members(sqrt2, 2000, 4000)
-    _regcond({2000: members}, sqrt2)
-    for bad in (members[::-1], np.sort(np.concatenate([members, members[:1]])),
-                np.roll(members, 1)):
-        with pytest.raises(PreconditionError, match="strictly ascending"):
-            _regcond({2000: bad}, sqrt2)
+        regcond_report((0, 7), sqrt2, (), 0.25, 2, 0.05)
 
 
 def _fraction_points(n_lo, n_hi, gamma, table):

@@ -60,6 +60,19 @@ def test_only_beatty_reads_the_integer_form_of_a_pair():
     assert found == []
 
 
+def test_only_arith_and_buchstab_build_a_factor_table():
+    # one prime kernel: a module that reads primes sieves its window with
+    # arith.primes_in; the smallest-factor table is for factoring, which
+    # only buchstab's decomposition check does
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if path.name not in ("arith.py", "buchstab.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and (_dotted(node.func) or [""])[-1] == "FactorTable"]
+    assert found == []
+
+
 def test_no_module_imports_a_private_name_of_another():
     # what two modules share is public; dunders such as __version__ aside
     found = [f"{path.name}:{node.lineno} {alias.name}"
