@@ -326,11 +326,11 @@ def cmd_equidist_e(ns):
 
 def _harness_config(ns, **extra) -> equidist.HarnessConfig:
     return equidist.HarnessConfig(gamma=ns.gamma, n_grid=tuple(ns.ngrid),
-                                  eps=ns.eps, a_power=ns.apower, **extra)
+                                  a_power=ns.apower, **extra)
 
 
 def cmd_equidist_bv(ns):
-    rows = equidist.bv_harness(_harness_config(ns, q_cap=ns.qcap))
+    rows = equidist.bv_harness(_harness_config(ns, eps=ns.eps, q_cap=ns.qcap))
     return {"rows": rows}, 0
 
 
@@ -674,7 +674,6 @@ def _build_parser():
     p = action("equidist bdh", cmd_equidist_bdh)
     p.add_argument("--gamma", type=_number, default="0.7071067811865476")
     p.add_argument("--ngrid", type=_int_list, default="10000")
-    p.add_argument("--eps", type=_float, default="0.05")
     p.add_argument("--apower", "--A", dest="apower", type=_float, default="2.0")
     p.add_argument("--rcap", type=_int, default=None)
     p.add_argument("--demo", type=_flag, default="false",

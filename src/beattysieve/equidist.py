@@ -85,7 +85,8 @@ class HarnessConfig:
     """Knobs shared by the distribution harnesses.
 
     Every grid point N is read on the dyadic window [N, 2N).  q_cap /
-    r_cap override the theorem-shaped modulus policies when set.
+    r_cap override the theorem-shaped modulus policies when set; eps
+    enters bv's policy only.
     """
     gamma: object
     n_grid: tuple
@@ -102,16 +103,15 @@ class HarnessConfig:
 def lambda_points(n_lo: int, n_hi: int, table=None):
     """(n, Lambda(n)) for prime powers in [n_lo, n_hi), ascending in n; each
     mass is the float math.log(p) of the root p, an exact dyadic rational."""
+    root = math.isqrt(n_hi - 1)
     if table is not None and table.limit >= n_hi - 1:
         primes = table.primes()
+        lo, hi, top = np.searchsorted(primes, (n_lo, n_hi, root + 1))
+        window, small = primes[lo:hi], primes[:top]
     else:
-        primes = arith.primes_in(2, n_hi)
-    lo, hi = np.searchsorted(primes, (n_lo, n_hi))
-    window = primes[lo:hi].tolist()
-    small = primes[:np.searchsorted(primes, math.isqrt(n_hi - 1),
-                                    side="right")].tolist()
-    out = [(p, math.log(p)) for p in window]
-    for p in small:
+        window, small = arith.primes_in(n_lo, n_hi), arith.primes_in(2, root + 1)
+    out = [(p, math.log(p)) for p in window.tolist()]
+    for p in small.tolist():
         mass = math.log(p)
         power = p * p
         while power < n_hi:
@@ -399,13 +399,11 @@ def bv_harness(config: HarnessConfig, table=None) -> list[dict]:
         terms = []
         lhs = Fraction(0)
         for q in range(1, q_cap + 1):
-            best = None
-            for a, row in sorted(_rows_for_modulus(window, n_hi - n_lo, q).items()):
-                if best is None or row.e > best.e:
-                    best = row
-            if best is not None:
-                terms.append((q, best.a, float(best.e)))
-                lhs += best.e
+            # every reduced class has a row; the least a of the largest e wins
+            best = max(sorted(_rows_for_modulus(window, n_hi - n_lo, q).items()),
+                       key=lambda item: item[1].e)[1]
+            terms.append((q, best.a, float(best.e)))
+            lhs += best.e
         rows.append({"n": n, "r": r, "q_cap": q_cap, "lhs": float(lhs),
                      "normalized": float(lhs) * big_l**config.a_power / n,
                      "terms": terms})

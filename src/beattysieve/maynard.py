@@ -38,7 +38,7 @@ import numpy as np
 
 from . import arith, tuples
 from .errors import CapacityError, PreconditionError
-from .variational import SimplexPolynomial
+from .variational import SimplexPolynomial, square_integral
 
 W_PRODUCT_CAP = 10**12
 SUPPORT_CAP = 200_000
@@ -248,6 +248,10 @@ def weights(ctx: SieveContext, offsets) -> WeightFamily:
     y = {}
     for r in support:
         point = [math.log(x) / log_r for x in r]
+        # the support keeps prod r_i <= R, so a sum over 1 is rounding
+        if math.fsum(point) > 1:
+            i = point.index(max(point))
+            point[i] = 1.0 - math.fsum(point[:i] + point[i + 1:])
         y[r] = arith.to_fraction(ctx.f.evaluate(point))
 
     mu, phi, divisors = _entry_tables(support)
@@ -425,7 +429,7 @@ def main_terms(ctx: SieveContext, y_scalar, observed_s1=None) -> dict:
 
     with its ratio against an observed value when one is supplied."""
     k = ctx.k
-    i_val = float((ctx.f * ctx.f).integral())
+    i_val = float(square_integral(ctx.f))
     log_r = math.log(float(ctx.r_value))
     s1_pred = (arith.euler_phi(ctx.w1)**k * float(y_scalar) * log_r**k * i_val
                / (ctx.q0 * ctx.w1**k * ctx.w2))

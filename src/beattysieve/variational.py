@@ -25,10 +25,13 @@ integral of one marginal squared.  The simplex integral expands P2^b over
 the partitions lambda of b into at most k parts: a lambda with l parts and
 part multiplicities m_j stands for k! / ((k - l)! prod m_j!) monomials, each
 with multinomial coefficient b! / prod lambda_i! and Dirichlet integral
-a! prod (2 lambda_i)! / (k + a + 2b)!.  forms keeps both matrices as integer
-rows over one denominator each, so the independence test and the exact
-Rayleigh quotient run on Python ints, and the float pencil rounds each
-entry once, as the integer quotient x / den.
+a! prod (2 lambda_i)! / (k + a + 2b)!.  _gram is the one kernel for these
+integrals, on integer term lists.  forms puts the basis over one lcm L once
+and each marginal over L (top + 1)!, as every weight above times (top + 1)!
+is an integer; both Grams and square_integral come from _gram.  forms keeps
+both matrices as integer rows over one denominator each, so the
+independence test and the exact Rayleigh quotient run on Python ints, and
+the float pencil rounds each entry once, as the integer quotient x / den.
 """
 from __future__ import annotations
 
@@ -89,11 +92,6 @@ def _dirichlet_num(k: int, a: int, b: int) -> int:
     return math.factorial(a) * _partition_sum(k, b)
 
 
-def _dirichlet(k: int, a: int, b: int) -> Fraction:
-    """Exact integral of (1 - P1)^a * P2^b over the k-simplex."""
-    return Fraction(_dirichlet_num(k, a, b), math.factorial(k + a + 2 * b))
-
-
 @dataclass(frozen=True)
 class SimplexPolynomial:
     """Symmetric polynomial on the k-simplex; zero outside it by convention.
@@ -120,39 +118,6 @@ class SimplexPolynomial:
     @classmethod
     def constant(cls, k: int, value=1) -> "SimplexPolynomial":
         return cls.from_terms(k, {(0, 0): value})
-
-    def __mul__(self, other: "SimplexPolynomial") -> "SimplexPolynomial":
-        if self.k != other.k:
-            raise PreconditionError("dimension mismatch", left=self.k,
-                                    right=other.k)
-        out: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return SimplexPolynomial(self.k, {key: c for key, c in out.items() if c})
-
-    def integral(self) -> Fraction:
-        return sum((c * _dirichlet(self.k, a, b) for (a, b), c in self.terms.items()),
-                   Fraction(0))
-
-    def marginal(self) -> "SimplexPolynomial":
-        """Integrate out one variable; the result lives on the (k-1)-simplex.
-
-        Every variable gives the same result: term (a, b) becomes
-        sum_j C(b, j) a! (2j)! / (a + 2j + 1)! * (a + 2j + 1, b - j).
-        """
-        if self.k < 1:
-            raise PreconditionError("no variable left to integrate out", k=self.k)
-        out: dict = {}
-        for (a, b), c in self.terms.items():
-            for j in range(b + 1):
-                key = (a + 2 * j + 1, b - j)
-                w = c * math.comb(b, j) * Fraction(
-                    math.factorial(a) * math.factorial(2 * j),
-                    math.factorial(a + 2 * j + 1))
-                out[key] = out.get(key, Fraction(0)) + w
-        return SimplexPolynomial(self.k - 1, {key: v for key, v in out.items() if v})
 
     def evaluate(self, point) -> float:
         """Float value at t = point; 0.0 outside the simplex."""
@@ -232,18 +197,36 @@ def _independent_subset(gram) -> list[int]:
     return kept
 
 
-def _gram(polys, dim: int) -> tuple[list[list[int]], int]:
-    """Integer Gram of the polynomials on the dim-simplex over one
-    denominator.
-
-    With L the lcm of every coefficient denominator and top the largest
-    a + 2b among the terms, entry (i, j) is L^2 (dim + 2 top)! times the
-    integral of p_i * p_j.  Returns the matrix and L^2 (dim + 2 top)!.
-    """
+def _integer_terms(polys) -> tuple[list, int]:
+    """The polynomials' terms as integer lists [((a, b), c), ...] over L,
+    the lcm of every coefficient denominator, and L."""
     lcm = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    scaled = [[(key, c.numerator * (lcm // c.denominator))
-               for key, c in p.terms.items()] for p in polys]
-    top = max((a + 2 * b for p in polys for a, b in p.terms), default=0)
+    return [[(key, c.numerator * (lcm // c.denominator))
+             for key, c in p.terms.items()] for p in polys], lcm
+
+
+def _marginal_terms(polys) -> tuple[list, int]:
+    """Marginals of integer term lists as integer term lists over
+    (top + 1)!, with top the largest a + 2b among the terms, and (top + 1)!."""
+    top = max((a + 2 * b for p in polys for (a, b), _ in p), default=0)
+    scale = math.factorial(top + 1)
+    out = []
+    for p in polys:
+        marg = Counter()
+        for (a, b), c in p:
+            for j in range(b + 1):
+                marg[a + 2 * j + 1, b - j] += (
+                    c * math.comb(b, j) * math.factorial(a) * math.factorial(2 * j)
+                    * (scale // math.factorial(a + 2 * j + 1)))
+        out.append([(key, c) for key, c in marg.items() if c])
+    return out, scale
+
+
+def _gram(polys, dim: int) -> tuple[list[list[int]], int]:
+    """Integer Gram of integer term lists on the dim-simplex: with top the
+    largest a + 2b among the terms, entry (i, j) is (dim + 2 top)! times
+    the integral of p_i * p_j.  Returns the matrix and (dim + 2 top)!."""
+    top = max((a + 2 * b for p in polys for (a, b), _ in p), default=0)
     scale = math.factorial(dim + 2 * top)
     weight = {}
     n = len(polys)
@@ -251,8 +234,8 @@ def _gram(polys, dim: int) -> tuple[list[list[int]], int]:
     for i in range(n):
         for j in range(i, n):
             total = 0
-            for (a1, b1), c1 in scaled[i]:
-                for (a2, b2), c2 in scaled[j]:
+            for (a1, b1), c1 in polys[i]:
+                for (a2, b2), c2 in polys[j]:
                     key = (a1 + a2, b1 + b2)
                     w = weight.get(key)
                     if w is None:
@@ -260,7 +243,14 @@ def _gram(polys, dim: int) -> tuple[list[list[int]], int]:
                             scale // math.factorial(dim + key[0] + 2 * key[1]))
                     total += c1 * c2 * w
             gram[i][j] = gram[j][i] = total
-    return gram, lcm * lcm * scale
+    return gram, scale
+
+
+def square_integral(poly: SimplexPolynomial) -> Fraction:
+    """Exact integral of poly^2 over its simplex."""
+    terms, lcm = _integer_terms([poly])
+    gram, scale = _gram(terms, poly.k)
+    return Fraction(gram[0][0], lcm * lcm * scale)
 
 
 def forms(basis) -> QuadraticFormPair:
@@ -279,20 +269,24 @@ def forms(basis) -> QuadraticFormPair:
     dim = basis[0].k
     if any(p.k != dim for p in basis):
         raise PreconditionError("mixed dimensions in basis")
+    if dim < 1:
+        raise PreconditionError("no variable left to integrate out", k=dim)
     n = len(basis)
 
-    b_gram, b_den = _gram(basis, dim)
+    terms, lcm = _integer_terms(basis)
+    b_gram, b_scale = _gram(terms, dim)
     kept = _independent_subset(b_gram)
     dropped = tuple(sorted(set(range(n)).difference(kept)))
     if dropped:
         warnings.warn("denominator form is singular on this basis; dropped "
                       f"dependent elements at positions {list(dropped)}")
-    a_gram, a_den = _gram([basis[i].marginal() for i in kept], dim - 1)
+    marginals, m_scale = _marginal_terms([terms[i] for i in kept])
+    a_gram, a_scale = _gram(marginals, dim - 1)
     return QuadraticFormPair(tuple(basis[i] for i in kept),
                              tuple(tuple(dim * x for x in row) for row in a_gram),
-                             a_den,
+                             (lcm * m_scale) ** 2 * a_scale,
                              tuple(tuple(b_gram[i][j] for j in kept) for i in kept),
-                             b_den, dropped)
+                             lcm * lcm * b_scale, dropped)
 
 
 def _quadratic(rows, live, cs) -> int:

@@ -340,6 +340,9 @@ def test_bad_inputs_exit_code(capsys):
                       "--m0", "8", "--m1", "16", "--k0", "8", "--k1", "16",
                       "--report", "out.csv"], capsys)
     assert rc == 2 and "unrecognized arguments: --report out.csv" in err
+    # bdh's modulus policy has no eps; only bv reads --eps
+    rc, out, err = run(["equidist", "bdh", "--eps", "0.1"], capsys)
+    assert rc == 2 and out == "" and "unrecognized arguments: --eps 0.1" in err
     rc, out, err = run(["chars", "bilinear", "--q0", "3", "--gamma", "0.5",
                         "--m0", "8", "--m1", "20", "--k0", "8", "--k1", "16"],
                        capsys)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from beattysieve import beatty, equidist
+from beattysieve import arith, beatty, equidist
 from beattysieve.arith import euler_phi, to_fraction
 from beattysieve.equidist import (ErrorRow, HarnessConfig, _rows_for_modulus,
                                   _window_points, bdh_harness, bv_harness,
@@ -186,6 +186,27 @@ def test_li_difference_matches_quadrature():
     for lo, hi in ((1, 2), (0.5, 2), (3, 2)):
         with pytest.raises(PreconditionError):
             li_difference(lo, hi)
+
+
+@pytest.mark.parametrize("n_lo, n_hi", [(10**4, 2 * 10**4), (1, 20),
+                                        (5000, 5041), (120, 122)])
+def test_lambda_points_sieve_only_the_window_and_its_roots(n_lo, n_hi, table,
+                                                           monkeypatch):
+    # without a table the window [n_lo, n_hi) and the roots up to
+    # isqrt(n_hi - 1) are sieved apart, not [2, n_hi) whole
+    want = lambda_points(n_lo, n_hi, table)
+    asked = []
+    primes_in = arith.primes_in
+
+    def recording(lo, hi):
+        asked.append((lo, hi))
+        return primes_in(lo, hi)
+
+    monkeypatch.setattr(arith, "primes_in", recording)
+    assert lambda_points(n_lo, n_hi) == want
+    root = math.isqrt(n_hi - 1)
+    assert (n_lo, n_hi) in asked
+    assert all(n_lo <= lo and hi <= n_hi or hi <= root + 1 for lo, hi in asked)
 
 
 def test_regcond_requires_grid_sets(sqrt2):

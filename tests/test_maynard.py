@@ -16,6 +16,7 @@ from beattysieve.maynard import (build_context, enumerate_support,
                                  lcm_identity_check, main_terms, s1_s2_direct,
                                  s1_window_float, weights, window_inner_sums)
 from beattysieve.variational import SimplexPolynomial
+from simplex_oracles import integral, product
 
 
 def test_context_moduli_assembly():
@@ -325,3 +326,31 @@ def test_weights_skip_vanishing_profile_values():
     assert fam.lam == _oracle_lambda(support, fam.y)
     res = invert_lambda(ctx, fam.lam)
     assert res.y == fam.y and res.max_residual == 0
+
+
+@pytest.mark.parametrize("r_value, edge", [(165, (3, 55)), (231, (3, 77)),
+                                           (255, (3, 85))])
+def test_weights_keep_boundary_tuples_inside_the_simplex(r_value, edge):
+    # r_1 r_2 = R exactly, but log r_1 / log R + log r_2 / log R rounds to
+    # 1 + 2^-52; the support is checked exactly, so every tuple samples F
+    ctx = build_context(2, 10**4, 0.5, 0.05, d0=2, r_value=r_value,
+                        offsets=(0, 2))
+    fam = weights(ctx, (0, 2))
+    assert fam.y[edge] == fam.y[edge[::-1]] == 1
+    assert set(fam.y.values()) == {1}
+    # a profile that vanishes on the face gives 0 there
+    slack = SimplexPolynomial.from_terms(2, {(1, 0): 1})
+    ctx = build_context(2, 10**4, 0.5, 0.05, d0=2, r_value=r_value,
+                        offsets=(0, 2), f=slack)
+    face = weights(ctx, (0, 2)).y
+    assert face[edge] == face[edge[::-1]] == 0 < face[(1, 1)]
+
+
+@pytest.mark.parametrize("k, terms", [
+    (2, {(0, 0): 1}), (2, {(1, 0): 1}), (1, {(1, 0): 1, (0, 1): 3}),
+    (2, {(1, 0): 1, (0, 1): 3}), (3, {(1, 0): 1, (0, 1): 3})])
+def test_main_terms_integral_matches_the_oracle(k, terms):
+    f = SimplexPolynomial.from_terms(k, terms)
+    ctx = build_context(k, 10**4, 0.5, 0.05, d0=3, r_value=150,
+                        offsets=(0, 2, 6)[:k], f=f)
+    assert main_terms(ctx, 1.0)["i_value"] == float(integral(product(f, f)))

@@ -107,6 +107,25 @@ def test_caller_values_reach_fraction_through_to_fraction():
     assert found == []
 
 
+def test_variational_builds_fractions_only_at_its_edges():
+    # one simplex-integral kernel on integers: variational builds a Fraction
+    # where a caller's coefficients come in or an exact result goes out,
+    # never inside the kernel
+    edges = {"from_terms", "symmetric_basis", "rayleigh_quotient",
+             "square_integral"}
+    tree = ast.parse((PACKAGE_DIR / "variational.py").read_text())
+    owner = {}
+    for func in ast.walk(tree):   # breadth first, so inner defs win
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(func), func.name))
+    found = [f"variational.py:{node.lineno} {owner.get(node, '<module>')}"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (_dotted(node.func) or [""])[-1] == "Fraction"
+             and owner.get(node) not in edges]
+    assert found == []
+
+
 def test_importing_the_cli_loads_no_scipy():
     code = ("import sys, beattysieve.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")

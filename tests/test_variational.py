@@ -13,11 +13,17 @@ from beattysieve.errors import CapacityError, PreconditionError
 from beattysieve.variational import (MkCertificate, QuadraticFormPair,
                                      SimplexPolynomial, forms, k_satisfying,
                                      mk_lower_bound, rayleigh_quotient,
-                                     symmetric_basis)
+                                     square_integral, symmetric_basis)
+from simplex_oracles import integral, marginal, product
 
 
 def _integral(k, a, b):
-    return SimplexPolynomial.from_terms(k, {(a, b): 1}).integral()
+    """The oracle's integral of (1 - P1)^a * P2^b, checked against the
+    kernel's Gram entry of that term against the constant 1."""
+    want = integral(SimplexPolynomial.from_terms(k, {(a, b): 1}))
+    gram, scale = variational._gram([[((a, b), 1)], [((0, 0), 1)]], k)
+    assert Fraction(gram[0][1], scale) == want
+    return want
 
 
 def test_monomial_integrals_by_hand():
@@ -44,24 +50,58 @@ def test_polynomial_evaluate_integral_marginal():
     assert f.evaluate((Fraction(1, 4), Fraction(1, 4))) == Fraction(1, 2)
     assert f.evaluate((0.75, 0.5)) == 0.0
     assert f.evaluate((-0.25, 0.5)) == 0.0
-    assert f.integral() == Fraction(1, 6)
-    assert (f * f).integral() == Fraction(1, 12)
-    g = f.marginal()
+    assert integral(f) == Fraction(1, 6)
+    assert integral(product(f, f)) == square_integral(f) == Fraction(1, 12)
+    g = marginal(f)
     # marginal of 1 - t1 - t2 over t1 is (1 - t2)^2 / 2
     assert g.k == 1 and g.terms == {(2, 0): Fraction(1, 2)}
+    assert variational._marginal_terms([[((1, 0), 1)]]) == ([[((2, 0), 1)]], 2)
     assert g.evaluate((Fraction(0),)) == Fraction(1, 2)
-    assert (g * g).integral() == Fraction(1, 20)
+    assert integral(product(g, g)) == square_integral(g) == Fraction(1, 20)
     one = SimplexPolynomial.constant(2, 1)
-    assert one.integral() == Fraction(1, 2)
+    assert integral(one) == square_integral(one) == Fraction(1, 2)
     # int_0^u (P2' + t^2)^2 dt = u P2'^2 + 2/3 u^3 P2' + u^5/5
     p2_sq = SimplexPolynomial.from_terms(3, {(0, 2): 1})
-    assert p2_sq.marginal().terms == {(1, 2): 1, (3, 1): Fraction(2, 3),
-                                      (5, 0): Fraction(1, 5)}
+    assert marginal(p2_sq).terms == {(1, 2): 1, (3, 1): Fraction(2, 3),
+                                     (5, 0): Fraction(1, 5)}
+    # the same over 5! = 120 as integer terms
+    assert variational._marginal_terms([[((0, 2), 1)]]) == (
+        [[((1, 2), 120), ((3, 1), 80), ((5, 0), 24)]], 120)
     assert p2_sq.evaluate((0.5, 0.25, 0.0)) == 0.3125 ** 2
     with pytest.raises(PreconditionError):
         SimplexPolynomial.from_terms(2, {(0, 1, 1): 1})
     with pytest.raises(PreconditionError):
-        SimplexPolynomial.constant(0).marginal()
+        marginal(SimplexPolynomial.constant(0))
+
+
+def test_forms_refuses_a_basis_on_the_0_simplex():
+    # the 0-simplex is a point: no variable is left to integrate out
+    for basis in ([SimplexPolynomial.constant(0)],
+                  [SimplexPolynomial.constant(0, 2),
+                   SimplexPolynomial.from_terms(0, {(3, 0): 1})]):
+        with pytest.raises(PreconditionError,
+                           match="no variable left to integrate out"):
+            forms(basis)
+    assert square_integral(SimplexPolynomial.constant(0, 3)) == 9
+
+
+def test_forms_constructs_no_fraction(monkeypatch):
+    # the basis goes over one lcm once and everything after runs on ints
+    elements = symmetric_basis(8, 5)[1]
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    Fraction(1, 3)
+    assert len(built) == 1
+    pair = forms(elements)
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert pair.dropped == () and len(pair.basis) == len(elements)
 
 
 def _compositions(total, parts):
@@ -224,7 +264,14 @@ def _fraction_rayleigh(pair, coefficients):
 
 
 def _rational_gram(elements):
-    return [[(p * q).integral() for q in elements] for p in elements]
+    return [[integral(product(p, q)) for q in elements] for p in elements]
+
+
+def _kernel_gram(elements, dim):
+    """_gram on the elements' integer terms, over its full denominator."""
+    terms, lcm = variational._integer_terms(elements)
+    gram, scale = variational._gram(terms, dim)
+    return gram, lcm * lcm * scale
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -232,7 +279,7 @@ def test_integer_elimination_matches_the_fraction_route(k):
     full = _rational_gram(symmetric_basis(k, 9)[1])
     for degree in range(10):
         elements = symmetric_basis(k, degree)[1]
-        gram, den = variational._gram(elements, k)
+        gram, den = _kernel_gram(elements, k)
         n = len(elements)
         rational = [row[:n] for row in full[:n]]
         assert [[Fraction(x, den) for x in row] for row in gram] == rational
@@ -242,7 +289,7 @@ def test_integer_elimination_matches_the_fraction_route(k):
 
 def test_integer_elimination_at_degree_15():
     elements = symmetric_basis(1, 15)[1]
-    kept = variational._independent_subset(variational._gram(elements, 1)[0])
+    kept = variational._independent_subset(_kernel_gram(elements, 1)[0])
     assert len(elements) == 72 and len(kept) == 16
     assert kept == _fraction_independent_subset(_rational_gram(elements))
 
@@ -320,13 +367,15 @@ def test_from_terms_reads_numpy_integers_exactly():
     want = SimplexPolynomial.from_terms(2, big)
     got = SimplexPolynomial.from_terms(2, {key: np.int64(c) for key, c in big.items()})
     assert got == want
-    assert (got * got).integral() == (want * want).integral() > 10**36
+    assert (square_integral(got) == square_integral(want)
+            == integral(product(want, want)) > 10**36)
     assert (_rationals(forms([got]).b_num, forms([got]).b_den)
             == _rationals(forms([want]).b_num, forms([want]).b_den))
 
 
-@pytest.mark.parametrize("k", [2, 3, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
 def test_forms_on_multi_term_rational_polynomials(k):
+    # at k = 1 the marginals land on the 0-simplex
     polys = [SimplexPolynomial.from_terms(k, {(1, 0): 1, (0, 1): 3}),
              SimplexPolynomial.from_terms(k, {(0, 0): Fraction(1, 3),
                                               (2, 1): Fraction(-5, 7)}),
@@ -339,8 +388,9 @@ def test_forms_on_multi_term_rational_polynomials(k):
     b = _rationals(pair.b_num, pair.b_den)
     for i, p in enumerate(polys):
         for j, q in enumerate(polys):
-            assert b[i][j] == (p * q).integral()
-            assert a[i][j] == k * (p.marginal() * q.marginal()).integral()
+            assert b[i][j] == integral(product(p, q))
+            assert a[i][j] == k * integral(product(marginal(p), marginal(q)))
+        assert square_integral(p) == b[i][i]
 
 
 def test_lower_bound_table():
