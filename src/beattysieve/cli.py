@@ -66,7 +66,7 @@ def _float(s: str) -> float:
 
 
 def _number(s: str):
-    """int, Fraction ('p/q'), or float, whichever the text denotes."""
+    """int, Fraction ('p/q'), or finite float, whichever the text denotes."""
     if "/" in s:
         try:
             return Fraction(s)
@@ -75,7 +75,10 @@ def _number(s: str):
     try:
         return int(s, 10)
     except ValueError:
-        return float(s)
+        x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {s!r}")
+    return x
 
 
 def _int_list(s: str) -> list[int]:

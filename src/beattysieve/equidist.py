@@ -11,12 +11,20 @@ points frac(gamma n).  Von Mangoldt masses are frozen to the rationals of
 their float values (dyadic, so this sweep and any independent oracle see
 identical numbers), every position frac(gamma n) has a denominator
 dividing that of gamma, and one common denominator d per window is the
-lcm of all of them.  The sweep scores every candidate of every class of a
-modulus in one float64 numpy pass, then re-evaluates the few candidates
-within the pass's error bound of each class's best on Python integers
-over d, so the rows are exact; a class with too many such candidates is
-re-scored by the same pass on Python ints.  Only the winning candidate of
-each progression is turned back into a Fraction.
+lcm of all of them.  When d is a power of two up to 2^63, as for every
+float gamma whose lowest set bit is at least 2^-63, the window is built
+in numpy on uint64 words; any other d keeps Python ints.  The sweep
+scores every candidate of every class of a modulus in one float64 numpy
+pass, then re-evaluates the few candidates within the pass's error bound
+of each class's best on Python integers over d, so the rows are exact; a
+class with too many such candidates is re-scored by the same pass on
+Python ints.
+
+A row stays an integer numerator over d phi(q), the denominator every
+class of q shares.  bv_harness compares those integers and makes one
+Fraction per modulus, bdh_harness sums their squares into one integer
+over (d phi(q))^2 per modulus, and only e_sup turns a row into an
+ErrorRow with its arc.
 
 With the half-open arc convention (z, z + l] and a positive main term the
 extremes are approached, not attained: shrinking l toward the minimal
@@ -32,6 +40,7 @@ normalized columns so that trends across N can be recorded.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,11 +52,11 @@ from .errors import BudgetError, PreconditionError
 
 # Point-visits a harness run may spend on its arc sweep (see
 # _check_sweep_budget).  Measured with Python 3.11 on a 2-core x86-64 VM:
-# bv at N = 10^6, q <= 15 is 1.09e6 visits in 0.53 s (0.5 us each); bdh at
-# N = 10^4 is 3.7e5 visits in 0.97 s at R = 300 (2.6 us) and 7.8e6 visits
-# in 50 s at R = 3000 (6.4 us), where rows of one or two points dominate
-# and each row's exact Fractions cost more than its points.  So the budget
-# is still about a minute of the slowest work.
+# bv at N = 10^6, q <= 15 is 1.09e6 visits in 0.38-0.53 s (0.4 us each);
+# bdh at N = 10^4 is 3.7e5 visits in 0.06-0.09 s at R = 300 (0.2 us) and
+# 7.8e6 visits in 8.2-10.9 s at R = 3000 (1.2 us), where rows of one or two
+# points dominate and each row's Python work costs more than its points.
+# So the budget is about 10-14 s of the slowest work.
 HARNESS_POINT_BUDGET = 10**7
 
 # Candidate (start, end) pairs one progression may send to the exact
@@ -98,6 +107,10 @@ class HarnessConfig:
     def __post_init__(self):
         if not self.n_grid:
             raise PreconditionError("empty N grid")
+        for name in ("q_cap", "r_cap"):
+            cap = getattr(self, name)
+            if cap is not None and cap < 1:
+                raise PreconditionError(f"{name} must be >= 1", **{name: cap})
 
 
 def lambda_points(n_lo: int, n_hi: int, table=None):
@@ -129,12 +142,13 @@ class _Window:
     frac(gamma n) = xs[k] / d exactly, x[k] is that ratio correctly
     rounded, and xid[k] numbers the distinct X in order.  Lambda(n) =
     mass[k] = wm[k] / mass_den exactly, with mass_den (a power of two)
-    dividing d.  n, xid and wm are int64 arrays, x and mass float64 ones,
-    xs a list of Python ints.
+    dividing d.  n, xid and wm are int64 arrays, x and mass float64 ones;
+    xs is a uint64 array when d <= 2^63 is a power of two, and an object
+    array of Python ints otherwise.
     """
     d: int
     mass_den: int
-    xs: list
+    xs: np.ndarray
     n: np.ndarray
     xid: np.ndarray
     x: np.ndarray
@@ -146,21 +160,34 @@ def _window_points(n_lo: int, n_hi: int, gamma, table=None) -> _Window:
     """The window [n_lo, n_hi) over one common denominator d = lcm(den
     gamma, 2^53); nothing per point is a Fraction.  2^53 is a mass
     denominator for every point: each mass is log p >= log 2 > 1/2, a
-    double whose denominator divides 2^53."""
+    double whose denominator divides 2^53.
+
+    When d is a power of two up to 2^63 (every float gamma whose lowest
+    set bit is at least 2^-63) X = step n mod d is a wrapping uint64
+    product masked to its low bits and the window is built in numpy;
+    otherwise X, its sort and X / d are taken on Python ints.
+    """
     pts = lambda_points(n_lo, n_hi, table)
     mass_den = 1 << 53
     (step, _), d = arith.common_denominator(
         [arith.to_fraction(gamma).as_integer_ratio(), (1, mass_den)])
-    xs = [step * n % d for n, _ in pts]
-    order = sorted(range(len(xs)), key=xs.__getitem__)
-    xs = [xs[k] for k in order]
+    n = np.array([m for m, _ in pts], dtype=np.int64)
+    mass = np.array([lam for _, lam in pts], dtype=np.float64)
+    in_word = d & (d - 1) == 0 and d <= 1 << 63
+    if in_word:
+        xs = n.astype(np.uint64) * np.uint64(step % d) & np.uint64(d - 1)
+    else:
+        xs = np.array([step * m % d for m in n.tolist()], dtype=object)
+    order = np.argsort(xs, kind="stable")
+    xs = xs[order]
+    # X / d correctly rounded: d is a power of two on the uint64 route
+    x = (xs.astype(np.float64) / d if in_word
+         else np.array([v / d for v in xs.tolist()], dtype=np.float64))
     xid = np.zeros(len(xs), dtype=np.int64)
-    xid[1:] = np.cumsum([x1 != x0 for x0, x1 in zip(xs, xs[1:])])
-    mass = np.array([lam for _, lam in pts], dtype=np.float64)[order]
+    np.cumsum(xs[1:] != xs[:-1], out=xid[1:])
+    mass = mass[order]
     # mass * mass_den < 2^59 while log p < 64, so wm is exact in int64
-    return _Window(d, mass_den, xs,
-                   np.array([n for n, _ in pts], dtype=np.int64)[order], xid,
-                   np.array([x / d for x in xs], dtype=np.float64), mass,
+    return _Window(d, mass_den, xs, n[order], xid, x, mass,
                    (mass * mass_den).astype(np.int64))
 
 
@@ -200,15 +227,23 @@ def _scores(prefix, cx, lap, inf):
 
 
 def _rows_for_modulus(w: _Window, span: int, q: int, a: int | None = None
-                      ) -> dict[int, ErrorRow]:
-    """ErrorRow per reduced class mod q, or for the class of a alone.
+                      ) -> tuple[int, tuple, dict[int, tuple]]:
+    """(phi, empty, winners): phi(q), and the exact winner of every reduced
+    class mod q that holds a point of the window, or of the class of a
+    alone, keyed by residue.
+
+    A winner is (val, count, left, dx): its error is val / (d phi), and the
+    run (or gap) behind it holds count merged points on the arc from
+    left / d of length dx / d.  A class without points is left out of
+    winners; its winner is empty, the gap of the whole circle, whose error
+    is span / phi.
 
     One numpy pass covers every class of q at once.  A stable argsort by
     n mod q buckets the window (each bucket stays sorted by X), equal X
     within a class merge, and the classes become the rows of padded 2-D
     float64 arrays, which _scores scores with c = span/phi.
 
-    Those scores are floats, and a row of n points has them within
+    The scores are floats, and a row of n points has them within
     (3.03 n + 17) 2^-53 (total + c) of the truth (Higham's gamma_n for the
     prefix sums, a few roundings for the rest); delta below is about twice
     that.  An exact maximiser scores at least the float maximum - 2 delta,
@@ -219,91 +254,89 @@ def _rows_for_modulus(w: _Window, span: int, q: int, a: int | None = None
     exact maximisers go to _Exact.best.
     """
     phi = arith.euler_phi(q)
+    empty = (span * w.d, 0, 0, w.d)
     residue = w.n % q
+    if q < 1 << 16:
+        residue = residue.astype(np.uint16)   # numpy radix-sorts 16 bits
     order = np.argsort(residue, kind="stable")
     residue = residue[order]
     keep = residue == a % q if a is not None else np.gcd(residue, q) == 1
     order, residue = order[keep], residue[keep]
+    if not order.size:
+        return phi, empty, {}
+    # merged points (their first bucket positions) and rows of them
+    xid = w.xid[order]
+    first = np.ones(order.size + 1, dtype=bool)
+    first[1:-1] = (residue[1:] != residue[:-1]) | (xid[1:] != xid[:-1])
+    bounds = np.flatnonzero(first)
+    seg = bounds[:-1]
+    row_first = np.ones(seg.size, dtype=bool)
+    row_first[1:] = residue[seg[1:]] != residue[seg[:-1]]
+    row_start = np.flatnonzero(row_first)
+    row_of = np.cumsum(row_first) - 1
+    m = np.bincount(row_of)
+    col = np.arange(seg.size) - row_start[row_of]
+    n_rows, width = m.size, int(m.max())
+
+    c = span / phi
+    prefix = np.zeros((n_rows, width + 1))
+    prefix[row_of, col + 1] = np.add.reduceat(w.mass[order], seg)
+    np.cumsum(prefix, axis=1, out=prefix)
+    total = prefix[np.arange(n_rows), m]
+    cx = np.full((n_rows, width), np.inf)
+    cx[row_of, col] = c * w.x[order[seg]]
+    score = _scores(prefix, cx, (total - c)[:, None], np.inf)
+    n_points = bounds[row_start + m] - bounds[row_start]
+    delta = (3 * n_points + 32) * 2.0**-52 * (total + c)
+    floor = score.max(axis=(1, 2)) - 2 * delta
+    hits = zip(*(idx.tolist()
+                 for idx in np.nonzero(score >= floor[:, None, None])))
+    hit = next(hits, None)
+
+    wm = w.wm[order]
+    if bounds.size <= order.size:
+        # some points merged; their sums may pass int64, so add on ints
+        wm = np.add.reduceat(wm.astype(object), seg)
+    exact = _Exact(w.d, span, phi * (w.d // w.mass_den), w.xs[order[seg]].tolist(),
+                   list(itertools.accumulate(wm.tolist(), initial=0)))
     rows = {}
-    if order.size:
-        # merged points (their first bucket positions) and rows of them
-        xid = w.xid[order]
-        first = np.ones(order.size + 1, dtype=bool)
-        first[1:-1] = (residue[1:] != residue[:-1]) | (xid[1:] != xid[:-1])
-        bounds = np.flatnonzero(first)
-        seg = bounds[:-1]
-        row_first = np.ones(seg.size, dtype=bool)
-        row_first[1:] = residue[seg[1:]] != residue[seg[:-1]]
-        row_start = np.flatnonzero(row_first)
-        row_of = np.cumsum(row_first) - 1
-        m = np.bincount(row_of)
-        col = np.arange(seg.size) - row_start[row_of]
-        n_rows, width = m.size, int(m.max())
-
-        c = span / phi
-        prefix = np.zeros((n_rows, width + 1))
-        prefix[row_of, col + 1] = np.add.reduceat(w.mass[order], seg)
-        np.cumsum(prefix, axis=1, out=prefix)
-        total = prefix[np.arange(n_rows), m]
-        cx = np.full((n_rows, width), np.inf)
-        cx[row_of, col] = c * w.x[order[seg]]
-        score = _scores(prefix, cx, (total - c)[:, None], np.inf)
-        n_points = bounds[row_start + m] - bounds[row_start]
-        delta = (3 * n_points + 32) * 2.0**-52 * (total + c)
-        floor = score.max(axis=(1, 2)) - 2 * delta
-        hits = zip(*(idx.tolist()
-                     for idx in np.nonzero(score >= floor[:, None, None])))
-        hit = next(hits, None)
-
-        exact = _Exact(w.d, w.xs, order.tolist(), w.wm[order].tolist(),
-                       bounds.tolist(), span, phi, w.d // w.mass_den)
-        for r, (start, count) in enumerate(zip(row_start.tolist(), m.tolist())):
-            label = a if a is not None else int(residue[seg[start]])
-            sets = ([], [], [], [], [], [])
-            while hit is not None and hit[0] == r:
-                sets[hit[1]].append(hit[2])
-                hit = next(hits, None)
-            runs_i, runs_j0, runs_j1, gaps_i, gaps_j0, gaps_j1 = sets
-            if (len(runs_i) * (len(runs_j0) + len(runs_j1))
-                    + len(gaps_i) * (len(gaps_j0) + len(gaps_j1))
-                    > EXACT_RECHECK_CAP):
-                sets = exact.maximisers(start, count)
-            rows[label] = exact.best(start, count, sets, q, label)
-    empty = Fraction(span, phi)
-    labels = [a] if a is not None else [b for b in range(q) if math.gcd(b, q) == 1]
-    for b in labels:
-        if b not in rows:
-            rows[b] = ErrorRow(q, b, empty, 0, None, False)
-    return rows
+    for r, (start, count, label) in enumerate(zip(
+            row_start.tolist(), m.tolist(), residue[seg[row_start]].tolist())):
+        sets = ([], [], [], [], [], [])
+        while hit is not None and hit[0] == r:
+            sets[hit[1]].append(hit[2])
+            hit = next(hits, None)
+        runs_i, runs_j0, runs_j1, gaps_i, gaps_j0, gaps_j1 = sets
+        if (len(runs_i) * (len(runs_j0) + len(runs_j1))
+                + len(gaps_i) * (len(gaps_j0) + len(gaps_j1))
+                > EXACT_RECHECK_CAP):
+            sets = exact.maximisers(start, count)
+        rows[label] = exact.best(start, count, sets)
+    return phi, empty, rows
 
 
 @dataclass(frozen=True)
 class _Exact:
-    """One modulus's buckets on Python integers, for the exact re-check.
+    """One modulus's merged points on Python integers, for the exact
+    re-check.
 
-    Merged point k of the row starting at merged index s covers bucket
-    positions bounds[s + k] to bounds[s + k + 1]; order maps a bucket
-    position to its window index, and wm holds the mass of each bucket
-    position in units of 1/mass_den.  Scores are integers over d*phi, and
-    one unit of mass is unit = d / mass_den of them.
+    Merged points are numbered across the rows of the modulus: point k
+    sits at xs[k] / d, and the points before it weigh pm[k] / mass_den.
+    Scores are integers over d*phi, in which one unit of mass is scale =
+    phi d / mass_den.
     """
     d: int
-    xs: list
-    order: list
-    wm: list
-    bounds: list
     span: int
-    phi: int
-    unit: int
+    scale: int
+    xs: list
+    pm: list
 
     def maximisers(self, start, count) -> list:
         """One row's six candidate sets from _scores on Python ints over
         d*phi: the starts and ends whose exact score is the row's maximum."""
-        at = np.array(self.bounds[start:start + count + 1])
-        wm = np.array([0, *self.wm[at[0]:at[-1]]], dtype=object)
-        prefix = (self.phi * self.unit * wm.cumsum())[None, at - at[0]]
-        cx = self.span * np.array([[self.xs[self.order[p]] for p in at[:-1]]],
-                                  dtype=object)
+        pm = np.array(self.pm[start:start + count + 1], dtype=object)
+        prefix = self.scale * (pm - pm[0])[None]
+        cx = self.span * np.array([self.xs[start:start + count]], dtype=object)
         # g, h and lap lie in (-span d, total], so every real score lies in
         # (-inf/2, inf/2) and no float inf meets an int past float range
         inf = 4 * (prefix[0, -1] + self.span * self.d)
@@ -311,15 +344,15 @@ class _Exact:
         return [np.flatnonzero(plane).tolist()
                 for plane in score[0] == score.max()]
 
-    def best(self, start, count, sets, q, a) -> ErrorRow:
+    def best(self, start, count, sets) -> tuple:
         """The exact winner among one row's candidate runs and gaps, given
-        as six sets like the planes of _scores.  Ties go to a run, then to
-        the first start, then to the last end, counting an end j on the
-        second lap as j + count."""
+        as six sets like the planes of _scores, as (val, count, left, dx)
+        of _rows_for_modulus.  Ties go to a run, then to the first start,
+        then to the last end, counting an end j on the second lap as
+        j + count."""
         runs_i, runs_j0, runs_j1, gaps_i, gaps_j0, gaps_j1 = sets
-        at = self.bounds[start:start + count + 1]
-        total = sum(self.wm[at[0]:at[-1]])
-        scale = self.phi * self.unit
+        xs, pm = self.xs[start:start + count], self.pm[start:start + count + 1]
+        total = pm[-1] - pm[0]
         best = None
         for kind, starts, ends in (
                 (1, runs_i, runs_j0 + [j + count for j in runs_j1]),
@@ -330,29 +363,24 @@ class _Exact:
                         continue
                     wrap = j >= count
                     jj = j - count if wrap else j
-                    dx = (self.xs[self.order[at[jj]]] - self.xs[self.order[at[i]]]
-                          + (self.d if wrap else 0))
+                    dx = xs[jj] - xs[i] + (self.d if wrap else 0)
                     # the mass of the run i..j, or strictly inside the gap;
                     # across the lap, the total less the points left out
                     if kind:
                         lo, hi = (jj + 1, i) if wrap else (i, jj + 1)
                     else:
                         lo, hi = (jj, i + 1) if wrap else (i + 1, jj)
-                    inside = sum(self.wm[at[lo]:at[hi]])
+                    inside = pm[hi] - pm[lo]
                     if wrap:
                         inside = total - inside
-                    val = (scale * inside - self.span * dx if kind
-                           else self.span * dx - scale * inside)
+                    val = (self.scale * inside - self.span * dx if kind
+                           else self.span * dx - self.scale * inside)
                     key = (val, kind, -i, j, dx)
                     if best is None or key > best:
                         best = key
         val, kind, i, j, dx = best
         i = -i
-        arc = (beatty.TorusInterval(Fraction(self.xs[self.order[at[i]]], self.d),
-                                    Fraction(dx, self.d))
-               if 0 < dx < self.d else None)
-        return ErrorRow(q, a, Fraction(val, self.d * self.phi),
-                        j - i + 1 if kind else j - i - 1, arc, False)
+        return val, j - i + 1 if kind else j - i - 1, xs[i], dx
 
 
 def e_sup(n: int, n2: int, gamma, q: int, a: int, table=None) -> ErrorRow:
@@ -363,7 +391,12 @@ def e_sup(n: int, n2: int, gamma, q: int, a: int, table=None) -> ErrorRow:
         raise PreconditionError("q must be >= 1", q=q)
     if math.gcd(a, q) != 1:
         raise PreconditionError("a must be coprime to q", a=a, q=q)
-    return _rows_for_modulus(_window_points(n, n2, gamma, table), n2 - n, q, a)[a]
+    w = _window_points(n, n2, gamma, table)
+    phi, empty, winners = _rows_for_modulus(w, n2 - n, q, a)
+    val, count, left, dx = winners.get(a % q, empty)
+    arc = (beatty.TorusInterval(Fraction(left, w.d), Fraction(dx, w.d))
+           if 0 < dx < w.d else None)
+    return ErrorRow(q, a, Fraction(val, w.d * phi), count, arc, False)
 
 
 def _check_sweep_budget(windows) -> None:
@@ -399,11 +432,13 @@ def bv_harness(config: HarnessConfig, table=None) -> list[dict]:
         terms = []
         lhs = Fraction(0)
         for q in range(1, q_cap + 1):
-            # every reduced class has a row; the least a of the largest e wins
-            best = max(sorted(_rows_for_modulus(window, n_hi - n_lo, q).items()),
-                       key=lambda item: item[1].e)[1]
-            terms.append((q, best.a, float(best.e)))
-            lhs += best.e
+            phi, empty, winners = _rows_for_modulus(window, n_hi - n_lo, q)
+            # the least a of the largest e wins
+            val, minus_a = max((winners.get(b, empty)[0], -b)
+                               for b in range(q) if math.gcd(b, q) == 1)
+            e = Fraction(val, window.d * phi)
+            terms.append((q, -minus_a, float(e)))
+            lhs += e
         rows.append({"n": n, "r": r, "q_cap": q_cap, "lhs": float(lhs),
                      "normalized": float(lhs) * big_l**config.a_power / n,
                      "terms": terms})
@@ -428,12 +463,14 @@ def bdh_harness(config: HarnessConfig, table=None) -> list[dict]:
         n_lo, n_hi = n, 2 * n
         big_l = math.log(n)
         window = _window_points(n_lo, n_hi, config.gamma, table)
+        d = window.d
         lhs = Fraction(0)
         per_q = []
         for q in range(1, r_cap + 1):
-            sub = Fraction(0)
-            for a, row in sorted(_rows_for_modulus(window, n_hi - n_lo, q).items()):
-                sub += row.e * row.e
+            phi, empty, winners = _rows_for_modulus(window, n_hi - n_lo, q)
+            # every e is val / (d phi); phi - len(winners) classes are empty
+            sub = Fraction(sum(val * val for val, *_ in winners.values())
+                           + (phi - len(winners)) * empty[0] ** 2, (d * phi) ** 2)
             per_q.append((q, float(sub)))
             lhs += sub
         denom = n * r_cap * big_l * math.log(big_l) ** 2
@@ -475,13 +512,16 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5) -> dic
     bound_total = Fraction(0)
     all_hold = True
     for q in range(1, q_cap + 1):
-        phi = arith.euler_phi(q)
+        phi, empty, winners = _rows_for_modulus(window, n, q)
         bound = Fraction(n * n, 4 * r * r * phi * phi)
-        for a, row in sorted(_rows_for_modulus(window, n, q).items()):
-            holds = row.e * row.e >= bound
+        for a in range(q):
+            if math.gcd(a, q) != 1:
+                continue
+            e = Fraction(winners.get(a, empty)[0], window.d * phi)
+            holds = e * e >= bound
             all_hold = all_hold and holds
-            total += row.e * row.e
-            rows.append({"q": q, "a": a, "e": float(row.e),
+            total += e * e
+            rows.append({"q": q, "a": a, "e": float(e),
                          "bound_e2": float(bound), "holds": holds})
             bound_total += bound
     return {"gamma": gamma, "delta": delta, "arc": (lo, hi),

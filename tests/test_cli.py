@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -352,6 +353,41 @@ def test_bad_inputs_exit_code(capsys):
     assert rc == 2 and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["equidist", "e", "--gamma", "inf", "--n", "100", "--q", "1", "--a", "0"],
+    ["equidist", "bv", "--gamma", "inf", "--ngrid", "1000", "--qcap", "2"],
+    ["equidist", "bdh", "--gamma=-inf"],
+    ["find", "--alpha", "inf"],
+    ["find", "--beta", "inf"],
+    ["sieve", "s1s2", "--alpha", "inf", "--n", "1000"],
+    ["equidist", "regcond", "--alpha", SQRT2, "--beta", "inf", "--ngrid", "1000"],
+    ["beatty", "enumerate", "--alpha", "inf", "--lo", "1", "--hi", "8"],
+    ["beatty", "member", "--alpha", SQRT2, "--beta=-inf", "--n", "7"],
+    ["dioph", "modulus", "--gamma", "inf", "--n", "100"],
+    ["tuples", "translate", "--l", "3", "--k", "2", "--gamma", "inf",
+     "--eps", "0.1"],
+    ["tuples", "translate", "--l", "3", "--k", "2", "--gamma", SQRT2,
+     "--eps", "inf"],
+    ["beatty", "member", "--alpha", "nan", "--n", "7"]])
+def test_non_finite_numbers_are_usage_errors(argv, capsys):
+    rc, out, err = run(argv, capsys)
+    assert rc == 2 and out == ""
+    assert "usage:" in err and "invalid _number value" in err
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["equidist", "bdh", "--rcap", "0"], "r_cap"),
+    (["equidist", "bdh", "--rcap", "-2"], "r_cap"),
+    (["equidist", "bv", "--gamma", INV_SQRT2, "--ngrid", "1000", "--qcap", "0"],
+     "q_cap"),
+    (["equidist", "bv", "--gamma", INV_SQRT2, "--ngrid", "1000", "--qcap", "-3"],
+     "q_cap")])
+def test_harness_caps_below_one_are_usage_errors(argv, cap, capsys):
+    rc, out, err = run(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err == f"usage: {cap} must be >= 1\n"
+
+
 def test_report_mk_csv(capsys):
     rc, out, _ = run(["report", "mk", "--kmax", "3", "--degree", "1",
                       "--format", "csv"], capsys)
@@ -665,6 +701,30 @@ def test_reference_commands_keep_their_payloads(name, capsys):
     rc, payload, _ = jrun(argv, capsys)
     assert rc == 0
     assert payload == expected
+
+
+# Runs whose stdout and exit code are pinned in reference_runs/NAME.txt:
+# a first line "exit CODE", then stdout byte for byte
+REFERENCE_RUNS = {
+    "e-fraction": ["equidist", "e", "--gamma", "5/7", "--n", "10000",
+                   "--q", "6", "--a", "5"],
+    "e-float": ["equidist", "e", "--gamma", "0.7071067811865476", "--n", "10000",
+                "--q", "7", "--a", "3"],
+    "bv-float": ["equidist", "bv", "--gamma", "0.7071067811865476",
+                 "--ngrid", "10000,100000", "--qcap", "10"],
+    "bv-fraction": ["equidist", "bv", "--gamma", "5/7", "--ngrid", "10000",
+                    "--qcap", "10"],
+    "bdh-default": ["equidist", "bdh"],
+    "bdh-fraction": ["equidist", "bdh", "--gamma", "5/7", "--rcap", "100"],
+    "bdh-demo": ["equidist", "bdh", "--demo", "true"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_RUNS))
+def test_reference_runs_print_their_pinned_output(name, capsys):
+    rc, out, _ = run(REFERENCE_RUNS[name], capsys)
+    pinned = pathlib.Path(__file__).with_name("reference_runs") / f"{name}.txt"
+    assert f"exit {rc}\n{out}".encode() == pinned.read_bytes()
 
 
 def test_reference_enumeration_is_byte_identical(capsys):

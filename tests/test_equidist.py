@@ -1,4 +1,5 @@
 """Progression error suprema and the distribution harnesses."""
+import itertools
 import math
 from fractions import Fraction
 
@@ -88,6 +89,14 @@ def test_harness_and_config_guards(table):
                     table)
     with pytest.raises(PreconditionError):
         HarnessConfig(gamma=GAMMA, n_grid=())
+    # a cap that is given must be at least 1; the policies' own caps are
+    # never below 1
+    for cap in (0, -2):
+        with pytest.raises(PreconditionError, match="q_cap must be >= 1"):
+            HarnessConfig(gamma=GAMMA, n_grid=(1000,), q_cap=cap)
+        with pytest.raises(PreconditionError, match="r_cap must be >= 1"):
+            HarnessConfig(gamma=GAMMA, n_grid=(1000,), r_cap=cap)
+    assert HarnessConfig(gamma=GAMMA, n_grid=(1000,), q_cap=1, r_cap=1).q_cap == 1
 
 
 def test_harness_budgets_refuse_before_any_sweep(table, monkeypatch):
@@ -214,6 +223,46 @@ def test_regcond_requires_grid_sets(sqrt2):
         regcond_report((0, 7), sqrt2, (), 0.25, 2, 0.05)
 
 
+def _python_window(n_lo, n_hi, gamma):
+    """The fields of a window built from lambda_points on Python ints: X by
+    exact integer products, an exact stable sort, and X / d correctly
+    rounded."""
+    pts = lambda_points(n_lo, n_hi)
+    (step, _), d = arith.common_denominator(
+        [to_fraction(gamma).as_integer_ratio(), (1, 2**53)])
+    xs = [step * m % d for m, _ in pts]
+    order = sorted(range(len(xs)), key=xs.__getitem__)
+    xs = [xs[k] for k in order]
+    mass = [pts[k][1] for k in order]
+    return {"d": d, "mass_den": 2**53, "xs": xs,
+            "n": [pts[k][0] for k in order],
+            "xid": list(itertools.accumulate(
+                (int(x1 != x0) for x0, x1 in zip(xs, xs[1:])), initial=0))[:len(xs)],
+            "x": [x / d for x in xs], "mass": mass,
+            "wm": [int(Fraction(lam) * 2**53) for lam in mass]}
+
+
+@pytest.mark.parametrize("gamma, d", [(0.7071067811865476, 2**53), (20.0, 2**53),
+                                      (0.5, 2**53), (1e-3, 2**60),
+                                      (3 * 2.0**-63, 2**63), (2.0**-70, 2**70)])
+@pytest.mark.parametrize("n", [11, 300, 4094, 25_000])
+def test_window_routes_agree_with_python_ints(gamma, d, n):
+    # d <= 2^63 a power of two takes the uint64 route, anything else the
+    # Python-int one; both give the window built on Python ints (gamma =
+    # 20 puts every point at 0, and 0.5 alternates two X, so equal X must
+    # keep their n order)
+    w = _window_points(n, 2 * n, gamma)
+    want = _python_window(n, 2 * n, gamma)
+    assert w.d == want["d"] == d
+    assert w.xs.dtype == (np.uint64 if d <= 2**63 else object)
+    assert {"d": w.d, "mass_den": w.mass_den, "xs": w.xs.tolist(),
+            "n": w.n.tolist(), "xid": w.xid.tolist(), "x": w.x.tolist(),
+            "mass": w.mass.tolist(), "wm": w.wm.tolist()} == want
+    assert [type(v) for v in w.xs.tolist()] == [int] * len(want["xs"])
+    assert (w.n.dtype, w.xid.dtype, w.x.dtype, w.mass.dtype, w.wm.dtype) == (
+        np.int64, np.int64, np.float64, np.float64, np.int64)
+
+
 def _fraction_points(n_lo, n_hi, gamma, table):
     """The window points as (n, frac(gamma n), Lambda(n)) in Fraction."""
     g = to_fraction(gamma)
@@ -282,16 +331,32 @@ SLOPES = st.one_of(
               st.integers(1, 9), st.integers(1, 9)))
 
 
+def _error_row(w, q, a, row):
+    """An integer row (val, count, left, dx) of _rows_for_modulus as the
+    ErrorRow it stands for."""
+    val, count, left, dx = row
+    arc = (beatty.TorusInterval(Fraction(left, w.d), Fraction(dx, w.d))
+           if 0 < dx < w.d else None)
+    return ErrorRow(q, a, Fraction(val, w.d * euler_phi(q)), count, arc, False)
+
+
 def _check_against_the_fraction_route(table, gamma, n, n2, q):
-    rows = _rows_for_modulus(_window_points(n, n2, gamma, table), n2 - n, q)
+    w = _window_points(n, n2, gamma, table)
+    phi, empty, rows = _rows_for_modulus(w, n2 - n, q)
     old = _fraction_points(n, n2, gamma, table)
-    c = Fraction(n2 - n, euler_phi(q))
-    assert sorted(rows) == [a for a in range(q) if math.gcd(a, q) == 1]
-    for a, row in rows.items():
+    assert phi == euler_phi(q)
+    c = Fraction(n2 - n, phi)
+    for a in range(q):
+        if math.gcd(a, q) != 1:
+            continue
         pairs = [(pos, lam) for m, pos, lam in old if m % q == a]
-        assert row == _fraction_row(pairs, c, q, a)
-        assert e_sup(n, n2, gamma, q, a, table) == row
-    return rows
+        want = _fraction_row(pairs, c, q, a)
+        # a class has its own winner exactly when it holds a point
+        assert (a in rows) == bool(pairs)
+        assert _error_row(w, q, a, rows.get(a, empty)) == want
+        assert e_sup(n, n2, gamma, q, a, table) == want
+    assert all(math.gcd(a, q) == 1 for a in rows)
+    return phi, empty, rows
 
 
 # one-point rows; every X equal (gamma = 0); merged equal X with exact ties
@@ -344,9 +409,9 @@ def _count_exact_candidates(monkeypatch):
     seen = []
     best = equidist._Exact.best
 
-    def spy(self, start, count, sets, q, a):
+    def spy(self, start, count, sets):
         seen.append(_pairs(sets))
-        return best(self, start, count, sets, q, a)
+        return best(self, start, count, sets)
 
     monkeypatch.setattr(equidist._Exact, "best", spy)
     return seen
@@ -379,14 +444,26 @@ def test_exact_recheck_keeps_the_tie_rules(monkeypatch, cap):
     # first start, then the last end (the run over both points); at cap 0
     # the candidates are the exact maximisers of _scores on ints
     monkeypatch.setattr(equidist, "EXACT_RECHECK_CAP", cap)
-    window = equidist._Window(4, 1, [0, 2], np.array([1, 2]), np.array([0, 1]),
+    window = equidist._Window(4, 1, np.array([0, 2], dtype=np.uint64),
+                              np.array([1, 2]), np.array([0, 1]),
                               np.array([0.0, 0.5]), np.array([1.0, 1.0]),
                               np.array([1, 1]))
-    row = _rows_for_modulus(window, 2, 1)[0]
-    assert row == _fraction_row([(Fraction(0), 1), (Fraction(1, 2), 1)],
-                                Fraction(2), 1, 0)
-    assert (row.e, row.contributing_count) == (1, 2)
-    assert row.interval == beatty.TorusInterval(Fraction(0), Fraction(1, 2))
+    row = _rows_for_modulus(window, 2, 1)[2][0]
+    assert row == (4, 2, 0, 2)
+    assert _error_row(window, 1, 0, row) == _fraction_row(
+        [(Fraction(0), 1), (Fraction(1, 2), 1)], Fraction(2), 1, 0)
+
+
+def test_lone_point_tie_goes_to_the_run():
+    # one point of mass 2 with c = 2: the run over it and the gap of the
+    # whole circle both score 2, and _Exact.best's tie rule picks the run
+    window = equidist._Window(4, 1, np.array([1], dtype=np.uint64),
+                              np.array([3]), np.array([0]), np.array([0.25]),
+                              np.array([2.0]), np.array([2]))
+    row = _rows_for_modulus(window, 2, 1)[2][0]
+    assert row == (8, 1, 1, 0)
+    assert _error_row(window, 1, 0, row) == _fraction_row(
+        [(Fraction(1, 4), 2)], Fraction(2), 1, 0)
 
 
 def test_rows_over_the_cap_take_the_integer_sweep(table, monkeypatch):
@@ -408,7 +485,7 @@ def test_rows_over_the_cap_take_the_integer_sweep(table, monkeypatch):
         swept.clear()
         assert _check_against_the_fraction_route(table, g, n, n2, q) == want
         # every nonempty class (and e_sup's) was re-scored on ints
-        assert len(swept) >= 2 * len(want)
+        assert len(swept) >= 2 * len(want[2])
 
 
 @pytest.mark.parametrize("gamma, n, q", [(GAMMA, 10_000, 1), (GAMMA, 10_000, 6),
@@ -425,9 +502,9 @@ def test_delta_bounds_the_float_scores(table, monkeypatch, gamma, n, q):
         calls.append((prefix, inf, out))
         return out
 
-    def spy_best(self, start, count, sets, q, a):
+    def spy_best(self, start, count, sets):
         picked.append(sets)
-        return best(self, start, count, sets, q, a)
+        return best(self, start, count, sets)
 
     monkeypatch.setattr(equidist, "_scores", spy_scores)
     monkeypatch.setattr(equidist._Exact, "best", spy_best)
