@@ -61,8 +61,15 @@ def _int(s: str) -> int:
     return int(s, 10)
 
 
+def _finite(x: float, s: str) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {s!r}")
+    return x
+
+
 def _float(s: str) -> float:
-    return float(s)
+    """A finite float; inf and nan are refused."""
+    return _finite(float(s), s)
 
 
 def _number(s: str):
@@ -75,10 +82,7 @@ def _number(s: str):
     try:
         return int(s, 10)
     except ValueError:
-        x = float(s)
-    if not math.isfinite(x):
-        raise ValueError(f"not a finite number: {s!r}")
-    return x
+        return _finite(float(s), s)
 
 
 def _int_list(s: str) -> list[int]:

@@ -16,9 +16,8 @@ float gamma whose lowest set bit is at least 2^-63, the window is built
 in numpy on uint64 words; any other d keeps Python ints.  The sweep
 scores every candidate of every class of a modulus in one float64 numpy
 pass, then re-evaluates the few candidates within the pass's error bound
-of each class's best on Python integers over d, so the rows are exact; a
-class with too many such candidates is re-scored by the same pass on
-Python ints.
+of each class's best on Python integers over d, so the rows are exact.
+That is the one exact route, however many candidates pass.
 
 A row stays an integer numerator over d phi(q), the denominator every
 class of q shares.  bv_harness compares those integers and makes one
@@ -58,11 +57,6 @@ from .errors import BudgetError, PreconditionError
 # points dominate and each row's Python work costs more than its points.
 # So the budget is about 10-14 s of the slowest work.
 HARNESS_POINT_BUDGET = 10**7
-
-# Candidate (start, end) pairs one progression may send to the exact
-# re-check of _rows_for_modulus; a row with more is re-scored by the same
-# pass (_scores) on Python ints, and only its exact maximisers are paired.
-EXACT_RECHECK_CAP = 32
 
 # Rows liouville_demo may return, estimated as q_cap (q_cap + 1) / 2 (one
 # per reduced class of every q <= q_cap; the true count is about 0.3 q_cap^2).
@@ -191,7 +185,7 @@ def _window_points(n_lo: int, n_hi: int, gamma, table=None) -> _Window:
                    (mass * mass_den).astype(np.int64))
 
 
-def _scores(prefix, cx, lap, inf):
+def _scores(prefix, cx, lap):
     """Every row's best score per arc start and per arc end, as six planes.
 
     In units of mass, with P = prefix the prefix masses (width + 1 columns
@@ -202,21 +196,19 @@ def _scores(prefix, cx, lap, inf):
     every start i, and of every end j on either lap, is one prefix or
     suffix max of g or min of h.  Planes 0-2 hold the best run per start,
     per end on the first lap and per end on the second; planes 3-5 the
-    same for gaps.  The arrays are float64 (the padded classes of a
-    modulus) or object arrays of Python ints (one row over d*phi), with
-    inf standing for infinity in either.
+    same for gaps.  The planes are float64, -inf past a row's end.
     """
     g = prefix[:, 1:] - cx
     h = prefix[:, :-1] - cx
-    h[cx == inf] = inf
+    h[cx == np.inf] = np.inf
     n_rows, width = g.shape
-    g_before = np.full((n_rows, width), -inf, dtype=g.dtype)
+    g_before = np.full((n_rows, width), -np.inf)
     np.maximum.accumulate(g[:, :-1], axis=1, out=g_before[:, 1:])
     g_from = np.maximum.accumulate(g[:, ::-1], axis=1)[:, ::-1]
     h_to = np.minimum.accumulate(h, axis=1)
-    h_after = np.full((n_rows, width), inf, dtype=g.dtype)
+    h_after = np.full((n_rows, width), np.inf)
     h_after[:, :-1] = np.minimum.accumulate(h[:, :0:-1], axis=1)[:, ::-1]
-    score = np.empty((n_rows, 6, width), dtype=g.dtype)
+    score = np.empty((n_rows, 6, width))
     np.subtract(np.maximum(g_from, g_before + lap), h, out=score[:, 0])
     np.subtract(g, h_to, out=score[:, 1])
     np.subtract(g + lap, h_after, out=score[:, 2])
@@ -249,9 +241,7 @@ def _rows_for_modulus(w: _Window, span: int, q: int, a: int | None = None
     that.  An exact maximiser scores at least the float maximum - 2 delta,
     so its start and its end both pass that floor.  Every pairing of a
     passing start with a passing end is evaluated on Python integers over
-    d*phi by _Exact.best.  A row with more than EXACT_RECHECK_CAP such
-    pairs is re-scored by _scores on Python ints instead, and only its
-    exact maximisers go to _Exact.best.
+    d*phi by _Exact.best, the one exact route, whatever their number.
     """
     phi = arith.euler_phi(q)
     empty = (span * w.d, 0, 0, w.d)
@@ -285,7 +275,7 @@ def _rows_for_modulus(w: _Window, span: int, q: int, a: int | None = None
     total = prefix[np.arange(n_rows), m]
     cx = np.full((n_rows, width), np.inf)
     cx[row_of, col] = c * w.x[order[seg]]
-    score = _scores(prefix, cx, (total - c)[:, None], np.inf)
+    score = _scores(prefix, cx, (total - c)[:, None])
     n_points = bounds[row_start + m] - bounds[row_start]
     delta = (3 * n_points + 32) * 2.0**-52 * (total + c)
     floor = score.max(axis=(1, 2)) - 2 * delta
@@ -306,11 +296,6 @@ def _rows_for_modulus(w: _Window, span: int, q: int, a: int | None = None
         while hit is not None and hit[0] == r:
             sets[hit[1]].append(hit[2])
             hit = next(hits, None)
-        runs_i, runs_j0, runs_j1, gaps_i, gaps_j0, gaps_j1 = sets
-        if (len(runs_i) * (len(runs_j0) + len(runs_j1))
-                + len(gaps_i) * (len(gaps_j0) + len(gaps_j1))
-                > EXACT_RECHECK_CAP):
-            sets = exact.maximisers(start, count)
         rows[label] = exact.best(start, count, sets)
     return phi, empty, rows
 
@@ -330,19 +315,6 @@ class _Exact:
     scale: int
     xs: list
     pm: list
-
-    def maximisers(self, start, count) -> list:
-        """One row's six candidate sets from _scores on Python ints over
-        d*phi: the starts and ends whose exact score is the row's maximum."""
-        pm = np.array(self.pm[start:start + count + 1], dtype=object)
-        prefix = self.scale * (pm - pm[0])[None]
-        cx = self.span * np.array([self.xs[start:start + count]], dtype=object)
-        # g, h and lap lie in (-span d, total], so every real score lies in
-        # (-inf/2, inf/2) and no float inf meets an int past float range
-        inf = 4 * (prefix[0, -1] + self.span * self.d)
-        score = _scores(prefix, cx, prefix[:, -1:] - self.span * self.d, inf)
-        return [np.flatnonzero(plane).tolist()
-                for plane in score[0] == score.max()]
 
     def best(self, start, count, sets) -> tuple:
         """The exact winner among one row's candidate runs and gaps, given
@@ -399,13 +371,14 @@ def e_sup(n: int, n2: int, gamma, q: int, a: int, table=None) -> ErrorRow:
     return ErrorRow(q, a, Fraction(val, w.d * phi), count, arc, False)
 
 
-def _check_sweep_budget(windows) -> None:
+def _check_sweep_budget(windows, visits: int = 0) -> None:
     """Refuse a harness run whose arc sweep would exceed HARNESS_POINT_BUDGET
     point-visits, before any window is swept.  windows holds (N, cap) per
     grid point: each modulus q <= cap buckets the window's points (about
-    N / log N prime powers in [N, 2N)) and sweeps at most q classes."""
-    estimate = sum(cap * (int(n / max(math.log(n), 1.0)) + (cap + 1) // 2)
-                   for n, cap in windows)
+    N / log N prime powers in [N, 2N)) and sweeps at most q classes; visits
+    counts the run's other point-visits."""
+    estimate = visits + sum(
+        cap * (int(n / max(math.log(n), 1.0)) + (cap + 1) // 2) for n, cap in windows)
     if estimate > HARNESS_POINT_BUDGET:
         raise BudgetError(f"the arc sweep needs about {estimate} point-visits, "
                           f"over the budget of {HARNESS_POINT_BUDGET}",
@@ -490,13 +463,13 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5) -> dic
     over the phi(q) classes of each q <= q_cap, sum E^2 >= sum_q N^2 /
     (4 r^2 phi(q)) (sum_bound).
 
-    A run whose sweep exceeds HARNESS_POINT_BUDGET point-visits, or whose
-    rows exceed DEMO_ROW_BUDGET, is refused with BudgetError first.
+    A run over HARNESS_POINT_BUDGET point-visits (its sweep and 2N arc
+    checks) or DEMO_ROW_BUDGET rows is refused with BudgetError first.
     """
     if math.gcd(u, r) != 1:
         raise PreconditionError("u and r must be coprime", u=u, r=r)
     delta = Fraction(1, 8 * r * n)
-    _check_sweep_budget([(n, q_cap)])
+    _check_sweep_budget([(n, q_cap)], visits=2 * n)
     row_estimate = q_cap * (q_cap + 1) // 2
     if row_estimate > DEMO_ROW_BUDGET:
         raise BudgetError(f"q_cap = {q_cap} gives about {row_estimate} rows, "
@@ -504,7 +477,9 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5) -> dic
                           estimate=row_estimate)
     gamma = Fraction(u, r) + delta
     lo, hi = Fraction(1, 4 * r), Fraction(3, 4 * r)
-    in_arc = sum(1 for m in range(1, 2 * n + 1) if lo < (gamma * m) % 1 < hi)
+    # over den = 8rN, as in _arc_hits: gamma = (8uN + 1) / den, arc (2N, 6N) / den
+    in_arc = sum(1 for m in range(1, 2 * n + 1)
+                 if 2 * n < (8 * u * n + 1) * m % (8 * r * n) < 6 * n)
 
     window = _window_points(n, 2 * n, gamma)
     rows = []

@@ -164,6 +164,22 @@ def test_equidist_harness_budgets_exit_1(argv, capsys, monkeypatch):
     assert err.startswith("budget: the arc sweep needs about")
 
 
+def test_equidist_demo_budget_counts_the_arc_checks(capsys, monkeypatch):
+    # at N = 10^8 the sweep of q = 1 fits the budget but the 2N arc checks
+    # do not; a run the check lets through stops here instead of sweeping
+    check = equidist._check_sweep_budget
+
+    def check_or_stop(*args, **kwargs):
+        check(*args, **kwargs)
+        raise AssertionError("the demo passed its budget check")
+
+    monkeypatch.setattr(equidist, "_check_sweep_budget", check_or_stop)
+    rc, out, err = run(["equidist", "bdh", "--demo", "true", "--n", "100000000",
+                        "--qcap-demo", "1"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("budget: the arc sweep needs about")
+
+
 def test_chars_table_payload(capsys):
     rc, payload, _ = jrun(["chars", "table", "--q", "15"], capsys)
     assert rc == 0
@@ -373,6 +389,16 @@ def test_non_finite_numbers_are_usage_errors(argv, capsys):
     rc, out, err = run(argv, capsys)
     assert rc == 2 and out == ""
     assert "usage:" in err and "invalid _number value" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["equidist", "regcond", "--alpha", SQRT2, "--ngrid", "1000", "--theta", "inf"],
+    ["equidist", "bv", "--gamma", "0.7", "--ngrid", "1000", "--eps", "inf"],
+    ["buchstab", "integrals", "--tol", "nan"]])
+def test_non_finite_floats_are_usage_errors(argv, capsys):
+    rc, out, err = run(argv, capsys)
+    assert rc == 2 and out == ""
+    assert "usage:" in err and "invalid _float value" in err
 
 
 @pytest.mark.parametrize("argv, cap", [
@@ -717,14 +743,48 @@ REFERENCE_RUNS = {
     "bdh-default": ["equidist", "bdh"],
     "bdh-fraction": ["equidist", "bdh", "--gamma", "5/7", "--rcap", "100"],
     "bdh-demo": ["equidist", "bdh", "--demo", "true"],
+    "find-t2": ["find", "--t", "2", "--lo", "1000000", "--hi", "2000000"],
+    "find-t3": ["find", "--t", "3", "--lo", "1000000", "--hi", "2000000"],
+    "find-two-sevenths": ["find", "--theta", "two-sevenths", "--n", "1000"],
+    "find-t1": ["find", "--t", "1", "--lo", "1000", "--hi", "3000"],
+    "find-k3": ["find", "--k", "3", "--lo", "125000", "--hi", "250000"],
+    "find-t5": ["find", "--t", "5", "--lo", "2", "--hi", "10"],
+    "sieve-s1s2": ["sieve", "s1s2", "--alpha", "1.4142135623730951"],
+    "sieve-weights": ["sieve", "weights", "--k", "3", "--h", "0,2,6",
+                      "--theta", "0.5", "--n", "100000"],
+    "tuples-translate": ["tuples", "translate", "--l", "50", "--k", "3",
+                         "--gamma", "0.7071067811865476", "--eps", "0.05"],
+    "report-regcond-trend": ["report", "regcond-trend"],
+    "report-mk": ["report", "mk", "--kmax", "8"],
+    "report-lemmas": ["report", "lemmas"],
+    "buchstab-check": ["buchstab", "check", "--from", "100000", "--to", "200000"],
+    "buchstab-integrals": ["buchstab", "integrals"],
+    "mk-bound-105-11": ["mk", "bound", "--k", "105", "--degree", "11"],
+    "mk-bound-172-3": ["mk", "bound", "--k", "172", "--degree", "3"],
+    "mk-bound-5-15": ["mk", "bound", "--k", "5", "--degree", "15"],
+    "mk-threshold": ["mk", "threshold", "--t", "2", "--b", "0.9",
+                     "--theta", "0.25"],
+    "chars-table": ["chars", "table", "--q", "999983"],
+    "dioph-modulus": ["dioph", "modulus", "--gamma", "0.7071067811865476",
+                      "--n", "10000"],
 }
 
 
+PINS = pathlib.Path(__file__).with_name("reference_runs")
+
+
+@pytest.mark.filterwarnings("ignore:denominator form is singular")
 @pytest.mark.parametrize("name", sorted(REFERENCE_RUNS))
 def test_reference_runs_print_their_pinned_output(name, capsys):
     rc, out, _ = run(REFERENCE_RUNS[name], capsys)
-    pinned = pathlib.Path(__file__).with_name("reference_runs") / f"{name}.txt"
-    assert f"exit {rc}\n{out}".encode() == pinned.read_bytes()
+    assert f"exit {rc}\n{out}".encode() == (PINS / f"{name}.txt").read_bytes()
+
+
+def test_reference_pins_match_the_runs_one_to_one():
+    # every pin file has its argv and every argv its pin; update.py, which
+    # rewrites pins from the current tree, is the one other file there
+    files = {p.name for p in PINS.iterdir() if p.is_file()}
+    assert files == {f"{name}.txt" for name in REFERENCE_RUNS} | {"update.py"}
 
 
 def test_reference_enumeration_is_byte_identical(capsys):

@@ -389,15 +389,6 @@ def test_integer_kernel_matches_the_fraction_route(table, gamma, n, frac, q):
                                       n + 1 + int(frac * (n - 1)), q)
 
 
-@pytest.mark.parametrize("gamma, n, frac, q", HARD_ROWS)
-def test_hard_rows_re_scored_on_ints_match_the_fraction_route(
-        table, monkeypatch, gamma, n, frac, q):
-    # at cap 0 every row takes the exact mode of _scores
-    monkeypatch.setattr(equidist, "EXACT_RECHECK_CAP", 0)
-    _check_against_the_fraction_route(table, gamma, n,
-                                      n + 1 + int(frac * (n - 1)), q)
-
-
 def _pairs(sets):
     runs_i, runs_j0, runs_j1, gaps_i, gaps_j0, gaps_j1 = sets
     return (len(runs_i) * (len(runs_j0) + len(runs_j1))
@@ -436,14 +427,10 @@ def test_near_tie_goes_to_the_exact_recheck(table, monkeypatch, eps):
     _check_against_the_fraction_route(table, gamma, 11, 14, 1)
 
 
-@pytest.mark.parametrize("cap", [equidist.EXACT_RECHECK_CAP, 0],
-                         ids=["filtered", "re-scored"])
-def test_exact_recheck_keeps_the_tie_rules(monkeypatch, cap):
+def test_exact_recheck_keeps_the_tie_rules():
     # two unit masses at 0 and 1/2 with c = 2: every run and every gap
     # scores 1, so the rules alone pick the row: runs before gaps, the
-    # first start, then the last end (the run over both points); at cap 0
-    # the candidates are the exact maximisers of _scores on ints
-    monkeypatch.setattr(equidist, "EXACT_RECHECK_CAP", cap)
+    # first start, then the last end (the run over both points)
     window = equidist._Window(4, 1, np.array([0, 2], dtype=np.uint64),
                               np.array([1, 2]), np.array([0, 1]),
                               np.array([0.0, 0.5]), np.array([1.0, 1.0]),
@@ -466,41 +453,74 @@ def test_lone_point_tie_goes_to_the_run():
         [(Fraction(1, 4), 2)], Fraction(2), 1, 0)
 
 
-def test_rows_over_the_cap_take_the_integer_sweep(table, monkeypatch):
-    swept = []
-    maximisers = equidist._Exact.maximisers
+def _merged_row(w, q, b):
+    """Class b mod q of the window as merged points: (xs, wm, size), the
+    distinct X over d ascending, their summed mass numerators over
+    mass_den, and the number of points before merging."""
+    xs, wm, size = [], [], 0
+    for x, m, mass in zip(w.xs.tolist(), w.n.tolist(), w.wm.tolist()):
+        if m % q != b:
+            continue
+        size += 1
+        if xs and xs[-1] == x:
+            wm[-1] += mass
+        else:
+            xs.append(x)
+            wm.append(mass)
+    return xs, wm, size
 
-    def spy(self, start, count):
-        swept.append((start, count))
-        return maximisers(self, start, count)
 
-    monkeypatch.setattr(equidist._Exact, "maximisers", spy)
-    cases = [(GAMMA, 400, 700, 6), (Fraction(3, 7), 300, 600, 5),
-             (beatty.sqrt_fraction(3), 200, 400, 1)]
-    filtered = [_rows_for_modulus(_window_points(n, n2, g, table), n2 - n, q)
-                for g, n, n2, q in cases]
-    assert swept == []
-    monkeypatch.setattr(equidist, "EXACT_RECHECK_CAP", 0)
-    for (g, n, n2, q), want in zip(cases, filtered):
-        swept.clear()
-        assert _check_against_the_fraction_route(table, g, n, n2, q) == want
-        # every nonempty class (and e_sup's) was re-scored on ints
-        assert len(swept) >= 2 * len(want[2])
+def _exact_planes(xs, wm, d, mass_den, span, phi):
+    """The six planes of _scores for one row, from the run and gap
+    definitions alone, on Python ints over d*phi: points at xs / d with
+    masses wm / mass_den, c = span / phi, and every partner tried.
+
+    A run from start i to end j (j >= n for an end on the second lap, n
+    the row's length) scores its mass less c times its arc; a gap scores
+    c times its arc less the mass strictly inside.  Plane 0 is the best
+    run per start, 1 and 2 the best run per end on the first and second
+    lap, 3-5 the same for gaps; None stands for no partner (-inf).
+    """
+    n = len(xs)
+    pos = [span * x for x in xs]
+    mass = [m * (d * phi // mass_den) for m in wm]
+    circle = span * d
+    planes = [[None] * n for _ in range(6)]
+
+    def keep(plane, k, v):
+        if planes[plane][k] is None or v > planes[plane][k]:
+            planes[plane][k] = v
+
+    for i in range(n):
+        inside = 0
+        for t in range(n):
+            # the run covers points i..i+t, the gap lies from i to i+t+1
+            j = (i + t) % n
+            inside += mass[j]
+            arc = pos[j] - pos[i] + (circle if i + t >= n else 0)
+            run = inside - arc
+            keep(0, i, run)
+            keep(1 if i + t < n else 2, j, run)
+            j = (i + t + 1) % n
+            arc = pos[j] - pos[i] + (circle if i + t + 1 >= n else 0)
+            gap = arc - (inside - mass[i])
+            keep(3, i, gap)
+            keep(4 if i + t + 1 < n else 5, j, gap)
+    return planes
 
 
 @pytest.mark.parametrize("gamma, n, q", [(GAMMA, 10_000, 1), (GAMMA, 10_000, 6),
                                          (beatty.sqrt_fraction(2), 700, 5),
                                          (Fraction(1, 4), 600, 6)])
 def test_delta_bounds_the_float_scores(table, monkeypatch, gamma, n, q):
-    # at cap 0 one _rows_for_modulus call scores every class in float, then
-    # re-scores each nonempty class on ints, in the same row order
+    # one _rows_for_modulus call scores every class in float, then sends
+    # each nonempty class's filtered candidates to _Exact.best, in row order
     calls, picked = [], []
     scores, best = equidist._scores, equidist._Exact.best
 
-    def spy_scores(prefix, cx, lap, inf):
-        out = scores(prefix, cx, lap, inf)
-        calls.append((prefix, inf, out))
-        return out
+    def spy_scores(prefix, cx, lap):
+        calls.append(scores(prefix, cx, lap))
+        return calls[-1]
 
     def spy_best(self, start, count, sets):
         picked.append(sets)
@@ -510,32 +530,29 @@ def test_delta_bounds_the_float_scores(table, monkeypatch, gamma, n, q):
     monkeypatch.setattr(equidist._Exact, "best", spy_best)
     w = _window_points(n, 2 * n, gamma, table)
     _rows_for_modulus(w, n, q)
-    filtered = picked[:]
-    picked.clear()
-    calls.clear()
-    monkeypatch.setattr(equidist, "EXACT_RECHECK_CAP", 0)
-    _rows_for_modulus(w, n, q)
-    (_, _, floats), *exact = calls
+    [floats] = calls
     phi = euler_phi(q)
     c = Fraction(n, phi)
-    sizes = np.bincount(w.n % q, minlength=q)
-    sizes = [int(sizes[b]) for b in range(q) if math.gcd(b, q) == 1 and sizes[b]]
-    assert len(exact) == len(sizes) == floats.shape[0] == len(filtered)
-    for r, ((prefix, inf, score), size) in enumerate(zip(exact, sizes)):
-        width = score.shape[2]
-        total = Fraction(prefix[0, -1], w.d * phi)
+    rows = [row for row in (_merged_row(w, q, b) for b in range(q)
+                            if math.gcd(b, q) == 1) if row[2]]
+    assert len(rows) == floats.shape[0] == len(picked)
+    for r, (xs, wm, size) in enumerate(rows):
+        exact = _exact_planes(xs, wm, w.d, w.mass_den, n, phi)
+        width = len(xs)
+        total = Fraction(sum(wm), w.mass_den)
         # the a-priori error of _rows_for_modulus's docstring; its delta
         # is about twice this
         bound = (Fraction(303, 100) * size + 17) * Fraction(1, 2**53) * (total + c)
-        # the sentinels sit in the same places; past a row's end the float
-        # planes hold -inf only
-        assert np.array_equal(score[0] <= -inf // 2,
-                              floats[r, :, :width] == -np.inf)
+        # the float planes hold -inf exactly where no partner exists, and
+        # past a row's end
         assert np.all(floats[r, :, width:] == -np.inf)
         for (k, j), x in np.ndenumerate(floats[r, :, :width]):
-            if x != -np.inf:
-                assert abs(Fraction(x) - Fraction(score[0, k, j], w.d * phi)) <= bound
+            if exact[k][j] is None:
+                assert x == -np.inf
+            else:
+                assert abs(Fraction(x) - Fraction(exact[k][j], w.d * phi)) <= bound
         # each exact maximiser passed the float floor, so the filtered
         # candidates hold every exact maximiser
-        for want, have in zip(picked[r], filtered[r]):
-            assert set(want) <= set(have)
+        top = max(v for plane in exact for v in plane if v is not None)
+        for plane, have in zip(exact, picked[r]):
+            assert {j for j, v in enumerate(plane) if v == top} <= set(have)
