@@ -19,7 +19,12 @@ gives each n's distinct prime factors >= z1 as one row of a width-6
 matrix, sorted descending (z1^7 >= 2N > n leaves room for six at most).
 A chain p1 > p2 > p3 > p4 is a choice of columns, so the five chain
 counts rho_1..rho_5 and the D-indexed sum are masked sums over column
-combinations, with no product above (2N)^(3/2) < 3 * 10^12.  They obey
+combinations, with no product above (2N)^(3/2) < 3 * 10^12.  Each count
+asks whether the cofactor n / P of a chain product P is c-rough (1, or no
+prime factor below c), always with c at most the least prime of P; then
+n / P is c-rough iff n == P or spf(n) >= c, because a prime of n below c
+is not in P and so stays in n / P.  The roughness tests read spf(n) once
+per n and test n == P on products, never dividing.  The counts obey
 an exact counting identity on every n, which decomposition_check
 verifies; every temporary is O(_BLOCK), whatever the window.  The tests
 hold the per-n route, with the pair tests as exact powers of Python
@@ -36,11 +41,14 @@ a2-integral is done in closed form: with t = a2/(1 - a1) its antiderivative
 is ln(t/(1 - t)) on the u <= 2 side of the kink and a sum of logs and
 dilogarithms on the other (_log_side; Lewin, Polylogarithms and Associated
 Functions, 1981), with ln and Li2 from series whose term counts follow from
-stated tail bounds.  Only the outer a1 axis keeps a Gauss-Legendre rule, so
-a call costs about `order` antiderivative evaluations rather than order^2
-integrand nodes.  Everything runs in decimal at 36 significant digits
-(Legendre nodes refined by Newton's method) and only the final values are
-rounded to float: I1, I2 and the D integral come out correctly rounded.
+stated tail bounds; the dilogarithm arguments, in [1/2, 3/4], go through
+the reflection Li2(z) = pi^2/6 - ln z ln(1 - z) - Li2(1 - z), so the Li2
+series only runs at z <= 1/2.  Only the outer a1 axis keeps a
+Gauss-Legendre rule, so a call costs about `order` antiderivative
+evaluations rather than order^2 integrand nodes.  Everything runs in
+decimal at 36 significant digits (Legendre nodes refined by Newton's
+method) and only the final values are rounded to float: I1, I2 and the D
+integral come out correctly rounded.
 The reported quadrature_error is the difference between the floats of two
 Gauss orders, an estimate of the error rather than a proven bound; a
 requested tolerance is checked against that gap in decimal plus each
@@ -118,16 +126,19 @@ def _block_terms(lo: int, hi: int, two_n: int, spf: np.ndarray) -> np.ndarray:
     A chain is p1 > p2 > ... among the distinct prime factors of n that
     are >= z1, with p1 <= z2max; the counts weigh each chain's cofactor by
     its roughness (1, or no prime factor below the stated cutoff), and a
-    chain whose leading pair lies in D stops there and feeds d_sum.  Each chain is a choice of columns i < j < k < l of the factor
-    matrix, so every count is a masked sum over column combinations.
+    chain whose leading pair lies in D stops there and feeds d_sum.  Each
+    chain is a choice of columns i < j < k < l of the factor matrix, so
+    every count is a masked sum over column combinations.  Every cutoff c
+    is at most the least prime of its chain product P, so the cofactor
+    n / P is c-rough iff n == P or spf(n) >= c (see the module docstring):
+    no division, one spf read per n, and P <= n fits int64.
     """
     z1, z2max, c2, c3, c4, c5 = _chain_cutoffs(two_n)
     ns = np.arange(lo, hi, dtype=np.int64)
     fac = _large_prime_factors(ns, z1, spf)
     width = int(np.count_nonzero(fac.any(axis=0)))
-
-    def rough(m, cutoff):
-        return (m == 1) | (spf[m] >= cutoff)
+    least = spf[ns].astype(np.int64)
+    rough_z1 = least >= z1
 
     def good(s):
         return ((c2 <= s) & (s <= c3)) | ((c4 <= s) & (s <= c5))
@@ -135,32 +146,31 @@ def _block_terms(lo: int, hi: int, two_n: int, spf: np.ndarray) -> np.ndarray:
     good_alone = good(fac)
     terms = np.zeros((7, len(ns)), dtype=np.int64)
     x, d_sum, rho1, rho2, rho3, rho4, rho5 = terms
-    x += spf[ns] == ns
-    rho1 += rough(ns, z1)
+    x += least == ns
+    rho1 += (ns == 1) | rough_z1
     for i in range(width):
         p1 = fac[:, i]
         chain1 = (p1 > 0) & (p1 <= z2max)
-        n2 = ns // np.where(chain1, p1, 1)
-        rho4 += chain1 & rough(n2, z1)
+        rho4 += chain1 & ((ns == p1) | rough_z1)
         for j in range(i + 1, width):
             p2 = fac[:, j]
             chain2 = chain1 & (p2 > 0)
-            n3 = n2 // np.where(chain2, p2, 1)
-            bound = p1 * p2 * p2
+            prod2 = p1 * p2
+            bound = prod2 * p2
             in_d = (chain2 & (bound <= two_n) & (bound > c5)
-                    & ~(good_alone[:, i] | good_alone[:, j] | good(p1 * p2)))
-            d_sum += in_d & rough(n3, p2)
+                    & ~(good_alone[:, i] | good_alone[:, j] | good(prod2)))
+            d_sum += in_d & ((ns == prod2) | (least >= p2))
             chain2 &= ~in_d
-            rho2 += chain2 & rough(n3, z1)
+            rho2 += chain2 & ((ns == prod2) | rough_z1)
             for k in range(j + 1, width):
                 p3 = fac[:, k]
                 chain3 = chain2 & (p3 > 0)
-                n4 = n3 // np.where(chain3, p3, 1)
-                rho5 += chain3 & rough(n4, z1)
+                prod3 = prod2 * p3
+                rho5 += chain3 & ((ns == prod3) | rough_z1)
                 for l in range(k + 1, width):
                     p4 = fac[:, l]
                     chain4 = chain3 & (p4 > 0)
-                    rho3 += chain4 & rough(n4 // np.where(chain4, p4, 1), p4)
+                    rho3 += chain4 & ((ns == prod3 * p4) | (least >= p4))
     return terms
 
 
@@ -240,9 +250,13 @@ def _ln(z: Decimal) -> Decimal:
 # B_1 = -1/2 (Lewin, Polylogarithms and Associated Functions, 1981).  Past
 # w - w^2/4 only the even n = 2k remain, and |B_2k|/(2k)! = 2 zeta(2k)/(2 pi)^2k
 # bounds the k-th of them by 2 zeta(2) |w| r^k/(2k + 1), r = (w/(2 pi))^2.
-# For |w| <= ln 4 the tail past k = _LI2_TERMS is below
+# For |w| <= ln 2 the tail past k = _LI2_TERMS is below
 # 4.8 r^(_LI2_TERMS + 1)/(2 _LI2_TERMS + 3) < r^(_LI2_TERMS + 1) <= 10^-_DIGITS.
-_LI2_W_MAX = math.log(4)
+# _log_side's arguments z lie in [1/2, 3/4], where w = -ln(1 - z) reaches
+# ln 4, so it takes them through the reflection
+# Li2(z) = pi^2/6 - ln z ln(1 - z) - Li2(1 - z), whose w = -ln z is at most
+# ln 2: 18 terms instead of 27.
+_LI2_W_MAX = math.log(2)
 _LI2_TERMS = math.ceil(
     _DIGITS / -math.log10((_LI2_W_MAX / (2 * math.pi)) ** 2)) - 1
 
@@ -266,8 +280,8 @@ def _li2_coeffs() -> tuple[Decimal, ...]:
 
 
 def _li2(w: Decimal) -> Decimal:
-    """Li2(z) at the working precision from w = -ln(1 - z), |w| <= ln 4
-    (for real z, -3 <= z <= 3/4)."""
+    """Li2(z) at the working precision from w = -ln(1 - z), |w| <= ln 2
+    (for real z, -1 <= z <= 1/2)."""
     w2 = w * w
     coeffs = _li2_coeffs()
     acc = coeffs[0]
@@ -276,22 +290,36 @@ def _li2(w: Decimal) -> Decimal:
     return w * acc - w2 / 4
 
 
+@functools.cache
+def _zeta2() -> Decimal:
+    """pi^2/6 = 2 Li2(1/2) + ln^2 2, from the kernel itself, built on first
+    use."""
+    with localcontext(_CONTEXT):
+        ln_2 = _ln_table()[-1][1]          # the grid's last point is m = 2
+        return 2 * _li2(ln_2) + ln_2 * ln_2
+
+
 def _log_side(t: Decimal) -> Decimal:
     """An antiderivative of (1 + ln((1 - 2t)/t))/(t(1 - t)) for 1/4 <= t <= 1/3:
 
         ln(t/(1 - t)) - ln^2(t)/2 - ln^2(2(1 - t))/2
             - Li2(2t) - Li2(1/(2(1 - t))) - Li2(1 - t),
 
-    less the constant ln 2.  The three Li2 arguments lie in [1/2, 3/4], and
-    their w = -ln(1 - z) are -ln(1 - 2t), ln(2(1 - t)) - ln(1 - 2t) and
-    -ln t: three logs, each brought into [1, 2] by a power of 2.
+    less the constant ln 2.  The three Li2 arguments z lie in [1/2, 3/4];
+    each goes through Li2(z) = pi^2/6 - ln z ln(1 - z) - Li2(1 - z), where
+    w = -ln z is ln(1/(2t)), ln(2(1 - t)) and ln(1/(1 - t)), all in
+    [ln(4/3), ln 2].  The logs of z and 1 - z are sums of ln t,
+    ln(2(1 - t)), ln(1 - 2t) and ln 2: three logs, each brought into
+    [1, 2] by a power of 2.
     """
-    ln_4 = 2 * _ln_table()[-1][1]          # the grid's last point is m = 2
-    ln_t = _ln(4 * t) - ln_4
+    ln_2 = _ln_table()[-1][1]              # the grid's last point is m = 2
+    ln_t = _ln(4 * t) - 2 * ln_2
     ln_2s = _ln(2 * (1 - t))               # ln(2(1 - t))
-    ln_v = _ln(4 * (1 - 2 * t)) - ln_4     # ln(1 - 2t)
-    return (ln_t - ln_2s - (ln_t * ln_t + ln_2s * ln_2s) / 2
-            - _li2(-ln_v) - _li2(ln_2s - ln_v) - _li2(-ln_t))
+    ln_v = _ln(4 * (1 - 2 * t)) - 2 * ln_2  # ln(1 - 2t)
+    # sum of ln z ln(1 - z) over z = 2t, 1/(2(1 - t)), 1 - t
+    cross = (ln_2 + ln_t) * ln_v - ln_2s * (ln_v - ln_2s) + (ln_2s - ln_2) * ln_t
+    return (ln_t - ln_2s - (ln_t * ln_t + ln_2s * ln_2s) / 2 - 3 * _zeta2()
+            + cross + _li2(-ln_2 - ln_t) + _li2(ln_2s) + _li2(ln_2 - ln_2s))
 
 
 @functools.cache

@@ -22,9 +22,13 @@ is the gated square
 
     w(n) = (sum_{d : d_i | n + h_i for all i} lambda_d)^2   if n = nu0 mod W2.
 
-The sampled y values are frozen into exact rationals, so every identity
-here (round trip, the lambda-lambda double-sum form of S1, the lcm
-identity) is checked in exact arithmetic, never within a tolerance.
+F is symmetric, so y_r depends only on the multiset of the entries of r:
+F is evaluated once per sorted entry tuple, in one batch.  The sampled y
+values are frozen into exact rationals, so every identity here (round
+trip, the lambda-lambda double-sum form of S1, the lcm identity) is checked
+in exact arithmetic, never within a tolerance.  The float S1 of a window
+(s1_window_float) builds its divisor sums on the gated class n = nu0 mod W2
+alone, one entry per W2 integers, since w(n) vanishes off it.
 """
 from __future__ import annotations
 
@@ -224,6 +228,32 @@ def _sum_over_multiples(numerators: dict, divisors: dict) -> dict:
     return acc
 
 
+def _sample_profile(ctx: SieveContext, support) -> dict:
+    """{r: y_r}: F at (log r_i / log R), frozen to its exact binary value.
+
+    F is symmetric, and every step from the entries to the float (each
+    log r_i / log R, the fsums, the clamp below, P2) depends only on the
+    multiset of the entries, so F is evaluated once per sorted entry
+    tuple, log r_i / log R taken once per distinct entry and to_fraction
+    once per distinct value.
+    """
+    log_r = math.log(float(ctx.r_value))
+    coord = {x: math.log(x) / log_r for x in {x for r in support for x in r}}
+    keys = {r: tuple(sorted(r)) for r in support}
+    distinct = list(dict.fromkeys(keys.values()))
+    points = []
+    for key in distinct:
+        point = [coord[x] for x in key]
+        # the support keeps prod r_i <= R, so a sum over 1 is rounding
+        if math.fsum(point) > 1:
+            i = point.index(max(point))
+            point[i] = 1.0 - math.fsum(point[:i] + point[i + 1:])
+        points.append(point)
+    values = dict(zip(distinct, ctx.f.evaluate_many(points)))
+    exact = {v: arith.to_fraction(v) for v in set(values.values())}
+    return {r: exact[values[key]] for r, key in keys.items()}
+
+
 def weights(ctx: SieveContext, offsets) -> WeightFamily:
     """Sampled y values (frozen to exact rationals) and the derived lambda."""
     offsets = tuple(sorted(offsets))
@@ -244,16 +274,7 @@ def weights(ctx: SieveContext, offsets) -> WeightFamily:
     if len(support) <= 1:
         warnings.warn("support holds only the trivial tuple; R is too small "
                       "for a meaningful weight family")
-    log_r = math.log(float(ctx.r_value))
-    y = {}
-    for r in support:
-        point = [math.log(x) / log_r for x in r]
-        # the support keeps prod r_i <= R, so a sum over 1 is rounding
-        if math.fsum(point) > 1:
-            i = point.index(max(point))
-            point[i] = 1.0 - math.fsum(point[:i] + point[i + 1:])
-        y[r] = arith.to_fraction(ctx.f.evaluate(point))
-
+    y = _sample_profile(ctx, support)
     mu, phi, divisors = _entry_tables(support)
     numerators, den = _over_common_denominator(
         y, {r: math.prod(phi[n] for n in r) for r in support})
@@ -384,42 +405,38 @@ def lambda_lambda_s1(ctx: SieveContext, offsets, a_set, n_lo: int, n_hi: int,
     return total
 
 
-def window_inner_sums(family: WeightFamily, n_lo: int, n_hi: int) -> np.ndarray:
-    """Float array of the ungated divisor sums sum_{d_i | n + h_i} lambda_d
-    over n in [n_lo, n_hi), accumulated progression by progression.
+def s1_window_float(family: WeightFamily, members, n_lo: int, n_hi: int) -> float:
+    """S1 over the window in float arithmetic, for N-scale ratio reports.
 
-    Scales to windows of 10^6 and beyond where the exact per-n loop cannot;
-    use w() / lambda_lambda_s1 when exactness matters.
+    Only the gated class n = nu0 mod W2 carries weight, so the divisor sums
+    are accumulated on it alone: entry j stands for n0 + j W2, n0 the
+    least n >= n_lo of the class.  Each nonzero lambda_d's progression
+    n = -h_i mod d_i, combined with the gate by CRT, adds float(lambda_d)
+    there.  members is an int64 array of the set A (as beatty_members
+    returns it); entries outside [n_lo, n_hi) or off the class are ignored.
     """
     if not n_lo < n_hi:
         raise PreconditionError("empty window", n_lo=n_lo, n_hi=n_hi)
-    arr = np.zeros(n_hi - n_lo)
+    nu0, w2 = family.nu0, family.w2
+    n0 = n_lo + (nu0 - n_lo) % w2
+    inner = np.zeros(len(range(n0, n_hi, w2)))
     for d, ld in family.lam.items():
         if not ld:
             continue
-        res, mod = 0, 1
+        res, mod = nu0 % w2, w2
         for di, h in zip(d, family.offsets):
             combined = _crt_combine(res, mod, (-h) % di, di)
             if combined is None:
                 raise PreconditionError("inconsistent congruences inside the "
                                         "support", d=d)
             res, mod = combined
-        first = (res - n_lo) % mod
-        arr[first::mod] += float(ld)
-    return arr
-
-
-def s1_window_float(family: WeightFamily, members, n_lo: int, n_hi: int) -> float:
-    """S1 over the window in float arithmetic, for N-scale ratio reports.
-    members is an int64 array of the set A (as beatty_members returns
-    it); entries outside [n_lo, n_hi) are ignored."""
-    inner = window_inner_sums(family, n_lo, n_hi)
+        inner[(res - n0) % mod // w2::mod // w2] += float(ld)
     members = np.asarray(members, dtype=np.int64)
-    mask = np.zeros(n_hi - n_lo, dtype=bool)
-    mask[members[(members >= n_lo) & (members < n_hi)] - n_lo] = True
-    gate = (np.arange(n_lo, n_hi) - family.nu0) % family.w2 == 0
-    keep = mask & gate
-    return float(np.sum(inner[keep] ** 2))
+    gated = members[(members >= n_lo) & (members < n_hi)
+                    & ((members - nu0) % w2 == 0)]
+    mask = np.zeros(len(inner), dtype=bool)
+    mask[(gated - n0) // w2] = True
+    return float(np.sum(inner[mask] ** 2))
 
 
 def main_terms(ctx: SieveContext, y_scalar, observed_s1=None) -> dict:

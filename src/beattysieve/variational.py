@@ -119,18 +119,28 @@ class SimplexPolynomial:
     def constant(cls, k: int, value=1) -> "SimplexPolynomial":
         return cls.from_terms(k, {(0, 0): value})
 
-    def evaluate(self, point) -> float:
-        """Float value at t = point; 0.0 outside the simplex."""
-        pt = [float(x) for x in point]
-        if len(pt) != self.k:
-            raise PreconditionError("point must have k coordinates",
-                                    k=self.k, got=len(pt))
-        slack = 1.0 - math.fsum(pt)
-        if slack < 0 or any(x < 0 for x in pt):
-            return 0.0
-        p2 = math.fsum(x * x for x in pt)
-        return math.fsum(float(c) * slack ** a * p2 ** b
-                         for (a, b), c in self.terms.items())
+    def evaluate_many(self, points) -> list[float]:
+        """Float values at each t of points; 0.0 outside the simplex.
+
+        The coefficients go to float once per call.  A value depends only
+        on the multiset of a point's coordinates: slack and P2 are fsums,
+        correctly rounded whatever the order.
+        """
+        coeffs = [(a, b, float(c)) for (a, b), c in self.terms.items()]
+        out = []
+        for point in points:
+            pt = [float(x) for x in point]
+            if len(pt) != self.k:
+                raise PreconditionError("point must have k coordinates",
+                                        k=self.k, got=len(pt))
+            slack = 1.0 - math.fsum(pt)
+            if slack < 0 or any(x < 0 for x in pt):
+                out.append(0.0)
+                continue
+            p2 = math.fsum(x * x for x in pt)
+            out.append(math.fsum(c * slack ** a * p2 ** b
+                                 for a, b, c in coeffs))
+        return out
 
 
 def symmetric_basis(k: int, degree_budget: int):

@@ -533,32 +533,81 @@ def test_ln_kernel():
             assert abs(_ln(z) - z.ln()) <= tiny
 
 
-@pytest.mark.parametrize("z", ["0.5", "0.6", "0.625", "2/3", "0.7", "5/7",
-                               "0.74", "0.75"])
-def test_li2_kernel_matches_the_defining_series(z):
-    # sum z^k/k^2 in Fractions, to k = 400: the tail past it is below
-    # z^401/(401^2 (1 - z)) < 1e-54 at z <= 3/4
-    z = Fraction(z)
+def li2_series(z: Fraction) -> Fraction:
+    """sum z^k/k^2 in Fractions, to k = 400: the tail past it is below
+    z^401/(401^2 (1 - z)) < 1e-54 at z <= 3/4."""
     term, series = Fraction(1), Fraction(0)
     for k in range(1, 401):
         term *= z
         series += term / (k * k)
+    return series
+
+
+def _decimal(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / x.denominator
+
+
+def machin_zeta2() -> Decimal:
+    """pi^2/6 with pi = 16 atan(1/5) - 4 atan(1/239) (Machin), at 50
+    digits: independent of the Li2 kernel."""
+    def atan_inv(m):
+        power, total, k = Decimal(1) / m, Decimal(0), 0
+        while power > Decimal(10) ** -55:
+            total += (-1) ** k * power / (2 * k + 1)
+            power /= m * m
+            k += 1
+        return total
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        pi = 16 * atan_inv(5) - 4 * atan_inv(239)
+        return pi * pi / 6
+
+
+@pytest.mark.parametrize("z", ["0.5", "0.6", "0.625", "2/3", "0.7", "5/7",
+                               "0.74", "0.75"])
+def test_li2_kernel_matches_the_defining_series(z):
+    # the kernel's domain is z <= 1/2: here at 1 - z in [1/4, 1/2], and at
+    # z itself through the reflection _log_side takes for its arguments,
+    # Li2(z) = pi^2/6 - ln z ln(1 - z) - Li2(1 - z)
+    z = Fraction(z)
     with localcontext(_CONTEXT):
-        w = -(1 - Decimal(z.numerator) / z.denominator).ln()
-        exact = Decimal(series.numerator) / series.denominator
-        assert abs(_li2(w) - exact) <= Decimal(10) ** (2 - _CONTEXT.prec)
+        tiny = Decimal(10) ** (2 - _CONTEXT.prec)
+        ln_z, ln_1z = _decimal(z).ln(), _decimal(1 - z).ln()
+        kernel = _li2(-ln_z)
+        assert abs(kernel - _decimal(li2_series(1 - z))) <= tiny
+        reflected = buchstab._zeta2() - ln_z * ln_1z - kernel
+        assert abs(reflected - _decimal(li2_series(z))) <= tiny
 
 
 def test_li2_kernel_obeys_the_reflection_identity():
-    # Li2(z) + Li2(1 - z) + ln z ln(1 - z) = pi^2/6 = 2 Li2(1/2) + ln^2 2
+    # at z = 1/2 the reflection Li2(z) + Li2(1 - z) + ln z ln(1 - z) = pi^2/6
+    # reads 2 Li2(1/2) + ln^2 2 = pi^2/6, the constant _log_side takes from
+    # the kernel; on the rest of the domain, the duplication
+    # Li2(z) + Li2(-z) = Li2(z^2)/2 ties w < 0 to w > 0
     with localcontext(_CONTEXT):
         tiny = Decimal(10) ** (3 - _CONTEXT.prec)
         ln2 = Decimal(2).ln()
-        target = 2 * _li2(ln2) + ln2 * ln2
-        for z in ("0.25", "0.3", "0.35", "0.4", "0.45"):
+        assert abs(2 * _li2(ln2) + ln2 * ln2 - machin_zeta2()) <= tiny
+        assert abs(buchstab._zeta2() - machin_zeta2()) <= tiny
+        for z in ("0.25", "0.3", "0.35", "0.4", "0.45", "0.5"):
             z = Decimal(z)
-            ln_z, ln_1z = z.ln(), (1 - z).ln()
-            assert abs(_li2(-ln_1z) + _li2(-ln_z) + ln_z * ln_1z - target) <= tiny
+            w_z, w_minus, w_square = -(1 - z).ln(), -(1 + z).ln(), -(1 - z * z).ln()
+            assert abs(_li2(w_z) + _li2(w_minus) - _li2(w_square) / 2) <= tiny
+
+
+@pytest.mark.parametrize("t", ["0.25", "0.26", "0.28", "0.3", "0.32", "0.333"])
+def test_log_side_matches_the_defining_series(t):
+    # ln(t/(1 - t)) - ln^2(t)/2 - ln^2(2(1 - t))/2 less each of its three
+    # Li2 terms as a Fraction series, against the reflected kernel
+    t = Fraction(t)
+    with localcontext(_CONTEXT):
+        tiny = Decimal(10) ** (3 - _CONTEXT.prec)
+        ln_t, ln_2s = _decimal(t).ln(), _decimal(2 * (1 - t)).ln()
+        want = (ln_t - _decimal(1 - t).ln() - ln_t * ln_t / 2 - ln_2s * ln_2s / 2
+                - sum(_decimal(li2_series(z))
+                      for z in (2 * t, 1 / (2 * (1 - t)), 1 - t)))
+        assert abs(buchstab._log_side(_decimal(t)) + Decimal(2).ln() - want) <= tiny
 
 
 def test_closed_form_omega_pieces():
@@ -623,10 +672,11 @@ def test_region_tables_are_built_on_first_use():
     code = ("from beattysieve import buchstab as b; "
             "print(b._ln_table.cache_info().currsize, "
             "b._li2_coeffs.cache_info().currsize, "
+            "b._zeta2.cache_info().currsize, "
             "b._log_side_at_kink.cache_info().currsize)")
     src = str(Path(buchstab.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out == "0 0 0\n"
+    assert out == "0 0 0 0\n"

@@ -743,6 +743,7 @@ REFERENCE_RUNS = {
     "bdh-default": ["equidist", "bdh"],
     "bdh-fraction": ["equidist", "bdh", "--gamma", "5/7", "--rcap", "100"],
     "bdh-demo": ["equidist", "bdh", "--demo", "true"],
+    "bdh-r300": ["equidist", "bdh", "--rcap", "300"],
     "find-t2": ["find", "--t", "2", "--lo", "1000000", "--hi", "2000000"],
     "find-t3": ["find", "--t", "3", "--lo", "1000000", "--hi", "2000000"],
     "find-two-sevenths": ["find", "--theta", "two-sevenths", "--n", "1000"],

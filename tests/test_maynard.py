@@ -11,11 +11,13 @@ from beattysieve import maynard
 from beattysieve.arith import euler_phi, mobius
 from beattysieve.beatty import beatty_enumerate, beatty_members
 from beattysieve.errors import CapacityError, PreconditionError
-from beattysieve.maynard import (build_context, enumerate_support,
-                                 invert_lambda, lambda_lambda_s1,
-                                 lcm_identity_check, main_terms, s1_s2_direct,
-                                 s1_window_float, weights, window_inner_sums)
+from beattysieve.maynard import (WeightFamily, build_context,
+                                 enumerate_support, invert_lambda,
+                                 lambda_lambda_s1, lcm_identity_check,
+                                 main_terms, s1_s2_direct, s1_window_float,
+                                 weights)
 from beattysieve.variational import SimplexPolynomial
+from maynard_oracles import per_tuple_y, ungated_s1, window_inner_sums
 from simplex_oracles import integral, product
 
 
@@ -158,7 +160,7 @@ def test_window_inner_sums_match_pointwise_sums():
     for n in range(10**4, 10**4 + 500, 37):
         assert arr[n - 10**4] == pytest.approx(float(fam.inner_sum(n)))
     with pytest.raises(PreconditionError):
-        window_inner_sums(fam, 200, 100)
+        s1_window_float(fam, np.array([150]), 200, 100)
 
 
 def test_float_window_sum_tracks_exact_weights(sqrt2):
@@ -171,6 +173,41 @@ def test_float_window_sum_tracks_exact_weights(sqrt2):
     # members outside the window are ignored
     wider = beatty_members(sqrt2, 10**4 - 50, 10**4 + 2050)
     assert s1_window_float(fam, wider, 10**4, 10**4 + 2000) == got
+
+
+@pytest.mark.parametrize("d0, offsets, r_value", [
+    (2, (0, 2), 60), (3, (0, 6), 40), (5, (0, 2, 6), 30)])
+def test_gated_window_sum_equals_the_ungated_oracle(sqrt2, d0, offsets,
+                                                     r_value):
+    # W2 = 2, 6, 30: S1 built on the gated class alone is the same float
+    ctx = build_context(len(offsets), 10**4, 0.5, 0.05, d0=d0,
+                        r_value=r_value, offsets=offsets)
+    fam = weights(ctx, offsets)
+    assert fam.w2 == {2: 2, 3: 6, 5: 30}[d0]
+    # members reach past the window on both sides; then unsorted with
+    # repeats, then none in the gated class when nu0 is odd
+    members = beatty_members(sqrt2, 10**4 - 40, 10**4 + 3000)
+    given_sets = (members, np.concatenate([members[::-1], members[::7]]),
+                  members[members % 2 == 0])
+    empty_class = positive = 0
+    for n_lo in range(10**4, 10**4 + fam.w2 + 1):   # every n_lo mod W2
+        for n_hi in (n_lo + 1, n_lo + fam.w2 - 1, n_lo + 2000, n_lo + 2003):
+            if not n_lo < n_hi:
+                continue
+            if all((n - fam.nu0) % fam.w2 for n in range(n_lo, n_hi)):
+                empty_class += 1
+            for given in given_sets:
+                got = s1_window_float(fam, given, n_lo, n_hi)
+                assert got == ungated_s1(fam, given, n_lo, n_hi)
+                positive += got > 0
+    assert empty_class > 0 and positive > 0
+
+
+def test_gated_window_sum_refuses_inconsistent_congruences():
+    # n = 0 mod 2 and n + 1 = 0 mod 2 have no common solution
+    fam = WeightFamily((0, 1), 1, 1, {}, {(2, 2): Fraction(1)})
+    with pytest.raises(PreconditionError):
+        s1_window_float(fam, np.arange(100, 110), 100, 110)
 
 
 def test_main_terms_track_the_observed_window_sum(sqrt2):
@@ -354,3 +391,50 @@ def test_main_terms_integral_matches_the_oracle(k, terms):
     ctx = build_context(k, 10**4, 0.5, 0.05, d0=3, r_value=150,
                         offsets=(0, 2, 6)[:k], f=f)
     assert main_terms(ctx, 1.0)["i_value"] == float(integral(product(f, f)))
+
+
+@pytest.mark.parametrize("k, offsets, d0, r_value, slack", [
+    (2, (0, 2), 2, 300, True), (2, (0, 6), 3, 120, True),
+    (3, (0, 2, 6), 3, 150, True), (3, (0, 4, 6), 3, 60, False),
+    (2, (0, 2), 2, 165, True), (2, (0, 2), 2, 231, False),
+    (2, (0, 2), 2, 255, True), (2, (0, 2), 2, 255, False),
+])
+def test_weights_equal_the_per_tuple_oracle(k, offsets, d0, r_value, slack):
+    # F once per sorted entry tuple gives the y and lambda of F once per
+    # tuple; R = 165, 231, 255 hold the tuples the over-1 clamp moves
+    f = _slack_plus_3_p2(k) if slack else None
+    ctx = build_context(k, 10**4, 0.5, 0.05, d0=d0, r_value=r_value,
+                        offsets=offsets, f=f)
+    support = enumerate_support(ctx)
+    fam = weights(ctx, offsets)
+    want = per_tuple_y(ctx, support)
+    assert fam.y == want
+    assert list(fam.y) == support
+    assert all(type(v) is Fraction for v in fam.y.values())
+    assert fam.lam == _oracle_lambda(support, want)
+    if slack:
+        assert len(set(fam.y.values())) > 10
+
+
+@pytest.mark.parametrize("k, offsets, d0, r_value", [
+    (2, (0, 2), 2, 300), (3, (0, 2, 6), 3, 150), (2, (0, 2), 2, 255)])
+def test_weights_evaluate_the_profile_once_per_entry_multiset(monkeypatch, k,
+                                                              offsets, d0,
+                                                              r_value):
+    batches = []
+    evaluate_many = SimplexPolynomial.evaluate_many
+
+    def spy(self, points):
+        points = [tuple(p) for p in points]
+        batches.append(points)
+        return evaluate_many(self, points)
+
+    monkeypatch.setattr(SimplexPolynomial, "evaluate_many", spy)
+    ctx = build_context(k, 10**4, 0.5, 0.05, d0=d0, r_value=r_value,
+                        offsets=offsets, f=_slack_plus_3_p2(k))
+    support = enumerate_support(ctx)
+    weights(ctx, offsets)
+    assert len(batches) == 1
+    multisets = {tuple(sorted(r)) for r in support}
+    assert len(batches[0]) == len(multisets) < len(support)
+    assert len({tuple(sorted(p)) for p in batches[0]}) == len(multisets)

@@ -60,6 +60,17 @@ def test_only_beatty_reads_the_integer_form_of_a_pair():
     assert found == []
 
 
+def test_only_variational_reads_a_profiles_terms():
+    # one home for the profile formula: every other module evaluates a
+    # SimplexPolynomial through its methods rather than its .terms
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if path.name != "variational.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "terms"]
+    assert found == []
+
+
 def test_only_arith_and_buchstab_build_a_factor_table():
     # one prime kernel: a module that reads primes sieves its window with
     # arith.primes_in; the smallest-factor table is for factoring, which

@@ -47,16 +47,19 @@ def test_monomial_integrals_by_hand():
 
 def test_polynomial_evaluate_integral_marginal():
     f = SimplexPolynomial.from_terms(2, {(1, 0): 1})    # 1 - t1 - t2
-    assert f.evaluate((Fraction(1, 4), Fraction(1, 4))) == Fraction(1, 2)
-    assert f.evaluate((0.75, 0.5)) == 0.0
-    assert f.evaluate((-0.25, 0.5)) == 0.0
+    # one batch: inside, past the face 1 - P1 = 0, below t1 = 0
+    assert f.evaluate_many([(Fraction(1, 4), Fraction(1, 4)), (0.75, 0.5),
+                            (-0.25, 0.5)]) == [0.5, 0.0, 0.0]
+    assert f.evaluate_many([]) == []
+    with pytest.raises(PreconditionError):
+        f.evaluate_many([(0.25, 0.25), (0.25,)])
     assert integral(f) == Fraction(1, 6)
     assert integral(product(f, f)) == square_integral(f) == Fraction(1, 12)
     g = marginal(f)
     # marginal of 1 - t1 - t2 over t1 is (1 - t2)^2 / 2
     assert g.k == 1 and g.terms == {(2, 0): Fraction(1, 2)}
     assert variational._marginal_terms([[((1, 0), 1)]]) == ([[((2, 0), 1)]], 2)
-    assert g.evaluate((Fraction(0),)) == Fraction(1, 2)
+    assert g.evaluate_many([(Fraction(0),)]) == [0.5]
     assert integral(product(g, g)) == square_integral(g) == Fraction(1, 20)
     one = SimplexPolynomial.constant(2, 1)
     assert integral(one) == square_integral(one) == Fraction(1, 2)
@@ -67,7 +70,9 @@ def test_polynomial_evaluate_integral_marginal():
     # the same over 5! = 120 as integer terms
     assert variational._marginal_terms([[((0, 2), 1)]]) == (
         [[((1, 2), 120), ((3, 1), 80), ((5, 0), 24)]], 120)
-    assert p2_sq.evaluate((0.5, 0.25, 0.0)) == 0.3125 ** 2
+    # a value depends on the multiset of the coordinates only
+    assert p2_sq.evaluate_many([(0.5, 0.25, 0.0), (0.0, 0.5, 0.25)]) == [
+        0.3125 ** 2, 0.3125 ** 2]
     with pytest.raises(PreconditionError):
         SimplexPolynomial.from_terms(2, {(0, 1, 1): 1})
     with pytest.raises(PreconditionError):
