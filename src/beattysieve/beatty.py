@@ -41,7 +41,10 @@ and the recovered index m = ceil(gamma*(n - beta)) is at least 1.  Arcs on
 R/Z are half open (left, left + length]; this makes the criterion exact on
 the right endpoint, where floor(alpha*m + beta) lands when gamma*(n - beta)
 is an integer.  membership_interval and shift_intersection keep this arc
-geometry for the regularity report.
+geometry for the regularity report, which tests it on its primes with
+the same filtered-exact scheme: a float64 fractional part decides every
+n farther than its error bound from the arc's endpoints, and integers
+over a common denominator decide the rest (equidist._arc_hits).
 
 A quadratic surd is a separate matter: quadratic() stores sqrt(d) rounded
 down to SURD_DIGITS = 40 decimal digits, and everything above is exact for

@@ -506,12 +506,66 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5) -> dic
             "all_progressions_hold": all_hold and in_arc == 0}
 
 
-def _arc_hits(arc: beatty.TorusInterval, gamma: Fraction, ns) -> list[int]:
-    """The n of ns with frac(gamma n) in the arc (left, left + length], one
-    integer test per n over den = lcm of the arc's and gamma's denominators."""
+def _arc_hits(arc: beatty.TorusInterval, gamma: Fraction, ns) -> np.ndarray:
+    """The n of the int64 array ns with frac(gamma n) in the arc (left,
+    left + length], in their order, as int64.
+
+    Over den = lcm of the arc's and gamma's denominators, with integers g,
+    left and length, n is a hit iff 0 < (g n - left) mod den <= length.
+    That test is filtered exact, as beatty._float_floors is: numpy takes
+    x = frac(n g/den - left/den) in float64 from the correctly rounded
+    g/den and left/den.  With u = 2^-53, the conversion of n, the two
+    quotients, the product and the difference each err by at most u times
+    their size, so x is within (4 |n| |g| + 2 |left|)/den * u + O(u^2) of
+    the exact fractional part while x lies away from 0 and 1.  delta =
+    ((max|n| |g| + |left|)/den + 4) * 2^-50 = 8 (...) u covers that, and
+    the rounding of length/den and of delta itself, for every entry.
+    Where x lies farther than delta from 0, from 1 and from length/den,
+    it sits on the same side of each as the exact value and decides;
+    every other n takes the integer test on Python ints.  Once max|n| g/den
+    passes about 2^49, delta exceeds 1/2 and every entry takes the integer
+    test, so the route is exact at any n.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    if not ns.size:
+        return ns
     (g, left, length), den = arith.common_denominator(
         x.as_integer_ratio() for x in (gamma, arc.left, arc.length))
-    return [n for n in ns if 0 < (g * n - left) % den <= length]
+    span = max(-int(ns.min()), int(ns.max()))
+    x = ns * (g / den) - left / den
+    x -= np.floor(x)
+    top = length / den
+    delta = ((span * abs(g) + abs(left)) / den + 4) * 2.0**-50
+    hit = x <= top
+    unsure = np.flatnonzero((x <= delta) | (x >= 1 - delta)
+                            | (np.abs(x - top) <= delta))
+    for j, n in zip(unsure.tolist(), ns[unsure].tolist()):
+        hit[j] = 0 < (g * n - left) % den <= length
+    return ns[hit]
+
+
+def _class_counts(values: np.ndarray, moduli) -> list[np.ndarray]:
+    """np.bincount(values % q, minlength=q) for each q of moduli, in order.
+
+    Consecutive moduli share one pass while their lcm M stays <= the
+    number of values, so no bincount outgrows the array it counts (a
+    modulus above that gets a pass of its own): one values % M, one
+    bincount of length M, and the classes mod each q | M are the sums of
+    the M counts over r = c mod q, taken as rows of a contiguous (q, M/q)
+    copy.  The counts are the same integers as the per-q bincounts.
+    """
+    counts = []
+    start = 0
+    while start < len(moduli):
+        big, stop = moduli[start], start + 1
+        while stop < len(moduli) and math.lcm(big, moduli[stop]) <= values.size:
+            big = math.lcm(big, moduli[stop])
+            stop += 1
+        per_big = np.bincount(values % big, minlength=big)
+        for q in moduli[start:stop]:
+            counts.append(np.ascontiguousarray(per_big.reshape(-1, q).T).sum(axis=1))
+        start = stop
+    return counts
 
 
 def li_difference(lo, hi) -> float:
@@ -555,11 +609,17 @@ def regcond_report(offsets, params: beatty.BeattyParams, n_grid, theta: float,
     envelopes Y / L^(k+eps); columns are recorded, never asserted.
 
     A is the Beatty set of params on each window [N, 2N), and the primes
-    are sieved on that window alone.  gamma (in Y and in the arcs) is the
-    exact gamma of params, whose membership and shift arcs the second sum
-    needs: the shifted memberships are recomputed through the torus arc on
-    exact integers and cross-checked against the array route; mismatches
-    are reported.
+    are sieved on that window alone.  Members and primes of A are two
+    boolean masks of the window (2N bytes, each mask the size of
+    primes_in's own block), so "n is prime" and "n - h in A" are slices,
+    for any offset h.  The class counts of the members and of the kept
+    primes of each offset come from _class_counts: one residue pass per
+    group of moduli whose lcm stays within the array's length, and the
+    same integers as one bincount per q.  gamma (in Y and in the arcs) is
+    the exact gamma of params, whose membership and shift arcs the second
+    sum needs: the shifted memberships are recomputed through the torus
+    arc by _arc_hits, filtered exact and independent of the masks, and
+    cross-checked against them; mismatches are reported.
     """
     if not n_grid:
         raise PreconditionError("empty N grid")
@@ -579,29 +639,38 @@ def regcond_report(offsets, params: beatty.BeattyParams, n_grid, theta: float,
         envelope = y_val / big_l ** (k + eps)
         moduli = [(q, arith.tau_k(q, 3 * k)) for q in range(1, q_top + 1)
                   if arith.mobius(q) != 0]
+        qs = [q for q, _ in moduli]
 
         lhs12 = 0.0
-        for q, tau in moduli:
-            counts = np.bincount(members % q, minlength=q)
+        for (q, tau), counts in zip(moduli, _class_counts(members, qs)):
             lhs12 += tau * float(np.max(np.abs(counts - y_val / q)))
 
+        # the window [n_lo, n_hi) as two boolean masks, members of A and
+        # primes of A, indexed by n - n_lo
         primes = arith.primes_in(n_lo, n_hi)
-        is_prime = np.isin(members, primes)
+        in_a = np.zeros(n, dtype=bool)
+        in_a[members - n_lo] = True
+        prime_in_a = np.zeros(n, dtype=bool)
+        prime_in_a[primes - n_lo] = True
+        prime_in_a &= in_a
 
         lhs15 = {}
         norm15 = {}
         arc_match = {}
         log_integral = li_difference(n_lo, n_hi)
         for m_idx, (h, arc) in enumerate(zip(offsets, arcs)):
-            kept = members[is_prime & (members >= n_lo + h)
-                           & np.isin(members - h, members)]
+            # the primes n of A with n - h in A: window positions i with
+            # 0 <= i - h < n
+            lo_i = max(h, 0)
+            hi_i = max(lo_i, min(n, n + h))
+            kept = n_lo + lo_i + np.flatnonzero(
+                prime_in_a[lo_i:hi_i] & in_a[lo_i - h:hi_i - h])
             via_arc = _arc_hits(arc, gamma,
-                                primes[np.searchsorted(primes, n_lo + h):].tolist())
-            arc_match[m_idx] = via_arc == kept.tolist()
+                                primes[np.searchsorted(primes, n_lo + h):])
+            arc_match[m_idx] = np.array_equal(via_arc, kept)
             y_gm = float(arc.length) * log_integral
             total = 0.0
-            for q, tau in moduli:
-                counts = np.bincount(kept % q, minlength=q)
+            for (q, tau), counts in zip(moduli, _class_counts(kept, qs)):
                 coprime = np.gcd(np.arange(q), q) == 1
                 dev = np.max(np.abs(counts[coprime] - y_gm / arith.euler_phi(q)))
                 total += tau * float(dev)

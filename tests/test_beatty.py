@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beattysieve import beatty
+from beattysieve import arith, beatty
 from beattysieve.beatty import (BeattyParams, TorusInterval,
                                 beatty_enumerate, beatty_members,
                                 membership_interval,
@@ -16,6 +16,7 @@ from beattysieve.beatty import (BeattyParams, TorusInterval,
                                 torus_member)
 from beattysieve.equidist import _arc_hits
 from beattysieve.errors import PreconditionError
+from regcond_oracles import arc_hits as oracle_arc_hits
 
 
 def _arc_contains(arc, x):
@@ -278,8 +279,123 @@ def test_integer_arc_route_matches_torus_interval(alpha, beta_num, beta_den,
     if shift:
         arcs.append(TorusInterval(arcs[0].left, arcs[0].length * Fraction(shift, 4)))
     for arc in arcs:
-        assert _arc_hits(arc, gamma, ns) == [
+        assert _arc_hits(arc, gamma, ns).tolist() == [
             n for n in ns if _arc_contains(arc, (gamma * n) % 1)]
+
+
+class _ModRecorder(int):
+    """An int that records each x of x % self: the integer arc test."""
+
+    def __rmod__(self, x):
+        self.seen.append(x)
+        return int(x) % int(self)
+
+
+def _arc_route(monkeypatch, arc, gamma, ns):
+    """_arc_hits on ns, the oracle's hits, and the n, ascending, that took
+    the integer test (read back from g*n - left)."""
+    common_denominator = arith.common_denominator
+    spied = []
+
+    def spy(pairs):
+        nums, den = common_denominator(pairs)
+        den = _ModRecorder(den)
+        den.seen = []
+        spied.append((nums, den))
+        return nums, den
+
+    monkeypatch.setattr(arith, "common_denominator", spy)
+    ns = np.asarray(ns, dtype=np.int64)
+    got = _arc_hits(arc, gamma, ns)
+    monkeypatch.setattr(arith, "common_denominator", common_denominator)
+    assert got.dtype == np.int64
+    assert got.tolist() == oracle_arc_hits(arc, gamma, ns.tolist())
+    if not spied:
+        return got, []
+    ((g, left, _), den), = spied
+    return got, sorted((x + left) // g for x in den.seen)
+
+
+def _on_an_endpoint(arc, gamma, ns):
+    return [n for n in ns.tolist()
+            if (gamma * n - arc.left) % 1 in (0, arc.length)]
+
+
+@pytest.mark.parametrize("alpha, beta", [(Fraction(3, 2), 0),
+                                         (Fraction(5, 3), 0),
+                                         (Fraction(5, 3), Fraction(4, 3))])
+def test_arc_hits_take_the_integer_test_on_arc_endpoints(alpha, beta,
+                                                         monkeypatch):
+    # gamma = 2/3 or 3/5: frac(gamma n) lands exactly on an endpoint of the
+    # membership and shift arcs for whole residue classes of n, and only
+    # those n take the integer test
+    params = BeattyParams.make(alpha, beta)
+    gamma = params.gamma_exact
+    base = membership_interval(params)
+    ns = np.arange(1, 3001, dtype=np.int64)
+    for arc in (base, TorusInterval(base.left, base.length / 2)):
+        got, tested = _arc_route(monkeypatch, arc, gamma, ns)
+        endpoints = _on_an_endpoint(arc, gamma, ns)
+        assert len(endpoints) >= len(ns) // 5
+        assert tested == endpoints
+        assert got.tolist() == [n for n in ns.tolist()
+                                if _arc_contains(arc, gamma * n)]
+    # with the index check, the membership arc gives the members
+    assert [n for n in _arc_hits(base, gamma, ns).tolist()
+            if recovered_index(params, n) >= 1] == beatty_enumerate(params, 1, 3001)
+
+
+def test_arc_hits_with_float_endpoints(monkeypatch):
+    # a float gamma and float endpoints: n = 1 sits on the left endpoint,
+    # and n = 4 within an ulp of the right one
+    gamma = Fraction(0.1)
+    arc = TorusInterval(0.1, 0.3)
+    exact = TorusInterval(Fraction(0.1), Fraction(0.3))
+    ns = np.arange(-40, 400, dtype=np.int64)
+    got, tested = _arc_route(monkeypatch, arc, gamma, ns)
+    near = []
+    for n in ns.tolist():
+        t = (gamma * n - exact.left) % 1
+        if min(t, 1 - t, abs(t - exact.length)) < Fraction(1, 10**12):
+            near.append(n)
+    assert 1 in tested and 4 in tested
+    assert set(near) <= set(tested)
+    assert got.tolist() == [n for n in ns.tolist()
+                            if _arc_contains(exact, gamma * n)]
+
+
+@pytest.mark.parametrize("ns", [2**53 + np.arange(-300, 300),
+                                10**18 - np.arange(300),
+                                np.array([-(10**18), 1, 2**62])])
+def test_arc_hits_take_the_integer_test_far_out(ns, sqrt2, monkeypatch):
+    # past max|n| gamma ~ 2^49 delta exceeds 1/2, so every entry takes
+    # the integer test
+    gamma = sqrt2.gamma_exact
+    base = membership_interval(sqrt2)
+    for arc in (base, shift_intersection(base, sqrt2, 7, gamma / 20)):
+        got, tested = _arc_route(monkeypatch, arc, gamma, ns)
+        assert tested == sorted(ns.tolist())
+        assert got.tolist() == [n for n in ns.tolist()
+                                if _arc_contains(arc, gamma * n)]
+
+
+def test_arc_hits_on_scan_sized_windows(sqrt2, monkeypatch):
+    # quadratic irrational gamma: no prime of [10^5, 2*10^5) comes within
+    # delta of an endpoint, so the float route decides all of them
+    gamma = sqrt2.gamma_exact
+    base = membership_interval(sqrt2)
+    primes = arith.primes_in(10**5, 2 * 10**5)
+    for arc in (base, shift_intersection(base, sqrt2, 7, gamma / 20)):
+        got, tested = _arc_route(monkeypatch, arc, gamma, primes)
+        assert tested == [] and got.size > 1000
+
+
+def test_arc_hits_of_no_points(sqrt2):
+    got = _arc_hits(membership_interval(sqrt2), sqrt2.gamma_exact,
+                    np.empty(0, dtype=np.int64))
+    assert got.dtype == np.int64 and got.size == 0
+    assert _arc_hits(membership_interval(sqrt2), sqrt2.gamma_exact,
+                     []).tolist() == []
 
 
 def _comprehension_enumerate(params, lo, hi):

@@ -744,6 +744,11 @@ REFERENCE_RUNS = {
     "bdh-fraction": ["equidist", "bdh", "--gamma", "5/7", "--rcap", "100"],
     "bdh-demo": ["equidist", "bdh", "--demo", "true"],
     "bdh-r300": ["equidist", "bdh", "--rcap", "300"],
+    "equidist-regcond": [
+        "equidist", "regcond", "--alpha",
+        "14142135623730950488016887242096980785696/"
+        "10000000000000000000000000000000000000000",
+        "--ngrid", "12500,50000", "--offsets", "0,7", "--theta", "0.3"],
     "find-t2": ["find", "--t", "2", "--lo", "1000000", "--hi", "2000000"],
     "find-t3": ["find", "--t", "3", "--lo", "1000000", "--hi", "2000000"],
     "find-two-sevenths": ["find", "--theta", "two-sevenths", "--n", "1000"],

@@ -9,11 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from beattysieve import arith, beatty, equidist
 from beattysieve.arith import euler_phi, to_fraction
-from beattysieve.equidist import (ErrorRow, HarnessConfig, _rows_for_modulus,
-                                  _window_points, bdh_harness, bv_harness,
+from beattysieve.equidist import (ErrorRow, HarnessConfig, _class_counts,
+                                  _rows_for_modulus, _window_points,
+                                  bdh_harness, bv_harness,
                                   e_sup, lambda_points, li_difference,
                                   liouville_demo, regcond_report)
 from beattysieve.errors import BudgetError, PreconditionError
+import regcond_oracles
 
 GAMMA = 0.7071067811865476
 
@@ -216,6 +218,83 @@ def test_lambda_points_sieve_only_the_window_and_its_roots(n_lo, n_hi, table,
     root = math.isqrt(n_hi - 1)
     assert (n_lo, n_hi) in asked
     assert all(n_lo <= lo and hi <= n_hi or hi <= root + 1 for lo, hi in asked)
+
+
+def _squarefree(top):
+    return [q for q in range(1, top + 1) if arith.mobius(q) != 0]
+
+
+@pytest.mark.parametrize("size, moduli, passes", [
+    # squarefree q <= 31 on the 7 071 members of [10^4, 2*10^4): the lcm
+    # passes the array's length at 13, 17, 22, 29 and 31
+    (7071, _squarefree(31), 6),
+    (7071, [1], 1),
+    (7071, [1, 1, 2], 1),
+    # one modulus above the array's length gets a pass of its own
+    (7071, [2, 3, 10**4 + 7, 5], 3),
+    (30, [1, 2, 3, 5, 7], 2),
+    (0, [1, 2, 3, 10**4 + 7], 4),
+])
+def test_class_counts_match_per_modulus_bincounts(size, moduli, passes, sqrt2,
+                                                  monkeypatch):
+    values = beatty.beatty_members(sqrt2, 10**4, 2 * 10**4)[:size]
+    assert values.size == size
+    bincount = np.bincount
+    lengths = []
+
+    def spy(x, minlength=0):
+        lengths.append(minlength)
+        return bincount(x, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    got = _class_counts(values, moduli)
+    monkeypatch.setattr(np, "bincount", bincount)
+    assert len(got) == len(moduli)
+    for q, counts in zip(moduli, got):
+        want = np.bincount(values % q, minlength=q)
+        assert counts.dtype == want.dtype
+        assert counts.tolist() == want.tolist()
+    assert len(lengths) == passes
+    assert all(m <= size for m in lengths if m not in moduli)
+
+
+def _allowed_shifts(params, lo, hi, eps=0.05):
+    gamma = params.gamma_exact
+    return [h for h in range(lo, hi)
+            if 0 < (-h * gamma) % 1 < 2 * eps * gamma]
+
+
+@pytest.mark.parametrize("offsets, n_grid, theta", [
+    ((0, 7), (2000, 12_500), 0.25),
+    # theta = 0.3 at N = 50 000: q <= 25, the moduli split into groups
+    ((0, 7), (12_500, 50_000), 0.3),
+    ((-17, 0), (2000,), 0.25),
+    ("beyond", (2000,), 0.3),
+])
+def test_regcond_report_equals_the_parent_route(offsets, n_grid, theta, sqrt2):
+    if offsets == "beyond":
+        # h >= N: n_lo + h >= n_hi, so no n is kept and no prime is tested
+        offsets = (0, _allowed_shifts(sqrt2, 2000, 2200)[0])
+    rows = regcond_report(offsets, sqrt2, n_grid, theta, 2, 0.05)
+    assert rows == regcond_oracles.regcond_report(offsets, sqrt2, n_grid,
+                                                  theta, 2, 0.05)
+    assert all(row["arc_route_matches"][m] is True
+               for row in rows for m in range(len(offsets))
+               if sorted(offsets)[m] >= 0)
+
+
+def test_regcond_cross_check_can_fail(sqrt2, monkeypatch):
+    # an arc route that drops one hit of the shifted arc is reported
+    arc_hits = equidist._arc_hits
+    base = beatty.membership_interval(sqrt2)
+
+    def drop_one(arc, gamma, ns):
+        hits = arc_hits(arc, gamma, ns)
+        return hits if arc == base else hits[1:]
+
+    monkeypatch.setattr(equidist, "_arc_hits", drop_one)
+    row, = regcond_report((0, 7), sqrt2, (2000,), 0.25, 2, 0.05)
+    assert row["arc_route_matches"] == {0: True, 1: False}
 
 
 def test_regcond_requires_grid_sets(sqrt2):
