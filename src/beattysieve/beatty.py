@@ -17,21 +17,14 @@ The second holds because A > D: at most one multiple A*m lies in
 
 beatty_members lists a window without one big-integer division per
 member.  With m_lo and m_hi exact as above and (c0, r0) = divmod(A*m_lo
-+ B, D), the j-th member is c0 + floor(r0/D + j*alpha).  That floor is
-filtered exact, as in Shewchuk's adaptive predicates: numpy evaluates
-r0/D + j*alpha in float64 from the correctly rounded r0/D and A/D, and an
-a-priori bound delta = (W*alpha + 2)*2^-50, W the number of indices,
-exceeds the float error of every entry (the two input roundings and the
-two float operations, each at most (j*alpha + 1)*2^-53).  Where the float
-value's fractional part lies farther than delta from 0 and from 1, no
-integer lies between the float and the exact value, so their floors agree;
-every other entry is recomputed as (r0 + j*A) // D on Python ints.  The
-result is the integer identity above at every entry.  delta grows with
-the window's width, not its position, so a window at 10^18 takes the same
-route as one at 10^3; only the members must fit in int64.  For an
-irrational alpha about 2*delta*W entries go the exact way (none in
-practice); for a rational alpha with a small denominator many values
-are integers and all of those do.
++ B, D), the j-th member is c0 + floor(r0/D + j*alpha) = c0 + (r0 +
+j*A)//D.  fractional_parts takes that floor in float64 and flags the j
+it cannot vouch for, which are recomputed on Python ints; the result is
+the integer identity above at every entry.  Its error bound grows with
+the window's width, not its position, so a window at 10^18 takes the
+same route as one at 10^3; only the members must fit in int64.  For an
+irrational alpha almost no entry is flagged; for a rational alpha with a
+small denominator many values are integers and all of those are.
 
 Geometrically, writing gamma = 1/alpha, n is a member exactly when
 
@@ -41,10 +34,10 @@ and the recovered index m = ceil(gamma*(n - beta)) is at least 1.  Arcs on
 R/Z are half open (left, left + length]; this makes the criterion exact on
 the right endpoint, where floor(alpha*m + beta) lands when gamma*(n - beta)
 is an integer.  membership_interval and shift_intersection keep this arc
-geometry for the regularity report, which tests it on its primes with
-the same filtered-exact scheme: a float64 fractional part decides every
-n farther than its error bound from the arc's endpoints, and integers
-over a common denominator decide the rest (equidist._arc_hits).
+geometry for the regularity report, which tests it on its primes
+through fractional_parts too: the float64 fractional part decides every
+n it does not flag at the arc's endpoints, and integers over a common
+denominator decide the rest (equidist._arc_hits).
 
 A quadratic surd is a separate matter: quadratic() stores sqrt(d) rounded
 down to SURD_DIGITS = 40 decimal digits, and everything above is exact for
@@ -163,27 +156,42 @@ def torus_member(params: BeattyParams, n: int) -> bool:
     return 0 < r <= d and x - r >= a
 
 
-def _float_floors(count: int, alpha: float, start: float):
-    """floor(start + j*alpha) for j < count in float64, as int64, and the
-    ascending j whose float value lies within the error bound delta of an
-    integer: those floors may be off by one and need the exact route.
+def fractional_parts(num: int, off: int, den: int, ns: np.ndarray,
+                     cuts=()):
+    """(whole, x, unsure) for t = (num*n + off)/den at each n of the int64
+    array ns, den >= 1: whole = floor(t) and x = t - whole in [0, 1], both
+    float64, and the ascending indices whose x lies within the error bound
+    delta of 0, of 1 or of some c/den with c in cuts.  Every other index
+    has whole == (num*n + off)//den exactly, and x on the same side of
+    each c/den as (num*n + off) % den is of c; the caller settles the
+    flagged ones on integers.
 
-    start and alpha are the correctly rounded values of r0/D in [0, 1)
-    and of A/D.  With u = 2^-53, start is off by at most u, alpha by
-    alpha*u, the product j*alpha and the sum each round by u times their
-    size, so the float value is within (3*j*alpha + 2)*u + O(u^2 j alpha)
-    of the exact one.  delta = (count*alpha + 2)*2^-50 = 8*(count*alpha
-    + 2)*u covers that for every j < count, with room for the O(u^2)
-    terms and for the rounding of delta and 1 - delta themselves.
+    This is a filtered-exact predicate, as in Shewchuk's adaptive ones.
+    t is n*(num/den) + off/den from the correctly rounded quotients.  With
+    u = 2^-53 the conversion of n, the two quotients, the product and the
+    sum each err by at most u times their size, so t is within (4 |n num|
+    + 2 |off|)/den * u + O(u^2) of the exact value; t - whole adds at most
+    u more (it is exact for t >= 0), as does the rounding of c/den.  With
+    S = (max|n| |num| + |off|)/den, delta = (S + 4) * 2^-50 = 8 (S + 4) u
+    covers all of that, with room for the rounding of delta, 1 - delta and
+    c/den +- delta themselves.  So where x lies farther than delta from 0
+    and from 1, no integer lies between t and the exact value, and where
+    it lies farther than delta from c/den both sit on the same side of it.
+    Once S passes about 2^49, delta exceeds 1/2 and every index is
+    flagged, so the callers stay exact at any n.
     """
-    t = np.arange(count, dtype=np.float64)
-    t *= alpha
-    t += start
+    span = max(-int(ns.min(initial=0)), int(ns.max(initial=0)))
+    delta = ((span * abs(num) + abs(off)) / den + 4) * 2.0**-50
+    t = ns.astype(np.float64)
+    t *= num / den
+    t += off / den
     whole = np.floor(t)
-    frac = t - whole                      # exact: the low bits of t
-    delta = (count * alpha + 2) * 2.0**-50
-    unsure = np.flatnonzero((frac <= delta) | (frac >= 1 - delta))
-    return whole.astype(np.int64), unsure
+    t -= whole
+    near = (t <= delta) | (t >= 1 - delta)
+    for c in cuts:
+        c = c / den
+        near |= (t >= c - delta) & (t <= c + delta)
+    return whole, t, np.flatnonzero(near)
 
 
 def beatty_members(params: BeattyParams, lo: int, hi: int) -> np.ndarray:
@@ -191,9 +199,8 @@ def beatty_members(params: BeattyParams, lo: int, hi: int) -> np.ndarray:
     (A*m + B)//D for the indices m >= 1 with D*lo <= A*m + B < D*hi.
 
     With (c0, r0) = divmod(A*m_lo + B, D), the j-th member is
-    c0 + (r0 + j*A)//D = c0 + floor(r0/D + j*alpha): _float_floors takes
-    that floor in float64 and the entries it cannot vouch for are
-    recomputed on Python ints.
+    c0 + (r0 + j*A)//D: fractional_parts takes that floor in float64 and
+    the entries it flags are recomputed on Python ints.
     """
     a, b, d = params._integers
     m_lo = max(1, -((b - d * int(lo)) // a))
@@ -204,7 +211,9 @@ def beatty_members(params: BeattyParams, lo: int, hi: int) -> np.ndarray:
     if (a * (m_hi - 1) + b) // d > INT64_MAX:
         raise PreconditionError("members beyond the int64 range", hi=hi)
     c0, r0 = divmod(a * m_lo + b, d)
-    out, unsure = _float_floors(count, a / d, r0 / d)
+    whole, _, unsure = fractional_parts(a, r0, d,
+                                        np.arange(count, dtype=np.int64))
+    out = whole.astype(np.int64)
     for j in unsure.tolist():
         out[j] = (r0 + j * a) // d
     out += c0

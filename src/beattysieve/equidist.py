@@ -380,8 +380,9 @@ def _check_sweep_budget(windows, visits: int = 0) -> None:
     estimate = visits + sum(
         cap * (int(n / max(math.log(n), 1.0)) + (cap + 1) // 2) for n, cap in windows)
     if estimate > HARNESS_POINT_BUDGET:
-        raise BudgetError(f"the arc sweep needs about {estimate} point-visits, "
-                          f"over the budget of {HARNESS_POINT_BUDGET}",
+        checks = f" ({visits} of them arc checks)" if visits else ""
+        raise BudgetError(f"the arc sweep needs about {estimate} point-visits"
+                          f"{checks}, over the budget of {HARNESS_POINT_BUDGET}",
                           estimate=estimate)
 
 
@@ -512,33 +513,16 @@ def _arc_hits(arc: beatty.TorusInterval, gamma: Fraction, ns) -> np.ndarray:
 
     Over den = lcm of the arc's and gamma's denominators, with integers g,
     left and length, n is a hit iff 0 < (g n - left) mod den <= length.
-    That test is filtered exact, as beatty._float_floors is: numpy takes
-    x = frac(n g/den - left/den) in float64 from the correctly rounded
-    g/den and left/den.  With u = 2^-53, the conversion of n, the two
-    quotients, the product and the difference each err by at most u times
-    their size, so x is within (4 |n| |g| + 2 |left|)/den * u + O(u^2) of
-    the exact fractional part while x lies away from 0 and 1.  delta =
-    ((max|n| |g| + |left|)/den + 4) * 2^-50 = 8 (...) u covers that, and
-    the rounding of length/den and of delta itself, for every entry.
-    Where x lies farther than delta from 0, from 1 and from length/den,
-    it sits on the same side of each as the exact value and decides;
-    every other n takes the integer test on Python ints.  Once max|n| g/den
-    passes about 2^49, delta exceeds 1/2 and every entry takes the integer
-    test, so the route is exact at any n.
+    beatty.fractional_parts takes x = frac((g n - left)/den) in float64
+    under its one error bound, with the cut length/den: x decides every n
+    it does not flag, and the flagged n take the integer test on Python
+    ints, so the route is exact at any n.
     """
     ns = np.asarray(ns, dtype=np.int64)
-    if not ns.size:
-        return ns
     (g, left, length), den = arith.common_denominator(
         x.as_integer_ratio() for x in (gamma, arc.left, arc.length))
-    span = max(-int(ns.min()), int(ns.max()))
-    x = ns * (g / den) - left / den
-    x -= np.floor(x)
-    top = length / den
-    delta = ((span * abs(g) + abs(left)) / den + 4) * 2.0**-50
-    hit = x <= top
-    unsure = np.flatnonzero((x <= delta) | (x >= 1 - delta)
-                            | (np.abs(x - top) <= delta))
+    _, x, unsure = beatty.fractional_parts(g, -left, den, ns, (length,))
+    hit = x <= length / den
     for j, n in zip(unsure.tolist(), ns[unsure].tolist()):
         hit[j] = 0 < (g * n - left) % den <= length
     return ns[hit]
@@ -618,7 +602,8 @@ def regcond_report(offsets, params: beatty.BeattyParams, n_grid, theta: float,
     same integers as one bincount per q.  gamma (in Y and in the arcs) is
     the exact gamma of params, whose membership and shift arcs the second
     sum needs: the shifted memberships are recomputed through the torus
-    arc by _arc_hits, filtered exact and independent of the masks, and
+    arc by _arc_hits, filtered exact and independent of the masks, on the
+    primes the masks can hold (n and n - h both in the window), and
     cross-checked against them; mismatches are reported.
     """
     if not n_grid:
@@ -660,13 +645,14 @@ def regcond_report(offsets, params: beatty.BeattyParams, n_grid, theta: float,
         log_integral = li_difference(n_lo, n_hi)
         for m_idx, (h, arc) in enumerate(zip(offsets, arcs)):
             # the primes n of A with n - h in A: window positions i with
-            # 0 <= i - h < n
+            # 0 <= i - h < n; the arc route tests the primes at the same i
             lo_i = max(h, 0)
             hi_i = max(lo_i, min(n, n + h))
             kept = n_lo + lo_i + np.flatnonzero(
                 prime_in_a[lo_i:hi_i] & in_a[lo_i - h:hi_i - h])
-            via_arc = _arc_hits(arc, gamma,
-                                primes[np.searchsorted(primes, n_lo + h):])
+            via_arc = _arc_hits(arc, gamma, primes[
+                np.searchsorted(primes, n_lo + lo_i):
+                np.searchsorted(primes, n_lo + hi_i)])
             arc_match[m_idx] = np.array_equal(via_arc, kept)
             y_gm = float(arc.length) * log_integral
             total = 0.0

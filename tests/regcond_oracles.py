@@ -53,8 +53,9 @@ def regcond_report(offsets, params, n_grid, theta, k, eps) -> list[dict]:
         for m_idx, (h, arc) in enumerate(zip(offsets, arcs)):
             kept = members[is_prime & (members >= n_lo + h)
                            & np.isin(members - h, members)]
-            via_arc = arc_hits(arc, gamma,
-                               primes[np.searchsorted(primes, n_lo + h):].tolist())
+            tested = primes[(primes >= n_lo + max(h, 0))
+                            & (primes < n_hi + min(h, 0))]
+            via_arc = arc_hits(arc, gamma, tested.tolist())
             arc_match[m_idx] = via_arc == kept.tolist()
             y_gm = float(arc.length) * log_integral
             total = 0.0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beattysieve import arith, beatty
 from beattysieve.beatty import (BeattyParams, TorusInterval,
@@ -461,14 +461,14 @@ def test_beatty_members_edge_windows(sqrt2):
 def test_beatty_members_take_the_exact_route_where_floats_cannot_tell(
         monkeypatch):
     seen = []
-    float_floors = beatty._float_floors
+    fractional_parts = beatty.fractional_parts
 
-    def spy(count, alpha, start):
-        whole, unsure = float_floors(count, alpha, start)
-        seen.append((whole.copy(), unsure))
-        return whole, unsure
+    def spy(num, off, den, ns, cuts=()):
+        whole, x, unsure = fractional_parts(num, off, den, ns, cuts)
+        seen.append((whole.astype(np.int64), unsure))
+        return whole, x, unsure
 
-    monkeypatch.setattr(beatty, "_float_floors", spy)
+    monkeypatch.setattr(beatty, "fractional_parts", spy)
 
     def float_only(params, lo, hi):
         seen.clear()
@@ -492,3 +492,43 @@ def test_beatty_members_take_the_exact_route_where_floats_cannot_tell(
     # a quadratic irrational: no value comes near enough to an integer
     _, unsure, _ = float_only(BeattyParams.quadratic(0, 1, 2), 10**6, 2 * 10**6)
     assert unsure.size == 0
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+INT64_NEAR_EDGES = st.one_of(st.integers(-3000, 3000),
+                             st.integers(2**53 - 3000, 2**53 + 3000),
+                             st.integers(2**63 - 3000, 2**63 - 1),
+                             st.integers(-2**63, -2**63 + 3000),
+                             st.integers(-2**63, 2**63 - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(num=st.one_of(st.integers(-50, 50), st.integers(-10**30, 10**30)),
+       off=st.one_of(st.integers(-50, 50), st.integers(-10**30, 10**30)),
+       den=st.one_of(st.integers(1, 12), st.integers(1, 10**30)),
+       ns=st.lists(INT64_NEAR_EDGES, min_size=1, max_size=40),
+       cuts=st.lists(st.integers(0, 10**30), max_size=4))
+# off/den = 2^45 + 1/3 and -2^50/3 round by about 2^-7 and 2^-5: the
+# bound must grow with |off| and with the most negative n
+@example(num=0, off=3 * 2**45 + 1, den=3, ns=[0], cuts=[1])
+@example(num=1, off=0, den=3, ns=[-2**50, 5], cuts=[2])
+def test_fractional_parts_decide_every_index_they_do_not_flag(num, off, den,
+                                                              ns, cuts):
+    # a small den puts many values exactly on an integer or on a cut, and
+    # n near +-2^63 pushes the error bound past 1/2
+    cuts = [c % den for c in cuts]
+    whole, x, unsure = beatty.fractional_parts(
+        num, off, den, np.array(ns, dtype=np.int64), cuts)
+    flagged = unsure.tolist()
+    assert flagged == sorted(set(flagged))
+    for i, n in enumerate(ns):
+        if i in flagged:
+            continue
+        q, r = divmod(num * n + off, den)
+        assert int(whole[i]) == q
+        assert 0 < x[i] < 1 and r != 0
+        for c in cuts:
+            assert _sign(Fraction(float(x[i])) - Fraction(c, den)) == _sign(r - c)

@@ -178,6 +178,7 @@ def test_equidist_demo_budget_counts_the_arc_checks(capsys, monkeypatch):
                         "--qcap-demo", "1"], capsys)
     assert rc == 1 and out == ""
     assert err.startswith("budget: the arc sweep needs about")
+    assert "(200000000 of them arc checks)" in err
 
 
 def test_chars_table_payload(capsys):

@@ -84,6 +84,25 @@ def test_only_arith_and_buchstab_build_a_factor_table():
     assert found == []
 
 
+def test_only_the_fractional_part_kernel_takes_a_float_floor():
+    # one filtered-exact predicate for fractional parts: a float64 floor
+    # anywhere else would be a second error analysis to keep sound, so
+    # callers go through beatty.fractional_parts and settle its flagged
+    # entries on integers
+    calls = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for func in ast.walk(tree):   # breadth first, so inner defs win
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        calls += [(path.name, owner.get(node, "<module>"))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and _dotted(node.func) in (["np", "floor"], ["numpy", "floor"])]
+    assert calls == [("beatty.py", "fractional_parts")]
+
+
 def test_no_module_imports_a_private_name_of_another():
     # what two modules share is public; dunders such as __version__ aside
     found = [f"{path.name}:{node.lineno} {alias.name}"
