@@ -25,6 +25,11 @@ the window's width, not its position, so a window at 10^18 takes the
 same route as one at 10^3; only the members must fit in int64.  For an
 irrational alpha almost no entry is flagged; for a rational alpha with a
 small denominator many values are integers and all of those are.
+member_mask tests given n through the same kernel: the fractional part
+of x/A, x = D*(n + 1) - B, against 0, 1 and the cut D/A, with
+torus_member for the n it flags.  There the bound grows with n itself,
+and past about n = 2^49 alpha every n is flagged.  member_count counts a
+window's members as m_hi - m_lo, without listing them.
 
 Geometrically, writing gamma = 1/alpha, n is a member exactly when
 
@@ -194,6 +199,35 @@ def fractional_parts(num: int, off: int, den: int, ns: np.ndarray,
     return whole, t, np.flatnonzero(near)
 
 
+def member_mask(params: BeattyParams, ns: np.ndarray) -> np.ndarray:
+    """torus_member at each n >= 1 of the int64 array ns, as a boolean
+    array.  fractional_parts gives floor and fractional part of x/A with
+    x = D*(n + 1) - B and the cut D/A; an entry it does not flag is a
+    member iff its fractional part is <= D/A and its floor is >= 1 (the
+    part is already > 0), and a flagged one is settled by torus_member.
+    """
+    if ns.size and int(ns.min()) < 1:
+        raise PreconditionError("n must be >= 1", n=int(ns.min()))
+    a, b, d = params._integers
+    whole, x, unsure = fractional_parts(d, d - b, a, ns, cuts=(d,))
+    mask = (x <= d / a) & (whole >= 1)
+    mask[unsure] = [torus_member(params, n) for n in ns[unsure].tolist()]
+    return mask
+
+
+def _index_range(params: BeattyParams, lo: int, hi: int) -> tuple[int, int]:
+    """(m_lo, m_hi): the members of [lo, hi) are (A*m + B)//D for
+    m_lo <= m < m_hi, with m_lo >= 1."""
+    a, b, d = params._integers
+    return max(1, -((b - d * int(lo)) // a)), -((b - d * int(hi)) // a)
+
+
+def member_count(params: BeattyParams, lo: int, hi: int) -> int:
+    """The number of members of B(alpha, beta) in [lo, hi), in closed form."""
+    m_lo, m_hi = _index_range(params, lo, hi)
+    return max(0, m_hi - m_lo)
+
+
 def beatty_members(params: BeattyParams, lo: int, hi: int) -> np.ndarray:
     """All members of B(alpha, beta) in [lo, hi), ascending, as int64:
     (A*m + B)//D for the indices m >= 1 with D*lo <= A*m + B < D*hi.
@@ -203,8 +237,7 @@ def beatty_members(params: BeattyParams, lo: int, hi: int) -> np.ndarray:
     the entries it flags are recomputed on Python ints.
     """
     a, b, d = params._integers
-    m_lo = max(1, -((b - d * int(lo)) // a))
-    m_hi = -((b - d * int(hi)) // a)
+    m_lo, m_hi = _index_range(params, lo, hi)
     count = m_hi - m_lo
     if count <= 0:
         return np.empty(0, dtype=np.int64)

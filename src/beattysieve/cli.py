@@ -263,13 +263,16 @@ def cmd_sieve_s1s2(ns):
     params = _params_from(ns)
     n = ns.n
     ctx, family = _sieve_context(ns)
-    members = beatty.beatty_members(params, n, 2 * n)
-    s1 = maynard.s1_window_float(family, members, n, 2 * n)
+    # only the gated class nu0 mod W2 carries weight, so only it is tested
+    gated = np.arange(n + (family.nu0 - n) % family.w2, 2 * n, family.w2)
+    s1 = maynard.s1_window_float(
+        family, gated[beatty.member_mask(params, gated)], n, 2 * n)
     y_scalar = float(params.gamma_exact * n)
     pred = maynard.main_terms(ctx, y_scalar, observed_s1=s1)
     payload = {"alpha": params.alpha, "beta": params.beta, "k": ctx.k, "n": n,
                "theta": ctx.theta, "offsets": ns.h,
-               "a_size": len(members), "s1_observed": s1,
+               "a_size": beatty.member_count(params, n, 2 * n),
+               "s1_observed": s1,
                "s1_predicted": pred["s1_pred"], "i_value": pred["i_value"],
                "ratio_s1": pred["ratio_s1"]}
     return payload, 0
@@ -430,7 +433,10 @@ def cmd_find(ns):
     for >= t offsets landing on Beatty primes.  At desk scale the
     certified tuple size is usually out of reach, so the pipeline falls
     back to a direct windowed scan of Beatty primes, which also yields
-    the minimal observed diameter.  Every output re-validates.
+    the minimal observed diameter.  The Beatty primes are the window's
+    sieved primes that beatty.member_mask keeps, and the window's members
+    are counted, not listed.  Every output re-validates: trial division
+    and the scalar torus_member check each reported prime again.
     """
     params = _params_from(ns)
     t = ns.t
@@ -466,10 +472,11 @@ def cmd_find(ns):
         raise PreconditionError("window exceeds the desk primality cap",
                                 hi=hi, cap=FIND_WINDOW_CAP)
 
-    members = beatty.beatty_members(params, lo, hi)
-    bprimes = members[np.isin(members, arith.primes_in(lo, hi), kind="table")]
+    primes = arith.primes_in(lo, hi)
+    bprimes = primes[beatty.member_mask(params, primes)]
     scan = {"window": [lo, hi], "candidates_checked": 0,
-            "beatty_members": len(members), "beatty_primes": len(bprimes)}
+            "beatty_members": beatty.member_count(params, lo, hi),
+            "beatty_primes": len(bprimes)}
     result = None
     tuple_offsets = None
     path = None

@@ -412,8 +412,10 @@ def s1_window_float(family: WeightFamily, members, n_lo: int, n_hi: int) -> floa
     are accumulated on it alone: entry j stands for n0 + j W2, n0 the
     least n >= n_lo of the class.  Each nonzero lambda_d's progression
     n = -h_i mod d_i, combined with the gate by CRT, adds float(lambda_d)
-    there.  members is an int64 array of the set A (as beatty_members
-    returns it); entries outside [n_lo, n_hi) or off the class are ignored.
+    there.  members is an int64 array of the set A, in any order and with
+    repeats allowed; entries outside [n_lo, n_hi) or off the class are
+    ignored.  They are marked on one boolean window, whose strided view
+    on the class gives the entries of inner that S1 sums, in order.
     """
     if not n_lo < n_hi:
         raise PreconditionError("empty window", n_lo=n_lo, n_hi=n_hi)
@@ -432,11 +434,9 @@ def s1_window_float(family: WeightFamily, members, n_lo: int, n_hi: int) -> floa
             res, mod = combined
         inner[(res - n0) % mod // w2::mod // w2] += float(ld)
     members = np.asarray(members, dtype=np.int64)
-    gated = members[(members >= n_lo) & (members < n_hi)
-                    & ((members - nu0) % w2 == 0)]
-    mask = np.zeros(len(inner), dtype=bool)
-    mask[(gated - n0) // w2] = True
-    return float(np.sum(inner[mask] ** 2))
+    window = np.zeros(n_hi - n_lo, dtype=bool)
+    window[members[(members >= n_lo) & (members < n_hi)] - n_lo] = True
+    return float(np.sum(inner[np.flatnonzero(window[n0 - n_lo::w2])] ** 2))
 
 
 def main_terms(ctx: SieveContext, y_scalar, observed_s1=None) -> dict:

@@ -532,3 +532,51 @@ def test_fractional_parts_decide_every_index_they_do_not_flag(num, off, den,
         assert 0 < x[i] < 1 and r != 0
         for c in cuts:
             assert _sign(Fraction(float(x[i])) - Fraction(c, den)) == _sign(r - c)
+
+
+# alpha of 3/2, 4/3, 2 or 5/2 puts about half of all n exactly on the
+# arc's endpoints, so most entries take the integer route
+FLAG_HEAVY = st.sampled_from([Fraction(3, 2), Fraction(4, 3), Fraction(2),
+                              Fraction(5, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.one_of(FLAG_HEAVY, SMALL_RATIONALS, ALPHAS),
+       beta_num=st.integers(0, 10**12),
+       beta_den=st.one_of(st.integers(1, 12), BETA_DENS),
+       start=st.one_of(st.integers(1, 5), st.integers(6, 10**7),
+                       st.integers(10**12, 10**12 + 10**6),
+                       st.integers(10**15 - 10**6, 10**15)),
+       width=st.one_of(st.integers(-3, 0), st.integers(1, 400)))
+def test_member_mask_and_count_match_the_scalar_kernels(alpha, beta_num,
+                                                        beta_den, start, width):
+    # start <= 5 lies below alpha for most draws, where a beta >= 1 gives
+    # an arc hit of index 0; the error bound grows with n, to about 10^-3
+    # near 10^12 and past 1/2 near 10^15, where every entry is flagged;
+    # width <= 0 is an empty window
+    params = _alpha_beta(alpha, beta_num, beta_den)
+    ns = np.arange(start, start + max(width, 0), dtype=np.int64)
+    got = beatty.member_mask(params, ns)
+    assert got.dtype == bool
+    assert got.tolist() == [torus_member(params, n) for n in ns.tolist()]
+    for lo in (start - 3, start):
+        assert (beatty.member_count(params, lo, start + width)
+                == len(beatty_members(params, lo, start + width)))
+    # the mask reads the entries as given: shuffled, repeated, sparse
+    sparse = np.array([start + 7 * width, start, start, 1], dtype=np.int64)
+    sparse = sparse[sparse >= 1]
+    assert (beatty.member_mask(params, sparse).tolist()
+            == [torus_member(params, n) for n in sparse.tolist()])
+
+
+def test_member_mask_edges(sqrt2):
+    assert beatty.member_mask(sqrt2, np.empty(0, dtype=np.int64)).size == 0
+    # n = 0 is off the arc's endpoints here, so only the guard refuses it
+    third = BeattyParams.make(Fraction(7, 3), Fraction(1, 3))
+    with pytest.raises(PreconditionError):
+        beatty.member_mask(third, np.array([5, 0], dtype=np.int64))
+    assert beatty.member_count(sqrt2, 9, 3) == 0
+    # near 2^62 every entry is flagged and the integers decide
+    ns = 2**62 + np.arange(200, dtype=np.int64)
+    assert (beatty.member_mask(sqrt2, ns).tolist()
+            == [torus_member(sqrt2, n) for n in ns.tolist()])

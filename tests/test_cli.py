@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beattysieve import arith, chars, cli, equidist, maynard, variational
+from beattysieve import (arith, beatty, chars, cli, equidist, maynard,
+                         variational)
 
 SQRT2 = repr(math.sqrt(2))
 SQRT3 = repr(math.sqrt(3))
@@ -756,6 +757,8 @@ REFERENCE_RUNS = {
     "find-t1": ["find", "--t", "1", "--lo", "1000", "--hi", "3000"],
     "find-k3": ["find", "--k", "3", "--lo", "125000", "--hi", "250000"],
     "find-t5": ["find", "--t", "5", "--lo", "2", "--hi", "10"],
+    "find-alpha-3-2": ["find", "--t", "2", "--alpha", "3/2", "--lo", "1000000",
+                       "--hi", "1100000"],
     "sieve-s1s2": ["sieve", "s1s2", "--alpha", "1.4142135623730951"],
     "sieve-weights": ["sieve", "weights", "--k", "3", "--h", "0,2,6",
                       "--theta", "0.5", "--n", "100000"],
@@ -792,6 +795,19 @@ def test_reference_pins_match_the_runs_one_to_one():
     # rewrites pins from the current tree, is the one other file there
     files = {p.name for p in PINS.iterdir() if p.is_file()}
     assert files == {f"{name}.txt" for name in REFERENCE_RUNS} | {"update.py"}
+
+
+def test_find_and_s1s2_test_membership_on_their_candidates_only(
+        capsys, monkeypatch):
+    # find tests the window's primes and sieve s1s2 the gated class; neither
+    # lists the members of its window
+    def no_listing(*args):
+        raise AssertionError("beatty_members called")
+
+    monkeypatch.setattr(beatty, "beatty_members", no_listing)
+    for name in ("find-t2", "sieve-s1s2"):
+        rc, out, _ = run(REFERENCE_RUNS[name], capsys)
+        assert f"exit {rc}\n{out}".encode() == (PINS / f"{name}.txt").read_bytes()
 
 
 def test_reference_enumeration_is_byte_identical(capsys):

@@ -103,6 +103,18 @@ def test_only_the_fractional_part_kernel_takes_a_float_floor():
     assert calls == [("beatty.py", "fractional_parts")]
 
 
+def test_no_module_joins_arrays_with_isin():
+    # the package joins a candidate array to a set by marking one of them
+    # on a boolean window and slicing it (find, sieve s1s2, the regularity
+    # report); np.isin(kind="table") allocates a table over the value range
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and _dotted(node.func) in (["np", "isin"], ["numpy", "isin"])]
+    assert found == []
+
+
 def test_no_module_imports_a_private_name_of_another():
     # what two modules share is public; dunders such as __version__ aside
     found = [f"{path.name}:{node.lineno} {alias.name}"
