@@ -1,4 +1,4 @@
-"""Dirichlet characters via CRT discrete-log tables.
+"""Dirichlet characters on a generated grid of units.
 
 The unit group mod q splits over the prime powers of q: odd p^e parts are
 cyclic under a primitive root chosen to work for every exponent at once,
@@ -8,33 +8,31 @@ root-of-unity exponent (an integer mod the group exponent) until a sum
 actually needs complex numbers.  That keeps orthogonality and conductor
 logic exact.
 
-Everything a modulus needs is computed once per CharTable, in numpy, and
-each character reads its entry.  The dlog tables come from a baby-step /
-giant-step array of the generator's powers and are gathered into one
-matrix, a row of dlogs per unit (unit_dlog_matrix); a single value
-chi(j) reads j's row, and every sum reads the whole matrix.  The
-conductors of all phi(q) characters come in one pass over the mixed-radix
-components of the character indices: an odd p^e component with index
-c != 0 contributes p^(e - min(v_p(c), e-1)); a 2^e component (e >= 3) with
-5-index c2 != 0 contributes 2^(e - v_2(c2)), else 4 when the sign index is
-set.
+Each CharTable lays the units mod q out on the grid of cyclic-factor
+orders: the entry at coordinates t is the unit whose dlogs are t.  The grid
+is generated, not looked up: each prime power contributes the powers of
+its generators on its own axes, and CRT joins them.  No dlog table is
+built; a single value chi(j) finds j's coordinates in the inverse
+permutation of the grid, made on first use.  The conductors of all phi(q)
+characters come in one pass over the mixed-radix components of the
+character indices: an odd p^e component with index c != 0 contributes
+p^(e - min(v_p(c), e-1)); a 2^e component (e >= 3) with 5-index c2 != 0
+contributes 2^(e - v_2(c2)), else 4 when the sign index is set.
 
-Character sums are evaluated for a whole modulus at once: with the units
-laid out on the grid of cyclic-factor orders at their dlog coordinates, the
-sum of chi_c against any function of the residue is entry -c of that
-function's n-dimensional DFT over the grid.  bilinear_S takes one numpy FFT
-per modulus, O(phi(q) log phi(q)) instead of O(q phi(q)) for one
-character at a time.  The Gauss sums G(chi, 1) of all characters come from
-one such transform of e(-j/q), and G(chi, n) = conj(chi(n)) G(chi, 1) for
-n prime to q.  These sums are floats; the Gauss sums differ in their last
-bits from a direct O(q) sum.
+Character sums are evaluated for a whole modulus at once: for any function
+f of the residue, entry -c of fftn(f[grid]), the n-dimensional DFT over the
+grid, is the sum of f against chi_c.  That one transform is the package's
+only FFT.  bilinear_S takes one per modulus, O(phi(q) log phi(q)) instead
+of O(q phi(q)) for one character at a time.  The Gauss sums G(chi, 1) of
+all characters come from one transform of e(-j/q), and G(chi, n) =
+conj(chi(n)) G(chi, 1) for n prime to q.  These sums are floats; the Gauss
+sums differ in their last bits from a direct O(q) sum.
 """
 from __future__ import annotations
 
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -101,52 +99,34 @@ def _valuation(c: np.ndarray, p: int, cap: int) -> np.ndarray:
 
 
 class _Factor:
-    """One prime-power block of the unit group, with one dlog table per
-    cyclic factor (-1 off the units)."""
+    """One prime-power block of the unit group and its cyclic factors."""
 
     def __init__(self, p: int, e: int):
         self.p = p
         self.e = e
         self.modulus = p**e
-        if p == 2:
-            if e == 1:
-                self.orders = ()
-            elif e == 2:
-                self.orders = (2,)
-            else:
-                self.orders = (2, 2 ** (e - 2))
-            self._build_two()
-        else:
+        if p != 2:
             self.orders = (self.modulus // p * (p - 1),)
-            self._build_odd()
+        elif e == 1:
+            self.orders = ()
+        elif e == 2:
+            self.orders = (2,)
+        else:
+            self.orders = (2, 2 ** (e - 2))
 
-    def _build_odd(self):
-        order = self.orders[0]
-        table = np.full(self.modulus, -1, dtype=np.int64)
-        table[_powers(_primitive_root(self.p), order, self.modulus)] = \
-            np.arange(order)
-        self._dlog = (table,)
-
-    def _build_two(self):
+    def units(self) -> np.ndarray:
+        """The units mod p^e at their dlog coordinates, of shape orders:
+        g^t for odd p, [1, 3] mod 4, and (-1)^a 5^b mod 2^e (e >= 3) with
+        the sign axis first; mod 2 the one unit 1, with no axis."""
         m = self.modulus
+        if self.p != 2:
+            return _powers(_primitive_root(self.p), self.orders[0], m)
         if self.e == 1:
-            self._dlog = ()
-            return
+            return np.ones((), dtype=np.int64)
         if self.e == 2:
-            table = np.full(m, -1, dtype=np.int64)
-            table[1] = 0
-            table[3] = 1
-            self._dlog = (table,)
-            return
-        sign = np.full(m, -1, dtype=np.int64)
-        five = np.full(m, -1, dtype=np.int64)
-        acc = _powers(5, self.orders[1], m)
-        b = np.arange(self.orders[1])
-        sign[acc] = 0
-        five[acc] = b
-        sign[m - acc] = 1
-        five[m - acc] = b
-        self._dlog = (sign, five)
+            return np.array([1, 3], dtype=np.int64)
+        return np.multiply.outer(np.array([1, m - 1], dtype=np.int64),
+                                 _powers(5, self.orders[1], m)) % m
 
     def conductors(self, indices: list) -> np.ndarray:
         """This block's conductor for every character at once, given one
@@ -161,29 +141,34 @@ class _Factor:
         return out
 
 
-@dataclass(frozen=True)
 class Character:
     """One character: per-cyclic-factor exponent indices against a table."""
 
-    table: "CharTable"
-    index: int
-    components: tuple
+    __slots__ = ("table", "index", "components")
+
+    def __init__(self, table: "CharTable", index: int, components: tuple):
+        self.table = table
+        self.index = index
+        self.components = components
 
     @property
     def q(self) -> int:
         return self.table.q
 
     def exponent(self, j: int):
-        """chi(j) as t with chi(j) = e(t / group_exponent); None off units."""
-        js, rows = self.table.unit_dlog_matrix()
-        j %= self.q
-        i = int(js.searchsorted(j))
-        if i == len(js) or js[i] != j:
+        """chi(j) as t with chi(j) = e(t / group_exponent); None off units.
+
+        j's dlogs are the coordinates of its grid cell, unravelled in C
+        order (the last axis fastest).
+        """
+        table = self.table
+        cell = int(table.position()[j % table.q])
+        if cell < 0:
             return None
-        big_l = self.table.group_exponent
+        big_l = table.group_exponent
         t = 0
-        for c, d, n in zip(self.components, rows[i].tolist(),
-                           self.table.cyc_orders):
+        for c, n in zip(reversed(self.components), reversed(table.cyc_orders)):
+            cell, d = divmod(cell, n)
             t += c * d * (big_l // n)
         return t % big_l
 
@@ -221,11 +206,14 @@ class _CharacterFamily:
         return Character(t, i, tuple(comps))
 
     def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        t = self._table
+        rows = (zip(*(d.tolist() for d in t._digits())) if t.cyc_orders
+                else [()])
+        return (Character(t, i, comps) for i, comps in enumerate(rows))
 
 
 class CharTable:
-    """All characters mod q, with CRT dlog data shared across them."""
+    """All characters mod q, on one grid of units shared across them."""
 
     def __init__(self, q: int):
         if not 1 <= q <= TABLE_MODULUS_CAP:
@@ -241,7 +229,8 @@ class CharTable:
             self.group_exponent = math.lcm(self.group_exponent, n)
         self.characters = _CharacterFamily(self)
         self._roots = None
-        self._dlog_matrix = None
+        self._grid = None
+        self._position = None
         self._conductors = None
         self._gauss_one = None
 
@@ -251,61 +240,68 @@ class CharTable:
             self._roots = np.exp(2j * np.pi * np.arange(big_l) / big_l)
         return complex(self._roots[t % self.group_exponent])
 
-    def unit_dlog_matrix(self):
-        """(units array, len(units) x num_factors dlog matrix); cached.
+    def grid(self) -> np.ndarray:
+        """The units mod q as an int64 array of shape cyc_orders ((1,) with
+        no cyclic factor): the entry at coordinates t is the unit whose
+        dlogs are t; cached.
 
-        The units mod q ascend, and row i holds the dlogs of unit i against
-        the cyclic factors, each factor's table indexed at every unit at
-        once.  Every character value reads this one table.
+        Each factor's units lie along its own axes, in cyc_orders order, and
+        CRT joins them: the unit is the sum of u_f c_f mod q, with the
+        idempotent c_f = (q/m_f) ((q/m_f)^-1 mod m_f).
         """
-        if self._dlog_matrix is None:
-            units = np.ones(self.q, dtype=bool)
+        if self._grid is None:
+            grid = np.zeros((), dtype=np.int64)
             for f in self.factors:
-                units[::f.p] = False
-            js = np.flatnonzero(units)
-            cols = []
-            for f in self.factors:
-                cols.extend(t[js % f.modulus] for t in f._dlog)
-            rows = (np.stack(cols, axis=1) if cols
-                    else np.zeros((len(js), 0), dtype=np.int64))
-            self._dlog_matrix = (js, rows)
-        return self._dlog_matrix
+                cofactor = self.q // f.modulus
+                idempotent = cofactor * pow(cofactor, -1, f.modulus)
+                grid = np.add.outer(grid, f.units() * idempotent % self.q)
+            self._grid = (grid % self.q).reshape(self.cyc_orders or (1,))
+        return self._grid
+
+    def position(self) -> np.ndarray:
+        """The inverse of grid(): each residue's C-order cell index, -1 off
+        the units; length q, cached."""
+        if self._position is None:
+            position = np.full(self.q, -1, dtype=np.int64)
+            position[self.grid().ravel()] = np.arange(self.phi)
+            self._position = position
+        return self._position
+
+    def _digits(self) -> list:
+        """The mixed-radix components of every character index, one array
+        per cyclic factor; the first factor's varies fastest, as in
+        characters[i]."""
+        rem = np.arange(self.phi, dtype=np.int64)
+        digits = []
+        for n in self.cyc_orders:
+            digits.append(rem % n)
+            rem //= n
+        return digits
 
     def conductors(self) -> np.ndarray:
-        """Conductor of every character, by index; cached.
-
-        One pass over the mixed-radix components of arange(phi): the index
-        of the first cyclic factor varies fastest, as in characters[i].
-        """
+        """Conductor of every character, by index; cached."""
         if self._conductors is None:
-            rem = np.arange(self.phi, dtype=np.int64)
+            digits = iter(self._digits())
             out = np.ones(self.phi, dtype=np.int64)
             for f in self.factors:
-                indices = []
-                for n in f.orders:
-                    indices.append(rem % n)
-                    rem //= n
-                out *= f.conductors(indices)
+                out *= f.conductors([next(digits) for _ in f.orders])
             self._conductors = out
         return self._conductors
 
     def primitive_count(self) -> int:
         return int(np.count_nonzero(self.conductors() == self.q))
 
-    def _transform(self, unit_values: np.ndarray) -> np.ndarray:
-        """DFT over the cyclic-factor grid of values placed at the units'
-        dlog coordinates (unit_values in the order of unit_dlog_matrix()).
+    def _transform(self, values_by_residue: np.ndarray) -> np.ndarray:
+        """DFT over the grid of values indexed by residue mod q.
 
         Entry -c is the sum of the values against the character with
         indices c.  q = 1, 2 have no cyclic factor: one unit, one
         character, one cell.
         """
-        grid = np.zeros(self.cyc_orders or (1,), dtype=complex)
-        grid[tuple(self.unit_dlog_matrix()[1].T)] = unit_values
-        return np.fft.fftn(grid)
+        return np.fft.fftn(values_by_residue[self.grid()])
 
     def _gauss_transform(self, n: int) -> np.ndarray:
-        js = self.unit_dlog_matrix()[0]
+        js = np.arange(self.q)
         return self._transform(np.exp(-2j * np.pi * (n * js % self.q) / self.q))
 
 
@@ -419,9 +415,8 @@ def bilinear_S(q_lo: int, gamma, a_coeffs: dict, b_coeffs: dict,
 
     The inner sum runs over m, k with n = m k inside [n_lo, n_hi):
     sum a_m b_k chi(mk) e(gamma m k).  Coefficients are dicts on dyadic
-    ranges.  Per modulus the pairs are binned by n mod q, the bins are
-    placed on the unit group's cyclic-factor grid at their dlog
-    coordinates, and one FFT over that grid gives the sums of all phi(q)
+    ranges.  Per modulus the pairs are binned by n mod q, and one FFT of
+    the bins read on the table's grid of units gives the sums of all phi(q)
     characters at once (entry c is the sum of the character with indices
     -c).  The work is about #pairs + q + phi(q) ceil(log2 phi(q)) per
     modulus; a request over BILINEAR_OP_BUDGET is refused with that
@@ -443,12 +438,10 @@ def bilinear_S(q_lo: int, gamma, a_coeffs: dict, b_coeffs: dict,
     ws_re, ws_im = np.ascontiguousarray(ws.real), np.ascontiguousarray(ws.imag)
     total = 0.0
     for q in range(q_lo, 2 * q_lo):
-        table = char_table(q)
         res = (ns % q).astype(np.intp, copy=False)
         by_residue = (np.bincount(res, weights=ws_re, minlength=q)
                       + 1j * np.bincount(res, weights=ws_im, minlength=q))
-        js = table.unit_dlog_matrix()[0]
-        total += float(np.abs(table._transform(by_residue[js])).sum())
+        total += float(np.abs(char_table(q)._transform(by_residue)).sum())
     return float(total)
 
 

@@ -114,14 +114,16 @@ def translate_tuple(l: int, k: int, gamma, eps) -> TranslateResult:
                 "offsets; raise l or eps")
 
     lo = (eta - window) % 1
+    # h*gamma mod 1 repeats with period den(gamma): no h past it is new
+    candidates = min(SHIFT_SCAN_BUDGET, g.denominator)
     shift = None
-    for h in range(1, SHIFT_SCAN_BUDGET + 1):
+    for h in range(1, candidates + 1):
         if 0 < (h * g - lo) % 1 < window:
             shift = h
             break
     if shift is None:
         raise BudgetError("no shift with h*gamma in the target window "
-                          f"within {SHIFT_SCAN_BUDGET} candidates")
+                          f"within {candidates} candidates")
 
     offsets = sorted(p + shift for p in chosen)
     for h in offsets:

@@ -1,13 +1,15 @@
 """One-at-a-time routes for the per-modulus tables of beattysieve.chars.
 
-The package computes dlog tables, conductors, Gauss sums and the bilinear
-pairs once per modulus in numpy; these are the direct routes they replaced,
-kept to check them against: the dlog tables filled by one loop over the
-generator's powers, the conductor walk over the prime-power factors of one
-character, the O(q) Gauss sum of one character, the pair loop with cmath,
-and the divisor sum over every d <= q.
+The package generates each modulus's grid of units and computes the
+conductors, Gauss sums and bilinear pairs once per modulus in numpy; these
+are the direct routes they replaced, kept to check them against: the dlog
+tables filled by one loop over the generator's powers, the transform that
+scattered values into the grid at those dlogs, the conductor walk over the
+prime-power factors of one character, the O(q) Gauss sum of one character,
+the pair loop with cmath, and the divisor sum over every d <= q.
 """
 import cmath
+import functools
 
 import numpy as np
 
@@ -45,6 +47,30 @@ def dlog_tables(factor) -> tuple:
         table[acc] = t
         acc = acc * g % m
     return (table,)
+
+
+def scatter_transform(table, values_by_residue: np.ndarray) -> np.ndarray:
+    """The DFT over the cyclic-factor grid of the values at the units, each
+    placed at the dlogs the loop-filled tables give it."""
+    q = table.q
+    js = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+    cols = [t[js % f.modulus] for f in table.factors for t in dlog_tables(f)]
+    grid = np.zeros(table.cyc_orders or (1,), dtype=complex)
+    grid[tuple(cols)] = values_by_residue[js]
+    return np.fft.fftn(grid)
+
+
+@functools.lru_cache(maxsize=8)
+def unit_dlog_matrix(table):
+    """(the units mod q ascending, a row of dlogs per unit), read off the
+    table's grid; kept for the last few tables, which character_values
+    reads once per character."""
+    flat = table.grid().ravel()
+    order = np.argsort(flat)
+    rows = np.zeros((len(flat), len(table.cyc_orders)), dtype=np.int64)
+    if table.cyc_orders:
+        rows[:] = np.column_stack(np.unravel_index(order, table.cyc_orders))
+    return flat[order], rows
 
 
 def _factor_conductor(factor, indices: tuple) -> int:
@@ -85,7 +111,7 @@ def character_values(chi) -> np.ndarray:
     """chi(j) for j in [0, q) as a complex array."""
     q = chi.q
     out = np.zeros(q, dtype=complex)
-    js, dlogs = chi.table.unit_dlog_matrix()
+    js, dlogs = unit_dlog_matrix(chi.table)
     big_l = chi.table.group_exponent
     w = np.array([c * (big_l // n) for c, n in
                   zip(chi.components, chi.table.cyc_orders)], dtype=np.int64)

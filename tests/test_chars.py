@@ -2,6 +2,7 @@
 import cmath
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from beattysieve.chars import (BILINEAR_OP_BUDGET, DIVISOR_TABLE_BUDGET,
 from beattysieve.errors import BudgetError, PreconditionError
 from char_oracles import (character_values, conductor, direct_gauss_sum,
                           dlog_tables, primitive_count_by_every_d,
+                          scatter_transform, unit_dlog_matrix,
                           window_products_loop)
 
 
@@ -61,10 +63,29 @@ def test_primitive_count_formula_matches_the_every_d_sum():
 
 def _check_tables_against_the_oracles(q):
     table = CharTable(q)
-    for f in table.factors:
-        expect = dlog_tables(f)
-        assert len(f._dlog) == len(expect)
-        assert all(np.array_equal(g, e) for g, e in zip(f._dlog, expect))
+    grid = table.grid()
+    assert grid.dtype == np.int64 and grid.shape == (table.cyc_orders or (1,))
+    # each unit appears exactly once
+    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+    assert np.array_equal(np.sort(grid, axis=None), units)
+    # the cell at t holds the unit whose dlogs are t: the loop-filled dlog
+    # tables read t back off every cell, and the generator powers rebuild
+    # the unit from t (every cell up to 4096, a seeded sample above)
+    tables = [(f, t) for f in table.factors for t in dlog_tables(f)]
+    assert len(tables) == len(table.cyc_orders)
+    for (f, dlog), coords in zip(tables, np.indices(table.cyc_orders)):
+        assert np.array_equal(dlog[grid % f.modulus], coords)
+    cells = range(table.phi)
+    if table.phi > 4096:
+        cells = random.Random(q).sample(cells, 4096)
+    for cell in cells:
+        t = tuple(int(d) for d in np.unravel_index(cell, grid.shape))
+        pos = 0
+        for f in table.factors:
+            width = len(f.orders)
+            assert _unit_from_dlogs(f, t[pos:pos + width]) \
+                == grid[t] % f.modulus
+            pos += width
     # character i has the mixed-radix digits of i, the first factor fastest
     digits = itertools.product(*(range(n) for n in reversed(table.cyc_orders)))
     conductors = [conductor(table, c[::-1]) for c in digits]
@@ -211,7 +232,7 @@ def _unit_from_dlogs(factor, dlogs: list) -> int:
 def test_unit_dlog_matrix_matches_the_per_unit_oracle():
     for q in range(1, 401):
         table = CharTable(q)
-        js, rows = table.unit_dlog_matrix()
+        js, rows = unit_dlog_matrix(table)
         units = [j for j in range(q) if math.gcd(j, q) == 1]
         assert js.dtype == np.int64 and rows.dtype == np.int64
         assert js.tolist() == units
@@ -224,6 +245,34 @@ def test_unit_dlog_matrix_matches_the_per_unit_oracle():
                 assert all(0 <= d < n for d, n in zip(dlogs, f.orders))
                 assert _unit_from_dlogs(f, dlogs) == j % f.modulus
                 pos += width
+
+
+def test_transform_equals_the_scatter_route_bitwise():
+    # fftn(values[grid]) gets the array the dlog scatter built, so every
+    # float of every sum is unchanged
+    rng = np.random.default_rng(34)
+    for q in range(1, 401):
+        table = CharTable(q)
+        bins = rng.normal(size=q) + 1j * rng.normal(size=q)
+        got, expect = table._transform(bins), scatter_transform(table, bins)
+        assert got.shape == expect.shape
+        assert got.view(np.float64).tobytes() == expect.view(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 8, 9, 12, 16, 45, 97, 120, 200, 720])
+def test_position_inverts_the_grid_and_iteration_indexes(q):
+    table = CharTable(q)
+    flat = table.grid().ravel()
+    position = table.position()
+    assert position.dtype == np.int64 and len(position) == q
+    assert position[flat].tolist() == list(range(table.phi))
+    assert np.all(np.delete(position, flat) == -1)
+    # iteration gives characters[i] in index order, as Python ints
+    chis = list(table.characters)
+    assert [(chi.index, chi.components) for chi in chis] == \
+        [(table.characters[i].index, table.characters[i].components)
+         for i in range(table.phi)]
+    assert all(type(c) is int for chi in chis for c in chi.components)
 
 
 @pytest.mark.parametrize("q", [1, 2, 4, 8, 9, 12, 16, 45, 97, 120, 200])

@@ -775,6 +775,12 @@ REFERENCE_RUNS = {
     "mk-threshold": ["mk", "threshold", "--t", "2", "--b", "0.9",
                      "--theta", "0.25"],
     "chars-table": ["chars", "table", "--q", "999983"],
+    "chars-bilinear": ["chars", "bilinear", "--q0", "70", "--m0", "70",
+                       "--m1", "140", "--k0", "70", "--k1", "140",
+                       "--gamma", "0.7071067811865476"],
+    "chars-bilinear-q200": ["chars", "bilinear", "--q0", "200", "--m0", "70",
+                            "--m1", "140", "--k0", "70", "--k1", "140",
+                            "--gamma", "0.7071067811865476"],
     "dioph-modulus": ["dioph", "modulus", "--gamma", "0.7071067811865476",
                       "--n", "10000"],
 }

@@ -84,11 +84,9 @@ def test_only_arith_and_buchstab_build_a_factor_table():
     assert found == []
 
 
-def test_only_the_fractional_part_kernel_takes_a_float_floor():
-    # one filtered-exact predicate for fractional parts: a float64 floor
-    # anywhere else would be a second error analysis to keep sound, so
-    # callers go through beatty.fractional_parts and settle its flagged
-    # entries on integers
+def _callers(prefix):
+    """(module file, innermost enclosing def or "<module>") of every call in
+    the package whose callee is np.<prefix...> or numpy.<prefix...>."""
     calls = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -99,8 +97,23 @@ def test_only_the_fractional_part_kernel_takes_a_float_floor():
         calls += [(path.name, owner.get(node, "<module>"))
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
-                  and _dotted(node.func) in (["np", "floor"], ["numpy", "floor"])]
-    assert calls == [("beatty.py", "fractional_parts")]
+                  and (_dotted(node.func) or [""])[0] in ("np", "numpy")
+                  and _dotted(node.func)[1:len(prefix) + 1] == prefix]
+    return calls
+
+
+def test_only_the_fractional_part_kernel_takes_a_float_floor():
+    # one filtered-exact predicate for fractional parts: a float64 floor
+    # anywhere else would be a second error analysis to keep sound, so
+    # callers go through beatty.fractional_parts and settle its flagged
+    # entries on integers
+    assert _callers(["floor"]) == [("beatty.py", "fractional_parts")]
+
+
+def test_only_the_character_transform_takes_an_fft():
+    # every character sum is one fftn over a table's grid of units, so
+    # CharTable._transform is the package's one FFT
+    assert _callers(["fft"]) == [("chars.py", "_transform")]
 
 
 def test_no_module_joins_arrays_with_isin():

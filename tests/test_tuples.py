@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from beattysieve.errors import ImpossibleInputError, PreconditionError
+from beattysieve.errors import (BudgetError, ImpossibleInputError,
+                                PreconditionError)
 from beattysieve.tuples import (AdmissibleTuple, choose_nu0, divcond_check,
                                 is_admissible, translate_tuple)
 
@@ -69,6 +70,13 @@ def test_translate_preconditions(sqrt2):
         translate_tuple(3, 4, sqrt2.gamma_exact, Fraction(1, 4))
     with pytest.raises(PreconditionError):
         translate_tuple(10, 2, sqrt2.gamma_exact, Fraction(3, 2))
+
+
+def test_translate_scans_one_period_of_a_rational_gamma():
+    # h * 2/3 mod 1 takes the values 2/3, 1/3, 0 and repeats: the scan stops
+    # after 3 candidates instead of running its whole budget
+    with pytest.raises(BudgetError, match="within 3 candidates"):
+        translate_tuple(10, 2, Fraction(2, 3), Fraction(1, 100))
 
 
 def test_divisibility_condition_check():
