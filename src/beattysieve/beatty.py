@@ -18,18 +18,21 @@ The second holds because A > D: at most one multiple A*m lies in
 beatty_members lists a window without one big-integer division per
 member.  With m_lo and m_hi exact as above and (c0, r0) = divmod(A*m_lo
 + B, D), the j-th member is c0 + floor(r0/D + j*alpha) = c0 + (r0 +
-j*A)//D.  fractional_parts takes that floor in float64 and flags the j
+j*A)//D.  _fractional_parts takes that floor in float64 and flags the j
 it cannot vouch for, which are recomputed on Python ints; the result is
 the integer identity above at every entry.  Its error bound grows with
 the window's width, not its position, so a window at 10^18 takes the
 same route as one at 10^3; only the members must fit in int64.  For an
 irrational alpha almost no entry is flagged; for a rational alpha with a
 small denominator many values are integers and all of those are.
-member_mask tests given n through the same kernel: the fractional part
-of x/A, x = D*(n + 1) - B, against 0, 1 and the cut D/A, with
-torus_member for the n it flags.  There the bound grows with n itself,
-and past about n = 2^49 alpha every n is flagged.  member_count counts a
-window's members as m_hi - m_lo, without listing them.
+arc_mask is the same filter as an arc test, 0 < (num*n + off) mod den <=
+cut for given n, and settles the n it flags with that integer test
+itself.  member_mask is arc_mask on x = D*(n + 1) - B over A with the
+cut D, and the index test n >= floor(alpha + beta), the first member.
+There the bound grows with n itself, and past about n = 2^49 alpha
+every n is flagged.  No vector kernel calls torus_member, so that scalar
+test re-checks their answers by an independent route.  member_count
+counts a window's members as m_hi - m_lo, without listing them.
 
 Geometrically, writing gamma = 1/alpha, n is a member exactly when
 
@@ -39,10 +42,8 @@ and the recovered index m = ceil(gamma*(n - beta)) is at least 1.  Arcs on
 R/Z are half open (left, left + length]; this makes the criterion exact on
 the right endpoint, where floor(alpha*m + beta) lands when gamma*(n - beta)
 is an integer.  membership_interval and shift_intersection keep this arc
-geometry for the regularity report, which tests it on its primes
-through fractional_parts too: the float64 fractional part decides every
-n it does not flag at the arc's endpoints, and integers over a common
-denominator decide the rest (equidist._arc_hits).
+geometry for the regularity report, which puts each arc and gamma over
+one common denominator and tests its primes through arc_mask too.
 
 A quadratic surd is a separate matter: quadratic() stores sqrt(d) rounded
 down to SURD_DIGITS = 40 decimal digits, and everything above is exact for
@@ -161,15 +162,15 @@ def torus_member(params: BeattyParams, n: int) -> bool:
     return 0 < r <= d and x - r >= a
 
 
-def fractional_parts(num: int, off: int, den: int, ns: np.ndarray,
-                     cuts=()):
+def _fractional_parts(num: int, off: int, den: int, ns: np.ndarray,
+                      cuts=()):
     """(whole, x, unsure) for t = (num*n + off)/den at each n of the int64
     array ns, den >= 1: whole = floor(t) and x = t - whole in [0, 1], both
     float64, and the ascending indices whose x lies within the error bound
     delta of 0, of 1 or of some c/den with c in cuts.  Every other index
     has whole == (num*n + off)//den exactly, and x on the same side of
-    each c/den as (num*n + off) % den is of c; the caller settles the
-    flagged ones on integers.
+    each c/den as (num*n + off) % den is of c; beatty_members and arc_mask
+    settle the flagged ones on integers.
 
     This is a filtered-exact predicate, as in Shewchuk's adaptive ones.
     t is n*(num/den) + off/den from the correctly rounded quotients.  With
@@ -183,7 +184,7 @@ def fractional_parts(num: int, off: int, den: int, ns: np.ndarray,
     and from 1, no integer lies between t and the exact value, and where
     it lies farther than delta from c/den both sit on the same side of it.
     Once S passes about 2^49, delta exceeds 1/2 and every index is
-    flagged, so the callers stay exact at any n.
+    flagged, so both stay exact at any n.
     """
     span = max(-int(ns.min(initial=0)), int(ns.max(initial=0)))
     delta = ((span * abs(num) + abs(off)) / den + 4) * 2.0**-50
@@ -199,20 +200,31 @@ def fractional_parts(num: int, off: int, den: int, ns: np.ndarray,
     return whole, t, np.flatnonzero(near)
 
 
+def arc_mask(num: int, off: int, den: int, ns: np.ndarray,
+             cut: int) -> np.ndarray:
+    """0 < (num*n + off) mod den <= cut at each n of the int64 array ns,
+    den >= 1, as a boolean array.  _fractional_parts decides each n it
+    does not flag against 0, 1 and the cut, and each flagged n takes the
+    integer test, so the mask is exact at any n.
+    """
+    _, x, unsure = _fractional_parts(num, off, den, ns, (cut,))
+    inside = x <= cut / den
+    inside[unsure] = [0 < (num * n + off) % den <= cut
+                      for n in ns[unsure].tolist()]
+    return inside
+
+
 def member_mask(params: BeattyParams, ns: np.ndarray) -> np.ndarray:
     """torus_member at each n >= 1 of the int64 array ns, as a boolean
-    array.  fractional_parts gives floor and fractional part of x/A with
-    x = D*(n + 1) - B and the cut D/A; an entry it does not flag is a
-    member iff its fractional part is <= D/A and its floor is >= 1 (the
-    part is already > 0), and a flagged one is settled by torus_member.
+    array: with x = D*(n + 1) - B, the arc test 0 < x mod A <= D by
+    arc_mask, and the index test x - x mod A >= A, which for an n on the
+    arc says n is at least the first member (A + B)//D = floor(alpha +
+    beta).
     """
     if ns.size and int(ns.min()) < 1:
         raise PreconditionError("n must be >= 1", n=int(ns.min()))
     a, b, d = params._integers
-    whole, x, unsure = fractional_parts(d, d - b, a, ns, cuts=(d,))
-    mask = (x <= d / a) & (whole >= 1)
-    mask[unsure] = [torus_member(params, n) for n in ns[unsure].tolist()]
-    return mask
+    return arc_mask(d, d - b, a, ns, d) & (ns >= (a + b) // d)
 
 
 def _index_range(params: BeattyParams, lo: int, hi: int) -> tuple[int, int]:
@@ -233,7 +245,7 @@ def beatty_members(params: BeattyParams, lo: int, hi: int) -> np.ndarray:
     (A*m + B)//D for the indices m >= 1 with D*lo <= A*m + B < D*hi.
 
     With (c0, r0) = divmod(A*m_lo + B, D), the j-th member is
-    c0 + (r0 + j*A)//D: fractional_parts takes that floor in float64 and
+    c0 + (r0 + j*A)//D: _fractional_parts takes that floor in float64 and
     the entries it flags are recomputed on Python ints.
     """
     a, b, d = params._integers
@@ -244,8 +256,8 @@ def beatty_members(params: BeattyParams, lo: int, hi: int) -> np.ndarray:
     if (a * (m_hi - 1) + b) // d > INT64_MAX:
         raise PreconditionError("members beyond the int64 range", hi=hi)
     c0, r0 = divmod(a * m_lo + b, d)
-    whole, _, unsure = fractional_parts(a, r0, d,
-                                        np.arange(count, dtype=np.int64))
+    whole, _, unsure = _fractional_parts(a, r0, d,
+                                         np.arange(count, dtype=np.int64))
     out = whole.astype(np.int64)
     for j in unsure.tolist():
         out[j] = (r0 + j * a) // d

@@ -180,27 +180,22 @@ def _window_terms(n_base: int, n_end: int, spf: np.ndarray):
         yield _block_terms(lo, min(lo + _BLOCK, n_end), 2 * n_base, spf)
 
 
-def decomposition_check(n_base: int, n_end: int,
-                        table: arith.FactorTable | None = None) -> int:
+def decomposition_check(n_base: int, n_end: int) -> int:
     """Count of n in [n_base, n_end) violating the exact chain identity.
 
     The identity states x(n) - d_sum(n) = rho1 + rho2 + rho3 - rho4 - rho5
     with x the prime indicator.  Returns the number of violations (0 on
     every window tested, whatever the D membership rule, since removing a
-    chain subtree and counting it separately is exact bookkeeping).  A
-    given table must reach n_end - 1; a shorter one is refused before any
-    n is checked.  The window runs in blocks of _BLOCK values of n.
+    chain subtree and counting it separately is exact bookkeeping).  The
+    window runs in blocks of _BLOCK values of n over one factor table up
+    to n_end, built after the window is checked.
     """
     if n_base < 100:
         raise PreconditionError("window base must be >= 100", n_base=n_base)
     if not n_base < n_end <= 2 * n_base:
         raise PreconditionError("need n_base < n_end <= 2*n_base",
                                 n_base=n_base, n_end=n_end)
-    if table is None:
-        table = arith.FactorTable(n_end)
-    if table.limit < n_end - 1:
-        raise PreconditionError("factor table does not reach the window",
-                                n_end=n_end, limit=table.limit)
+    table = arith.FactorTable(n_end)
     bad = 0
     for x, d_sum, rho1, rho2, rho3, rho4, rho5 in _window_terms(n_base, n_end,
                                                                 table.spf):

@@ -91,10 +91,13 @@ def _powers(g: int, count: int, m: int) -> np.ndarray:
 
 
 def _valuation(c: np.ndarray, p: int, cap: int) -> np.ndarray:
-    """min(v_p(c), cap) elementwise (cap where c == 0)."""
+    """min(v_p(c), cap) elementwise (cap where c == 0).  Each power p^k
+    tests only the entries that p^(k-1) divides."""
     v = np.zeros(len(c), dtype=np.int64)
+    live = np.arange(len(c))
     for k in range(1, cap + 1):
-        v += c % p**k == 0
+        live = live[c[live] % p**k == 0]
+        v[live] += 1
     return v
 
 

@@ -478,7 +478,7 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5) -> dic
                           estimate=row_estimate)
     gamma = Fraction(u, r) + delta
     lo, hi = Fraction(1, 4 * r), Fraction(3, 4 * r)
-    # over den = 8rN, as in _arc_hits: gamma = (8uN + 1) / den, arc (2N, 6N) / den
+    # over den = 8rN, as in regcond_report: gamma = (8uN + 1) / den, arc (2N, 6N) / den
     in_arc = sum(1 for m in range(1, 2 * n + 1)
                  if 2 * n < (8 * u * n + 1) * m % (8 * r * n) < 6 * n)
 
@@ -505,27 +505,6 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5) -> dic
             "sum_e2": float(total), "sum_bound": float(bound_total),
             "aggregate_holds": total >= bound_total,
             "all_progressions_hold": all_hold and in_arc == 0}
-
-
-def _arc_hits(arc: beatty.TorusInterval, gamma: Fraction, ns) -> np.ndarray:
-    """The n of the int64 array ns with frac(gamma n) in the arc (left,
-    left + length], in their order, as int64.
-
-    Over den = lcm of the arc's and gamma's denominators, with integers g,
-    left and length, n is a hit iff 0 < (g n - left) mod den <= length.
-    beatty.fractional_parts takes x = frac((g n - left)/den) in float64
-    under its one error bound, with the cut length/den: x decides every n
-    it does not flag, and the flagged n take the integer test on Python
-    ints, so the route is exact at any n.
-    """
-    ns = np.asarray(ns, dtype=np.int64)
-    (g, left, length), den = arith.common_denominator(
-        x.as_integer_ratio() for x in (gamma, arc.left, arc.length))
-    _, x, unsure = beatty.fractional_parts(g, -left, den, ns, (length,))
-    hit = x <= length / den
-    for j, n in zip(unsure.tolist(), ns[unsure].tolist()):
-        hit[j] = 0 < (g * n - left) % den <= length
-    return ns[hit]
 
 
 def _class_counts(values: np.ndarray, moduli) -> list[np.ndarray]:
@@ -602,9 +581,11 @@ def regcond_report(offsets, params: beatty.BeattyParams, n_grid, theta: float,
     same integers as one bincount per q.  gamma (in Y and in the arcs) is
     the exact gamma of params, whose membership and shift arcs the second
     sum needs: the shifted memberships are recomputed through the torus
-    arc by _arc_hits, filtered exact and independent of the masks, on the
-    primes the masks can hold (n and n - h both in the window), and
-    cross-checked against them; mismatches are reported.
+    arc, independent of the masks, on the primes the masks can hold (n and
+    n - h both in the window), and cross-checked against them; mismatches
+    are reported.  With gamma and the arc (left, left + length] over one
+    common denominator den, n is on the arc iff 0 < (g n - left) mod den
+    <= length, which beatty.arc_mask decides exactly.
     """
     if not n_grid:
         raise PreconditionError("empty N grid")
@@ -650,9 +631,11 @@ def regcond_report(offsets, params: beatty.BeattyParams, n_grid, theta: float,
             hi_i = max(lo_i, min(n, n + h))
             kept = n_lo + lo_i + np.flatnonzero(
                 prime_in_a[lo_i:hi_i] & in_a[lo_i - h:hi_i - h])
-            via_arc = _arc_hits(arc, gamma, primes[
-                np.searchsorted(primes, n_lo + lo_i):
-                np.searchsorted(primes, n_lo + hi_i)])
+            tested = primes[np.searchsorted(primes, n_lo + lo_i):
+                            np.searchsorted(primes, n_lo + hi_i)]
+            (g, left, length), den = arith.common_denominator(
+                x.as_integer_ratio() for x in (gamma, arc.left, arc.length))
+            via_arc = tested[beatty.arc_mask(g, -left, den, tested, length)]
             arc_match[m_idx] = np.array_equal(via_arc, kept)
             y_gm = float(arc.length) * log_integral
             total = 0.0

@@ -50,9 +50,9 @@ def test_criterion_1_region_integrals_within_budget():
     assert elapsed < 60.0
 
 
-def test_criterion_2_chain_identity_window(big_table):
+def test_criterion_2_chain_identity_window():
     start = time.perf_counter()
-    violations = decomposition_check(10**5, 2 * 10**5, big_table)
+    violations = decomposition_check(10**5, 2 * 10**5)
     elapsed = time.perf_counter() - start
     assert violations == 0
     assert elapsed < 60.0

@@ -14,7 +14,6 @@ from beattysieve.beatty import (BeattyParams, TorusInterval,
                                 pigeonhole_shift, recovered_index,
                                 shift_intersection, sqrt_fraction,
                                 torus_member)
-from beattysieve.equidist import _arc_hits
 from beattysieve.errors import PreconditionError
 from regcond_oracles import arc_hits as oracle_arc_hits
 
@@ -23,6 +22,23 @@ def _arc_contains(arc, x):
     """x mod 1 lies in the half open arc (left, left + length]: the
     Fraction reference for the integer arc route."""
     return 0 < (x - arc.left) % 1 <= arc.length
+
+
+def _arc_integers(arc, gamma):
+    """(g, left, length, den): gamma and the arc (left, left + length] over
+    one common denominator den, so n is on the arc iff
+    0 < (g n - left) mod den <= length."""
+    (g, left, length), den = arith.common_denominator(
+        x.as_integer_ratio() for x in (gamma, arc.left, arc.length))
+    return g, left, length, den
+
+
+def _arc_hits(arc, gamma, ns):
+    """The n of ns with frac(gamma n) on the arc, as int64, by arc_mask:
+    the regularity report's arc route."""
+    ns = np.asarray(ns, dtype=np.int64)
+    g, left, length, den = _arc_integers(arc, gamma)
+    return ns[beatty.arc_mask(g, -left, den, ns, length)]
 
 
 def _arc_right(arc):
@@ -291,28 +307,16 @@ class _ModRecorder(int):
         return int(x) % int(self)
 
 
-def _arc_route(monkeypatch, arc, gamma, ns):
-    """_arc_hits on ns, the oracle's hits, and the n, ascending, that took
-    the integer test (read back from g*n - left)."""
-    common_denominator = arith.common_denominator
-    spied = []
-
-    def spy(pairs):
-        nums, den = common_denominator(pairs)
-        den = _ModRecorder(den)
-        den.seen = []
-        spied.append((nums, den))
-        return nums, den
-
-    monkeypatch.setattr(arith, "common_denominator", spy)
+def _arc_route(arc, gamma, ns):
+    """arc_mask's hits on ns, checked against the oracle's, and the n,
+    ascending, that took the integer test (read back from g*n - left)."""
+    g, left, length, den = _arc_integers(arc, gamma)
+    den = _ModRecorder(den)
+    den.seen = []
     ns = np.asarray(ns, dtype=np.int64)
-    got = _arc_hits(arc, gamma, ns)
-    monkeypatch.setattr(arith, "common_denominator", common_denominator)
+    got = ns[beatty.arc_mask(g, -left, den, ns, length)]
     assert got.dtype == np.int64
     assert got.tolist() == oracle_arc_hits(arc, gamma, ns.tolist())
-    if not spied:
-        return got, []
-    ((g, left, _), den), = spied
     return got, sorted((x + left) // g for x in den.seen)
 
 
@@ -324,8 +328,7 @@ def _on_an_endpoint(arc, gamma, ns):
 @pytest.mark.parametrize("alpha, beta", [(Fraction(3, 2), 0),
                                          (Fraction(5, 3), 0),
                                          (Fraction(5, 3), Fraction(4, 3))])
-def test_arc_hits_take_the_integer_test_on_arc_endpoints(alpha, beta,
-                                                         monkeypatch):
+def test_arc_hits_take_the_integer_test_on_arc_endpoints(alpha, beta):
     # gamma = 2/3 or 3/5: frac(gamma n) lands exactly on an endpoint of the
     # membership and shift arcs for whole residue classes of n, and only
     # those n take the integer test
@@ -334,7 +337,7 @@ def test_arc_hits_take_the_integer_test_on_arc_endpoints(alpha, beta,
     base = membership_interval(params)
     ns = np.arange(1, 3001, dtype=np.int64)
     for arc in (base, TorusInterval(base.left, base.length / 2)):
-        got, tested = _arc_route(monkeypatch, arc, gamma, ns)
+        got, tested = _arc_route(arc, gamma, ns)
         endpoints = _on_an_endpoint(arc, gamma, ns)
         assert len(endpoints) >= len(ns) // 5
         assert tested == endpoints
@@ -345,14 +348,14 @@ def test_arc_hits_take_the_integer_test_on_arc_endpoints(alpha, beta,
             if recovered_index(params, n) >= 1] == beatty_enumerate(params, 1, 3001)
 
 
-def test_arc_hits_with_float_endpoints(monkeypatch):
+def test_arc_hits_with_float_endpoints():
     # a float gamma and float endpoints: n = 1 sits on the left endpoint,
     # and n = 4 within an ulp of the right one
     gamma = Fraction(0.1)
     arc = TorusInterval(0.1, 0.3)
     exact = TorusInterval(Fraction(0.1), Fraction(0.3))
     ns = np.arange(-40, 400, dtype=np.int64)
-    got, tested = _arc_route(monkeypatch, arc, gamma, ns)
+    got, tested = _arc_route(arc, gamma, ns)
     near = []
     for n in ns.tolist():
         t = (gamma * n - exact.left) % 1
@@ -367,26 +370,26 @@ def test_arc_hits_with_float_endpoints(monkeypatch):
 @pytest.mark.parametrize("ns", [2**53 + np.arange(-300, 300),
                                 10**18 - np.arange(300),
                                 np.array([-(10**18), 1, 2**62])])
-def test_arc_hits_take_the_integer_test_far_out(ns, sqrt2, monkeypatch):
+def test_arc_hits_take_the_integer_test_far_out(ns, sqrt2):
     # past max|n| gamma ~ 2^49 delta exceeds 1/2, so every entry takes
     # the integer test
     gamma = sqrt2.gamma_exact
     base = membership_interval(sqrt2)
     for arc in (base, shift_intersection(base, sqrt2, 7, gamma / 20)):
-        got, tested = _arc_route(monkeypatch, arc, gamma, ns)
+        got, tested = _arc_route(arc, gamma, ns)
         assert tested == sorted(ns.tolist())
         assert got.tolist() == [n for n in ns.tolist()
                                 if _arc_contains(arc, gamma * n)]
 
 
-def test_arc_hits_on_scan_sized_windows(sqrt2, monkeypatch):
+def test_arc_hits_on_scan_sized_windows(sqrt2):
     # quadratic irrational gamma: no prime of [10^5, 2*10^5) comes within
     # delta of an endpoint, so the float route decides all of them
     gamma = sqrt2.gamma_exact
     base = membership_interval(sqrt2)
     primes = arith.primes_in(10**5, 2 * 10**5)
     for arc in (base, shift_intersection(base, sqrt2, 7, gamma / 20)):
-        got, tested = _arc_route(monkeypatch, arc, gamma, primes)
+        got, tested = _arc_route(arc, gamma, primes)
         assert tested == [] and got.size > 1000
 
 
@@ -461,14 +464,14 @@ def test_beatty_members_edge_windows(sqrt2):
 def test_beatty_members_take_the_exact_route_where_floats_cannot_tell(
         monkeypatch):
     seen = []
-    fractional_parts = beatty.fractional_parts
+    fractional_parts = beatty._fractional_parts
 
     def spy(num, off, den, ns, cuts=()):
         whole, x, unsure = fractional_parts(num, off, den, ns, cuts)
         seen.append((whole.astype(np.int64), unsure))
         return whole, x, unsure
 
-    monkeypatch.setattr(beatty, "fractional_parts", spy)
+    monkeypatch.setattr(beatty, "_fractional_parts", spy)
 
     def float_only(params, lo, hi):
         seen.clear()
@@ -520,7 +523,7 @@ def test_fractional_parts_decide_every_index_they_do_not_flag(num, off, den,
     # a small den puts many values exactly on an integer or on a cut, and
     # n near +-2^63 pushes the error bound past 1/2
     cuts = [c % den for c in cuts]
-    whole, x, unsure = beatty.fractional_parts(
+    whole, x, unsure = beatty._fractional_parts(
         num, off, den, np.array(ns, dtype=np.int64), cuts)
     flagged = unsure.tolist()
     assert flagged == sorted(set(flagged))
@@ -567,6 +570,27 @@ def test_member_mask_and_count_match_the_scalar_kernels(alpha, beta_num,
     sparse = sparse[sparse >= 1]
     assert (beatty.member_mask(params, sparse).tolist()
             == [torus_member(params, n) for n in sparse.tolist()])
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2), Fraction(3, 2), Fraction(4, 3)])
+@pytest.mark.parametrize("beta", [Fraction(0), Fraction(1, 3), Fraction(5, 4)])
+def test_member_mask_settles_flagged_entries_without_torus_member(
+        alpha, beta, monkeypatch):
+    # these alpha flag about half of all n at the arc's endpoints; beta =
+    # 5/4 puts n = floor(beta) = 1 on the arc with index 0.  The mask must
+    # settle all of them itself, leaving torus_member an independent check
+    def refuse(*args):
+        raise AssertionError("member_mask called torus_member")
+
+    params = BeattyParams.make(alpha, beta)
+    ns = np.concatenate([np.arange(1, 400), 10**12 + np.arange(400),
+                         2**62 + np.arange(50)])
+    expected = [_fraction_member(params, n) for n in ns.tolist()]
+    monkeypatch.setattr(beatty, "torus_member", refuse)
+    assert beatty.member_mask(params, ns).tolist() == expected
+    if beta == Fraction(5, 4):
+        assert _arc_contains(membership_interval(params), params.gamma_exact)
+        assert not expected[0]
 
 
 def test_member_mask_edges(sqrt2):

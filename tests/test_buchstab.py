@@ -329,16 +329,14 @@ def test_decomposition_terms_refusals(table):
     # n lies in [N, 2N) but past the table, which is the only factor route
     with pytest.raises(PreconditionError):
         decomposition_terms(table.limit + 1, 150_000, table)
-    with pytest.raises(PreconditionError):
-        decomposition_check(150_000, 250_000, table)
 
 
-def test_decomposition_check_window(table):
-    assert decomposition_check(100_000, 100_500, table) == 0
+def test_decomposition_check_window():
+    assert decomposition_check(100_000, 100_500) == 0
     with pytest.raises(PreconditionError):
-        decomposition_check(50, 80, table)
+        decomposition_check(50, 80)
     with pytest.raises(PreconditionError):
-        decomposition_check(1000, 2001, table)
+        decomposition_check(1000, 2001)
 
 
 def _oracle_terms(n_lo, n_hi, n_base, table):
@@ -402,19 +400,22 @@ def test_chain_cutoffs_are_the_power_tests(two_n):
         assert high**7 <= two_n**k < (high + 1) ** 7
 
 
-def test_decomposition_check_refuses_before_any_block(table, monkeypatch):
-    def no_block(*args):
-        raise AssertionError("a block was built before the guards ran")
+def test_decomposition_check_refuses_before_any_block(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a table or block was built before the guards ran")
 
-    monkeypatch.setattr(buchstab, "_block_terms", no_block)
-    for n_base, n_end in ((50, 80), (1000, 2001), (150_000, 250_000)):
+    monkeypatch.setattr(buchstab, "_block_terms", no_work)
+    monkeypatch.setattr(arith, "FactorTable", no_work)
+    for n_base, n_end in ((50, 80), (1000, 2001)):
         with pytest.raises(PreconditionError):
-            decomposition_check(n_base, n_end, table)
+            decomposition_check(n_base, n_end)
 
 
 def test_decomposition_check_transient_is_one_block(table, monkeypatch):
     # every block spans at most _BLOCK values of n, and the traced peak of
-    # a 24-block window is that of a 2-block one: nothing grows with it
+    # a 24-block window is that of a 2-block one: nothing grows with it.
+    # The factor table, which does grow with the window, is the shared one
+    # here, built before tracing starts
     spans = []
     block_terms = buchstab._block_terms
 
@@ -423,11 +424,12 @@ def test_decomposition_check_transient_is_one_block(table, monkeypatch):
         return block_terms(lo, hi, two_n, spf)
 
     monkeypatch.setattr(buchstab, "_block_terms", recorded)
+    monkeypatch.setattr(arith, "FactorTable", lambda limit: table)
     peaks = []
     for n_end in (100_000 + 2 * _BLOCK, 200_000):
         tracemalloc.start()
         try:
-            assert decomposition_check(100_000, n_end, table) == 0
+            assert decomposition_check(100_000, n_end) == 0
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

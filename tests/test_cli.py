@@ -623,6 +623,12 @@ def test_find_skips_the_threshold_search_it_cannot_win(capsys, monkeypatch):
                                "(threshold 8.5); using windowed scan")
 
 
+def test_find_default_window_refuses_a_small_n(capsys):
+    # without --lo/--hi the window is [N, 2N), and N below 100 is refused
+    rc, out, _ = run(["find", "--n", "50"], capsys)
+    assert rc == 2 and out == ""
+
+
 def test_find_square_window(capsys):
     rc, payload, _ = jrun(["find", "--t", "2", "--theta", "two-sevenths",
                            "--n", "1000"], capsys)
@@ -752,6 +758,7 @@ REFERENCE_RUNS = {
         "10000000000000000000000000000000000000000",
         "--ngrid", "12500,50000", "--offsets", "0,7", "--theta", "0.3"],
     "find-t2": ["find", "--t", "2", "--lo", "1000000", "--hi", "2000000"],
+    "find-default": ["find", "--t", "2"],
     "find-t3": ["find", "--t", "3", "--lo", "1000000", "--hi", "2000000"],
     "find-two-sevenths": ["find", "--theta", "two-sevenths", "--n", "1000"],
     "find-t1": ["find", "--t", "1", "--lo", "1000", "--hi", "3000"],

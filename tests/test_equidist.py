@@ -288,15 +288,19 @@ def test_regcond_report_equals_the_parent_route(offsets, n_grid, theta, sqrt2):
 
 
 def test_regcond_cross_check_can_fail(sqrt2, monkeypatch):
-    # an arc route that drops one hit of the shifted arc is reported
-    arc_hits = equidist._arc_hits
-    base = beatty.membership_interval(sqrt2)
+    # an arc route that drops one hit of the shifted arc is reported; the
+    # offsets' arcs are tested in order, the membership arc first
+    arc_mask = beatty.arc_mask
+    calls = []
 
-    def drop_one(arc, gamma, ns):
-        hits = arc_hits(arc, gamma, ns)
-        return hits if arc == base else hits[1:]
+    def drop_one(num, off, den, ns, cut):
+        inside = arc_mask(num, off, den, ns, cut)
+        calls.append(cut)
+        if len(calls) > 1:
+            inside[np.flatnonzero(inside)[0]] = False
+        return inside
 
-    monkeypatch.setattr(equidist, "_arc_hits", drop_one)
+    monkeypatch.setattr(beatty, "arc_mask", drop_one)
     row, = regcond_report((0, 7), sqrt2, (2000,), 0.25, 2, 0.05)
     assert row["arc_route_matches"] == {0: True, 1: False}
 

@@ -84,9 +84,9 @@ def test_only_arith_and_buchstab_build_a_factor_table():
     assert found == []
 
 
-def _callers(prefix):
+def _calls(accept):
     """(module file, innermost enclosing def or "<module>") of every call in
-    the package whose callee is np.<prefix...> or numpy.<prefix...>."""
+    the package whose dotted callee (a list of names) accept takes."""
     calls = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -97,17 +97,33 @@ def _callers(prefix):
         calls += [(path.name, owner.get(node, "<module>"))
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
-                  and (_dotted(node.func) or [""])[0] in ("np", "numpy")
-                  and _dotted(node.func)[1:len(prefix) + 1] == prefix]
+                  and accept(_dotted(node.func) or [""])]
     return calls
+
+
+def _callers(prefix):
+    """_calls of np.<prefix...> or numpy.<prefix...>."""
+    return _calls(lambda chain: chain[0] in ("np", "numpy")
+                  and chain[1:len(prefix) + 1] == prefix)
 
 
 def test_only_the_fractional_part_kernel_takes_a_float_floor():
     # one filtered-exact predicate for fractional parts: a float64 floor
     # anywhere else would be a second error analysis to keep sound, so
-    # callers go through beatty.fractional_parts and settle its flagged
-    # entries on integers
-    assert _callers(["floor"]) == [("beatty.py", "fractional_parts")]
+    # callers go through beatty._fractional_parts or its arc test arc_mask
+    assert _callers(["floor"]) == [("beatty.py", "_fractional_parts")]
+
+
+def test_flagged_entries_are_settled_in_beatty_alone():
+    # the floor and the arc test settle what the float filter flags, each
+    # on its own integers; torus_member is the scalar check that find's
+    # certificate runs, so no kernel may answer through it
+    def callers(name):
+        return sorted(_calls(lambda chain: chain[-1] == name))
+
+    assert {path for path, _ in callers("torus_member")} == {"cli.py"}
+    assert callers("_fractional_parts") == [("beatty.py", "arc_mask"),
+                                            ("beatty.py", "beatty_members")]
 
 
 def test_only_the_character_transform_takes_an_fft():
