@@ -7,9 +7,11 @@ just the window it reads.  FactorTable, kept for factoring, stamps the
 multiples of those base primes to get a smallest-prime-factor table
 (numpy).  int_root is the one exact integer root, used for
 the power cutoffs of the Buchstab chains and the n^(3/4) cap of the
-Diophantine modulus.  The standalone multiplicative functions factor by
-trial division, which suits the small arguments (moduli, support indices)
-they are called on.  Every exact entry point of the package reads its
+Diophantine modulus.  least_hit is the one search for the first point of
+an orbit a*x + b mod m on an arc, by Euclid's descent: the shift of
+translate_tuple and the arc count of the Liouville demo.  The standalone
+multiplicative functions factor by trial division, which suits the small
+arguments (moduli, support indices) they are called on.  Every exact entry point of the package reads its
 values with to_fraction and puts fractions over one denominator, as ints,
 with common_denominator.
 """
@@ -87,6 +89,41 @@ def int_root(n: int, k: int) -> int:
         if s >= r:
             return r
         r = s
+
+
+def least_hit(a: int, b: int, m: int, lo: int, hi: int) -> int | None:
+    """The least x >= 0 with lo <= (a*x + b) mod m <= hi, for 0 <= lo < m
+    and hi < m; None when no x exists, which is then proven, as it is for
+    an empty arc (lo > hi).
+
+    Past x = 0 the question is the least x with l <= a*x mod m <= r,
+    l = (lo - b) mod m >= 1, r = (hi - b) mod m: the arc cannot wrap past
+    0, since x = 0 missed it.  If a multiple of a lies in [l, r], the
+    first, ceil(l/a), answers.  Otherwise [l, r] sits in one gap between
+    multiples of a, a*x - m*y lands in it exactly when (-m*y) mod a lies
+    in [l mod a, r mod a], that is (m*y) mod a in [a - r mod a, a - l mod a],
+    and the least such y gives x = ceil((l + m*y)/a).  The same question
+    for (m mod a, a) is Euclid's step, so there are O(log m) of them.
+    """
+    if not (0 <= lo < m and hi < m):
+        raise PreconditionError("need 0 <= lo < m and hi < m", lo=lo, hi=hi, m=m)
+    if lo > hi:
+        return None
+    if lo <= b % m <= hi:
+        return 0
+    a, l, r = a % m, (lo - b) % m, (hi - b) % m
+    steps = []
+    while a:
+        x = -(-l // a)
+        if a * x <= r:
+            break
+        steps.append((a, m, l))
+        a, m, l, r = m % a, a, a - r % a, a - l % a
+    else:
+        return None
+    for a, m, l in reversed(steps):
+        x = -(-(l + m * x) // a)
+    return x
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -390,16 +390,15 @@ def _legendre_node(n: int, x: Decimal) -> tuple[Decimal, Decimal]:
 def _legendre_rule(n: int) -> tuple[tuple[Decimal, ...], tuple[Decimal, ...]]:
     """Nodes and weights of the order-n Gauss-Legendre rule on [-1, 1].
 
-    numpy's float nodes only seed Newton's method, which runs in decimal at
-    the working precision.  The rule is symmetric, so the nonnegative roots
-    are refined and mirrored.
+    Newton's method refines the nonnegative roots from the float seeds
+    sin(pi j/(2n + 1)), j = n - 1, n - 3, ... >= 0 (exactly 0, the middle
+    root, at j = 0), in decimal at the working precision; the rule is
+    symmetric, so they are mirrored.
     """
     if n not in _legendre_rules:
-        seeds = np.polynomial.legendre.leggauss(n)[0][n // 2:]
-        if n % 2:
-            seeds[0] = 0.0   # the middle root of P_n, n odd, is exactly 0
         with localcontext(_CONTEXT):
-            half = [_legendre_node(n, Decimal(float(s))) for s in seeds]
+            half = [_legendre_node(n, Decimal(math.sin(math.pi * j / (2 * n + 1))))
+                    for j in range((n + 1) % 2, n, 2)]
         rule = [(x.copy_negate(), w) for x, w in reversed(half) if x] + half
         _legendre_rules[n] = (tuple(x for x, _ in rule),
                               tuple(w for _, w in rule))

@@ -501,7 +501,7 @@ def cmd_find(ns):
         try:
             trans = tuples.translate_tuple(max(2 * k_plan, 50), k_plan,
                                            params.gamma_exact, Fraction(eps))
-        except BudgetError:
+        except ImpossibleInputError:
             trans = None
         if trans is not None and trans.complete:
             tuple_offsets = offs = list(trans.tuple_.offsets)

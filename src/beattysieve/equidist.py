@@ -32,9 +32,9 @@ until the content jumps.  Rows therefore carry the limiting interval and
 an attained flag that is False in those cases.
 
 The harnesses evaluate the two distribution-theorem left-hand sides and
-the two regularity sums on concrete windows.  Their upper bounds are
-asymptotic; nothing here asserts them.  Each harness emits deterministic
-normalized columns so that trends across N can be recorded.
+the two regularity sums on concrete windows, with asymptotic upper bounds
+that nothing here asserts, in deterministic normalized columns that record
+trends across N; the Liouville demo counts its empty arc by arith.least_hit.
 """
 from __future__ import annotations
 
@@ -371,18 +371,16 @@ def e_sup(n: int, n2: int, gamma, q: int, a: int, table=None) -> ErrorRow:
     return ErrorRow(q, a, Fraction(val, w.d * phi), count, arc, False)
 
 
-def _check_sweep_budget(windows, visits: int = 0) -> None:
+def _check_sweep_budget(windows) -> None:
     """Refuse a harness run whose arc sweep would exceed HARNESS_POINT_BUDGET
     point-visits, before any window is swept.  windows holds (N, cap) per
     grid point: each modulus q <= cap buckets the window's points (about
-    N / log N prime powers in [N, 2N)) and sweeps at most q classes; visits
-    counts the run's other point-visits."""
-    estimate = visits + sum(
+    N / log N prime powers in [N, 2N)) and sweeps at most q classes."""
+    estimate = sum(
         cap * (int(n / max(math.log(n), 1.0)) + (cap + 1) // 2) for n, cap in windows)
     if estimate > HARNESS_POINT_BUDGET:
-        checks = f" ({visits} of them arc checks)" if visits else ""
-        raise BudgetError(f"the arc sweep needs about {estimate} point-visits"
-                          f"{checks}, over the budget of {HARNESS_POINT_BUDGET}",
+        raise BudgetError(f"the arc sweep needs about {estimate} point-visits, "
+                          f"over the budget of {HARNESS_POINT_BUDGET}",
                           estimate=estimate)
 
 
@@ -464,23 +462,24 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5) -> dic
     over the phi(q) classes of each q <= q_cap, sum E^2 >= sum_q N^2 /
     (4 r^2 phi(q)) (sum_bound).
 
-    A run over HARNESS_POINT_BUDGET point-visits (its sweep and 2N arc
-    checks) or DEMO_ROW_BUDGET rows is refused with BudgetError first.
+    A run over HARNESS_POINT_BUDGET point-visits (its sweep alone) or
+    DEMO_ROW_BUDGET rows is refused with BudgetError first.
     """
     if math.gcd(u, r) != 1:
         raise PreconditionError("u and r must be coprime", u=u, r=r)
-    delta = Fraction(1, 8 * r * n)
-    _check_sweep_budget([(n, q_cap)], visits=2 * n)
+    a, den = 8 * u * n + 1, 8 * r * n   # gamma = a/den, arc (2N, 6N)/den
+    delta, gamma = Fraction(1, den), Fraction(a, den)
+    _check_sweep_budget([(n, q_cap)])
     row_estimate = q_cap * (q_cap + 1) // 2
     if row_estimate > DEMO_ROW_BUDGET:
         raise BudgetError(f"q_cap = {q_cap} gives about {row_estimate} rows, "
                           f"over the budget of {DEMO_ROW_BUDGET}",
                           estimate=row_estimate)
-    gamma = Fraction(u, r) + delta
     lo, hi = Fraction(1, 4 * r), Fraction(3, 4 * r)
-    # over den = 8rN, as in regcond_report: gamma = (8uN + 1) / den, arc (2N, 6N) / den
-    in_arc = sum(1 for m in range(1, 2 * n + 1)
-                 if 2 * n < (8 * u * n + 1) * m % (8 * r * n) < 6 * n)
+    in_arc, m = 0, 1   # hits so far, and the least m not yet tried
+    while ((x := arith.least_hit(a, a * m, den, 2 * n + 1, 6 * n - 1))
+           is not None and m + x <= 2 * n):
+        in_arc, m = in_arc + 1, m + x + 1
 
     window = _window_points(n, 2 * n, gamma)
     rows = []

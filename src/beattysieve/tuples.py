@@ -8,7 +8,8 @@ translate_tuple builds a tuple whose offsets all satisfy
 -gamma*h mod 1 in (0, 2*eps*gamma): take the first l primes above l, find a
 window (eta, eta + eps*gamma] catching >= l*eps*gamma of the points
 -gamma*p mod 1 by pigeonhole, then slide the whole hit set near 0 with a
-single shift h chosen so that h*gamma mod 1 lands in (eta - eps*gamma, eta).
+single shift h chosen so that h*gamma mod 1 lands in (eta - eps*gamma, eta):
+the least such h, by arith.least_hit, or a proven refusal if none exists.
 Admissibility of the result is automatic: the offsets are h + (prime > l),
 so a_p = h mod p works for every p <= k <= l.
 """
@@ -20,9 +21,7 @@ from fractions import Fraction
 
 from . import arith
 from .beatty import pigeonhole_shift
-from .errors import BudgetError, ImpossibleInputError, PreconditionError
-
-SHIFT_SCAN_BUDGET = 10**6
+from .errors import ImpossibleInputError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -113,17 +112,15 @@ def translate_tuple(l: int, k: int, gamma, eps) -> TranslateResult:
         note = (f"pigeonhole window holds {len(hits)} of the requested {k} "
                 "offsets; raise l or eps")
 
-    lo = (eta - window) % 1
-    # h*gamma mod 1 repeats with period den(gamma): no h past it is new
-    candidates = min(SHIFT_SCAN_BUDGET, g.denominator)
-    shift = None
-    for h in range(1, candidates + 1):
-        if 0 < (h * g - lo) % 1 < window:
-            shift = h
-            break
-    if shift is None:
-        raise BudgetError("no shift with h*gamma in the target window "
-                          f"within {candidates} candidates")
+    # gamma, (eta - window) mod 1 and window as a/den, c/den and w/den: the
+    # shift h >= 1 is least with 0 < (a*h - c) mod den < w, and h - 1 is x
+    (a, c, w), den = arith.common_denominator(
+        f.as_integer_ratio() for f in (g, (eta - window) % 1, window))
+    x = arith.least_hit(a, a - c, den, 1, w - 1)
+    if x is None:
+        raise ImpossibleInputError(
+            "no shift h puts h*gamma mod 1 in the target window")
+    shift = x + 1
 
     offsets = sorted(p + shift for p in chosen)
     for h in offsets:

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from beattysieve import arith
 from beattysieve.arith import (FactorTable, common_denominator, euler_phi,
-                               factorize, int_root, mobius, primes_in, tau_k,
-                               to_fraction)
+                               factorize, int_root, least_hit, mobius,
+                               primes_in, tau_k, to_fraction)
 from beattysieve.errors import CapacityError, PreconditionError
 
 
@@ -198,3 +199,43 @@ def test_common_denominator_puts_pairs_over_their_lcm():
         nums, den = common_denominator(f.as_integer_ratio() for f in fracs)
         assert den == math.lcm(*(f.denominator for f in fracs))
         assert [Fraction(a, den) for a in nums] == fracs
+
+
+def _first_hit_by_scan(a, b, m, lo, hi):
+    """The least x in one full period [0, m) with (a*x + b) mod m in
+    [lo, hi]; past it the orbit repeats, so None means no x at all."""
+    return next((x for x in range(m) if lo <= (a * x + b) % m <= hi), None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=st.integers(-1000, 1000), b=st.integers(-1000, 1000),
+       m=st.integers(1, 500), lo=st.integers(0, 499), hi=st.integers(-1, 499))
+@example(a=0, b=3, m=10, lo=4, hi=9)       # a fixed orbit off the arc
+@example(a=6, b=1, m=12, lo=2, hi=5)       # gcd 6: only 1 and 7 are reached
+@example(a=-1, b=0, m=500, lo=1, hi=1)     # the hit is the period's last x
+@example(a=7, b=2, m=9, lo=4, hi=3)        # an empty arc
+def test_least_hit_matches_a_scan_over_one_period(a, b, m, lo, hi):
+    lo, hi = lo % m, min(hi, m - 1)
+    assert least_hit(a, b, m, lo, hi) == _first_hit_by_scan(a, b, m, lo, hi)
+
+
+def test_least_hit_at_a_thousand_bit_modulus():
+    rng = random.Random(36)
+    m = rng.getrandbits(1000) | 1 << 1000
+    for _ in range(20):
+        a, b = rng.randrange(-m, m), rng.randrange(-m, m)
+        lo = rng.randrange(m - 2**40)
+        hi = lo + rng.randrange(2**40)
+        x = least_hit(a, b, m, lo, hi)
+        assert 0 <= x and lo <= (a * x + b) % m <= hi
+    # answers known in closed form: -x mod m first hits 1 at x = m - 1, and
+    # the multiples of 2g mod 2m never reach the odd residues
+    assert least_hit(-1, 0, m, 1, 1) == m - 1
+    g = rng.getrandbits(900) | 1
+    assert least_hit(2 * g, 0, 2 * m, 1, 1) is None
+
+
+def test_least_hit_preconditions():
+    for lo, hi in ((-1, 3), (10, 10), (0, 10)):
+        with pytest.raises(PreconditionError):
+            least_hit(3, 0, 10, lo, hi)

@@ -89,6 +89,26 @@ def test_tuples_translate_payload(capsys):
         == pytest.approx(0.35355339059327373)
 
 
+def test_tuples_translate_finds_a_shift_past_any_scan(capsys):
+    # a float gamma has a denominator near 2^53, and at eps = 1e-10 the least
+    # shift is near 3e9: one descent finds it
+    rc, payload, _ = jrun(["tuples", "translate", "--l", "10", "--k", "1",
+                           "--gamma", "0.7071067811865476",
+                           "--eps", "0.0000000001"], capsys)
+    assert rc == 0 and payload["shift"] == 2_870_017_730
+    gamma = Fraction(0.7071067811865476)
+    window = Fraction(payload["window_length"]) / 2
+    eta = Fraction(payload["eta"])
+    assert 0 < (payload["shift"] * gamma - (eta - window)) % 1 < window
+    for h in payload["offsets"]:
+        assert 0 < (-gamma * h) % 1 < 2 * window
+    # h * 2/3 mod 1 never enters a window of length 1/150: proven, refused
+    rc, out, err = run(["tuples", "translate", "--l", "10", "--k", "2",
+                        "--gamma", "2/3", "--eps", "1/100"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("refused: no shift h")
+
+
 def test_mk_bound_payload(capsys):
     rc, payload, _ = jrun(["mk", "bound", "--k", "2", "--degree", "1"], capsys)
     assert rc == 0
@@ -165,21 +185,23 @@ def test_equidist_harness_budgets_exit_1(argv, capsys, monkeypatch):
     assert err.startswith("budget: the arc sweep needs about")
 
 
-def test_equidist_demo_budget_counts_the_arc_checks(capsys, monkeypatch):
-    # at N = 10^8 the sweep of q = 1 fits the budget but the 2N arc checks
-    # do not; a run the check lets through stops here instead of sweeping
+def test_equidist_demo_budget_is_the_sweeps_alone(capsys, monkeypatch):
+    # at N = 10^8 the demo's estimate is the sweep of q = 1 alone, under the
+    # budget; the run stops after the check instead of sweeping
     check = equidist._check_sweep_budget
+    checked = []
 
-    def check_or_stop(*args, **kwargs):
-        check(*args, **kwargs)
+    def check_or_stop(windows):
+        windows = list(windows)
+        check(windows)
+        checked.append(windows)
         raise AssertionError("the demo passed its budget check")
 
     monkeypatch.setattr(equidist, "_check_sweep_budget", check_or_stop)
-    rc, out, err = run(["equidist", "bdh", "--demo", "true", "--n", "100000000",
-                        "--qcap-demo", "1"], capsys)
-    assert rc == 1 and out == ""
-    assert err.startswith("budget: the arc sweep needs about")
-    assert "(200000000 of them arc checks)" in err
+    with pytest.raises(AssertionError, match="passed its budget check"):
+        cli.main(["equidist", "bdh", "--demo", "true", "--n", "100000000",
+                  "--qcap-demo", "1"])
+    assert checked == [[(10**8, 1)]]
 
 
 def test_chars_table_payload(capsys):

@@ -155,10 +155,10 @@ def test_liouville_demo_refuses_before_any_sweep(monkeypatch):
     with pytest.raises(BudgetError) as refused:
         liouville_demo(q_cap=10**6)
     assert refused.value.estimate > equidist.HARNESS_POINT_BUDGET
-    # the message says how much of the estimate is the 2N arc checks
+    # the estimate is the sweep's alone: the arc count walks no integers
     assert str(refused.value).startswith(
-        f"the arc sweep needs about {refused.value.estimate} point-visits "
-        "(200 of them arc checks), over the budget of")
+        f"the arc sweep needs about {refused.value.estimate} point-visits, "
+        "over the budget of")
     # few point-visits, but more rows than the demo budget allows
     with pytest.raises(BudgetError) as refused:
         liouville_demo(q_cap=1500)

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from beattysieve.errors import (BudgetError, ImpossibleInputError,
-                                PreconditionError)
+from beattysieve import tuples
+from beattysieve.beatty import pigeonhole_shift
+from beattysieve.errors import ImpossibleInputError, PreconditionError
 from beattysieve.tuples import (AdmissibleTuple, choose_nu0, divcond_check,
                                 is_admissible, translate_tuple)
 
@@ -72,11 +73,42 @@ def test_translate_preconditions(sqrt2):
         translate_tuple(10, 2, sqrt2.gamma_exact, Fraction(3, 2))
 
 
-def test_translate_scans_one_period_of_a_rational_gamma():
-    # h * 2/3 mod 1 takes the values 2/3, 1/3, 0 and repeats: the scan stops
-    # after 3 candidates instead of running its whole budget
-    with pytest.raises(BudgetError, match="within 3 candidates"):
+def test_translate_refuses_when_no_shift_exists():
+    # h * 2/3 mod 1 takes only the values 2/3, 1/3 and 0, and none lies in
+    # the target window of length 1/150: the descent proves that no shift exists
+    with pytest.raises(ImpossibleInputError, match="no shift h"):
         translate_tuple(10, 2, Fraction(2, 3), Fraction(1, 100))
+
+
+def _least_shift_by_scan(gamma, eta, window):
+    """The least h >= 1 with 0 < (h*gamma - (eta - window)) mod 1 < window,
+    tried one h at a time over a full period of h*gamma mod 1, den(gamma)."""
+    lo = (eta - window) % 1
+    return next((h for h in range(1, gamma.denominator + 1)
+                 if 0 < (h * gamma - lo) % 1 < window), None)
+
+
+def test_translate_shift_matches_a_scan_on_rational_gamma():
+    rng = random.Random(36)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        gamma = Fraction(rng.randint(1, 3000), rng.randint(1, 3000))
+        eps = Fraction(rng.randint(1, 40), rng.randint(1, 400))
+        if not 0 < eps * gamma < 1:
+            continue
+        l = rng.randrange(2, 30)
+        window = eps * gamma
+        primes = tuples._first_primes_above(l, l)
+        eta, _ = pigeonhole_shift([(-gamma * p) % 1 for p in primes], window)
+        expected = _least_shift_by_scan(gamma, eta, window)
+        seen[expected is None] += 1
+        if expected is None:
+            with pytest.raises(ImpossibleInputError):
+                translate_tuple(l, 1, gamma, eps)
+        else:
+            res = translate_tuple(l, 1, gamma, eps)
+            assert (res.eta, res.shift) == (eta, expected)
+    assert min(seen.values()) > 0
 
 
 def test_divisibility_condition_check():
