@@ -291,37 +291,34 @@ def shift_intersection(interval: TorusInterval, params: BeattyParams, h: int,
     return TorusInterval(interval.left, interval.length - t)
 
 
-def pigeonhole_shift(points, length):
-    """Left endpoint z maximizing |{j : x_j in (z, z + length] mod 1}|.
+def pigeonhole_shift(xs, arc: int, den: int):
+    """Left end z maximizing |{j : x_j in (z, z + arc] mod den}|, for
+    integer points x_j and an arc of 0 < arc < den on the circle Z/den:
+    the arc of length arc/den catching the most of the points x_j/den.
 
-    Candidates z = x_j - length suffice: the hit count, as a function of z,
-    only steps up at those values.  Ties go to the smallest z in [0, 1).
-    For M points the best count is >= ceil(M * length) (area argument).
-    Returns (z, hit_indices) with z a Fraction and the indices ascending.
+    Candidates z = x_j - arc suffice: the hit count, as a function of z,
+    only steps up at those values.  Ties go to the smallest z in [0, den).
+    For M points the best count is >= ceil(M * arc / den) (area argument).
+    Returns (z, hit_indices) with the indices ascending.
 
-    Points and length are read exactly (a float at its binary value) and
-    put on one common denominator D as integers X_j in [0, D) and L.  The
-    candidate at x_j catches the points in (X_j - L, X_j] on the circle,
-    so one sort and two pointers over the doubled circle count the hits
-    of every candidate: O(M log M) rather than M^2 comparisons.
+    The candidate at x_j catches the points in (x_j - arc, x_j], so one
+    sort and two pointers over the doubled circle count the hits of every
+    candidate: O(M log M) rather than M^2 comparisons.
     """
-    if not 0 < length < 1:
-        raise PreconditionError("length must lie in (0, 1)", length=float(length))
-    length = to_fraction(length)
-    pts = [to_fraction(x) for x in points]
-    if not pts:
+    if not 0 < arc < den:
+        raise PreconditionError("need 0 < arc < den", arc=arc, den=den)
+    if not xs:
         return 0, []
-    (arc, *xs), d = common_denominator(x.as_integer_ratio() for x in [length, *pts])
-    xs = [x % d for x in xs]
+    xs = [x % den for x in xs]
     ring = sorted(xs)
-    ring = [x - d for x in ring] + ring   # the circle, unrolled once
+    ring = [x - den for x in ring] + ring   # the circle, unrolled once
     best_count, best_z = 0, None
     below = 0   # ring[below:top] are the values in (x - arc, x]
     for top, x in enumerate(ring[len(xs):], start=len(xs) + 1):
         while ring[below] <= x - arc:
             below += 1
-        z = (x - arc) % d
+        z = (x - arc) % den
         if top - below > best_count or (top - below == best_count and z < best_z):
             best_count, best_z = top - below, z
-    hits = [j for j, x in enumerate(xs) if (best_z + arc - x) % d < arc]
-    return Fraction(best_z, d), hits
+    hits = [j for j, x in enumerate(xs) if (best_z + arc - x) % den < arc]
+    return best_z, hits

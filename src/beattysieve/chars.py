@@ -466,20 +466,6 @@ def divisor_concentration(q_lo: int, n_hi: int) -> int:
     return int(counts.max())
 
 
-def _gamma_approximation(gamma, r_cap: int):
-    """Best convergent u/r with r <= r_cap, plus H = r^2 |gamma - u/r|."""
-    best = None
-    for approx in dioph.convergents(gamma, 40):
-        if approx.denominator <= r_cap:
-            best = approx
-    if best is None:
-        raise PreconditionError("no usable rational approximation",
-                                r_cap=r_cap)
-    delta = abs(float(gamma) - best.numerator / best.denominator)
-    h = max(best.denominator**2 * delta, 1e-12)
-    return best.numerator, best.denominator, h, delta
-
-
 def bilinear_report(q_lo: int, gamma, a_coeffs: dict, b_coeffs: dict,
                     n_lo: int, n_hi: int) -> dict:
     """Observed bilinear sum against the shape of its stated upper bound.
@@ -503,7 +489,10 @@ def bilinear_report(q_lo: int, gamma, a_coeffs: dict, b_coeffs: dict,
     m_val = min(a_coeffs)
     k_val = min(b_coeffs)
     n_val = n_lo
-    u, r, h, delta = _gamma_approximation(gamma, max(2, n_hi - 1))
+    best = dioph.last_convergent(gamma, max(2, n_hi - 1))
+    r = best.denominator
+    delta = abs(float(gamma) - best.numerator / r)
+    h = max(r**2 * delta, 1e-12)
     log_n = math.log(max(3, n_hi))
     q32 = q_lo ** 1.5
     main = (q_lo**2 * math.sqrt(m_val)

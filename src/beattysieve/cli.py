@@ -31,6 +31,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -209,9 +210,11 @@ def cmd_beatty_member(ns):
 
 
 def cmd_dioph_convergents(ns):
+    if ns.depth < 1:
+        raise PreconditionError("depth must be >= 1", depth=ns.depth)
     rows = [{"numerator": c.numerator, "denominator": c.denominator,
              "quality": str(c.quality), "flag": c.flag}
-            for c in dioph.convergents(ns.gamma, ns.depth)]
+            for c in itertools.islice(dioph.convergents(ns.gamma), ns.depth)]
     return {"gamma": float(ns.gamma), "rows": rows}, 0
 
 
@@ -454,7 +457,7 @@ def cmd_find(ns):
         lo, hi = ns.lo, ns.hi
     elif theta_label == "two-sevenths":
         # this path ties the window to a square of a convergent denominator
-        r = next((c.denominator for c in dioph.convergents(params.gamma_exact, 60)
+        r = next((c.denominator for c in dioph.convergents(params.gamma_exact)
                   if c.denominator * c.denominator >= n_req), None)
         if r is None:
             raise PreconditionError("no convergent denominator with r^2 >= N",

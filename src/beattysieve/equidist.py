@@ -101,6 +101,10 @@ class HarnessConfig:
     def __post_init__(self):
         if not self.n_grid:
             raise PreconditionError("empty N grid")
+        if min(self.n_grid) < 2:
+            # bdh normalizes by log log N, bv's modulus policy needs N >= 2
+            raise PreconditionError("every grid point N must be >= 2",
+                                    n=min(self.n_grid))
         for name in ("q_cap", "r_cap"):
             cap = getattr(self, name)
             if cap is not None and cap < 1:
@@ -467,6 +471,8 @@ def liouville_demo(r: int = 10, u: int = 3, n: int = 100, q_cap: int = 5) -> dic
     """
     if math.gcd(u, r) != 1:
         raise PreconditionError("u and r must be coprime", u=u, r=r)
+    if n < 1 or r < 1:
+        raise PreconditionError("need n >= 1 and r >= 1", n=n, r=r)
     a, den = 8 * u * n + 1, 8 * r * n   # gamma = a/den, arc (2N, 6N)/den
     delta, gamma = Fraction(1, den), Fraction(a, den)
     _check_sweep_budget([(n, q_cap)])

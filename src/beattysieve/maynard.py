@@ -358,11 +358,8 @@ def _crt_combine(r1: int, m1: int, r2: int, m2: int):
     if (r2 - r1) % g != 0:
         return None
     l = m1 // g * m2
-    step = m1 // g
-    # solve r1 + m1*x = r2 (mod m2)
-    target = (r2 - r1) // g
-    inv = pow(m1 // g, -1, m2 // g) if m2 // g > 1 else 0
-    x = (target * inv) % (m2 // g) if m2 // g > 1 else 0
+    # solve r1 + m1*x = r2 (mod m2); pow(., -1, 1) is 0
+    x = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
     return (r1 + m1 * x) % l, l
 
 

@@ -10,6 +10,9 @@ window (eta, eta + eps*gamma] catching >= l*eps*gamma of the points
 -gamma*p mod 1 by pigeonhole, then slide the whole hit set near 0 with a
 single shift h chosen so that h*gamma mod 1 lands in (eta - eps*gamma, eta):
 the least such h, by arith.least_hit, or a proven refusal if none exists.
+gamma and the window go over one common denominator first, so all of
+this is integer work; eta and the window length become Fractions only in
+the result.
 Admissibility of the result is automatic: the offsets are h + (prime > l),
 so a_p = h mod p works for every p <= k <= l.
 """
@@ -100,23 +103,25 @@ def translate_tuple(l: int, k: int, gamma, eps) -> TranslateResult:
     e = arith.to_fraction(eps)
     if not (1 <= k <= l):
         raise PreconditionError("need 1 <= k <= l", l=l, k=k)
-    if not 0 < e * g < 1:
-        raise PreconditionError("need 0 < eps*gamma < 1", eps_gamma=float(e * g))
     window = e * g
+    if not 0 < window < 1:
+        raise PreconditionError("need 0 < eps*gamma < 1", eps_gamma=float(window))
+    # gamma and the window as a/den and w/den: the point -gamma*p mod 1 is
+    # (-a*p) mod den, and the pigeonhole window (eta, eta + window] is
+    # (z, z + w] over den
+    (a, w), den = arith.common_denominator(
+        f.as_integer_ratio() for f in (g, window))
     primes = _first_primes_above(l, l)
-    points = [(-g * p) % 1 for p in primes]
-    eta, hits = pigeonhole_shift(points, window)
+    z, hits = pigeonhole_shift([-a * p for p in primes], w, den)
     chosen = [primes[j] for j in hits[: min(k, len(hits))]]
     note = None
     if len(chosen) < k:
         note = (f"pigeonhole window holds {len(hits)} of the requested {k} "
                 "offsets; raise l or eps")
 
-    # gamma, (eta - window) mod 1 and window as a/den, c/den and w/den: the
-    # shift h >= 1 is least with 0 < (a*h - c) mod den < w, and h - 1 is x
-    (a, c, w), den = arith.common_denominator(
-        f.as_integer_ratio() for f in (g, (eta - window) % 1, window))
-    x = arith.least_hit(a, a - c, den, 1, w - 1)
+    # the shift h >= 1 is least with h*gamma mod 1 in (eta - window, eta),
+    # that is 0 < (a*h - z + w) mod den < w, and h - 1 is x
+    x = arith.least_hit(a, a - z + w, den, 1, w - 1)
     if x is None:
         raise ImpossibleInputError(
             "no shift h puts h*gamma mod 1 in the target window")
@@ -124,12 +129,12 @@ def translate_tuple(l: int, k: int, gamma, eps) -> TranslateResult:
 
     offsets = sorted(p + shift for p in chosen)
     for h in offsets:
-        d = (-g * h) % 1
-        if not 0 < d < 2 * window:
+        if not 0 < -a * h % den < 2 * w:
             raise RuntimeError("window arithmetic broke; shift or eta "
                                f"inconsistent at offset {h}")
-    return TranslateResult(AdmissibleTuple.from_offsets(offsets), shift, eta,
-                           k, len(chosen), 2 * window, note)
+    return TranslateResult(AdmissibleTuple.from_offsets(offsets), shift,
+                           Fraction(z, den), k, len(chosen),
+                           Fraction(2 * w, den), note)
 
 
 def divcond_check(offsets, q0: int, d0) -> tuple[bool, list[tuple[int, int, int]]]:

@@ -207,13 +207,14 @@ def test_criterion_7_torus_and_tuple_geometry(sqrt2, golden):
         for h in res.tuple_.offsets:
             assert 0 < (-h * gamma) % 1 < 2 * eps * gamma
 
+    # points j/997 and the arc i/100, over 99 700
     rng = random.Random(17)
     for _ in range(1000):
         count = rng.randrange(1, 40)
-        pts = [Fraction(rng.randrange(0, 997), 997) for _ in range(count)]
-        length = Fraction(rng.randrange(1, 96), 100)
-        _, hits = pigeonhole_shift(pts, length)
-        assert len(hits) >= math.ceil(count * length)
+        pts = [100 * rng.randrange(0, 997) for _ in range(count)]
+        arc = 997 * rng.randrange(1, 96)
+        _, hits = pigeonhole_shift(pts, arc, 99700)
+        assert len(hits) >= math.ceil(Fraction(count * arc, 99700))
 
 
 def test_criterion_8_constellation_pipeline(big_table, sqrt2, capsys):

@@ -157,6 +157,16 @@ def _quadratic_pigeonhole_shift(points, length):
     return best[1], best[2]
 
 
+def _pigeonhole_on_fractions(points, length):
+    """pigeonhole_shift on rational points and length (a float at its
+    binary value) put over one common denominator, z read back as a
+    Fraction."""
+    (arc, *xs), den = arith.common_denominator(
+        arith.to_fraction(x).as_integer_ratio() for x in (length, *points))
+    z, hits = pigeonhole_shift(xs, arc, den)
+    return Fraction(z, den), hits
+
+
 @settings(max_examples=300, deadline=None)
 @given(den=st.integers(1, 24), nums=st.lists(st.integers(0, 10**6), min_size=1,
                                              max_size=30),
@@ -176,44 +186,45 @@ def test_pigeonhole_shift_matches_the_quadratic_oracle(den, nums, length_num,
         points.append((points[0] - length) % 1)
     if repeat:
         points += points[:3]
-    z, hits = pigeonhole_shift(points, length)
+    z, hits = _pigeonhole_on_fractions(points, length)
     assert (z, hits) == _quadratic_pigeonhole_shift(points, length)
     assert 0 <= z < 1
 
 
 def test_pigeonhole_shift_single_point_and_float_inputs():
-    assert pigeonhole_shift([Fraction(1, 3)], Fraction(1, 2)) \
-        == (Fraction(5, 6), [0])
-    assert pigeonhole_shift([], Fraction(1, 2)) == (0, [])
-    # floats are read at their binary value
-    z, hits = pigeonhole_shift([0.25, 0.75], 0.5)
+    # 1/3 on an arc of 1/2, over 6
+    assert pigeonhole_shift([2], 3, 6) == (5, [0])
+    assert pigeonhole_shift([], 3, 6) == (0, [])
+    # a float is put over the common denominator at its binary value
+    z, hits = _pigeonhole_on_fractions([0.25, 0.75], 0.5)
     assert (z, hits) == (Fraction(1, 4), [1])
 
 
 def test_pigeonhole_shift_pinned_cases(sqrt2, table):
-    z, hits = pigeonhole_shift([0.1, 0.2, 0.9], 0.5)
+    z, hits = _pigeonhole_on_fractions([0.1, 0.2, 0.9], 0.5)
     assert z == pytest.approx(0.7)
     assert len(hits) == 3
-    grid = [Fraction(j, 100) for j in range(100)]
-    _, grid_hits = pigeonhole_shift(grid, Fraction(37, 100))
+    _, grid_hits = pigeonhole_shift(range(100), 37, 100)
     assert len(grid_hits) == 37
     primes = [int(p) for p in table.primes() if p > 20][:20]
     gamma = Fraction(1 / math.sqrt(2))
-    _, prime_hits = pigeonhole_shift([(gamma * p) % 1 for p in primes],
-                                     Fraction(1, 10))
+    _, prime_hits = _pigeonhole_on_fractions([(gamma * p) % 1 for p in primes],
+                                             Fraction(1, 10))
     assert len(prime_hits) == 3
-    with pytest.raises(PreconditionError):
-        pigeonhole_shift([0.5], 0.0)
+    for arc in (0, 2, -1):
+        with pytest.raises(PreconditionError):
+            pigeonhole_shift([1], arc, 2)
 
 
 def test_pigeonhole_never_below_the_proportional_floor():
+    # points j/997 and the arc i/100, over 99 700
     rng = random.Random(17)
     for _ in range(100):
         count = rng.randrange(1, 40)
-        pts = [Fraction(rng.randrange(0, 997), 997) for _ in range(count)]
-        length = Fraction(rng.randrange(1, 96), 100)
-        _, hits = pigeonhole_shift(pts, length)
-        assert len(hits) >= math.ceil(count * length)
+        pts = [100 * rng.randrange(0, 997) for _ in range(count)]
+        arc = 997 * rng.randrange(1, 96)
+        _, hits = pigeonhole_shift(pts, arc, 99700)
+        assert len(hits) >= math.ceil(Fraction(count * arc, 99700))
 
 
 def _fraction_enumerate(params, lo, hi):

@@ -438,6 +438,33 @@ def test_harness_caps_below_one_are_usage_errors(argv, cap, capsys):
     assert err == f"usage: {cap} must be >= 1\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["equidist", "bdh", "--ngrid", "1"], "every grid point N must be >= 2"),
+    (["equidist", "bdh", "--ngrid", "0"], "every grid point N must be >= 2"),
+    (["equidist", "bdh", "--ngrid", "1", "--rcap", "1"],
+     "every grid point N must be >= 2"),
+    (["equidist", "bdh", "--ngrid", "1000,1"], "every grid point N must be >= 2"),
+    (["equidist", "bv", "--gamma", INV_SQRT2, "--ngrid", "1", "--qcap", "1"],
+     "every grid point N must be >= 2"),
+    (["equidist", "bdh", "--demo", "true", "--n", "0"], "need n >= 1 and r >= 1"),
+    (["equidist", "bdh", "--demo", "true", "--n", "-5"], "need n >= 1 and r >= 1"),
+    (["equidist", "bdh", "--demo", "true", "--u", "1", "--r", "0"],
+     "need n >= 1 and r >= 1")])
+def test_harness_and_demo_inputs_below_their_bounds_are_usage_errors(
+        argv, message, capsys):
+    # bdh normalizes by log log N and bv's modulus policy needs N >= 2; the
+    # demo's gamma is (8uN + 1)/(8rN)
+    rc, out, err = run(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err == f"usage: {message}\n"
+
+
+def test_dioph_convergents_depth_below_one_is_a_usage_error(capsys):
+    rc, out, err = run(["dioph", "convergents", "--gamma", INV_SQRT2,
+                        "--depth", "0"], capsys)
+    assert (rc, out, err) == (2, "", "usage: depth must be >= 1\n")
+
+
 def test_report_mk_csv(capsys):
     rc, out, _ = run(["report", "mk", "--kmax", "3", "--degree", "1",
                       "--format", "csv"], capsys)
@@ -812,6 +839,14 @@ REFERENCE_RUNS = {
                             "--gamma", "0.7071067811865476"],
     "dioph-modulus": ["dioph", "modulus", "--gamma", "0.7071067811865476",
                       "--n", "10000"],
+    "dioph-convergents": [
+        "dioph", "convergents", "--gamma",
+        "7071067811865475244008443621048490392848/"
+        "10000000000000000000000000000000000000000", "--depth", "30"],
+    "tuples-translate-surd": [
+        "tuples", "translate", "--l", "50", "--k", "3", "--gamma",
+        "7071067811865475244008443621048490392848/"
+        "10000000000000000000000000000000000000000", "--eps", "1/20"],
 }
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from beattysieve import tuples
+from beattysieve import arith, tuples
 from beattysieve.beatty import pigeonhole_shift
 from beattysieve.errors import ImpossibleInputError, PreconditionError
 from beattysieve.tuples import (AdmissibleTuple, choose_nu0, divcond_check,
@@ -99,7 +99,10 @@ def test_translate_shift_matches_a_scan_on_rational_gamma():
         l = rng.randrange(2, 30)
         window = eps * gamma
         primes = tuples._first_primes_above(l, l)
-        eta, _ = pigeonhole_shift([(-gamma * p) % 1 for p in primes], window)
+        (a, w), den = arith.common_denominator(
+            f.as_integer_ratio() for f in (gamma, window))
+        z, _ = pigeonhole_shift([-a * p for p in primes], w, den)
+        eta = Fraction(z, den)
         expected = _least_shift_by_scan(gamma, eta, window)
         seen[expected is None] += 1
         if expected is None:
@@ -109,6 +112,16 @@ def test_translate_shift_matches_a_scan_on_rational_gamma():
             res = translate_tuple(l, 1, gamma, eps)
             assert (res.eta, res.shift) == (eta, expected)
     assert min(seen.values()) > 0
+
+
+def test_translate_does_its_fraction_work_once(fraction_calls):
+    # gamma and the window go over one denominator once; the points of the
+    # primes, the shift and the check of the offsets are integer work, so
+    # ten times the primes make no more fractions calls
+    gamma = Fraction(7071067811865475244008443621048490392848, 10**40)
+    calls = [fraction_calls(lambda: translate_tuple(l, 1, gamma, Fraction(1, 20)))
+             for l in (20, 200)]
+    assert calls[0] == calls[1]
 
 
 def test_divisibility_condition_check():
